@@ -140,6 +140,11 @@ _COUNTED = {
 }
 
 
+def is_time(name: str) -> bool:
+    """Whether a per-layer figure is a time (and so scaled like one)."""
+    return name in PER_LAYER and PER_LAYER[name][0] == "s"
+
+
 def job_layer_values(spans: list[list], counts: Counter) -> dict[str, float]:
     """Per-layer figures of one job execution, from its spans and counts.
 

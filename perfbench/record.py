@@ -2,7 +2,8 @@
 
     python3 perfbench/record.py [--workload NAME ...]
 
-Runs every job of every parameter set once, untraced, and writes
+Runs every job of every parameter set once, untraced and in this process
+(so the sampler can be observed), and writes
 `perfbench/reference/<workload>.json`.  Re-record only when the job lists in
 `workloads.py` change, never to make a failing check pass.  For Monte Carlo
 figures it stores the interval `estimate +- MC_INTERVAL_SE * std_error`,
@@ -34,9 +35,10 @@ def record_set(cli, workload: str, index: int) -> dict:
 
         cli.monte_carlo_mi = capture
         try:
-            code, text, _ = run.execute(cli.main, job)
+            result = run.execute_in_process(cli.main, job)
         finally:
             cli.monte_carlo_mi = original
+        code, text = result["code"], result["stdout"]
         entry = {"argv": list(job.argv), "output": checker.parse(job.kind, text)}
         if job.kind == "sweep":
             rows = [row for row in entry["output"] if row["mi_flag"] == "estimate"]

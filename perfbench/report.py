@@ -1,9 +1,10 @@
 """Steadiness report: every metric of every workload over repeated runs.
 
     python3 perfbench/report.py [--runs 10] [--sets 1] [--trace-runs 1]
-                                [--seconds N] [--workload NAME ...] [--save FILE]
+                                [--workload NAME ...] [--save FILE]
 
-Each run is its own process (`run.py`), with seed `first_seed + k` for the
+Each run is its own process (`run.py`), as long as `run_seconds` of
+BENCHMARK.json, with seed `first_seed + k` for the
 k-th run of a set; sets use consecutive blocks of seeds, and the workloads
 take turns within a set so that load drifting on the machine reaches all of
 them alike.  For each workload and set the report prints every end-to-end
@@ -70,6 +71,9 @@ def print_set(workload: str, runs: list[dict], bounds: dict) -> dict:
     out["exact_frac"] = statistics.median(exact) if exact else None
     print(f"  {'exact_frac':<22}{'1':<7}"
           + (f"{out['exact_frac']:>12.5g}" if exact else f"{'n/a':>12}   (no leakage figures)"))
+    measured = summary([r["detail"]["measured_wall_s"] for r in runs])
+    print(f"  {'measured wall_s':<22}{'s':<7}{measured['median']:>12.5g}{measured['q1']:>12.5g}"
+          f"{measured['q3']:>12.5g}{measured['spread']:>9.4f}   (plain seconds, not gated)")
     jobs = runs[0]["detail"]["jobs"]
     print(f"  jobs: {', '.join(j['id'] for j in jobs)}")
     return out
@@ -106,15 +110,13 @@ def main(argv=None) -> int:
     parser.add_argument("--sets", type=int, default=1)
     parser.add_argument("--trace-runs", type=int, default=1)
     parser.add_argument("--first-seed", type=int, default=0)
-    parser.add_argument("--seconds", type=int, default=None,
-                        help="seconds per run (default: run_seconds of BENCHMARK.json)")
     parser.add_argument("--save", type=Path, default=None)
     args = parser.parse_args(argv)
 
     with open(HERE.parent / "BENCHMARK.json", encoding="utf-8") as fh:
         bench = json.load(fh)
     bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
-    seconds = args.seconds or bench["run_seconds"]
+    seconds = bench["run_seconds"]
     names = args.workload or [w["name"] for w in bench["workloads"]]
     saved: dict = {"seconds": seconds, "sets": [], "traced": {}}
 

@@ -4,7 +4,8 @@
 
 Checks self-time accounting on a synthetic package with a fake clock, that
 the output checker flags corrupted outputs, that a job which raises counts as
-failed, and that BENCHMARK.json lists the metrics this harness reports.
+failed, that executions share no state, and that BENCHMARK.json lists the
+metrics this harness reports.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import copy
 import importlib
 import json
+import os
 import types
 import unittest
 from pathlib import Path
@@ -152,7 +154,7 @@ class CheckerTest(unittest.TestCase):
         self.assertIn("exit code 1", self._problems(ref, output, code=1))
 
     def test_monte_carlo_rows(self):
-        ref = _reference("sweep-mc")["sweep-q2"]
+        ref = _reference("sweep-mc")["sweep-q2-n16"]
         rows = copy.deepcopy(ref["output"])
         lo, hi = ref["mc_interval"][0]
         header = list(rows[0])
@@ -163,11 +165,16 @@ class CheckerTest(unittest.TestCase):
             return checker.check("sweep", ref["argv"], 0, text, ref)
 
         self.assertEqual(problems(rows), [])
-        rows[0]["mi"], rows[0]["mi_flag"] = repr((lo + hi) / 2), "exact"
-        self.assertEqual(problems(rows), [])
-        rows[0]["mi"] = repr(hi + 1.0)
-        self.assertTrue(problems(rows))
+        for flag in ("estimate", "exact"):
+            rows[0]["mi_flag"] = flag
+            rows[0]["mi"] = repr((lo + hi) / 2)
+            self.assertEqual(problems(rows), [], flag)
+            for wrong in (hi + 1.0, lo - 1.0, 0.0, 10 * hi):
+                rows[0]["mi"] = repr(wrong)
+                self.assertTrue(problems(rows), (flag, wrong))
         rows[0]["mi"], rows[0]["mi_flag"] = "nan", "estimate"
+        self.assertTrue(problems(rows))
+        rows[0]["mi"], rows[0]["mi_flag"] = repr((lo + hi) / 2), "bound"
         self.assertTrue(problems(rows))
 
 
@@ -194,6 +201,29 @@ class FailureTest(unittest.TestCase):
         self.assertEqual(result["detail"]["failed_frac"], 0.5)
         self.assertIs(importlib.import_module("typecipher.leakage").strong_converse_probe,
                       importlib.import_module("typecipher").strong_converse_probe)
+
+
+class ColdExecutionTest(unittest.TestCase):
+    def test_executions_share_no_state(self):
+        state = []
+
+        def main(argv):
+            state.append(argv)
+            print(len(state))
+            return 0
+
+        job = workloads.Job("j", "probe", ("probe",))
+        for _ in range(2):
+            result = run.execute(main, job)
+            self.assertEqual((result["code"], result["stdout"]), (0, "1\n"))
+        self.assertEqual(state, [])
+
+    def test_dead_child_counts_as_failed(self):
+        def main(argv):
+            os._exit(3)
+
+        result = run.execute(main, workloads.Job("j", "probe", ("probe",)))
+        self.assertEqual(result["code"], -1)
 
 
 class BenchmarkFileTest(unittest.TestCase):

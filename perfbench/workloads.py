@@ -37,6 +37,10 @@ P_X = {2: (820, 180), 3: (650, 200, 150), 5: (380, 240, 150, 120, 110)}
 P_K = {2: (620, 380), 3: (400, 350, 250), 5: (300, 250, 200, 150, 100)}
 JITTER = 20
 
+# Samples per Monte Carlo estimate in `sweep-mc`.  Each single-n sweep job
+# then takes about a second, so a run holds several cold executions of each.
+SWEEP_SAMPLES = 4000
+
 
 def _law(rng: random.Random, base: tuple[int, ...]) -> str:
     """`base` with each entry but the last moved by up to JITTER, as CLI text.
@@ -73,7 +77,7 @@ def jobs(workload: str, seed: int) -> list[Job]:
         return [
             _job("verify-q2-n7", "verify", "--q", 2, "--n", 7, "--rate", 0.9,
                  "--px", _law(rng, P_X[2]), "--seed", cli_seed()),
-            _job("verify-q2-n8-pk", "verify", "--q", 2, "--n", 8, "--rate", 0.9,
+            _job("verify-q2-n7-pk", "verify", "--q", 2, "--n", 7, "--rate", 0.9,
                  "--px", _law(rng, P_X[2]), "--pk", _law(rng, P_K[2]),
                  "--seed", cli_seed()),
             _job("verify-q3-n4", "verify", "--q", 3, "--n", 4, "--rate", 1.2,
@@ -83,14 +87,14 @@ def jobs(workload: str, seed: int) -> list[Job]:
                  "--seed", cli_seed()),
         ]
     if workload == "sweep-mc":
-        return [
-            _job("sweep-q2", "sweep", "--q", 2, "--n", "16,20", "--rate", 0.9,
-                 "--px", _law(rng, P_X[2]), "--pk", _law(rng, P_K[2]),
-                 "--samples", 10000, "--seed", cli_seed()),
-            _job("sweep-q3", "sweep", "--q", 3, "--n", "9,11", "--rate", 1.2,
-                 "--px", _law(rng, P_X[3]), "--pk", _law(rng, P_K[3]),
-                 "--samples", 10000, "--seed", cli_seed()),
-        ]
+        out = []
+        for q, rate, n_list in ((2, 0.9, (16, 20)), (3, 1.2, (9, 11))):
+            px, pk = _law(rng, P_X[q]), _law(rng, P_K[q])
+            out.extend(
+                _job(f"sweep-q{q}-n{n}", "sweep", "--q", q, "--n", n, "--rate", rate,
+                     "--px", px, "--pk", pk, "--samples", SWEEP_SAMPLES, "--seed", cli_seed())
+                for n in n_list)
+        return out
     # The exponent solvers' cost moves by up to 2x between laws that differ by
     # 0.02 (bracketing and bisection depend on where the law sits), so the
     # exponent jobs keep the base laws; the seed varies the probe jobs.
