@@ -4,9 +4,9 @@ The package builds a fixed-length universal source code from low-entropy
 type classes, whitens an i.i.d. key through a random affine map, and adds
 the two to form a cipher whose reliability and leakage admit exact
 finite-blocklength accounting: error probabilities by type enumeration,
-mutual information by full enumeration at desk scale, and certified
-exponential upper bounds through the error exponent E(R|p_X) and the
-security exponent F(R|p_K).
+exact mutual information at desk scale from one transform over Z_q^m, and
+certified exponential upper bounds through the error exponent E(R|p_X) and
+the security exponent F(R|p_K).
 """
 
 from .cipher import (
@@ -57,6 +57,7 @@ from .fields import (
     field_vector,
     index_decode,
     index_encode,
+    indices_to_vectors,
     vec_add,
     vec_affine,
     vec_sub,
@@ -67,11 +68,13 @@ from .fields import (
 from .leakage import (
     BoundCheck,
     ConverseDiagnostics,
+    ExactLaws,
     LeakageReport,
     MonteCarloMI,
     SecurityCertificate,
     check_birkhoff,
     converse_diagnostics,
+    exact_laws,
     exact_mutual_info,
     monte_carlo_mi,
     security_bound_curve,

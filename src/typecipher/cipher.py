@@ -39,6 +39,8 @@ from .fields import (
     all_vectors,
     field_matrix,
     field_vector,
+    index_encode,
+    indices_to_vectors,
     vec_add,
     vec_affine,
     vec_sub,
@@ -149,18 +151,26 @@ def decrypt(sys: CipherSystem, k: Sequence[int], c: Sequence[int]) -> tuple[int,
 def check_decryption_condition(sys: CipherSystem) -> bool:
     """Exhaustive check that decrypt(k, encrypt(k, x)) = decode(encode(x)).
 
-    This certifies that the correctly-decodable set is the same for every
-    key.  Exponential in n; intended for q**n up to a few thousand.
+    Covers all q**(2n) (key, plaintext) pairs with one array comparison per
+    key: the pads kA + b of every key, the codewords of every plaintext and
+    the decode table are int64 arrays.  This certifies that the
+    correctly-decodable set is the same for every key.
     """
     spec = sys.spec
-    n = sys.plan.n
-    keys = [tuple(int(v) for v in row) for row in all_vectors(n, spec)]
-    plaintexts = keys
-    expected = {x: decode(sys.codebook, encode(sys.codebook, x)) for x in plaintexts}
-    for k in keys:
-        for x in plaintexts:
-            if decrypt(sys, k, encrypt(sys, k, x)) != expected[x]:
-                return False
+    cb = sys.codebook
+    q = spec.q
+    words = indices_to_vectors(cb.rank_of + 1, sys.plan.m, spec)
+    # decode table over word values: 0 and out-of-image words -> default
+    table = np.concatenate(
+        ([index_encode(cb.default_decode, spec)], cb.member_idx)
+    )
+    expected = table[cb.rank_of + 1]
+    for pad in _key_pads(sys.key_encoder, spec):
+        received = ((words + pad) % q - pad) % q
+        value = vectors_to_indices(received, spec)
+        decoded = table[np.where(value < table.size, value, 0)]
+        if not np.array_equal(decoded, expected):
+            return False
     return True
 
 
@@ -170,14 +180,10 @@ def injective_on_members(sys: CipherSystem) -> bool:
     cb = sys.codebook
     if not cb.members:
         return True
-    words = np.array([encode(cb, x) for x in cb.members], dtype=np.int64)
-    for k in all_vectors(sys.plan.n, spec):
-        pad = np.asarray(
-            vec_affine(tuple(int(v) for v in k), sys.key_encoder.A, sys.key_encoder.b, spec),
-            dtype=np.int64,
-        )
-        images = vectors_to_indices((words + pad) % spec.q, spec)
-        if np.unique(images).size != len(cb.members):
+    words = indices_to_vectors(cb.rank_of[cb.member_idx] + 1, sys.plan.m, spec)
+    for pad in _key_pads(sys.key_encoder, spec):
+        images = np.sort(vectors_to_indices((words + pad) % spec.q, spec))
+        if np.any(images[1:] == images[:-1]):
             return False
     return True
 
@@ -202,11 +208,15 @@ def _check_word_space(spec: FieldSpec, m: int) -> int:
     return total
 
 
+def _key_pads(enc: AffineEncoder, spec: FieldSpec) -> np.ndarray:
+    """The pad kA + b of every key k in lexicographic order, one row each."""
+    keys = all_vectors(enc.n, spec)
+    return (keys @ enc.A + np.asarray(enc.b, dtype=np.int64)) % spec.q
+
+
 def key_image_indices(enc: AffineEncoder, spec: FieldSpec) -> np.ndarray:
     """Word index of phi(k) for every key k in lexicographic order."""
-    keys = all_vectors(enc.n, spec)
-    images = (keys @ enc.A + np.asarray(enc.b, dtype=np.int64)) % spec.q
-    return vectors_to_indices(images, spec)
+    return vectors_to_indices(_key_pads(enc, spec), spec)
 
 
 def pad_law(enc: AffineEncoder, p_K: Distribution, spec: FieldSpec) -> np.ndarray:

@@ -35,6 +35,7 @@ from .fields import FieldError, FieldSpec
 from .leakage import (
     check_birkhoff,
     converse_diagnostics,
+    exact_laws,
     exact_mutual_info,
     monte_carlo_mi,
     security_certificate,
@@ -197,8 +198,9 @@ def cmd_verify(args) -> int:
     else:
         report["decryption_condition"] = {"holds": None, "checked": "skipped"}
 
+    laws = exact_laws(sys_, p_x, p_k)
     cert = security_certificate(
-        sys_, p_x, p_k, derandomized=search is not None
+        sys_, p_x, p_k, derandomized=search is not None, laws=laws
     )
     report["certificate"] = cert.to_json()
     gating.append(cert.passed)
@@ -209,12 +211,12 @@ def cmd_verify(args) -> int:
             "mi_vs_security_bound",
         ]
 
-    max_row = check_birkhoff(sys_, p_k)
+    max_row = check_birkhoff(sys_, p_k, laws=laws)
     row_ok = max_row <= 1.0 + 1e-12
     report["row_sums"] = {"max": max_row, "holds": row_ok}
     gating.append(row_ok)
 
-    diag = converse_diagnostics(sys_, p_x, p_k, gamma=args.gamma)
+    diag = converse_diagnostics(sys_, p_x, p_k, gamma=args.gamma, laws=laws)
     report["converse"] = diag.to_json()
     report["converse"]["informational"] = ["key_rate_display_holds"]
     gating.extend(

@@ -25,8 +25,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
-from .fields import FieldError, FieldSpec, index_decode, index_encode, vector_to_text
+import numpy as np
+
+from .fields import (
+    FieldError,
+    FieldSpec,
+    index_decode,
+    index_encode,
+    vector_to_text,
+    vectors_to_indices,
+)
 from .simplex import Distribution
 from .typeclasses import (
     TypeComposition,
@@ -119,7 +129,12 @@ def explicit_m_plan(n: int, m: int, spec: FieldSpec, R: float | None = None) -> 
 
 
 class Codebook:
-    """Materialized codebook: ordered members plus the word bijection."""
+    """Materialized codebook: ordered members plus the word bijection.
+
+    `member_idx` and `rank_of` hold the same bijection as int64 arrays over
+    sequence indices for the exact array paths; each is built on first use,
+    so codebooks that only sample never pay for them.
+    """
 
     def __init__(self, plan: RatePlan):
         spec = plan.spec
@@ -167,12 +182,35 @@ class Codebook:
                 return x
             i += 1
 
+    @cached_property
+    def member_idx(self) -> np.ndarray:
+        """Sequence index of each member, in rank order (what decode reads)."""
+        return _frozen(_sequence_indices(self.members, self.plan.n, self.spec))
+
+    @cached_property
+    def rank_of(self) -> np.ndarray:
+        """Rank of every sequence index under member_rank (what encode reads),
+        -1 for non-members."""
+        ranks = np.full(self.plan.q**self.plan.n, -1, dtype=np.int64)
+        idx = _sequence_indices(list(self.member_rank), self.plan.n, self.spec)
+        ranks[idx] = np.fromiter(self.member_rank.values(), dtype=np.int64, count=idx.size)
+        return _frozen(ranks)
+
     def __repr__(self) -> str:
         p = self.plan
         return (
             f"Codebook(n={p.n}, R={p.R}, q={p.q}, m={p.m}, "
             f"members={len(self.members)})"
         )
+
+
+def _sequence_indices(seqs, n: int, spec: FieldSpec) -> np.ndarray:
+    return vectors_to_indices(np.array(seqs, dtype=np.int64).reshape(-1, n), spec)
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
 
 def build_codebook(plan: RatePlan) -> Codebook:

@@ -30,6 +30,7 @@ __all__ = [
     "vector_from_text",
     "all_vectors",
     "vectors_to_indices",
+    "indices_to_vectors",
 ]
 
 # Enumeration cost grows like q**(2n); past this cap nothing exact is feasible
@@ -177,11 +178,7 @@ def all_vectors(length: int, spec: FieldSpec) -> np.ndarray:
         raise FieldError(
             f"refusing to materialize {spec.q}^{length} vectors (cap {MAX_ENUM})"
         )
-    out = np.empty((total, length), dtype=np.int64)
-    idx = np.arange(total, dtype=np.int64)
-    for pos in range(length - 1, -1, -1):
-        idx, out[:, pos] = np.divmod(idx, spec.q)
-    return out
+    return indices_to_vectors(np.arange(total, dtype=np.int64), length, spec)
 
 
 def vectors_to_indices(arr: np.ndarray, spec: FieldSpec) -> np.ndarray:
@@ -191,3 +188,15 @@ def vectors_to_indices(arr: np.ndarray, spec: FieldSpec) -> np.ndarray:
         raise FieldError("index range exceeds int64; use index_encode per vector")
     weights = spec.q ** np.arange(length - 1, -1, -1, dtype=np.int64)
     return arr @ weights
+
+
+def indices_to_vectors(idx: np.ndarray, length: int, spec: FieldSpec) -> np.ndarray:
+    """index_decode applied to every entry of an index array (one digit row
+    per entry, big-endian)."""
+    idx = np.asarray(idx, dtype=np.int64)
+    if idx.size and (int(idx.min()) < 0 or int(idx.max()) >= spec.q**length):
+        raise FieldError(f"index out of range [0, {spec.q}^{length})")
+    out = np.empty(idx.shape + (length,), dtype=np.int64)
+    for pos in range(length - 1, -1, -1):
+        idx, out[..., pos] = np.divmod(idx, spec.q)
+    return out

@@ -3,8 +3,10 @@
 The adversary sees only the ciphertext C = phi(K) + encode(X); leakage is
 measured by the mutual information I(C; X) in bits.  Because every
 conditional law C | X=x is a cyclic shift of the pad law, the exact value
-collapses to H(C) - H(pad), which this module computes by enumeration at
-small scales and estimates by sampling beyond them.
+collapses to H(C) - H(pad), and the ciphertext law is the pad law cyclically
+convolved with the codeword law over Z_q^m.  This module computes that
+convolution with one transform along the m base-q digits (`ExactLaws`) at
+small scales and estimates the leakage by sampling beyond them.
 
 On top of the exact value sit the certified upper bounds, checked as a
 chain with explicit margins:
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -48,6 +51,8 @@ from .typeclasses import class_prob, class_size, enumerate_types
 
 __all__ = [
     "MAX_EXACT_PAIRS",
+    "ExactLaws",
+    "exact_laws",
     "LeakageReport",
     "exact_mutual_info",
     "MonteCarloMI",
@@ -62,10 +67,8 @@ __all__ = [
     "strong_converse_probe",
 ]
 
-# Exact enumeration works over all (key, plaintext) pairs: q**(2n) of them.
+# Exact figures are refused past q**(2n) (key, plaintext) pairs.
 MAX_EXACT_PAIRS = 1 << 24
-# Cap on (distinct codewords) x (word space) touched by shift mixtures.
-MAX_SHIFT_WORK = 1 << 28
 
 DELTA_CAP_DEFAULT = 1.0
 
@@ -75,55 +78,137 @@ def _entropy_bits(law: np.ndarray) -> float:
     return float(-np.sum(pos * np.log2(pos)))
 
 
-def _shift_mixture(
-    pad: np.ndarray, weights: np.ndarray, digits: np.ndarray, q: int
+def _digit_transform(
+    law: np.ndarray, q: int, m: int, inverse: bool = False
 ) -> np.ndarray:
-    """sum_w weights[w] * pad((. - w) mod q), over word indices."""
-    support = np.nonzero(weights)[0]
-    if support.size * pad.size > MAX_SHIFT_WORK:
-        raise FieldError(
-            f"shift mixture of {support.size} words over {pad.size} exceeds "
-            f"the work cap {MAX_SHIFT_WORK}"
-        )
-    out = np.zeros_like(pad)
-    for w in support:
-        shifted = (digits - digits[w]) % q
-        idx = shifted[:, 0]
-        for j in range(1, digits.shape[1]):
-            idx = idx * q + shifted[:, j]
-        out += weights[w] * pad[idx]
+    """The characters of Z_q^m applied to a law over word indices.
+
+    One pass per base-q digit: a Walsh-Hadamard butterfly when q = 2 (real,
+    its own inverse up to the factor 2^-m), a q-point DFT otherwise.
+    Convolution over Z_q^m becomes a pointwise product of transforms.
+    """
+    if q != 2:
+        out = law.reshape(1, -1)
+        for j in range(m):
+            out = out.reshape(q**j, q, -1)
+            out = np.fft.ifft(out, axis=1) if inverse else np.fft.fft(out, axis=1)
+        return out.reshape(-1)
+    out = np.array(law, dtype=np.float64)
+    for j in range(m):
+        pair = out.reshape(2**j, 2, -1)
+        head = pair[:, 0].copy()
+        pair[:, 0] += pair[:, 1]
+        pair[:, 1] = head - pair[:, 1]
+    if inverse:
+        out /= 2.0**m
     return out
 
 
-def _codeword_weights(
-    sys: CipherSystem, p_X: Distribution, mask: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Plaintext mass grouped by codeword index.
+def _plaintext_probs(sys: CipherSystem, p_X: Distribution) -> np.ndarray:
+    """p_X^n of every plaintext, in sequence-index order."""
+    xs = all_vectors(sys.plan.n, sys.spec)
+    return np.prod(np.asarray(p_X)[xs], axis=1)
 
-    Returns (weights over word indices, plaintext rows, per-row probs).
-    """
-    spec = sys.spec
-    plan = sys.plan
-    cb = sys.codebook
-    total = spec.q**plan.m
-    xs = all_vectors(plan.n, spec)
-    px = np.prod(np.asarray(p_X)[xs], axis=1)
-    weights = np.zeros(total)
-    rows = range(xs.shape[0]) if mask is None else np.nonzero(mask)[0]
-    for i in rows:
-        x = tuple(int(v) for v in xs[i])
-        rank = cb.member_rank.get(x)
-        weights[0 if rank is None else rank + 1] += px[i]
-    return weights, xs, px
+
+def _codeword_weights(
+    sys: CipherSystem, px: np.ndarray, mask: np.ndarray | None = None
+) -> np.ndarray:
+    """Plaintext mass grouped by codeword index (non-members on x0 = 0)."""
+    words = sys.codebook.rank_of + 1
+    if mask is not None:
+        words, px = words[mask], px[mask]
+    return np.bincount(words, weights=px, minlength=sys.spec.q**sys.plan.m)
 
 
 def _check_pair_scale(sys: CipherSystem) -> None:
     q, n = sys.spec.q, sys.plan.n
     if q ** (2 * n) > MAX_EXACT_PAIRS:
         raise FieldError(
-            f"exact enumeration over {q}^{2 * n} (key, plaintext) pairs exceeds "
+            f"exact leakage over {q}^{2 * n} (key, plaintext) pairs exceeds "
             f"{MAX_EXACT_PAIRS}; use monte_carlo_mi instead"
         )
+
+
+@dataclass(frozen=True, eq=False)
+class ExactLaws:
+    """The pad law of one system and key law, with its transform over Z_q^m.
+
+    `mixture` convolves the pad law with any weights over word indices, so
+    the ciphertext law, the row sums and the conditioned ciphertext law all
+    reuse the one transform.  Build it with `exact_laws` and pass it to
+    `exact_mutual_info`, `security_certificate`, `check_birkhoff` and
+    `converse_diagnostics` to compute each law once per report.  `p_X` is
+    None only for row-sum checks, which need no plaintext law.
+    """
+
+    sys: CipherSystem
+    p_X: Distribution | None
+    p_K: Distribution
+    pad: np.ndarray
+    pad_hat: np.ndarray
+
+    def mixture(self, weights: np.ndarray) -> np.ndarray:
+        """sum_w weights[w] pad((. - w) mod q), over word indices.
+
+        Negative round-off of the inverse transform is clipped to 0.
+        """
+        q, m = self.sys.spec.q, self.sys.plan.m
+        hat = self.pad_hat * _digit_transform(weights, q, m)
+        return np.maximum(_digit_transform(hat, q, m, inverse=True).real, 0.0)
+
+    @cached_property
+    def plaintext_probs(self) -> np.ndarray:
+        return _plaintext_probs(self.sys, self.p_X)
+
+    @cached_property
+    def ciphertext(self) -> np.ndarray:
+        """Law of C = phi(K) + encode(X) over word indices."""
+        return self.mixture(_codeword_weights(self.sys, self.plaintext_probs))
+
+    @cached_property
+    def h_pad(self) -> float:
+        return _entropy_bits(self.pad)
+
+    @cached_property
+    def h_ciphertext(self) -> float:
+        return _entropy_bits(self.ciphertext)
+
+    def check_matches(
+        self, sys: CipherSystem, p_X: Distribution | None, p_K: Distribution
+    ) -> None:
+        """Refuse laws computed for another system or other source laws.
+
+        p_X None means the caller needs no plaintext law.
+        """
+
+        def differ(mine, theirs) -> bool:
+            return mine is None or not np.array_equal(mine, theirs)
+
+        if (
+            self.sys is not sys
+            or differ(self.p_K, p_K)
+            or (p_X is not None and differ(self.p_X, p_X))
+        ):
+            raise ValueError("laws were computed for another system or law")
+
+
+def _pad_laws(
+    sys: CipherSystem, p_X: Distribution | None, p_K: Distribution
+) -> ExactLaws:
+    pad = pad_law(sys.key_encoder, p_K, sys.spec)
+    pad_hat = _digit_transform(pad, sys.spec.q, sys.plan.m)
+    return ExactLaws(sys=sys, p_X=p_X, p_K=p_K, pad=pad, pad_hat=pad_hat)
+
+
+def exact_laws(
+    sys: CipherSystem, p_X: Distribution, p_K: Distribution
+) -> ExactLaws:
+    """The pad law, its transform and (on first use) the ciphertext law.
+
+    Guarded by MAX_EXACT_PAIRS like every exact leakage figure.
+    """
+    _check_pair_scale(sys)
+    return _pad_laws(sys, p_X, p_K)
 
 
 @dataclass(frozen=True)
@@ -158,34 +243,26 @@ class LeakageReport:
         }
 
 
-def _pad_and_ciphertext(
-    sys: CipherSystem, p_X: Distribution, p_K: Distribution
-) -> tuple[np.ndarray, np.ndarray]:
-    _check_pair_scale(sys)
-    spec = sys.spec
-    pad = pad_law(sys.key_encoder, p_K, spec)
-    weights, _, _ = _codeword_weights(sys, p_X)
-    digits = all_vectors(sys.plan.m, spec)
-    p_c = _shift_mixture(pad, weights, digits, spec.q)
-    return pad, p_c
-
-
 def exact_mutual_info(
     sys: CipherSystem,
     p_X: Distribution,
     p_K: Distribution,
     f_result: ExponentResult | None = None,
+    laws: ExactLaws | None = None,
 ) -> LeakageReport:
-    """I(C; X) by full enumeration, plus every upper bound in the chain.
+    """I(C; X) from the exact ciphertext law, plus every upper bound in the chain.
 
     Independence of K and X and the shift structure give
-    H(C | X = x) = H(pad) for every x, so I(C; X) = H(C) - H(pad) exactly.
+    H(C | X = x) = H(pad) for every x, so I(C; X) = H(C) - H(pad) exactly;
+    the ciphertext law comes from one transform over Z_q^m (`ExactLaws`).
     Guarded by MAX_EXACT_PAIRS; larger systems must sample.
     """
     plan = sys.plan
-    pad, p_c = _pad_and_ciphertext(sys, p_X, p_K)
-    h_pad = _entropy_bits(pad)
-    h_c = _entropy_bits(p_c)
+    if laws is None:
+        laws = exact_laws(sys, p_X, p_K)
+    laws.check_matches(sys, p_X, p_K)
+    h_pad = laws.h_pad
+    h_c = laws.h_ciphertext
     mi = max(0.0, h_c - h_pad)
     divergence = plan.m * math.log2(plan.q) - h_pad
 
@@ -319,7 +396,9 @@ def monte_carlo_mi(
 # ----------------------------------------------------------------------
 
 
-def check_birkhoff(sys: CipherSystem, p_K: Distribution) -> float:
+def check_birkhoff(
+    sys: CipherSystem, p_K: Distribution, laws: ExactLaws | None = None
+) -> float:
     """max over ciphertexts c of sum over decodable x of Pr[encrypt(K,x)=c].
 
     Each conditional law is a shift of the pad law and members map to
@@ -327,22 +406,16 @@ def check_birkhoff(sys: CipherSystem, p_K: Distribution) -> float:
     doubly-substochastic property, Birkhoff/von Neumann flavor).  Returns
     the maximum so callers can check the contract max <= 1 + 1e-12.
     """
-    spec = sys.spec
-    plan = sys.plan
     cb = sys.codebook
-    pad = pad_law(sys.key_encoder, p_K, spec)
+    if laws is None:
+        laws = _pad_laws(sys, None, p_K)
+    laws.check_matches(sys, None, p_K)
     if not cb.members:
         return 0.0
-    weights = np.zeros(spec.q**plan.m)
-    for x in cb.members:
-        w = encode(cb, x)
-        idx = 0
-        for a in w:
-            idx = idx * spec.q + a
-        weights[idx] += 1.0
-    digits = all_vectors(plan.m, spec)
-    sums = _shift_mixture(pad, weights, digits, spec.q)
-    return float(sums.max())
+    weights = np.bincount(
+        cb.rank_of[cb.member_idx] + 1, minlength=sys.spec.q**sys.plan.m
+    ).astype(np.float64)
+    return float(laws.mixture(weights).max())
 
 
 # ----------------------------------------------------------------------
@@ -406,6 +479,7 @@ def security_certificate(
     f_result: ExponentResult | None = None,
     derandomized: bool = False,
     slack: float = 1e-9,
+    laws: ExactLaws | None = None,
 ) -> SecurityCertificate:
     """Evaluate the whole bound chain with margins; nothing is assumed.
 
@@ -416,8 +490,10 @@ def security_certificate(
     not the theory, so callers should treat failures as bugs.
     """
     plan = sys.plan
-    report = exact_mutual_info(sys, p_X, p_K, f_result=f_result)
-    pad = pad_law(sys.key_encoder, p_K, sys.spec)
+    if laws is None:
+        laws = exact_laws(sys, p_X, p_K)
+    report = exact_mutual_info(sys, p_X, p_K, f_result=f_result, laws=laws)
+    pad = laws.pad
     direct_divergence = plan.m * math.log2(plan.q) + float(
         np.sum(pad[pad > 0] * np.log2(pad[pad > 0]))
     )
@@ -579,6 +655,7 @@ def converse_diagnostics(
     gamma: float,
     delta_cap: float = DELTA_CAP_DEFAULT,
     slack: float = 1e-9,
+    laws: ExactLaws | None = None,
 ) -> ConverseDiagnostics:
     """Exhaustive evaluation of the converse inequalities at small scale.
 
@@ -595,29 +672,25 @@ def converse_diagnostics(
     """
     if gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
-    _check_pair_scale(sys)
-    spec = sys.spec
+    if laws is None:
+        laws = exact_laws(sys, p_X, p_K)
+    laws.check_matches(sys, p_X, p_K)
     plan = sys.plan
     n = plan.n
     h_x = entropy(p_X)
     h_k = entropy(p_K)
 
-    xs = all_vectors(n, spec)
-    px = np.prod(np.asarray(p_X)[xs], axis=1)
+    px = laws.plaintext_probs
     with np.errstate(divide="ignore"):
         info = -np.log2(px) / n
     typical = info >= h_x - gamma - 1e-12
     nu_n = float(px[~typical].sum())
-    member_mask = np.zeros(xs.shape[0], dtype=bool)
-    for i in range(xs.shape[0]):
-        member_mask[i] = tuple(int(v) for v in xs[i]) in sys.codebook.member_rank
-    retained = typical & member_mask
+    retained = typical & (sys.codebook.rank_of >= 0)
     coverage = float(px[retained].sum())
     measured_eps = exact_error_prob(sys.codebook, p_X)
 
-    pad, p_c = _pad_and_ciphertext(sys, p_X, p_K)
-    h_pad = _entropy_bits(pad)
-    measured_delta = max(0.0, _entropy_bits(p_c) - h_pad)
+    h_pad = laws.h_pad
+    measured_delta = max(0.0, laws.h_ciphertext - h_pad)
 
     nu_tilde = nu_n + measured_eps
     if nu_tilde < 1.0:
@@ -637,9 +710,7 @@ def converse_diagnostics(
         conditional_mi = 0.0
         peak_ok = entropy_ok = amplification_ok = True
     else:
-        weights, _, _ = _codeword_weights(sys, p_X, mask=retained)
-        digits = all_vectors(plan.m, spec)
-        q_cond = _shift_mixture(pad, weights, digits, spec.q) / coverage
+        q_cond = laws.mixture(_codeword_weights(sys, px, mask=retained)) / coverage
         max_conditional = float(q_cond.max())
         conditional_cap = 2.0 ** (-n * (h_x - gamma)) / coverage
         peak_ok = max_conditional <= conditional_cap * (1 + slack)

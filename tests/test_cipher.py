@@ -37,6 +37,8 @@ from typecipher.typeclasses import (
     enumerate_types,
 )
 
+import oracles
+
 
 def _system(n, R, spec, seed=0):
     plan = make_rate_plan(n, R, spec)
@@ -123,6 +125,24 @@ def test_condition_and_injectivity_random_sweep():
             sys_ = _system(n, R, spec, seed=int(rng.integers(0, 2**31)))
             assert check_decryption_condition(sys_)
             assert injective_on_members(sys_)
+
+
+def test_batched_decryption_check_matches_scalar_loop():
+    rng = np.random.default_rng(31)
+    for q in (2, 3):
+        spec = FieldSpec(q)
+        for _ in range(4):
+            n = int(rng.integers(2, 6 if q == 2 else 4))
+            R = float(rng.uniform(0.2, 1.4))
+            sys_ = _system(n, R, spec, seed=int(rng.integers(0, 2**31)))
+            assert check_decryption_condition(sys_) is oracles.check_decryption_condition(sys_)
+
+
+def test_injectivity_catches_shared_codeword():
+    sys_ = _system(4, 0.9, FieldSpec(2), seed=3)
+    cb = sys_.codebook
+    cb.member_rank[cb.members[1]] = cb.member_rank[cb.members[0]]
+    assert not injective_on_members(sys_)
 
 
 def test_n_types_matches_enumeration():

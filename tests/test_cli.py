@@ -2,6 +2,8 @@
 
 import csv
 import json
+import math
+import time
 
 import pytest
 
@@ -74,6 +76,28 @@ def test_verify_canonical_smoke(tmp_path):
     assert report["converse"]["key_rate_proof_holds"] is True
     # the display-form key-rate reading is reported but never gates
     assert report["converse"]["informational"] == ["key_rate_display_holds"]
+
+
+def test_verify_binary_n10_exact_within_budget(tmp_path):
+    # 2^17 words: out of reach for a per-codeword loop, one transform here
+    out = tmp_path / "verify10.json"
+    t0 = time.perf_counter()
+    code = main(
+        [
+            "verify", "--q", "2", "--n", "10", "--rate", "0.9",
+            "--px", "0.9,0.1", "--seed", "7", "--out", str(out),
+        ]
+    )
+    elapsed = time.perf_counter() - t0
+    assert code == 0
+    report = _read_json(str(out))
+    assert report["passed"] is True
+    assert report["config"]["m"] == 17
+    figures = report["certificate"]["report"]
+    assert figures["provenance"] == "exact"
+    assert math.isfinite(figures["mi_exact"]) and figures["mi_exact"] > 0
+    assert report["converse"]["measured_delta"] == figures["mi_exact"]
+    assert elapsed < 20.0, f"verify at binary n=10 took {elapsed:.1f}s"
 
 
 def test_verify_explicit_m_skips_exponent_checks(tmp_path):

@@ -16,7 +16,7 @@ from typecipher.code import (
     explicit_m_plan,
     make_rate_plan,
 )
-from typecipher.fields import FieldSpec, index_decode, index_encode
+from typecipher.fields import FieldSpec, index_decode, index_encode, vectors_to_indices
 from typecipher.simplex import Distribution, uniform
 from typecipher.typeclasses import type_entropy, type_of
 
@@ -208,3 +208,18 @@ def test_member_count_below_word_budget_randomized():
         R = float(rng.uniform(0.1, 1.5))
         cb = build_codebook(make_rate_plan(n, R, spec))
         assert len(cb.members) <= q**cb.plan.m - 1
+
+
+def test_index_arrays_mirror_members_and_ranks():
+    for q, n, R in ((2, 6, 0.8), (3, 4, 1.2)):
+        spec = FieldSpec(q)
+        cb = build_codebook(make_rate_plan(n, R, spec))
+        # built on first use only: sampling paths never pay for them
+        assert "member_idx" not in vars(cb) and "rank_of" not in vars(cb)
+        want = vectors_to_indices(np.array(cb.members).reshape(-1, n), spec)
+        assert cb.member_idx.tolist() == want.tolist()
+        assert cb.rank_of.shape == (q**n,)
+        for i in range(q**n):
+            rank = cb.member_rank.get(index_decode(i, n, spec), -1)
+            assert cb.rank_of[i] == rank
+        assert not cb.rank_of.flags.writeable and not cb.member_idx.flags.writeable

@@ -13,6 +13,7 @@ from typecipher.fields import (
     fe_sub,
     index_decode,
     index_encode,
+    indices_to_vectors,
     vec_add,
     vec_affine,
     vec_sub,
@@ -166,3 +167,17 @@ def test_vectors_to_indices_matches_scalar_codec():
     got = vectors_to_indices(arr, spec)
     want = [index_encode(tuple(int(a) for a in row), spec) for row in arr]
     assert got.tolist() == want
+
+
+def test_indices_to_vectors_matches_scalar_codec():
+    spec = FieldSpec(3)
+    idx = np.random.default_rng(5).integers(0, 3**7, size=(4, 10))
+    got = indices_to_vectors(idx, 7, spec)
+    assert got.shape == (4, 10, 7)
+    for i, row in zip(idx.ravel(), got.reshape(-1, 7)):
+        assert tuple(row.tolist()) == index_decode(int(i), 7, spec)
+    assert vectors_to_indices(got, spec).tolist() == idx.tolist()
+    with pytest.raises(FieldError):
+        indices_to_vectors([3**7], 7, spec)
+    with pytest.raises(FieldError):
+        indices_to_vectors([-1], 7, spec)

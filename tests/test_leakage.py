@@ -17,10 +17,11 @@ from typecipher.cipher import (
     pad_law_fraction,
 )
 from typecipher.code import build_codebook, encode, explicit_m_plan, make_rate_plan
-from typecipher.fields import FieldError, FieldSpec, index_encode
+from typecipher.fields import FieldError, FieldSpec, all_vectors, index_encode
 from typecipher.leakage import (
     check_birkhoff,
     converse_diagnostics,
+    exact_laws,
     exact_mutual_info,
     monte_carlo_mi,
     security_bound_curve,
@@ -28,6 +29,8 @@ from typecipher.leakage import (
     strong_converse_probe,
 )
 from typecipher.simplex import Distribution, entropy, uniform
+
+import oracles
 
 
 def _mi_oracle(sys_, p_X, p_K):
@@ -78,6 +81,62 @@ def test_exact_mi_matches_joint_table_oracle():
         p_k = Distribution(rng.dirichlet(np.ones(2)))
         rep = exact_mutual_info(sys_, p_x, p_k)
         assert rep.mi_exact == pytest.approx(_mi_oracle(sys_, p_x, p_k), abs=1e-9)
+
+
+def _transform_case(q, n, R=None, m=None, point_mass=False, seed=0):
+    spec = FieldSpec(q)
+    plan = make_rate_plan(n, R, spec) if m is None else explicit_m_plan(n, m, spec)
+    rng = np.random.default_rng(seed)
+    enc = draw_encoder(plan, int(rng.integers(1000)))
+    sys_ = CipherSystem(codebook=build_codebook(plan), key_encoder=enc)
+    p_x = Distribution(rng.dirichlet(np.ones(q)))
+    p_k = Distribution(np.eye(q)[0]) if point_mass else Distribution(rng.dirichlet(np.ones(q)))
+    return sys_, p_x, p_k, rng
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        dict(q=2, n=5, R=0.9),
+        dict(q=3, n=3, R=1.0),
+        dict(q=5, n=2, R=1.0),
+        dict(q=2, n=4, R=0.9, point_mass=True),
+        dict(q=3, n=3, R=1.0, point_mass=True),
+        dict(q=5, n=2, R=1.0, point_mass=True),
+        dict(q=2, n=4, m=6),
+        dict(q=3, n=3, m=4),
+        dict(q=5, n=2, m=3),
+    ],
+    ids=lambda c: "-".join(f"{k}{v}" for k, v in c.items()),
+)
+def test_transform_matches_shift_loop(case):
+    sys_, p_x, p_k, rng = _transform_case(**case)
+    q, m = sys_.spec.q, sys_.plan.m
+    laws = exact_laws(sys_, p_x, p_k)
+    digits = all_vectors(m, sys_.spec)
+    weights = np.zeros(q**m)
+    hits = rng.choice(q**m, size=min(12, q**m), replace=False)
+    weights[hits] = rng.uniform(0.0, 1.0, size=hits.size)
+    for got, want in (
+        (laws.mixture(weights), oracles.shift_mixture(laws.pad, weights, digits, q)),
+        (laws.ciphertext, oracles.ciphertext_law(sys_, p_x, p_k)),
+    ):
+        assert got.min() >= 0.0
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_shared_laws_refused_for_another_system_or_law():
+    sys_ = _canonical_system(4, 0.9)
+    p_x, p_k = Distribution([0.9, 0.1]), uniform(2)
+    laws = exact_laws(sys_, p_x, p_k)
+    assert check_birkhoff(sys_, uniform(2), laws=laws) == check_birkhoff(sys_, p_k)
+    other = CipherSystem(codebook=sys_.codebook, key_encoder=sys_.key_encoder)
+    with pytest.raises(ValueError):
+        exact_mutual_info(sys_, Distribution([0.8, 0.2]), p_k, laws=laws)
+    with pytest.raises(ValueError):
+        check_birkhoff(sys_, Distribution([0.8, 0.2]), laws=laws)
+    with pytest.raises(ValueError):
+        converse_diagnostics(other, p_x, p_k, gamma=0.1, laws=laws)
 
 
 def test_perfect_secrecy_zero_mi():
