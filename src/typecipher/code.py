@@ -55,6 +55,7 @@ __all__ = [
     "build_codebook",
     "encode",
     "decode",
+    "decode_indices",
     "exact_error_prob",
     "codebook_to_json",
     "codebook_size_margins",
@@ -231,6 +232,14 @@ def decode(cb: Codebook, w) -> tuple[int, ...]:
     if 1 <= value <= len(cb.members):
         return cb.members[value - 1]
     return cb.default_decode
+
+
+def decode_indices(cb: Codebook, words) -> np.ndarray:
+    """Array form of decode: the sequence index decoded from each word row."""
+    value = vectors_to_indices(np.asarray(words, dtype=np.int64), cb.spec)
+    # word value i in 1..|members| -> member i-1; x0 and the rest -> default
+    table = np.concatenate(([index_encode(cb.default_decode, cb.spec)], cb.member_idx))
+    return table[np.where((value >= 1) & (value < table.size), value, 0)]
 
 
 def exact_error_prob(cb: Codebook, p_X: Distribution) -> float:

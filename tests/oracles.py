@@ -1,9 +1,11 @@
 """Slow reference implementations that the array paths are checked against.
 
 These are the loops the package used before its laws moved to a transform
-over Z_q^m and its decryption check to one array comparison per key.  They
-work tuple by tuple, so they are independent of the codebook's index arrays
-(`member_idx`, `rank_of`) and of the transform; keep them to small n.
+over Z_q^m and its decryption check to one array comparison per key; keep
+them to small n.  The law oracles work tuple by tuple, so they are
+independent of the codebook's index arrays (`member_idx`, `rank_of`) and of
+the transform.  The decryption oracle calls the shipped `encrypt` and
+`decrypt` once per (key, plaintext) pair.
 """
 
 import numpy as np

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import typecipher.cipher as cipher_mod
 from typecipher.cipher import (
     CipherSystem,
     MAX_WORDS,
@@ -27,7 +28,14 @@ from typecipher.cipher import (
     search_score,
     theta_n,
 )
-from typecipher.code import build_codebook, decode, encode, explicit_m_plan, make_rate_plan
+from typecipher.code import (
+    build_codebook,
+    decode,
+    decode_indices,
+    encode,
+    explicit_m_plan,
+    make_rate_plan,
+)
 from typecipher.fields import FieldError, FieldSpec, index_encode, vec_affine
 from typecipher.simplex import Distribution, kl_divergence, uniform
 from typecipher.typeclasses import (
@@ -136,6 +144,37 @@ def test_batched_decryption_check_matches_scalar_loop():
             R = float(rng.uniform(0.2, 1.4))
             sys_ = _system(n, R, spec, seed=int(rng.integers(0, 2**31)))
             assert check_decryption_condition(sys_) is oracles.check_decryption_condition(sys_)
+
+
+def test_decryption_checks_catch_broken_subtraction(monkeypatch):
+    # over Z_3 adding the pad again instead of subtracting it does not undo it
+    sys_ = _system(3, 0.9, FieldSpec(3), seed=5)
+    assert check_decryption_condition(sys_)
+    monkeypatch.setattr(
+        cipher_mod,
+        "_decrypt_words",
+        lambda s, pads, c: decode_indices(s.codebook, (c + pads) % s.spec.q),
+    )
+    assert not check_decryption_condition(sys_)
+    assert not oracles.check_decryption_condition(sys_)
+
+
+def test_decryption_checks_catch_inconsistent_decode_table():
+    sys_ = _system(4, 0.9, FieldSpec(2), seed=3)
+    cb = sys_.codebook
+    assert check_decryption_condition(sys_)
+    # the array decode table keeps the old order; scalar decode reads the swap
+    cb.members = (cb.members[1], cb.members[0]) + cb.members[2:]
+    assert not check_decryption_condition(sys_)
+    assert not oracles.check_decryption_condition(sys_)
+
+
+def test_encrypt_decrypt_reject_wrong_lengths():
+    sys_ = _system(3, 0.9, FieldSpec(2), seed=1)
+    with pytest.raises(FieldError):
+        encrypt(sys_, (0, 1), (0, 0, 1))
+    with pytest.raises(FieldError):
+        decrypt(sys_, (0, 1, 1), (1,))
 
 
 def test_injectivity_catches_shared_codeword():

@@ -11,6 +11,7 @@ from typecipher.code import (
     codebook_size_margins,
     codebook_to_json,
     decode,
+    decode_indices,
     encode,
     exact_error_prob,
     explicit_m_plan,
@@ -223,3 +224,14 @@ def test_index_arrays_mirror_members_and_ranks():
             rank = cb.member_rank.get(index_decode(i, n, spec), -1)
             assert cb.rank_of[i] == rank
         assert not cb.rank_of.flags.writeable and not cb.member_idx.flags.writeable
+
+
+def test_decode_indices_matches_scalar_decode():
+    for q, n, R in ((2, 4, 0.9), (3, 3, 1.0)):
+        spec = FieldSpec(q)
+        cb = build_codebook(make_rate_plan(n, R, spec))
+        m = cb.plan.m
+        words = np.array(list(itertools.product(range(q), repeat=m)))
+        want = [index_encode(decode(cb, w), spec) for w in words]
+        assert decode_indices(cb, words).tolist() == want
+        assert int(decode_indices(cb, words[5])) == want[5]
