@@ -45,8 +45,9 @@ from .simplex import Distribution, uniform
 
 DEFAULT_RATE_GRID = [round(0.05 * i, 10) for i in range(1, 31)]
 EXPONENT_TOL = 1e-9
-# Exhaustive decryption check is quadratic in the sequence count.
-CONDITION_CHECK_CAP = 1 << 16
+# The exhaustive decryption check covers q**(2n) (key, plaintext) pairs in
+# one array pass per key: binary n <= 10, ternary n <= 6.
+CONDITION_CHECK_CAP = 1 << 20
 
 
 def _write_text(text: str, out: str | None) -> None:

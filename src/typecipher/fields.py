@@ -19,8 +19,6 @@ __all__ = [
     "FieldSpec",
     "field_vector",
     "field_matrix",
-    "fe_add",
-    "fe_sub",
     "vec_add",
     "vec_sub",
     "vec_affine",
@@ -92,14 +90,6 @@ def field_matrix(rows: Sequence[Sequence[int]], spec: FieldSpec) -> np.ndarray:
         raise FieldError(f"matrix entries out of range [0, {spec.q})")
     A.flags.writeable = False
     return A
-
-
-def fe_add(a: int, b: int, spec: FieldSpec) -> int:
-    return (_check_residue(a, spec) + _check_residue(b, spec)) % spec.q
-
-
-def fe_sub(a: int, b: int, spec: FieldSpec) -> int:
-    return (_check_residue(a, spec) - _check_residue(b, spec)) % spec.q
 
 
 def vec_add(x: Sequence[int], y: Sequence[int], spec: FieldSpec) -> tuple[int, ...]:

@@ -43,9 +43,15 @@ from .cipher import (
     pad_law,
     theta_n,
 )
-from .code import encode, exact_error_prob, make_rate_plan
+from .code import exact_error_prob, make_rate_plan
 from .exponents import ExponentResult, exponent_F
-from .fields import FieldError, FieldSpec, all_vectors, vectors_to_indices
+from .fields import (
+    FieldError,
+    FieldSpec,
+    all_vectors,
+    indices_to_vectors,
+    vectors_to_indices,
+)
 from .simplex import Distribution, entropy
 from .typeclasses import class_prob, class_size, enumerate_types
 
@@ -316,23 +322,23 @@ class MonteCarloMI:
         }
 
 
-def _plugin_mi(xi: np.ndarray, ci: np.ndarray, corrected: bool) -> float:
-    n_samples = xi.size
-    pairs = np.stack([xi, ci], axis=1)
-    _, joint = np.unique(pairs, axis=0, return_counts=True)
-    _, left = np.unique(xi, return_counts=True)
-    _, right = np.unique(ci, return_counts=True)
-
+def _mi_from_counts(
+    x_counts: np.ndarray,
+    c_counts: np.ndarray,
+    joint_counts: np.ndarray,
+    n_samples: int,
+    corrected: bool,
+) -> float:
     def h(counts: np.ndarray) -> float:
         p = counts / n_samples
         return float(-np.sum(p * np.log2(p)))
 
-    mi = h(left) + h(right) - h(joint)
+    mi = h(x_counts) + h(c_counts) - h(joint_counts)
     if corrected:
         # Miller-Madow: each plug-in entropy is low by ~(cells-1)/(2N ln 2),
         # so the net MI bias is (K_x + K_c - K_joint - 1)/(2N ln 2) with
         # the joint term dominating; subtracting it recentres near-zero MI.
-        mi += (left.size + right.size - joint.size - 1) / (
+        mi += (x_counts.size + c_counts.size - joint_counts.size - 1) / (
             2.0 * n_samples * math.log(2.0)
         )
     return mi
@@ -349,6 +355,14 @@ def monte_carlo_mi(
 ) -> MonteCarloMI:
     """Plug-in estimate of I(C; X) from sampled pairs, with bootstrap SE.
 
+    Each sampled plaintext x and ciphertext c is replaced by its cell: the
+    rank of its value among the distinct sampled values (the joint cell
+    packs the two ranks, so it stays below samples**2 whatever q**(n+m)
+    is).  Only the distinct plaintexts are encoded.  The point estimate and
+    each of the `bootstrap` replicates (one index redraw of all samples)
+    then take their three entropies from cell counts, so a replicate costs
+    O(samples + cells) and sorts nothing.
+
     The plug-in estimator is biased upward by roughly (cells - 1)/(2N ln 2);
     the default first-order correction removes most of it, which matters
     when testing near-zero leakage.  The uncorrected value is kept in
@@ -364,24 +378,33 @@ def monte_carlo_mi(
     xs = rng.choice(q, size=(samples, plan.n), p=np.asarray(p_X))
     ks = rng.choice(q, size=(samples, plan.n), p=np.asarray(p_K))
     pads = (ks @ sys.key_encoder.A + np.asarray(sys.key_encoder.b)) % q
-    words = np.empty((samples, plan.m), dtype=np.int64)
-    word_cache: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for i in range(samples):
-        x = tuple(int(v) for v in xs[i])
-        w = word_cache.get(x)
-        if w is None:
-            w = encode(cb, x)
-            word_cache[x] = w
-        words[i] = w
-    ci = vectors_to_indices((pads + words) % q, spec)
     xi = vectors_to_indices(xs.astype(np.int64), spec)
+    _, first, x_cell = np.unique(xi, return_index=True, return_inverse=True)
+    # encode: member rank r -> word value r + 1, non-members (-1) -> x0
+    ranks = np.fromiter(
+        (cb.member_rank.get(tuple(x), -1) for x in xs[first].tolist()),
+        dtype=np.int64,
+        count=first.size,
+    )
+    words = indices_to_vectors(ranks + 1, plan.m, spec)[x_cell]
+    ci = vectors_to_indices((pads + words) % q, spec)
+    _, c_cell = np.unique(ci, return_inverse=True)
+    n_c = int(c_cell.max()) + 1
+    _, joint_cell = np.unique(x_cell * n_c + c_cell, return_inverse=True)
+    cells = (x_cell, c_cell, joint_cell)
 
-    point = _plugin_mi(xi, ci, corrected)
-    raw = point if not corrected else _plugin_mi(xi, ci, False)
+    def counts(idx: np.ndarray | None) -> list[np.ndarray]:
+        # occupied cells only, in rank order: the counts np.unique would give
+        tallies = (np.bincount(cell if idx is None else cell[idx]) for cell in cells)
+        return [t[t > 0] for t in tallies]
+
+    full = counts(None)
+    point = _mi_from_counts(*full, samples, corrected)
+    raw = point if not corrected else _mi_from_counts(*full, samples, False)
     reps = np.empty(bootstrap)
     for b in range(bootstrap):
         idx = rng.integers(0, samples, size=samples)
-        reps[b] = _plugin_mi(xi[idx], ci[idx], corrected)
+        reps[b] = _mi_from_counts(*counts(idx), samples, corrected)
     return MonteCarloMI(
         estimate=point,
         std_error=float(np.std(reps, ddof=1)),

@@ -116,21 +116,28 @@ def class_prob_fraction(P: TypeComposition, p: Sequence[Fraction]) -> Fraction:
     return value
 
 
-def _members(counts: list[int], remaining: int) -> Iterator[tuple[int, ...]]:
-    if remaining == 0:
-        yield ()
-        return
-    for a, c in enumerate(counts):
-        if c:
-            counts[a] -= 1
-            for rest in _members(counts, remaining - 1):
-                yield (a,) + rest
-            counts[a] += 1
-
-
 def class_members(P: TypeComposition) -> Iterator[tuple[int, ...]]:
-    """All sequences of type P in lexicographic symbol order."""
-    yield from _members(list(P.counts), P.n)
+    """All sequences of type P in lexicographic symbol order.
+
+    Starts from the sorted sequence and steps to the next permutation of the
+    multiset in place: swap the rightmost ascent a[i] < a[i+1] with the
+    rightmost larger symbol after it, then reverse the (non-increasing) tail.
+    """
+    a = [s for s, c in enumerate(P.counts) for _ in range(c)]
+    last = len(a) - 1
+    while True:
+        yield tuple(a)
+        i = last - 1
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        pivot = a[i]
+        j = last
+        while a[j] <= pivot:
+            j -= 1
+        a[i], a[j] = a[j], pivot
+        a[i + 1 :] = a[: i : -1]
 
 
 def type_entropy(P: TypeComposition) -> float:

@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import time
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +14,8 @@ from typecipher.code import build_codebook, make_rate_plan
 from typecipher.fields import FieldSpec
 from typecipher.leakage import exact_mutual_info
 from typecipher.simplex import Distribution, uniform
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def _read_csv(path):
@@ -79,7 +82,8 @@ def test_verify_canonical_smoke(tmp_path):
 
 
 def test_verify_binary_n10_exact_within_budget(tmp_path):
-    # 2^17 words: out of reach for a per-codeword loop, one transform here
+    # 2^17 words: out of reach for a per-codeword loop, one transform here;
+    # 2^20 (key, plaintext) pairs, all decrypted in the exhaustive check
     out = tmp_path / "verify10.json"
     t0 = time.perf_counter()
     code = main(
@@ -93,6 +97,8 @@ def test_verify_binary_n10_exact_within_budget(tmp_path):
     report = _read_json(str(out))
     assert report["passed"] is True
     assert report["config"]["m"] == 17
+    assert report["decryption_condition"] == {"holds": True, "checked": "exhaustive"}
+    assert report["injective_on_members"] is True
     figures = report["certificate"]["report"]
     assert figures["provenance"] == "exact"
     assert math.isfinite(figures["mi_exact"]) and figures["mi_exact"] > 0
@@ -164,6 +170,35 @@ def test_sweep_rows_and_determinism(tmp_path):
         n = int(r["n"])
         plan = make_rate_plan(n, 0.9, FieldSpec(2))
         assert float(r["rate"]) == pytest.approx(plan.m / n, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        (
+            "sweep_q2_n16.csv",
+            ["sweep", "--q", "2", "--n", "16", "--rate", "0.9", "--px", "0.82,0.18",
+             "--pk", "0.62,0.38", "--samples", "4000", "--seed", "2024"],
+        ),
+        (
+            "sweep_q3_n9.csv",
+            ["sweep", "--q", "3", "--n", "9", "--rate", "1.2", "--px", "0.65,0.2,0.15",
+             "--pk", "0.4,0.35,0.25", "--samples", "4000", "--seed", "2025"],
+        ),
+        (
+            # 2^26 pairs: exact-mi refuses and falls back to Monte Carlo
+            "exact_mi_q2_n13_mc.json",
+            ["exact-mi", "--q", "2", "--n", "13", "--rate", "0.9", "--px", "0.82,0.18",
+             "--pk", "0.62,0.38", "--samples", "2000", "--seed", "2026"],
+        ),
+    ],
+)
+def test_monte_carlo_outputs_match_golden(tmp_path, name, argv):
+    # same seed, same bytes as the row-sorting estimator and the recursive
+    # member generator that wrote these files
+    out = tmp_path / name
+    assert main(argv + ["--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()
 
 
 def test_converse_probe_csv(tmp_path):

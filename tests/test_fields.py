@@ -9,8 +9,6 @@ from typecipher.fields import (
     all_vectors,
     field_matrix,
     field_vector,
-    fe_add,
-    fe_sub,
     index_decode,
     index_encode,
     indices_to_vectors,
@@ -56,13 +54,6 @@ def test_field_matrix_is_readonly():
         field_matrix([[2, 0]], spec)
     with pytest.raises(FieldError):
         field_matrix([1, 0], spec)
-
-
-def test_scalar_ops_mod_q():
-    spec = FieldSpec(5)
-    assert fe_add(3, 4, spec) == 2
-    assert fe_sub(1, 3, spec) == 3
-    assert fe_sub(fe_add(2, 4, spec), 4, spec) == 2
 
 
 def test_vec_ops_are_componentwise_inverses():

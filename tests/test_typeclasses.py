@@ -20,6 +20,8 @@ from typecipher.typeclasses import (
     type_of,
 )
 
+import oracles
+
 
 def _brute_types(n, q):
     """Independent oracle: collect types by enumerating all q**n strings."""
@@ -86,6 +88,17 @@ def test_class_members_lexicographic_and_complete():
         (1, 1, 0, 0),
     ]
     assert len(got) == class_size(P)
+
+
+def test_class_members_match_recursive_oracle():
+    # every type (zero counts included) from n=1 up: the iterative
+    # next-permutation must give the recursion's order, so codebook ranks
+    # and encoders stay put
+    for q, n_max in ((2, 12), (3, 7), (5, 4)):
+        for n in range(1, n_max + 1):
+            for P in enumerate_types(n, FieldSpec(q)):
+                assert list(class_members(P)) == list(oracles.class_members(P)), P.counts
+    assert list(class_members(TypeComposition((0, 0)))) == [()]
 
 
 def test_class_prob_sums_to_one():
