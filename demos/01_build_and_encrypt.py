@@ -31,7 +31,7 @@ print(f"operating rate R_n={plan.R_n:.4f}  ->  codeword length m={plan.m}")
 cb = build_codebook(plan)
 print(f"\nmember types: {[t.counts for t in cb.member_types]}")
 print(f"error types:  {[t.counts for t in cb.error_types]}")
-print(f"{len(cb.members)} member sequences out of {2 ** plan.n}")
+print(f"{cb.member_count} member sequences out of {2 ** plan.n}")
 
 x = (0, 0, 0, 1)
 w = encode(cb, x)

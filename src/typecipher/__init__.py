@@ -87,6 +87,7 @@ from .typeclasses import (
     class_members,
     class_prob,
     class_prob_fraction,
+    class_ranks,
     class_size,
     enumerate_types,
     type_entropy,

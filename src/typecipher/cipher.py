@@ -316,11 +316,15 @@ def search_score(enc: AffineEncoder, plan: RatePlan) -> float:
 
 @dataclass(frozen=True)
 class SearchResult:
+    """The certified encoder of `derandomize`, with the per-type divergences
+    D(Omega_P || uniform) its score was computed from."""
+
     encoder: AffineEncoder
     seed: int
     score: float
     attempts: int
     type_count: int
+    divergences: tuple[tuple[TypeComposition, float], ...]
 
 
 def derandomize(
@@ -351,7 +355,7 @@ def derandomize(
                     )
             return SearchResult(
                 encoder=enc, seed=seed, score=score, attempts=attempt + 1,
-                type_count=count,
+                type_count=count, divergences=tuple(divs),
             )
     raise RuntimeError(
         f"no encoder scored <= {count} within {max_attempts} seeds "

@@ -144,7 +144,7 @@ def cmd_codebook(args) -> int:
     spec = FieldSpec(args.q)
     plan = _plan(args, spec)
     cb = build_codebook(plan)
-    include = len(cb.members) <= 4096
+    include = cb.member_count <= 4096
     payload = codebook_to_json(cb, include_members=include)
     payload["provenance"] = "exact"
     _write_text(_json_text(payload), args.out)
@@ -201,7 +201,7 @@ def cmd_verify(args) -> int:
 
     laws = exact_laws(sys_, p_x, p_k)
     cert = security_certificate(
-        sys_, p_x, p_k, derandomized=search is not None, laws=laws
+        sys_, p_x, p_k, derandomized=search is not None, laws=laws, search=search
     )
     report["certificate"] = cert.to_json()
     gating.append(cert.passed)
@@ -298,8 +298,8 @@ def cmd_sweep(args) -> int:
 def _sweep_mi(plan, cb, p_x, p_k, args) -> tuple[float, str]:
     seed = _sub_seed(args.seed, plan.n)
     try:
-        sys_, _ = _build_system_from_cb(plan, cb, seed)
-        report = exact_mutual_info(sys_, p_x, p_k)
+        sys_, search = _build_system_from_cb(plan, cb, seed)
+        report = exact_mutual_info(sys_, p_x, p_k, search=search)
         return report.mi_exact, "exact"
     except (FieldError, RuntimeError):
         pass
@@ -321,7 +321,7 @@ def cmd_exact_mi(args) -> int:
     p_k = _dist_or_uniform(args.pk, args.q, "--pk")
     sys_, search = _build_system(plan, args.seed)
     try:
-        report = exact_mutual_info(sys_, p_x, p_k)
+        report = exact_mutual_info(sys_, p_x, p_k, search=search)
         payload = report.to_json()
     except FieldError:
         if args.samples <= 0:

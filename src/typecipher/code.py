@@ -12,7 +12,10 @@ so the number of codebook members never reaches q**m - 1 and one ciphertext
 word (the all-zero word x0) stays reserved for the error report.  The
 encoder maps the i-th member (in type order, then lexicographic order) to
 the word with positional value i+1; the decoder inverts that and maps x0 and
-any out-of-image word to a fixed default sequence.
+any out-of-image word to a fixed default sequence.  So a member's rank is its
+type's offset (the sizes of the member types before it) plus its rank within
+its type class, and `Codebook` keeps only the offsets: it ranks sequences by
+arithmetic and lists the member tuples only when a caller asks for them.
 
 At desk scale gamma_n is large (over a bit per symbol for n <= 8), so m
 routinely exceeds n; that is what the formulas give, and every finite-n bound
@@ -42,6 +45,7 @@ from .typeclasses import (
     TypeComposition,
     class_members,
     class_prob,
+    class_ranks,
     class_size,
     enumerate_types,
     type_entropy,
@@ -61,7 +65,8 @@ __all__ = [
     "codebook_size_margins",
 ]
 
-# Largest member set a codebook will materialize.
+# Largest sequence space q**n a codebook accepts; its tuple and array forms,
+# built on demand, hold up to q**n entries.
 MAX_MEMBERS = 1 << 22
 
 
@@ -130,11 +135,17 @@ def explicit_m_plan(n: int, m: int, spec: FieldSpec, R: float | None = None) -> 
 
 
 class Codebook:
-    """Materialized codebook: ordered members plus the word bijection.
+    """The codebook as type offsets, with the tuple form built on demand.
 
-    `member_idx` and `rank_of` hold the same bijection as int64 arrays over
-    sequence indices for the exact array paths; each is built on first use,
-    so codebooks that only sample never pay for them.
+    Members are listed type by type (in `enumerate_types` order), each type
+    in lexicographic order, so a member's rank is its type's offset plus its
+    rank within the class: `ranks` computes that by arithmetic
+    (`class_ranks`) and never lists a member.  `members` and `member_rank`
+    (the ordered tuples and their inverse, what the scalar `encode` and
+    `decode` read) and the int64 arrays `member_idx` and `rank_of` (the
+    same bijection over sequence indices, what the exact array paths read)
+    are each built on first use, so codebooks that only sample never pay
+    for them.
     """
 
     def __init__(self, plan: RatePlan):
@@ -153,12 +164,14 @@ class Codebook:
             else:
                 error_types.append(P)
 
-        members: list[tuple[int, ...]] = []
+        type_offset: dict[tuple[int, ...], int] = {}
+        count = 0
         for P in member_types:
-            members.extend(class_members(P))
-        if len(members) > q**m - 1:
+            type_offset[P.counts] = count
+            count += class_size(P)
+        if count > q**m - 1:
             raise AssertionError(
-                f"{len(members)} members exceed the {q}^{m}-1 usable words; "
+                f"{count} members exceed the {q}^{m}-1 usable words; "
                 "the size bound guarantees this cannot happen"
             )
 
@@ -166,22 +179,44 @@ class Codebook:
         self.spec = spec
         self.member_types = tuple(member_types)
         self.error_types = tuple(error_types)
-        self.members = tuple(members)
-        self.member_rank = {x: i for i, x in enumerate(members)}
+        self.member_count = count
+        self.type_offset = type_offset
         self.x0 = (0,) * m
         self.default_decode = self._smallest_non_member()
 
     def _smallest_non_member(self) -> tuple[int, ...]:
+        # Sequence indices run in lexicographic order, and the smallest
+        # sequence of a type is its sorted one.
+        if not self.error_types:
+            return (0,) * self.plan.n
+        return min(
+            tuple(s for s, c in enumerate(P.counts) for _ in range(c))
+            for P in self.error_types
+        )
+
+    def ranks(self, xs) -> np.ndarray:
+        """Member rank of each sequence row of xs, -1 for non-members."""
         n, q = self.plan.n, self.plan.q
-        if len(self.members) == q**n:
-            return (0,) * n
-        taken = self.member_rank
-        i = 0
-        while True:
-            x = index_decode(i, n, self.spec)
-            if x not in taken:
-                return x
-            i += 1
+        xs = np.asarray(xs, dtype=np.int64).reshape(-1, n)
+        counts = np.stack([(xs == a).sum(axis=1) for a in range(q)], axis=1)
+        types, inverse = np.unique(counts, axis=0, return_inverse=True)
+        offset = np.array(
+            [self.type_offset.get(tuple(t), -1) for t in types.tolist()],
+            dtype=np.int64,
+        )[inverse.reshape(-1)]
+        member = offset >= 0
+        offset[member] += class_ranks(xs[member], q)
+        return offset
+
+    @cached_property
+    def members(self) -> tuple[tuple[int, ...], ...]:
+        """Every member in rank order."""
+        return tuple(x for P in self.member_types for x in class_members(P))
+
+    @cached_property
+    def member_rank(self) -> dict[tuple[int, ...], int]:
+        """Rank of each member tuple (the inverse of `members`)."""
+        return {x: i for i, x in enumerate(self.members)}
 
     @cached_property
     def member_idx(self) -> np.ndarray:
@@ -201,7 +236,7 @@ class Codebook:
         p = self.plan
         return (
             f"Codebook(n={p.n}, R={p.R}, q={p.q}, m={p.m}, "
-            f"members={len(self.members)})"
+            f"members={self.member_count})"
         )
 
 
@@ -229,7 +264,7 @@ def encode(cb: Codebook, x) -> tuple[int, ...]:
 def decode(cb: Codebook, w) -> tuple[int, ...]:
     """Inverse of encode on its image; default elsewhere (including x0)."""
     value = index_encode(tuple(int(a) for a in w), cb.spec)
-    if 1 <= value <= len(cb.members):
+    if 1 <= value <= cb.member_count:
         return cb.members[value - 1]
     return cb.default_decode
 
@@ -257,7 +292,7 @@ def codebook_to_json(cb: Codebook, include_members: bool = False) -> dict:
         "R_n": plan.R_n,
         "m": plan.m,
         "canonical": plan.canonical,
-        "member_count": len(cb.members),
+        "member_count": cb.member_count,
         "default_decode": vector_to_text(cb.default_decode, cb.spec),
     }
     if include_members:
@@ -272,7 +307,7 @@ def codebook_size_margins(cb: Codebook) -> dict:
     """
     plan = cb.plan
     n, q = plan.n, plan.q
-    count = len(cb.members)
+    count = cb.member_count
     entropy_bound = (n + 1) ** q * 2.0 ** (n * plan.R)
     word_budget = q**plan.m - 1
     return {

@@ -32,12 +32,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from sys import float_info
 from typing import Sequence
 
 import numpy as np
 
 from .cipher import (
     CipherSystem,
+    SearchResult,
     n_types,
     omega_divergences,
     pad_law,
@@ -255,25 +257,34 @@ def exact_mutual_info(
     p_K: Distribution,
     f_result: ExponentResult | None = None,
     laws: ExactLaws | None = None,
+    search: SearchResult | None = None,
 ) -> LeakageReport:
     """I(C; X) from the exact ciphertext law, plus every upper bound in the chain.
 
     Independence of K and X and the shift structure give
     H(C | X = x) = H(pad) for every x, so I(C; X) = H(C) - H(pad) exactly;
     the ciphertext law comes from one transform over Z_q^m (`ExactLaws`).
+    The typewise bound reuses the divergences of `search`, the `derandomize`
+    result for this system's encoder, when it is given.
     Guarded by MAX_EXACT_PAIRS; larger systems must sample.
     """
     plan = sys.plan
     if laws is None:
         laws = exact_laws(sys, p_X, p_K)
     laws.check_matches(sys, p_X, p_K)
+    if search is None:
+        divergences = omega_divergences(sys.key_encoder, plan)
+    elif search.encoder is sys.key_encoder:
+        divergences = search.divergences
+    else:
+        raise ValueError("divergences were computed for another encoder")
     h_pad = laws.h_pad
     h_c = laws.h_ciphertext
     mi = max(0.0, h_c - h_pad)
     divergence = plan.m * math.log2(plan.q) - h_pad
 
     typewise = 0.0
-    for P, d in omega_divergences(sys.key_encoder, plan):
+    for P, d in divergences:
         typewise += class_prob(P, p_K) * d
 
     security_bound = None
@@ -358,7 +369,8 @@ def monte_carlo_mi(
     Each sampled plaintext x and ciphertext c is replaced by its cell: the
     rank of its value among the distinct sampled values (the joint cell
     packs the two ranks, so it stays below samples**2 whatever q**(n+m)
-    is).  Only the distinct plaintexts are encoded.  The point estimate and
+    is).  Only the distinct plaintexts are encoded, by rank arithmetic
+    (`Codebook.ranks`), so no member tuple is built.  The point estimate and
     each of the `bootstrap` replicates (one index redraw of all samples)
     then take their three entropies from cell counts, so a replicate costs
     O(samples + cells) and sorts nothing.
@@ -381,12 +393,7 @@ def monte_carlo_mi(
     xi = vectors_to_indices(xs.astype(np.int64), spec)
     _, first, x_cell = np.unique(xi, return_index=True, return_inverse=True)
     # encode: member rank r -> word value r + 1, non-members (-1) -> x0
-    ranks = np.fromiter(
-        (cb.member_rank.get(tuple(x), -1) for x in xs[first].tolist()),
-        dtype=np.int64,
-        count=first.size,
-    )
-    words = indices_to_vectors(ranks + 1, plan.m, spec)[x_cell]
+    words = indices_to_vectors(cb.ranks(xs[first]) + 1, plan.m, spec)[x_cell]
     ci = vectors_to_indices((pads + words) % q, spec)
     _, c_cell = np.unique(ci, return_inverse=True)
     n_c = int(c_cell.max()) + 1
@@ -433,7 +440,7 @@ def check_birkhoff(
     if laws is None:
         laws = _pad_laws(sys, None, p_K)
     laws.check_matches(sys, None, p_K)
-    if not cb.members:
+    if not cb.member_count:
         return 0.0
     weights = np.bincount(
         cb.rank_of[cb.member_idx] + 1, minlength=sys.spec.q**sys.plan.m
@@ -503,6 +510,7 @@ def security_certificate(
     derandomized: bool = False,
     slack: float = 1e-9,
     laws: ExactLaws | None = None,
+    search: SearchResult | None = None,
 ) -> SecurityCertificate:
     """Evaluate the whole bound chain with margins; nothing is assumed.
 
@@ -515,7 +523,9 @@ def security_certificate(
     plan = sys.plan
     if laws is None:
         laws = exact_laws(sys, p_X, p_K)
-    report = exact_mutual_info(sys, p_X, p_K, f_result=f_result, laws=laws)
+    report = exact_mutual_info(
+        sys, p_X, p_K, f_result=f_result, laws=laws, search=search
+    )
     pad = laws.pad
     direct_divergence = plan.m * math.log2(plan.q) + float(
         np.sum(pad[pad > 0] * np.log2(pad[pad > 0]))
@@ -806,6 +816,12 @@ def strong_converse_probe(
     The optimum keeps the 2^{floor(nR)} most probable sequences, so the
     error is one minus that top mass, computed per type (all sequences of a
     type share one probability).  Below-entropy rates drive it to 1.
+
+    The walk covers the O(n^(q-1)) types, never the q^n sequences.  Each
+    type adds take * 2**logp in double precision, so the probe refuses to
+    take a type whose sequence probability 2**logp is below the smallest
+    normal double (class sizes then no longer fit a float either; binary
+    n past about 1030).
     """
     h = entropy(p_X)
     if R >= h:
@@ -816,8 +832,6 @@ def strong_converse_probe(
     out = []
     for n in n_list:
         n = int(n)
-        if q**n > MAX_EXACT_PAIRS:
-            raise FieldError(f"{q}^{n} sequences exceed {MAX_EXACT_PAIRS}")
         log_size = _stable_floor(n * R)
         budget = 2**log_size
         per_type = []
@@ -831,6 +845,13 @@ def strong_converse_probe(
         remaining = budget
         for logp, size in per_type:
             take = min(size, remaining)
+            # A normal 2**logp also keeps take <= 2**-logp below 2**1022.
+            if logp < float_info.min_exp - 1:
+                raise FieldError(
+                    f"converse probe at n={n}: a type's mass take * 2**logp "
+                    f"(logp {logp:.1f}) leaves the normal double range "
+                    f"(logp >= {float_info.min_exp - 1}) the probe computes in"
+                )
             mass += take * 2.0**logp
             remaining -= take
             if remaining == 0:

@@ -2,9 +2,11 @@
 
 The type of a length-n string is its symbol-count vector.  Everything here is
 exact: class sizes are big-integer multinomials, class probabilities convert
-to float only in the final product, and the entropy of a type is computed
-from integer counts.  These are the quantities behind the standard sandwich
-bounds
+to float only in the final product (in log space once a class size no longer
+fits a float), and the entropy of a type is computed from integer counts.
+`class_members` lists a class in lexicographic order and `class_ranks`
+inverts that order by arithmetic, without listing anything.  These are the
+quantities behind the standard sandwich bounds
 
     |P_n(X)| <= (n+1)**(q-1),
     (n+1)**-(q-1) <= |T^n(P)| / 2**(n H(P)) <= 1,
@@ -33,6 +35,7 @@ __all__ = [
     "class_prob",
     "class_prob_fraction",
     "class_members",
+    "class_ranks",
     "type_entropy",
 ]
 
@@ -95,10 +98,24 @@ def class_size(P: TypeComposition) -> int:
 
 
 def class_prob(P: TypeComposition, p: Distribution) -> float:
-    """p^n(T^n(P)) = |T^n(P)| * prod p(a)**counts[a]."""
+    """p^n(T^n(P)) = |T^n(P)| * prod p(a)**counts[a].
+
+    A class size too large for a float (binary n past about 1030) moves the
+    product to log space: log2 |T^n(P)| + sum counts[a] log2 p(a).
+    """
     if len(p) != P.q:
         raise ValueError(f"alphabet mismatch: {len(p)} vs {P.q}")
-    value = float(class_size(P))
+    size = class_size(P)
+    try:
+        value = float(size)
+    except OverflowError:
+        if any(c and p[a] == 0 for a, c in enumerate(P.counts)):
+            return 0.0
+        log_value = math.log2(size)
+        for a, c in enumerate(P.counts):
+            if c:
+                log_value += c * math.log2(p[a])
+        return 2.0**log_value
     for a, c in enumerate(P.counts):
         if c:
             value *= p[a] ** c
@@ -138,6 +155,42 @@ def class_members(P: TypeComposition) -> Iterator[tuple[int, ...]]:
             j -= 1
         a[i], a[j] = a[j], pivot
         a[i + 1 :] = a[: i : -1]
+
+
+def class_ranks(xs, q: int) -> np.ndarray:
+    """Lexicographic rank of each row of xs within its own type class.
+
+    The inverse of `class_members`: row x gets the position at which the
+    generator for type_of(x) yields x.  Walking the positions left to right
+    with the remaining counts c and length L, the M = L!/prod(c!)
+    arrangements of the rest split by their first symbol, M c_s / L of them
+    starting with s, so a row at symbol x_i skips the blocks of every s < x_i.
+    That is n (q - 1) int64 passes over the rows.  Class sizes come from the
+    big-integer multinomial once per distinct type, and every value stays
+    below the class size times n.
+    """
+    xs = np.asarray(xs, dtype=np.int64)
+    if xs.ndim != 2:
+        raise ValueError(f"expected a 2-d array of sequences, got shape {xs.shape}")
+    if xs.size and (xs.min() < 0 or xs.max() >= q):
+        raise ValueError(f"symbol out of range [0, {q})")
+    rows, n = xs.shape
+    counts = np.stack([(xs == a).sum(axis=1) for a in range(q)], axis=1)
+    types, inverse = np.unique(counts, axis=0, return_inverse=True)
+    sizes = [class_size(TypeComposition(tuple(t))) for t in types.tolist()]
+    if max(sizes, default=0) * max(n, 1) > np.iinfo(np.int64).max:
+        raise ValueError(f"type classes of length {n} are too large to rank in int64")
+    arrangements = np.array(sizes, dtype=np.int64)[inverse.reshape(-1)]
+    rank = np.zeros(rows, dtype=np.int64)
+    at = np.arange(rows)
+    for i in range(n):
+        left = n - i
+        x = xs[:, i]
+        for s in range(q - 1):
+            rank += np.where(x > s, arrangements * counts[:, s] // left, 0)
+        arrangements = arrangements * counts[at, x] // left
+        counts[at, x] -= 1
+    return rank
 
 
 def type_entropy(P: TypeComposition) -> float:

@@ -201,6 +201,50 @@ def test_monte_carlo_outputs_match_golden(tmp_path, name, argv):
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
 
 
+def test_sweep_never_lists_members(tmp_path, monkeypatch):
+    # binary n=20 has 120,920 members; the sweep encodes its samples by rank
+    # arithmetic and must not list one of them
+    def refuse(P):
+        raise AssertionError("class_members called on the sweep path")
+
+    for module in ("typeclasses", "code", "cipher"):
+        monkeypatch.setattr(f"typecipher.{module}.class_members", refuse)
+    built = []
+
+    def recording_build(plan):
+        built.append(build_codebook(plan))
+        return built[-1]
+
+    monkeypatch.setattr("typecipher.cli.build_codebook", recording_build)
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--q", "2", "--n", "20", "--rate", "0.9", "--px", "0.82,0.18",
+            "--pk", "0.62,0.38", "--samples", "1000", "--seed", "5", "--out", str(out)]
+    assert main(argv) == 0
+    assert _read_csv(str(out))[0]["mi_flag"] == "estimate"
+    (cb,) = built
+    assert "members" not in vars(cb) and "member_rank" not in vars(cb)
+
+
+def test_verify_computes_divergences_once_per_attempt(tmp_path, monkeypatch):
+    from typecipher.cipher import omega_divergences
+
+    calls = []
+
+    def counting(enc, plan):
+        calls.append(enc)
+        return omega_divergences(enc, plan)
+
+    monkeypatch.setattr("typecipher.cipher.omega_divergences", counting)
+    monkeypatch.setattr("typecipher.leakage.omega_divergences", counting)
+    out = tmp_path / "verify.json"
+    argv = ["verify", "--q", "2", "--n", "6", "--rate", "0.9", "--px", "0.8,0.2",
+            "--seed", "3", "--out", str(out)]
+    assert main(argv) == 0
+    report = _read_json(out)
+    assert report["encoder"]["derandomized"]
+    assert len(calls) == report["encoder"]["attempts"]
+
+
 def test_converse_probe_csv(tmp_path):
     out = tmp_path / "probe.csv"
     argv = [

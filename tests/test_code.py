@@ -17,9 +17,15 @@ from typecipher.code import (
     explicit_m_plan,
     make_rate_plan,
 )
-from typecipher.fields import FieldSpec, index_decode, index_encode, vectors_to_indices
+from typecipher.fields import (
+    FieldSpec,
+    all_vectors,
+    index_decode,
+    index_encode,
+    vectors_to_indices,
+)
 from typecipher.simplex import Distribution, uniform
-from typecipher.typeclasses import type_entropy, type_of
+from typecipher.typeclasses import class_size, type_entropy, type_of
 
 
 def test_rate_plan_worked_example():
@@ -224,6 +230,35 @@ def test_index_arrays_mirror_members_and_ranks():
             rank = cb.member_rank.get(index_decode(i, n, spec), -1)
             assert cb.rank_of[i] == rank
         assert not cb.rank_of.flags.writeable and not cb.member_idx.flags.writeable
+
+
+def test_ranks_match_member_rank_on_every_sequence():
+    # zero counts and n=1 included; rates from "constant types only" to
+    # "every sequence is a member"
+    for q, n_max in ((2, 12), (3, 7), (5, 4)):
+        spec = FieldSpec(q)
+        for n in range(1, n_max + 1):
+            for R in (0.3, 0.9, 1.6, 2.5):
+                cb = build_codebook(make_rate_plan(n, R, spec))
+                xs = all_vectors(n, spec)
+                got = cb.ranks(xs)
+                # ranked by arithmetic: no member tuple built yet
+                assert "members" not in vars(cb) and "member_rank" not in vars(cb)
+                want = [cb.member_rank.get(x, -1) for x in map(tuple, xs.tolist())]
+                assert got.tolist() == want, (q, n, R)
+                assert cb.member_count == len(cb.members)
+                assert cb.ranks(xs[0]).tolist() == want[:1]
+
+
+def test_codebook_lists_members_on_demand():
+    spec = FieldSpec(2)
+    cb = build_codebook(make_rate_plan(20, 0.9, spec))
+    assert cb.member_count == sum(class_size(P) for P in cb.member_types)
+    assert codebook_size_margins(cb)["holds"]
+    assert codebook_to_json(cb)["member_count"] == cb.member_count
+    assert type_entropy(type_of(cb.default_decode, spec)) >= cb.plan.R
+    assert "members" not in vars(cb) and "member_rank" not in vars(cb)
+    assert len(cb.members) == cb.member_count
 
 
 def test_decode_indices_matches_scalar_decode():

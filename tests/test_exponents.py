@@ -192,3 +192,16 @@ def test_admissible_thresholds():
     t3 = admissible_thresholds(uniform(2), uniform(2))
     assert math.isinf(t3["achievable_threshold"])
     assert t3["converse_threshold"] == pytest.approx(1.0)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="bisection rounding on the flat root at s=0 leaves E(log2 k) "
+    "1.1e-8 below D(U||p), above the stated tol of 1e-9",
+)
+def test_E_at_log_alphabet_is_divergence_from_uniform():
+    # at R = log2 k only the uniform law is feasible, so E = D(U || p)
+    p = Distribution([0.82, 0.18])
+    result = exponent_E(1.0, p, method="tilted", tol=1e-9)
+    want = kl_divergence(uniform(2), p)
+    assert abs(result.value - want) <= result.tolerance

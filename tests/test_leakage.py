@@ -141,6 +141,29 @@ def test_shared_laws_refused_for_another_system_or_law():
         converse_diagnostics(other, p_x, p_k, gamma=0.1, laws=laws)
 
 
+def test_search_divergences_reused_and_checked(monkeypatch):
+    spec = FieldSpec(2)
+    plan = make_rate_plan(5, 0.9, spec)
+    search = derandomize(plan, base_seed=3)
+    sys_ = CipherSystem(codebook=build_codebook(plan), key_encoder=search.encoder)
+    p_x, p_k = Distribution([0.8, 0.2]), Distribution([0.6, 0.4])
+    fresh = exact_mutual_info(sys_, p_x, p_k)
+    cert = security_certificate(sys_, p_x, p_k, derandomized=True)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("divergences recomputed")
+
+    monkeypatch.setattr("typecipher.leakage.omega_divergences", refuse)
+    assert exact_mutual_info(sys_, p_x, p_k, search=search) == fresh
+    reused = security_certificate(sys_, p_x, p_k, derandomized=True, search=search)
+    assert reused.to_json() == cert.to_json()
+    other = CipherSystem(
+        codebook=sys_.codebook, key_encoder=draw_encoder(plan, search.seed + 1)
+    )
+    with pytest.raises(ValueError, match="another encoder"):
+        exact_mutual_info(other, p_x, p_k, search=search)
+
+
 def test_perfect_secrecy_zero_mi():
     sys_ = _perfect_system()
     rep = exact_mutual_info(sys_, Distribution([0.7, 0.3]), uniform(2))
@@ -455,6 +478,22 @@ def test_probe_uniform_closed_form():
     for row in rows:
         n = row["n"]
         assert row["error"] == pytest.approx(1.0 - 2.0 ** (n // 2 - n), abs=1e-12)
+
+
+def test_probe_walks_types_past_the_sequence_cap():
+    # q^n once capped the probe at binary n=24; it walks only the n+1 types
+    p_x = Distribution([0.82, 0.18])
+    rows = strong_converse_probe(p_x, 0.5, [24, 30, 40, 100, 400])
+    errors = [r["error"] for r in rows]
+    assert all(0.0 <= e <= 1.0 for e in errors)
+    assert errors[-1] > errors[0]
+    assert errors[-1] > 0.999  # below entropy the error tends to 1
+
+
+def test_probe_refuses_types_outside_double_range():
+    # binary n=1040 at R=0.99: the first type taken has probability 2^-1040
+    with pytest.raises(FieldError, match="double range"):
+        strong_converse_probe(uniform(2), 0.99, [1040])
 
 
 def test_probe_rejects_rates_at_or_above_entropy():

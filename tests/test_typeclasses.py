@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 
 from typecipher.fields import FieldSpec
-from typecipher.simplex import Distribution, entropy
+from typecipher.simplex import Distribution, entropy, uniform
 from typecipher.typeclasses import (
     TypeComposition,
     class_members,
     class_prob,
     class_prob_fraction,
+    class_ranks,
     class_size,
     enumerate_types,
     type_entropy,
@@ -101,6 +102,31 @@ def test_class_members_match_recursive_oracle():
     assert list(class_members(TypeComposition((0, 0)))) == [()]
 
 
+def test_class_ranks_invert_class_members():
+    # every sequence of every type (zero counts included) from n=1 up, in a
+    # shuffled order: its rank is its position in class_members
+    rng = np.random.default_rng(17)
+    for q, n_max in ((2, 12), (3, 7), (5, 4)):
+        for n in range(1, n_max + 1):
+            rows, want = [], []
+            for P in enumerate_types(n, FieldSpec(q)):
+                members = list(class_members(P))
+                rows.extend(members)
+                want.extend(range(len(members)))
+            order = rng.permutation(len(rows))
+            xs = np.array(rows, dtype=np.int64)[order]
+            assert class_ranks(xs, q).tolist() == np.array(want)[order].tolist(), (q, n)
+    assert class_ranks(np.zeros((1, 0), dtype=np.int64), 2).tolist() == [0]
+    assert class_ranks(np.zeros((0, 3), dtype=np.int64), 2).tolist() == []
+
+
+def test_class_ranks_rejects_bad_rows():
+    with pytest.raises(ValueError):
+        class_ranks(np.array([[0, 2]]), 2)
+    with pytest.raises(ValueError):
+        class_ranks(np.array([0, 1]), 2)
+
+
 def test_class_prob_sums_to_one():
     spec = FieldSpec(3)
     rng = np.random.default_rng(5)
@@ -108,6 +134,24 @@ def test_class_prob_sums_to_one():
         p = Distribution(rng.dirichlet(np.ones(3)))
         total = sum(class_prob(P, p) for P in enumerate_types(n, spec))
         assert total == pytest.approx(1.0, abs=1e-12)
+
+
+def test_class_prob_in_log_space_past_float_range():
+    # binary n=1100: the central class sizes exceed a float, where the
+    # product used to raise OverflowError
+    spec = FieldSpec(2)
+    types = enumerate_types(1100, spec)
+    assert any(class_size(P) > 2**1024 for P in types)
+    for p in (Distribution([0.82, 0.18]), uniform(2)):
+        total = math.fsum(class_prob(P, p) for P in types)
+        assert total == pytest.approx(1.0, abs=1e-9)
+        for P in types[::97]:
+            size = class_size(P)
+            if size < 2**1023:  # the product, bit for bit, where it fits
+                want = float(size) * p[0] ** P.counts[0] * p[1] ** P.counts[1]
+                assert class_prob(P, p) == want
+    point = Distribution([1.0, 0.0])
+    assert class_prob(types[550], point) == 0.0
 
 
 def test_class_prob_fraction_exact():
