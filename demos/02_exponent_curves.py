@@ -14,7 +14,6 @@ from typecipher import (
     admissible_thresholds,
     entropy,
     exponent_E,
-    exponent_F,
     positivity_region,
 )
 
@@ -25,11 +24,10 @@ print(f"H(X) = {info['h_x']:.4f}   H(K) = {info['h_k']:.4f}")
 print(f"rates in ({info['achievable_threshold']:.4f}, "
       f"{info['converse_threshold']:.4f}) are workable\n")
 
+# One call solves both exponents at every rate of the table together.
 print(f"{'R':>5}  {'E(R|p_X)':>10}  {'F(R|p_K)':>10}")
-for R in np.arange(0.1, 1.01, 0.1):
-    e = exponent_E(float(R), p_X).value
-    f = exponent_F(float(R), p_K).value
-    print(f"{R:5.2f}  {e:10.6f}  {f:10.6f}")
+for row in positivity_region(p_X, p_K, np.arange(0.1, 1.01, 0.1)):
+    print(f"{row['R']:5.2f}  {row['E']:10.6f}  {row['F']:10.6f}")
 
 # The tilted solver pins down the optimizing law as well; at rates just
 # above H(X) it sits close to p_X, sliding toward uniform as R grows.

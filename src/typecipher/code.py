@@ -65,8 +65,9 @@ __all__ = [
     "codebook_size_margins",
 ]
 
-# Largest sequence space q**n a codebook accepts; its tuple and array forms,
-# built on demand, hold up to q**n entries.
+# Largest sequence space q**n over which a codebook builds its tuple and
+# array forms (`members`, `member_rank`, `member_idx`, `rank_of`), each
+# holding up to q**n entries; the offsets and the rank arithmetic have no cap.
 MAX_MEMBERS = 1 << 22
 
 
@@ -145,17 +146,14 @@ class Codebook:
     `decode` read) and the int64 arrays `member_idx` and `rank_of` (the
     same bijection over sequence indices, what the exact array paths read)
     are each built on first use, so codebooks that only sample never pay
-    for them.
+    for them.  Only these four forms refuse sequence spaces past
+    `MAX_MEMBERS`; the offsets and `ranks` work at any n whose class sizes
+    times n fit in int64.
     """
 
     def __init__(self, plan: RatePlan):
         spec = plan.spec
         n, q, m = plan.n, plan.q, plan.m
-        if q**n > MAX_MEMBERS:
-            raise FieldError(
-                f"refusing to build a codebook over {q}^{n} sequences"
-            )
-
         member_types: list[TypeComposition] = []
         error_types: list[TypeComposition] = []
         for P in enumerate_types(n, spec):
@@ -208,9 +206,20 @@ class Codebook:
         offset[member] += class_ranks(xs[member], q)
         return offset
 
+    def _check_listable(self) -> None:
+        n, q = self.plan.n, self.plan.q
+        if q**n > MAX_MEMBERS:
+            raise FieldError(
+                f"refusing to list the members of a codebook over {q}^{n} "
+                f"sequences (MAX_MEMBERS = 2^{MAX_MEMBERS.bit_length() - 1}); "
+                "Codebook.ranks ranks them without a list"
+            )
+
     @cached_property
     def members(self) -> tuple[tuple[int, ...], ...]:
-        """Every member in rank order."""
+        """Every member in rank order (`member_rank` and `member_idx` are
+        built from it, so the MAX_MEMBERS cap holds for them too)."""
+        self._check_listable()
         return tuple(x for P in self.member_types for x in class_members(P))
 
     @cached_property
@@ -227,6 +236,7 @@ class Codebook:
     def rank_of(self) -> np.ndarray:
         """Rank of every sequence index under member_rank (what encode reads),
         -1 for non-members."""
+        self._check_listable()
         ranks = np.full(self.plan.q**self.plan.n, -1, dtype=np.int64)
         idx = _sequence_indices(list(self.member_rank), self.plan.n, self.spec)
         ranks[idx] = np.fromiter(self.member_rank.values(), dtype=np.int64, count=idx.size)

@@ -14,14 +14,19 @@ provided and cross-validated:
 * ``tilted`` — one-dimensional search over the exponential family
   P_s ∝ p**s.  The minimizer of D(P||p) under an entropy constraint lies in
   this family (Lagrange stationarity), so each regime of the objective
-  reduces to a bisection on H(P_s) = R.  Used by default.
+  reduces to bisections on H(P_s) = R.  Used by default.  Each call runs
+  one stacked bisection: every rate, face and branch it needs is a column
+  of one array, stepped together, so `positivity_region` solves a whole
+  rate grid for both exponents at once and `exponent_E`/`exponent_F` are
+  its one-rate case.
 
-The family argument for F needs care: {H(P) <= R} is not convex, so the
-active-slack regime is solved by collecting every stationary candidate —
-both crossings of H = R along the family (s > 1 and s < 0 branches),
-restrictions to sub-alphabets, and point masses — and taking the minimum.
-The regime with [·]^+ active minimizes the linear cross-entropy functional
-over the convex set {H(P) >= R} and needs only the aligned branch.
+The family argument for F needs care.  With [·]^+ inactive, F minimizes D
+over {H(P) <= R}, which is not convex, so that regime collects every
+stationary candidate — both crossings of H = R along the family (s > 0
+and s < 0 branches), restrictions to sub-alphabets, and point masses — and
+takes the minimum.  The regime with [·]^+ active minimizes the linear
+cross-entropy functional over the convex set {H(P) >= R} and needs only
+the aligned branch.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .simplex import Distribution, entropy, kl_divergence
+from .simplex import Distribution, entropy
 
 __all__ = [
     "ExponentResult",
@@ -62,170 +67,341 @@ class ExponentResult:
 
 
 # ----------------------------------------------------------------------
-# shared helpers
+# tilted solver: one stacked bisection per call
 # ----------------------------------------------------------------------
+#
+# A call gathers every bisection its rates need -- E's [0, 1] branch, each
+# face of F's plain regime in both directions, F's active branch -- as the
+# columns of one stack, and runs the bisection steps on all of them at once.
+# A column holds one face's log2 p (in face order, packed to the top, the
+# rest masked to -inf before the max-shift) and its own bracket and target.
+# Each column gets the elementwise arithmetic of a scalar bisection on that
+# face, and its sums run in numpy's order for a 1-D array of the stack's
+# width: the scalar solver's results exactly below 8 symbols, within
+# round-off above.  No rate, face or branch depends on what else is stacked.
+
+STEPS = 80  # bisection steps, and doubling levels s = +-2^i searched
+STACK_CELLS = 1 << 16  # entries per block of stacked columns
+PAIRWISE_BLOCK = 128  # numpy's pairwise-summation block
 
 
-def _support(p: Distribution) -> tuple[np.ndarray, np.ndarray]:
-    full = np.asarray(p, dtype=np.float64)
-    idx = np.flatnonzero(full > 0.0)
-    return full, idx
-
-
-def _embed(sub: np.ndarray, idx: np.ndarray, q: int) -> Distribution:
-    full = np.zeros(q)
-    full[idx] = sub
-    # Clean tiny negative round-off before handing to the validator.
-    full = np.clip(full, 0.0, None)
-    return Distribution(full / full.sum())
-
-
-def _tilt(logp: np.ndarray, s: float) -> np.ndarray:
-    w = s * logp
-    w -= w.max()
-    P = np.exp2(w)
-    return P / P.sum()
-
-
-def _xlog2x(v: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(v)
-    pos = v > 0.0
-    out[pos] = v[pos] * np.log2(v[pos])
+def _colsum(a: np.ndarray) -> np.ndarray:
+    """Sum down axis 0 as numpy sums a 1-D array of that length: in order
+    below 8 terms, with 8 pairwise accumulators from 8 terms on."""
+    n = a.shape[0]
+    if n < 8:
+        return a.sum(axis=0)
+    if n > PAIRWISE_BLOCK:
+        half = n // 2 - (n // 2) % 8
+        return _colsum(a[:half]) + _colsum(a[half:])
+    r = a[:8].copy()
+    stop = n - n % 8
+    for i in range(8, stop, 8):
+        r += a[i : i + 8]
+    out = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for i in range(stop, n):
+        out = out + a[i]
     return out
 
 
-def _H(P: np.ndarray) -> float:
-    return float(-_xlog2x(P).sum())
+def _tilt(L: np.ndarray, live: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """P_s proportional to p**s down each column of L, masked entries 0."""
+    w = np.where(live, s * L, -np.inf)
+    w -= w.max(axis=0)
+    P = np.exp2(w)
+    return P / _colsum(P)
 
 
-def _D(P: np.ndarray, p: np.ndarray) -> float:
+def _xlog2x(v: np.ndarray) -> np.ndarray:
+    return v * np.log2(np.where(v > 0.0, v, 1.0))
+
+
+def _H(P: np.ndarray) -> np.ndarray:
+    """Entropy in bits down each column (0 log 0 = 0)."""
+    return -_colsum(_xlog2x(P))
+
+
+def _D(P: np.ndarray, logp: np.ndarray) -> np.ndarray:
+    """D(P||p) down each column, summed over P's support."""
     pos = P > 0.0
-    return float(np.sum(P[pos] * (np.log2(P[pos]) - np.log2(p[pos]))))
+    return _colsum(np.where(pos, P * (np.log2(np.where(pos, P, 1.0)) - logp[:, None]), 0.0))
 
 
-def _cross_entropy(P: np.ndarray, p: np.ndarray) -> float:
-    pos = P > 0.0
-    return float(-np.sum(P[pos] * np.log2(p[pos])))
+def _cross_entropy(P: np.ndarray, logp: np.ndarray) -> np.ndarray:
+    return -_colsum(np.where(P > 0.0, P * logp[:, None], 0.0))
 
 
-def _bisect_entropy(
-    logp: np.ndarray, target: float, s_lo: float, s_hi: float, iters: int = 80
-) -> np.ndarray:
-    """Find P_s with H(P_s) = target between two s values bracketing it.
+def _blocks(width: int, n: int):
+    step = max(1, STACK_CELLS // width)
+    return (slice(i, i + step) for i in range(0, n, step))
 
-    Caller guarantees H is monotone on [s_lo, s_hi]; returns the endpoint on
-    whichever side the caller bracketed as feasible last.
+
+def _bisect(L, live, target, s_lo, s_hi) -> np.ndarray:
+    """P_s at the end of a bisection on H(P_s) = target in every column.
+
+    Each [s_lo, s_hi] brackets its crossing on a monotone branch; a step
+    keeps the half whose s_lo lies on the same side of target as the first
+    s_lo did, and the result is taken at the last s_lo.
     """
-    h_lo = _H(_tilt(logp, s_lo))
-    for _ in range(iters):
+    lo_side = _H(_tilt(L, live, s_lo)) >= target
+    for _ in range(STEPS):
         mid = 0.5 * (s_lo + s_hi)
-        if (_H(_tilt(logp, mid)) >= target) == (h_lo >= target):
-            s_lo = mid
-        else:
-            s_hi = mid
-    return _tilt(logp, s_lo)
+        keep = (_H(_tilt(L, live, mid)) >= target) == lo_side
+        s_lo = np.where(keep, mid, s_lo)
+        s_hi = np.where(keep, s_hi, mid)
+    return _tilt(L, live, s_lo)
 
 
-def _expand_until(logp: np.ndarray, target: float, direction: float) -> float | None:
-    """Smallest |s| along `direction` (+1/-1) with H(P_s) strictly past target."""
-    s = direction
-    for _ in range(80):
-        if _H(_tilt(logp, s)) < target:
-            return s
-        s *= 2.0
-    return None
+class _Law:
+    """A law's support in index order, with its log2 probabilities."""
+
+    def __init__(self, p: Distribution):
+        self.full = np.asarray(p, dtype=np.float64)
+        self.idx = np.flatnonzero(self.full > 0.0)
+        self.sub = self.full[self.idx]
+        self.k = self.idx.size
+        self.logp = np.log2(self.sub)
+        self.H = float(_H(self.sub))
+        self.log_k = math.log2(self.k)
+
+    def embed(self, P: np.ndarray) -> Distribution:
+        full = np.zeros(self.full.size)
+        full[self.idx] = P
+        # Clean tiny negative round-off before handing to the validator.
+        full = np.clip(full, 0.0, None)
+        return Distribution(full / full.sum())
 
 
-# ----------------------------------------------------------------------
-# tilted solvers
-# ----------------------------------------------------------------------
+class _Stack:
+    """Faces of one width, and the bisections queued on them.
+
+    Columns are numbered in the order they are queued.
+    """
+
+    def __init__(self, width: int):
+        self.width = width
+        self.faces: list[np.ndarray] = []
+        self.queued: list[tuple[np.ndarray, ...]] = []
+        self.size = 0
+        self.P = np.zeros((width, 0))
+        self._library = (np.zeros((width, 0)), np.zeros((width, 0), dtype=bool))
+
+    def face(self, flog: np.ndarray) -> int:
+        self.faces.append(flog)
+        return len(self.faces) - 1
+
+    def _packed(self, faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        L, live = self._library
+        if L.shape[1] != len(self.faces):
+            L = np.zeros((self.width, len(self.faces)))
+            live = np.zeros(L.shape, dtype=bool)
+            for j, flog in enumerate(self.faces):
+                L[: flog.size, j] = flog
+                live[: flog.size, j] = True
+            self._library = L, live
+        return L[:, faces], live[:, faces]
+
+    def entropy(self, faces: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """H(P_s) of face faces[j] at s[j], for every j."""
+        out = np.empty(s.size)
+        for blk in _blocks(self.width, s.size):
+            out[blk] = _H(_tilt(*self._packed(faces[blk]), s[blk]))
+        return out
+
+    def add(self, face: int, target: np.ndarray, s_lo, s_hi) -> np.ndarray:
+        """Queue one bisection on `face` per target; their column numbers."""
+        n = target.size
+        self.queued.append(
+            (np.full(n, face), target, np.broadcast_to(s_lo, n), np.broadcast_to(s_hi, n))
+        )
+        self.size += n
+        return np.arange(self.size - n, self.size)
+
+    def solve(self) -> None:
+        """Run every queued bisection; P_s of column j lands in self.P[:, j]."""
+        if not self.queued:
+            return
+        face, target, s_lo, s_hi = (np.concatenate(part) for part in zip(*self.queued))
+        self.P = np.zeros((self.width, self.size))
+        for blk in _blocks(self.width, self.size):
+            L, live = self._packed(face[blk])
+            self.P[:, blk] = _bisect(L, live, target[blk], s_lo[blk], s_hi[blk])
 
 
-def _tilted_E(R: float, p: Distribution, tol: float) -> ExponentResult:
-    full, idx = _support(p)
-    sub = full[idx]
-    k = idx.size
-    log_k = math.log2(k)
-    Hp = _H(sub)
-    if R <= Hp:
-        return ExponentResult(0.0, Distribution(full), "tilted", tol)
-    if R > log_k:
-        return ExponentResult(math.inf, None, "tilted", tol)
-    logp = np.log2(sub)
-    # H(P_s) falls from log k at s=0 to H(p) at s=1; keep the feasible side.
-    P = _bisect_entropy(logp, R, s_lo=0.0, s_hi=1.0)
-    return ExponentResult(_D(P, sub), _embed(P, idx, len(p)), "tilted", tol)
+class _TiltedE:
+    """E(R|p) = D(P_s||p) where H(P_s) = R on s in [0, 1], for H(p) < R <= log2 k."""
+
+    def __init__(self, law: _Law, rates: np.ndarray, stack: _Stack):
+        self.law, self.rates, self.stack = law, rates, stack
+        self.inside = (rates > law.H) & (rates <= law.log_k)
+        self.cols = stack.add(stack.face(law.logp), rates[self.inside], 0.0, 1.0)
+
+    def results(self, tol: float, argmins: bool) -> list[ExponentResult]:
+        law = self.law
+        P = self.stack.P[: law.k, self.cols]
+        D = _D(P, law.logp).tolist()
+        out, j = [], 0
+        for R, inside in zip(self.rates.tolist(), self.inside.tolist()):
+            if R <= law.H:
+                argmin = Distribution(law.full) if argmins else None
+                out.append(ExponentResult(0.0, argmin, "tilted", tol))
+            elif not inside:
+                out.append(ExponentResult(math.inf, None, "tilted", tol))
+            else:
+                argmin = law.embed(P[:, j]) if argmins else None
+                out.append(ExponentResult(D[j], argmin, "tilted", tol))
+                j += 1
+        return out
 
 
-def _regime_plain(R: float, sub: np.ndarray, logp: np.ndarray) -> list[tuple[float, np.ndarray]]:
-    """Stationary candidates for min D(P||p) over {H(P) <= R}."""
+def _faces(sub: np.ndarray) -> list[np.ndarray]:
+    """Sub-alphabets searched for F's plain regime: every subset when k <= 4,
+    else the prefixes of the support sorted by falling probability."""
     k = sub.size
-    cands: list[tuple[float, np.ndarray]] = []
     if k <= 4:
-        faces = [
-            np.array(c) for r in range(1, k + 1) for c in combinations(range(k), r)
-        ]
-    else:
-        order = np.argsort(-sub)
-        faces = [order[:j] for j in range(1, k + 1)]
-    for face in faces:
-        fsub = sub[face]
-        flog = logp[face]
-        j = fsub.size
-        if j == 1:
+        return [np.array(c) for r in range(1, k + 1) for c in combinations(range(k), r)]
+    order = np.argsort(-sub)
+    return [order[:j] for j in range(1, k + 1)]
+
+
+class _TiltedF:
+    """F(R|p) as the least of its stationary candidates, in a fixed order.
+
+    [.]^+ inactive: minimize D over {H(P) <= R}.  When H(p) <= R that is p
+    itself.  Otherwise the candidates run face by face: the point mass of a
+    one-symbol face; else the face's own law if its entropy is at most R,
+    then the crossings of H = R on the family's two monotone branches
+    (s > 0, then s < 0).  [.]^+ active (R <= log2 k): minimize
+    cross-entropy - R over the convex set {H(P) >= R}, which needs only the
+    aligned branch: the uniform law on the tied maxima when their log-count
+    reaches R, else the s > 0 crossing.  The first least candidate wins.
+    """
+
+    def __init__(self, law: _Law, rates: np.ndarray, stack: _Stack):
+        self.law, self.rates, self.stack = law, rates, stack
+        sub, logp, k = law.sub, law.logp, law.k
+        tied = sub >= sub.max() * (1.0 - 1e-12)
+        self.log_ties = math.log2(int(tied.sum()))
+        plain = rates < law.H
+        active = (rates <= law.log_k) & (rates > self.log_ties)
+
+        # Rate-independent candidates, one column each: p, the point masses
+        # and face laws in face order, the uniform law on the tied maxima.
+        # Each face gives a slot (column, its law's entropy, its first branch);
+        # a point mass, entropy -inf here, is a candidate at every rate.
+        fixed = [sub]
+        self.slots: list[tuple[int, float, int | None]] = []
+        branches = []  # (face id, face, direction); the active branch last
+        for face in _faces(sub):
             P = np.zeros(k)
-            P[face] = 1.0
-            cands.append((_D(P, sub), P))
-            continue
-        interior = fsub / fsub.sum()
-        if _H(interior) <= R:
-            P = np.zeros(k)
-            P[face] = interior
-            cands.append((_D(P, sub), P))
-        # Crossings of H = R on the two monotone branches of the family.
-        for direction in (+1.0, -1.0):
-            far = _expand_until(flog, R, direction)
-            if far is None:
-                continue
-            Pf = _bisect_entropy(flog, R, s_lo=far, s_hi=0.0)
-            P = np.zeros(k)
-            P[face] = Pf
-            cands.append((_D(P, sub), P))
-    return cands
+            if face.size == 1:
+                P[face] = 1.0
+                self.slots.append((len(fixed), -math.inf, None))
+            else:
+                interior = sub[face] / sub[face].sum()
+                P[face] = interior
+                self.slots.append((len(fixed), float(_H(interior)), len(branches)))
+                fid = stack.face(logp[face])
+                branches += [(fid, face, 1.0), (fid, face, -1.0)]
+            fixed.append(P)
+        self.ties_col = len(fixed)
+        fixed.append(np.where(tied, 1.0, 0.0) / tied.sum())
+        self.fixed = np.stack(fixed, axis=1)
+        branches.append((stack.face(logp), np.arange(k), 1.0))
+        self.faces = [face for _, face, _ in branches]
+
+        # Column of each (branch, rate) crossing, counted from self.base; -1
+        # where the branch is not needed or never crosses the rate.
+        self.col = np.full((len(branches), rates.size), -1)
+        self.base = stack.size
+        need = [plain] * (len(branches) - 1) + [active]
+        if not (plain.any() or active.any()):
+            return
+        # One doubling table per branch: H(P_s) at s = +-2^i, shared by every
+        # rate; the first i with H below R is where its running minimum is.
+        fid = np.array([b[0] for b in branches])
+        s = np.array([b[2] for b in branches])[:, None] * 2.0 ** np.arange(STEPS)
+        H = stack.entropy(np.repeat(fid, STEPS), s.ravel()).reshape(s.shape)
+        falling = -np.minimum.accumulate(H, axis=1)
+        for b, (face_id, _, _) in enumerate(branches):
+            first = np.searchsorted(falling[b], -rates, side="right")
+            ok = need[b] & (first < STEPS)
+            far = s[b, first[ok]]
+            if b < len(branches) - 1:
+                cols = stack.add(face_id, rates[ok], far, 0.0)
+            else:
+                cols = stack.add(face_id, rates[ok], 0.0, far)
+            self.col[b, ok] = cols - self.base
+
+    def results(self, tol: float, argmins: bool) -> list[ExponentResult]:
+        law, R = self.law, self.rates
+        k = law.k
+        # The solved crossings, scattered from face order into support order.
+        n = self.stack.size - self.base
+        solved = np.zeros((k + 1, n))
+        for face, col in zip(self.faces, self.col):
+            col = col[col >= 0]
+            rows = np.full(self.stack.width, k)
+            rows[: face.size] = face
+            solved[rows[:, None], col] = self.stack.P[:, self.base + col]
+        solved = solved[:k]
+        off = self.fixed.shape[1]
+
+        def over_candidates(f):
+            # the fixed columns, then the crossings block by block
+            parts = [f(self.fixed, law.logp)]
+            parts += [f(solved[:, blk], law.logp) for blk in _blocks(k, n)]
+            return np.concatenate(parts)
+
+        D, CE = over_candidates(_D), over_candidates(_cross_entropy)
+
+        plain = R < law.H
+        values = [np.where(plain, np.inf, 0.0)]
+        refs = [np.zeros(R.size, dtype=np.int64)]
+        for j, h_face, b in self.slots:
+            values.append(np.where(plain & (h_face <= R), D[j], np.inf))
+            refs.append(np.full(R.size, j))
+            if b is not None:
+                for col in self.col[b : b + 2]:
+                    values.append(np.where(col >= 0, D[off + col], np.inf))
+                    refs.append(off + col)
+        col = self.col[-1]
+        ties = self.log_ties >= R
+        crossing = np.where(col >= 0, CE[off + col] - R, np.inf)
+        active = np.where(ties, CE[self.ties_col] - R, crossing)
+        values.append(np.where(R <= law.log_k, active, np.inf))
+        refs.append(np.where(ties, self.ties_col, off + col))
+        values = np.stack(values, axis=1)
+        best = values.argmin(axis=1)
+        at = np.arange(R.size)
+        out = []
+        picked = np.stack(refs, axis=1)[at, best]
+        for value, ref in zip(values[at, best].tolist(), picked.tolist()):
+            P = self.fixed[:, ref] if ref < off else solved[:, ref - off]
+            argmin = law.embed(P) if argmins else None
+            out.append(ExponentResult(max(value, 0.0), argmin, "tilted", tol))
+        return out
 
 
-def _tilted_F(R: float, p: Distribution, tol: float) -> ExponentResult:
-    full, idx = _support(p)
-    sub = full[idx]
-    k = idx.size
-    log_k = math.log2(k)
-    logp = np.log2(sub)
-    Hp = _H(sub)
+def _tilted(rates, requests, tol: float, argmins: bool) -> list[list[ExponentResult]]:
+    """Each (solver, law) request's results at every rate, from one stacked
+    bisection.
 
-    candidates: list[tuple[float, np.ndarray]] = []
-
-    # [.]^+ inactive: minimize D over {H <= R}.
-    if Hp <= R:
-        candidates.append((0.0, sub.copy()))
-    else:
-        candidates.extend(_regime_plain(R, sub, logp))
-
-    # [.]^+ active: minimize cross-entropy - R over the convex set {H >= R}.
-    if R <= log_k:
-        pmax = sub.max()
-        ties = int(np.sum(sub >= pmax * (1.0 - 1e-12)))
-        if math.log2(ties) >= R:
-            P = np.where(sub >= pmax * (1.0 - 1e-12), 1.0, 0.0)
-            P /= P.sum()
-            candidates.append((_cross_entropy(P, sub) - R, P))
-        else:
-            far = _expand_until(logp, R, +1.0)
-            if far is not None:
-                P = _bisect_entropy(logp, R, s_lo=0.0, s_hi=far)
-                candidates.append((_cross_entropy(P, sub) - R, P))
-
-    value, P = min(candidates, key=lambda c: c[0])
-    return ExponentResult(max(value, 0.0), _embed(P, idx, len(p)), "tilted", tol)
+    Sums of fewer than 8 terms run in order however the stack is padded, so
+    laws that small share one stack; a larger law gets a stack of its own
+    width (padding would regroup numpy's pairwise sums).
+    """
+    rates = np.asarray(rates, dtype=np.float64)
+    laws = [_Law(p) for _, p in requests]
+    small = max((law.k for law in laws if law.k < 8), default=0)
+    stacks: dict[int, _Stack] = {}
+    solvers = []
+    for (kind, _), law in zip(requests, laws):
+        width = law.k if law.k >= 8 else small
+        solvers.append(kind(law, rates, stacks.setdefault(width, _Stack(width))))
+    for stack in stacks.values():
+        stack.solve()
+    return [solver.results(tol, argmins) for solver in solvers]
 
 
 # ----------------------------------------------------------------------
@@ -331,16 +507,20 @@ def _grid_F(R: float, p: Distribution, step: float) -> ExponentResult:
 # ----------------------------------------------------------------------
 
 
+def _check_positive(R: float) -> None:
+    if not (R > 0.0):
+        raise ValueError(f"rate must be positive, got {R}")
+
+
 def exponent_E(
     R: float, p: Distribution, method: str = "tilted", tol: float = 1e-9
 ) -> ExponentResult:
     """E(R|p): smallest divergence from p among laws of entropy at least R."""
-    if not (R > 0.0) or math.isnan(R):
-        raise ValueError(f"rate must be positive, got {R}")
+    _check_positive(R)
     if method == "grid":
         return _grid_E(R, p, step=max(tol, DEFAULT_GRID_STEP))
     if method == "tilted":
-        return _tilted_E(R, p, tol)
+        return _tilted([R], [(_TiltedE, p)], tol, argmins=True)[0][0]
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -353,7 +533,7 @@ def exponent_F(
     if method == "grid":
         return _grid_F(R, p, step=max(tol, DEFAULT_GRID_STEP))
     if method == "tilted":
-        return _tilted_F(R, p, tol)
+        return _tilted([R], [(_TiltedF, p)], tol, argmins=True)[0][0]
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -367,22 +547,27 @@ def positivity_region(
     """Per-rate positivity flags for E(R|p_X) and F(R|p_K).
 
     Both are positive together exactly on {H(X) < R < H(K)} (up to grid
-    resolution and the numeric threshold).
+    resolution and the numeric threshold).  The tilted solver takes the
+    whole grid in one stacked call; every rate is checked before any solve.
     """
-    rows = []
-    for R in R_grid:
-        e = exponent_E(float(R), p_X, method=method)
-        f = exponent_F(float(R), p_K, method=method)
-        rows.append(
-            {
-                "R": float(R),
-                "E": e.value,
-                "F": f.value,
-                "E_positive": bool(e.value > threshold),
-                "F_positive": bool(f.value > threshold),
-            }
-        )
-    return rows
+    rates = [float(R) for R in R_grid]
+    for R in rates:
+        _check_positive(R)
+    if method == "tilted":
+        E, F = _tilted(rates, [(_TiltedE, p_X), (_TiltedF, p_K)], 1e-9, argmins=False)
+    else:
+        E = [exponent_E(R, p_X, method=method) for R in rates]
+        F = [exponent_F(R, p_K, method=method) for R in rates]
+    return [
+        {
+            "R": R,
+            "E": e.value,
+            "F": f.value,
+            "E_positive": bool(e.value > threshold),
+            "F_positive": bool(f.value > threshold),
+        }
+        for R, e, f in zip(rates, E, F)
+    ]
 
 
 def admissible_thresholds(p_X: Distribution, p_K: Distribution) -> dict:

@@ -7,16 +7,22 @@ iterative next-permutation; keep them to small n.  The law oracles work
 tuple by tuple, so they are independent of the codebook's index arrays
 (`member_idx`, `rank_of`) and of the transform.  The decryption oracle calls
 the shipped `encrypt` and `decrypt` once per (key, plaintext) pair.
+The tilted exponent solver is the scalar one that the stacked bisection
+replaced: one bisection per rate, per face and per branch, each on its own
+1-D arrays.
 """
 
 import math
+from itertools import combinations
 
 import numpy as np
 
 from typecipher.cipher import CipherSystem, decrypt, encrypt, pad_law
 from typecipher.code import decode, encode
+from typecipher.exponents import ExponentResult
 from typecipher.fields import all_vectors, vectors_to_indices
 from typecipher.leakage import MonteCarloMI
+from typecipher.simplex import Distribution
 
 
 def shift_mixture(pad, weights, digits, q):
@@ -136,3 +142,165 @@ def monte_carlo_mi(sys_, p_X, p_K, samples, seed, corrected=True, bootstrap=200)
         raw_plugin=raw,
         corrected=corrected,
     )
+
+
+# ----------------------------------------------------------------------
+# scalar tilted exponent solver
+# ----------------------------------------------------------------------
+
+
+def _support(p: Distribution) -> tuple[np.ndarray, np.ndarray]:
+    full = np.asarray(p, dtype=np.float64)
+    idx = np.flatnonzero(full > 0.0)
+    return full, idx
+
+
+def _embed(sub: np.ndarray, idx: np.ndarray, q: int) -> Distribution:
+    full = np.zeros(q)
+    full[idx] = sub
+    # Clean tiny negative round-off before handing to the validator.
+    full = np.clip(full, 0.0, None)
+    return Distribution(full / full.sum())
+
+
+def _tilt(logp: np.ndarray, s: float) -> np.ndarray:
+    w = s * logp
+    w -= w.max()
+    P = np.exp2(w)
+    return P / P.sum()
+
+
+def _xlog2x(v: np.ndarray) -> np.ndarray:
+    out = np.zeros_like(v)
+    pos = v > 0.0
+    out[pos] = v[pos] * np.log2(v[pos])
+    return out
+
+
+def _H(P: np.ndarray) -> float:
+    return float(-_xlog2x(P).sum())
+
+
+def _D(P: np.ndarray, p: np.ndarray) -> float:
+    pos = P > 0.0
+    return float(np.sum(P[pos] * (np.log2(P[pos]) - np.log2(p[pos]))))
+
+
+def _cross_entropy(P: np.ndarray, p: np.ndarray) -> float:
+    pos = P > 0.0
+    return float(-np.sum(P[pos] * np.log2(p[pos])))
+
+
+def _bisect_entropy(
+    logp: np.ndarray, target: float, s_lo: float, s_hi: float, iters: int = 80
+) -> np.ndarray:
+    """Find P_s with H(P_s) = target between two s values bracketing it.
+
+    Caller guarantees H is monotone on [s_lo, s_hi]; returns the endpoint on
+    whichever side the caller bracketed as feasible last.
+    """
+    h_lo = _H(_tilt(logp, s_lo))
+    for _ in range(iters):
+        mid = 0.5 * (s_lo + s_hi)
+        if (_H(_tilt(logp, mid)) >= target) == (h_lo >= target):
+            s_lo = mid
+        else:
+            s_hi = mid
+    return _tilt(logp, s_lo)
+
+
+def _expand_until(logp: np.ndarray, target: float, direction: float) -> float | None:
+    """Smallest |s| along `direction` (+1/-1) with H(P_s) strictly past target."""
+    s = direction
+    for _ in range(80):
+        if _H(_tilt(logp, s)) < target:
+            return s
+        s *= 2.0
+    return None
+
+
+def tilted_E(R: float, p: Distribution, tol: float) -> ExponentResult:
+    full, idx = _support(p)
+    sub = full[idx]
+    k = idx.size
+    log_k = math.log2(k)
+    Hp = _H(sub)
+    if R <= Hp:
+        return ExponentResult(0.0, Distribution(full), "tilted", tol)
+    if R > log_k:
+        return ExponentResult(math.inf, None, "tilted", tol)
+    logp = np.log2(sub)
+    # H(P_s) falls from log k at s=0 to H(p) at s=1; keep the feasible side.
+    P = _bisect_entropy(logp, R, s_lo=0.0, s_hi=1.0)
+    return ExponentResult(_D(P, sub), _embed(P, idx, len(p)), "tilted", tol)
+
+
+def _regime_plain(R: float, sub: np.ndarray, logp: np.ndarray) -> list[tuple[float, np.ndarray]]:
+    """Stationary candidates for min D(P||p) over {H(P) <= R}."""
+    k = sub.size
+    cands: list[tuple[float, np.ndarray]] = []
+    if k <= 4:
+        faces = [
+            np.array(c) for r in range(1, k + 1) for c in combinations(range(k), r)
+        ]
+    else:
+        order = np.argsort(-sub)
+        faces = [order[:j] for j in range(1, k + 1)]
+    for face in faces:
+        fsub = sub[face]
+        flog = logp[face]
+        j = fsub.size
+        if j == 1:
+            P = np.zeros(k)
+            P[face] = 1.0
+            cands.append((_D(P, sub), P))
+            continue
+        interior = fsub / fsub.sum()
+        if _H(interior) <= R:
+            P = np.zeros(k)
+            P[face] = interior
+            cands.append((_D(P, sub), P))
+        # Crossings of H = R on the two monotone branches of the family.
+        for direction in (+1.0, -1.0):
+            far = _expand_until(flog, R, direction)
+            if far is None:
+                continue
+            Pf = _bisect_entropy(flog, R, s_lo=far, s_hi=0.0)
+            P = np.zeros(k)
+            P[face] = Pf
+            cands.append((_D(P, sub), P))
+    return cands
+
+
+def tilted_F(R: float, p: Distribution, tol: float) -> ExponentResult:
+    full, idx = _support(p)
+    sub = full[idx]
+    k = idx.size
+    log_k = math.log2(k)
+    logp = np.log2(sub)
+    Hp = _H(sub)
+
+    candidates: list[tuple[float, np.ndarray]] = []
+
+    # [.]^+ inactive: minimize D over {H <= R}.
+    if Hp <= R:
+        candidates.append((0.0, sub.copy()))
+    else:
+        candidates.extend(_regime_plain(R, sub, logp))
+
+    # [.]^+ active: minimize cross-entropy - R over the convex set {H >= R}.
+    if R <= log_k:
+        pmax = sub.max()
+        ties = int(np.sum(sub >= pmax * (1.0 - 1e-12)))
+        if math.log2(ties) >= R:
+            P = np.where(sub >= pmax * (1.0 - 1e-12), 1.0, 0.0)
+            P /= P.sum()
+            candidates.append((_cross_entropy(P, sub) - R, P))
+        else:
+            far = _expand_until(logp, R, +1.0)
+            if far is not None:
+                P = _bisect_entropy(logp, R, s_lo=0.0, s_hi=far)
+                candidates.append((_cross_entropy(P, sub) - R, P))
+
+    value, P = min(candidates, key=lambda c: c[0])
+    return ExponentResult(max(value, 0.0), _embed(P, idx, len(p)), "tilted", tol)

@@ -49,6 +49,14 @@ def test_exponents_default_grid_to_stdout(capsys):
     assert len(lines) == 31  # header + 30 default grid points
 
 
+@pytest.mark.parametrize("rates, shown", [("0.5,0", "0.0"), ("nan", "nan")])
+def test_exponents_rejects_nonpositive_rate(capsys, rates, shown):
+    assert main(["exponents", "--q", "2", "--px", "0.8,0.2", "--rate", rates]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"rate must be positive, got {shown}" in captured.err
+
+
 def test_codebook_payload(tmp_path):
     out = tmp_path / "cb.json"
     assert main(["codebook", "--n", "4", "--rate", "0.9", "--q", "2", "--out", str(out)]) == 0
@@ -272,3 +280,15 @@ def test_missing_plan_inputs_exit_2(capsys):
 def test_rate_at_entropy_probe_exits_2(capsys):
     assert main(["converse-probe", "--px", "0.5,0.5", "--rate", "1.0", "--n", "4"]) == 2
     capsys.readouterr()
+
+
+def test_sweep_past_the_member_list_cap(tmp_path, capsys):
+    # the sweep ranks members by arithmetic, so q^n past MAX_MEMBERS runs;
+    # binary n=64 still stops cleanly where word indices leave int64
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--q", "2", "--rate", "0.9", "--samples", "1000", "--seed", "1"]
+    assert main(argv + ["--n", "23", "--out", str(out)]) == 0
+    rows = _read_csv(str(out))
+    assert [r["n"] for r in rows] == ["23"] and rows[0]["mi_flag"] == "estimate"
+    assert main(argv + ["--n", "64"]) == 2
+    assert "int64" in capsys.readouterr().err

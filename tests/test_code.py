@@ -18,6 +18,7 @@ from typecipher.code import (
     make_rate_plan,
 )
 from typecipher.fields import (
+    FieldError,
     FieldSpec,
     all_vectors,
     index_decode,
@@ -259,6 +260,17 @@ def test_codebook_lists_members_on_demand():
     assert type_entropy(type_of(cb.default_decode, spec)) >= cb.plan.R
     assert "members" not in vars(cb) and "member_rank" not in vars(cb)
     assert len(cb.members) == cb.member_count
+
+
+def test_member_list_cap_sits_on_the_lazy_forms():
+    # binary n=23 is past MAX_MEMBERS: the codebook and its rank arithmetic
+    # work, the four q^n-sized forms refuse and name the cap
+    cb = build_codebook(make_rate_plan(23, 0.9, FieldSpec(2)))
+    assert cb.member_count > 0
+    assert cb.ranks(np.zeros((1, 23), dtype=np.int64))[0] >= 0  # a member
+    for form in ("members", "member_rank", "member_idx", "rank_of"):
+        with pytest.raises(FieldError, match="MAX_MEMBERS"):
+            getattr(cb, form)
 
 
 def test_decode_indices_matches_scalar_decode():

@@ -1,10 +1,17 @@
-"""Exponent solvers: tilted-family minimizers against the grid oracle."""
+"""Exponent solvers: tilted-family minimizers against the grid oracle and
+against the scalar tilted solver that the stacked one replaced."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import oracles
+from typecipher import exponents
+from typecipher.cli import DEFAULT_RATE_GRID
 from typecipher.exponents import (
     ExponentResult,
     admissible_thresholds,
@@ -205,3 +212,113 @@ def test_E_at_log_alphabet_is_divergence_from_uniform():
     result = exponent_E(1.0, p, method="tilted", tol=1e-9)
     want = kl_divergence(uniform(2), p)
     assert abs(result.value - want) <= result.tolerance
+
+
+# ----------------------------------------------------------------------
+# the stacked tilted solver against the scalar one it replaced
+# ----------------------------------------------------------------------
+
+
+@st.composite
+def _laws(draw, q=None):
+    if q is None:
+        q = draw(st.sampled_from([2, 3, 5, 7, 11]))
+    w = draw(st.lists(st.integers(0, 9), min_size=q, max_size=q))
+    w[draw(st.integers(0, q - 1))] += 1  # zeros allowed, not everywhere
+    if draw(st.booleans()):
+        tied = draw(st.integers(1, q))  # tie the first `tied` weights at the top
+        w[:tied] = [max(w)] * tied
+    return Distribution([v / sum(w) for v in w])
+
+
+def _special_rates(p):
+    """H(p), log2 k, log2(ties), 0 and two rates above log2 k."""
+    sub = np.asarray(p)[np.asarray(p) > 0.0]
+    log_k = math.log2(sub.size)
+    ties = int(np.sum(sub >= sub.max() * (1.0 - 1e-12)))
+    return [entropy(p), log_k, math.log2(ties), 0.0, log_k + 0.25, 2.0 * log_k + 1.0]
+
+
+def _assert_same(got, want, k, objective):
+    # identical up to support 7.  Past that numpy's pairwise sums group
+    # padded columns differently: values agree within 1e-12 relative and
+    # argmins within 1e-12 per symbol, unless two candidates tie within
+    # round-off, where each side may return either minimizer
+    if k <= 7:
+        assert got.value == want.value
+    else:
+        assert got.value == pytest.approx(want.value, rel=1e-12, abs=0.0)
+    assert (got.argmin is None) == (want.argmin is None)
+    if got.argmin is None:
+        return
+    a, b = np.asarray(got.argmin), np.asarray(want.argmin)
+    if k <= 7:
+        assert np.array_equal(a, b)
+    elif not np.allclose(a, b, rtol=0.0, atol=1e-12):
+        assert objective(got.argmin) == pytest.approx(want.value, rel=1e-12, abs=1e-15)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_laws(), st.lists(st.floats(0.0, 4.0), max_size=2))
+@example(Distribution([0.82, 0.18]), [])
+@example(Distribution([0.5, 0.5, 0.0]), [0.3])
+@example(Distribution([0.25, 0.25, 0.25, 0.25, 0.0]), [1.5])
+@example(Distribution([0.3, 0.3, 0.1, 0.1, 0.1, 0.1, 0.0]), [1.0])
+@example(Distribution([0.2, 0.2, 0.1, 0.1, 0.1, 0.05, 0.05, 0.05, 0.05, 0.05, 0.05]), [2.5])
+@example(Distribution(np.array([2, 2, 2, 2, 2, 2, 0, 0, 0, 1, 2]) / 15), [])  # tied minimizers
+def test_stacked_solver_matches_scalar_oracle(p, extra):
+    k = int(np.count_nonzero(np.asarray(p)))
+    for R in _special_rates(p) + extra:
+        f_objective = partial(_f_objective, p=p, R=R)
+        _assert_same(exponent_F(R, p), oracles.tilted_F(R, p, 1e-9), k, f_objective)
+        if R > 0.0:
+            e_objective = partial(kl_divergence, Q=p)
+            _assert_same(exponent_E(R, p), oracles.tilted_E(R, p, 1e-9), k, e_objective)
+
+
+# The benchmark's base laws: p_X and p_K per alphabet size.
+_BENCHMARK_LAWS = {
+    2: ((0.82, 0.18), (0.62, 0.38)),
+    3: ((0.65, 0.2, 0.15), (0.4, 0.35, 0.25)),
+    5: ((0.38, 0.24, 0.15, 0.12, 0.11), (0.3, 0.25, 0.2, 0.15, 0.1)),
+}
+
+
+@pytest.mark.parametrize("q", sorted(_BENCHMARK_LAWS))
+def test_benchmark_grids_match_scalar_oracle_exactly(q):
+    p_x, p_k = (Distribution(p) for p in _BENCHMARK_LAWS[q])
+    for row in positivity_region(p_x, p_k, DEFAULT_RATE_GRID):
+        assert row["E"] == oracles.tilted_E(row["R"], p_x, 1e-9).value
+        assert row["F"] == oracles.tilted_F(row["R"], p_k, 1e-9).value
+
+
+@st.composite
+def _region_cases(draw):
+    q = draw(st.sampled_from([2, 3, 5, 7, 11]))
+    p_x, p_k = draw(_laws(q)), draw(_laws(q))
+    grid = [entropy(p_x), entropy(p_k)] + draw(st.lists(st.floats(0.01, 4.0), max_size=5))
+    return p_x, p_k, [R for R in grid if R > 0.0]
+
+
+@settings(max_examples=30, deadline=None)
+@given(_region_cases())
+def test_region_rows_equal_single_rate_calls(case):
+    # stacking must not make one rate depend on its neighbours, nor E on F
+    p_x, p_k, grid = case
+    for row in positivity_region(p_x, p_k, grid):
+        assert row["E"] == exponent_E(row["R"], p_x).value
+        assert row["F"] == exponent_F(row["R"], p_k).value
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.3, math.nan])
+def test_positivity_region_checks_every_rate_before_solving(bad, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("solved before the grid was checked")
+
+    monkeypatch.setattr(exponents, "_tilted", unreachable)
+    with pytest.raises(ValueError, match=f"rate must be positive, got {bad}"):
+        positivity_region(uniform(2), uniform(2), [0.5, 0.9, bad, 1.2])
+
+
+def test_positivity_region_empty_grid():
+    assert positivity_region(uniform(3), uniform(3), []) == []
