@@ -21,8 +21,9 @@ p_X = Distribution([0.85, 0.15])
 p_K = Distribution([0.55, 0.45])
 info = admissible_thresholds(p_X, p_K)
 print(f"H(X) = {info['h_x']:.4f}   H(K) = {info['h_k']:.4f}")
+# Reliable above H(X) (the achievable threshold), secret below H(K).
 print(f"rates in ({info['achievable_threshold']:.4f}, "
-      f"{info['converse_threshold']:.4f}) are workable\n")
+      f"{info['h_k']:.4f}) are workable\n")
 
 # One call solves both exponents at every rate of the table together.
 print(f"{'R':>5}  {'E(R|p_X)':>10}  {'F(R|p_K)':>10}")

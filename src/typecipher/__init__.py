@@ -22,11 +22,8 @@ from .cipher import (
     injective_on_members,
     make_encoder,
     n_types,
-    omega_counts,
-    omega_dist,
     omega_divergences,
     pad_law,
-    pad_law_fraction,
     search_score,
     theta_n,
 )
@@ -58,9 +55,6 @@ from .fields import (
     index_decode,
     index_encode,
     indices_to_vectors,
-    vec_add,
-    vec_affine,
-    vec_sub,
     vector_from_text,
     vector_to_text,
     vectors_to_indices,
@@ -77,6 +71,7 @@ from .leakage import (
     exact_laws,
     exact_mutual_info,
     monte_carlo_mi,
+    security_bound,
     security_bound_curve,
     security_certificate,
     strong_converse_probe,
@@ -86,7 +81,6 @@ from .typeclasses import (
     TypeComposition,
     class_members,
     class_prob,
-    class_prob_fraction,
     class_ranks,
     class_size,
     enumerate_types,

@@ -27,12 +27,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .code import Codebook, RatePlan, decode, decode_indices, encode
+from .code import Codebook, RatePlan, decode_indices, encode
 from .fields import (
     FieldError,
     FieldSpec,
@@ -40,17 +39,17 @@ from .fields import (
     field_matrix,
     field_vector,
     index_decode,
-    index_encode,
-    vec_affine,
+    indices_to_vectors,
     vector_to_text,
     vectors_to_indices,
 )
 from .simplex import Distribution
 from .typeclasses import (
     TypeComposition,
-    class_members,
     class_size,
     enumerate_types,
+    sequence_probs,
+    type_counts,
 )
 
 __all__ = [
@@ -64,9 +63,6 @@ __all__ = [
     "injective_on_members",
     "n_types",
     "pad_law",
-    "pad_law_fraction",
-    "omega_counts",
-    "omega_dist",
     "theta_n",
     "omega_divergences",
     "search_score",
@@ -170,21 +166,17 @@ def check_decryption_condition(sys: CipherSystem) -> bool:
     """Exhaustive check that decrypt(k, encrypt(k, x)) = decode(encode(x)).
 
     Covers all q**(2n) (key, plaintext) pairs with one array comparison per
-    key.  The codewords and the expected outputs come from the scalar
-    `encode` and `decode` over the q**n plaintexts; each key's pad is then
-    pushed through the same array helpers that `encrypt` and `decrypt` wrap,
-    so the check exercises the shipped cipher rather than an identity.  This
-    certifies that the correctly-decodable set is the same for every key.
+    key.  The codewords come from the rank table (`rank_of`: word value
+    rank + 1, x0 for non-members) and the expected outputs from the decode
+    table (`decode_indices`); each key's pad is then pushed through the same
+    array helpers that `encrypt` and `decrypt` wrap, so the check exercises
+    the shipped cipher rather than an identity.  This certifies that the
+    correctly-decodable set is the same for every key.
     """
-    spec = sys.spec
-    cb = sys.codebook
-    sequences = all_vectors(sys.plan.n, spec)  # every key and every plaintext
-    codewords = [encode(cb, x) for x in sequences]
-    expected = np.array(
-        [index_encode(decode(cb, w), spec) for w in codewords], dtype=np.int64
-    )
-    words = np.array(codewords, dtype=np.int64)
-    for pad in _key_pads(sys.key_encoder, sequences, spec):
+    spec, cb = sys.spec, sys.codebook
+    words = indices_to_vectors(cb.rank_of + 1, sys.plan.m, spec)
+    expected = decode_indices(cb, words)
+    for pad in _key_pads(sys.key_encoder, all_vectors(sys.plan.n, spec), spec):
         decoded = _decrypt_words(sys, pad, _encrypt_words(sys, pad, words))
         if not np.array_equal(decoded, expected):
             return False
@@ -195,11 +187,14 @@ def injective_on_members(sys: CipherSystem) -> bool:
     """For every key, x -> encrypt(k, x) is one-to-one on codebook members.
 
     Adding a fixed pad is a bijection of Z_q^m, so this holds for every key
-    exactly when the members' codewords are distinct.
+    exactly when the members' codewords are distinct.  Checked as a round
+    trip: the rank arithmetic that encodes (`Codebook.ranks`) must give each
+    entry of the decode table (`member_idx`) its own position, so no two
+    members share a rank, and hence a codeword.
     """
     cb = sys.codebook
-    ranks = np.sort(cb.rank_of[cb.member_idx])
-    return not np.any(ranks[1:] == ranks[:-1])
+    members = indices_to_vectors(cb.member_idx, sys.plan.n, sys.spec)
+    return np.array_equal(cb.ranks(members), np.arange(cb.member_count))
 
 
 def n_types(n: int, q: int) -> int:
@@ -235,46 +230,9 @@ def key_image_indices(enc: AffineEncoder, spec: FieldSpec) -> np.ndarray:
 def pad_law(enc: AffineEncoder, p_K: Distribution, spec: FieldSpec) -> np.ndarray:
     """Distribution of the pad phi(K) over word indices, K i.i.d. p_K."""
     total = _check_word_space(spec, enc.m)
-    keys = all_vectors(enc.n, spec)
-    key_probs = np.prod(np.asarray(p_K)[keys], axis=1)
+    key_probs = sequence_probs(p_K, enc.n, spec)
     images = key_image_indices(enc, spec)
     return np.bincount(images, weights=key_probs, minlength=total)
-
-
-def pad_law_fraction(
-    enc: AffineEncoder, p_K: Sequence[Fraction], spec: FieldSpec
-) -> list[Fraction]:
-    """Exact-rational pad law for a rational key law (small n only)."""
-    total = _check_word_space(spec, enc.m)
-    out = [Fraction(0)] * total
-    for key in all_vectors(enc.n, spec):
-        k = tuple(int(v) for v in key)
-        prob = Fraction(1)
-        for a in k:
-            prob *= Fraction(p_K[a])
-        w = vec_affine(k, enc.A, enc.b, spec)
-        idx = 0
-        for a in w:
-            idx = idx * spec.q + a
-        out[idx] += prob
-    return out
-
-
-def omega_counts(
-    P: TypeComposition, enc: AffineEncoder, spec: FieldSpec
-) -> tuple[np.ndarray, int]:
-    """Integer image counts of the type class T^n(P) under the key encoder."""
-    total = _check_word_space(spec, enc.m)
-    members = np.array(list(class_members(P)), dtype=np.int64)
-    images = (members @ enc.A + np.asarray(enc.b, dtype=np.int64)) % spec.q
-    counts = np.bincount(vectors_to_indices(images, spec), minlength=total)
-    return counts, class_size(P)
-
-
-def omega_dist(P: TypeComposition, enc: AffineEncoder, spec: FieldSpec) -> Distribution:
-    """Omega_P: the image law of a uniformly random key of type P."""
-    counts, size = omega_counts(P, enc, spec)
-    return Distribution(counts / size)
 
 
 def theta_n(P: TypeComposition, plan: RatePlan) -> float:
@@ -298,9 +256,7 @@ def omega_divergences(
     total = _check_word_space(spec, plan.m)
     keys = all_vectors(plan.n, spec)
     images = key_image_indices(enc, spec)
-    counts_per_symbol = np.stack(
-        [(keys == a).sum(axis=1) for a in range(spec.q)], axis=1
-    )
+    counts_per_symbol = type_counts(keys, spec.q)
     out = []
     for P in enumerate_types(plan.n, spec):
         mask = np.all(counts_per_symbol == np.asarray(P.counts), axis=1)
@@ -309,9 +265,13 @@ def omega_divergences(
     return out
 
 
+def _score(divergences, plan: RatePlan) -> float:
+    return sum(d / theta_n(P, plan) for P, d in divergences)
+
+
 def search_score(enc: AffineEncoder, plan: RatePlan) -> float:
     """sum_P D(Omega_P||uniform) / theta(P); expectation <= |P_n(X)|."""
-    return sum(d / theta_n(P, plan) for P, d in omega_divergences(enc, plan))
+    return _score(omega_divergences(enc, plan), plan)
 
 
 @dataclass(frozen=True)
@@ -343,7 +303,7 @@ def derandomize(
         seed = base_seed + attempt
         enc = draw_encoder(plan, seed)
         divs = omega_divergences(enc, plan)
-        score = sum(d / theta_n(P, plan) for P, d in divs)
+        score = _score(divs, plan)
         best = min(best, score)
         if score <= count:
             for P, d in divs:

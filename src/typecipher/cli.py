@@ -38,6 +38,7 @@ from .leakage import (
     exact_laws,
     exact_mutual_info,
     monte_carlo_mi,
+    security_bound,
     security_certificate,
     strong_converse_probe,
 )
@@ -151,13 +152,15 @@ def cmd_codebook(args) -> int:
     return 0
 
 
-def _build_system(plan, seed: int):
-    cb = build_codebook(plan)
+def _build_system(plan, seed: int, cb):
+    """The system with the encoder `derandomize` finds from `seed`, and its
+    search result; past the word-space cap, the encoder drawn at `seed` and
+    no search."""
     try:
-        result = derandomize(plan, max_attempts=1000, base_seed=_sub_seed(seed, 1))
+        result = derandomize(plan, max_attempts=1000, base_seed=seed)
         enc, search = result.encoder, result
     except FieldError:
-        enc, search = draw_encoder(plan, _sub_seed(seed, 1)), None
+        enc, search = draw_encoder(plan, seed), None
     return CipherSystem(codebook=cb, key_encoder=enc), search
 
 
@@ -166,7 +169,7 @@ def cmd_verify(args) -> int:
     plan = _plan(args, spec)
     p_x = _dist_or_uniform(args.px, args.q, "--px")
     p_k = _dist_or_uniform(args.pk, args.q, "--pk")
-    sys_, search = _build_system(plan, args.seed)
+    sys_, search = _build_system(plan, _sub_seed(args.seed, 1), build_codebook(plan))
 
     report: dict = {
         "config": {
@@ -253,12 +256,7 @@ def cmd_sweep(args) -> int:
         cb = build_codebook(plan)
         p_e = exact_error_prob(cb, p_x)
         err_bound = (n + 1) ** spec.q * 2.0 ** (-n * e_val)
-        sec_bound = (
-            (2 * plan.R_n + 1)
-            * spec.q
-            * (n + 1) ** (4 * spec.q)
-            * 2.0 ** (-n * f_res.rounded_down())
-        )
+        sec_bound = security_bound(plan, f_res.rounded_down())
         mi_value, mi_flag = _sweep_mi(plan, cb, p_x, p_k, args)
         rows.append(
             [
@@ -298,20 +296,15 @@ def cmd_sweep(args) -> int:
 def _sweep_mi(plan, cb, p_x, p_k, args) -> tuple[float, str]:
     seed = _sub_seed(args.seed, plan.n)
     try:
-        sys_, search = _build_system_from_cb(plan, cb, seed)
-        report = exact_mutual_info(sys_, p_x, p_k, search=search)
-        return report.mi_exact, "exact"
+        sys_, search = _build_system(plan, seed, cb)
+        if search is not None:
+            report = exact_mutual_info(sys_, p_x, p_k, search=search)
+            return report.mi_exact, "exact"
     except (FieldError, RuntimeError):
         pass
-    enc = draw_encoder(plan, seed)
-    sys_ = CipherSystem(codebook=cb, key_encoder=enc)
+    sys_ = CipherSystem(codebook=cb, key_encoder=draw_encoder(plan, seed))
     est = monte_carlo_mi(sys_, p_x, p_k, samples=max(args.samples, 1000), seed=seed)
     return est.estimate, "estimate"
-
-
-def _build_system_from_cb(plan, cb, seed: int):
-    result = derandomize(plan, max_attempts=1000, base_seed=seed)
-    return CipherSystem(codebook=cb, key_encoder=result.encoder), result
 
 
 def cmd_exact_mi(args) -> int:
@@ -319,7 +312,7 @@ def cmd_exact_mi(args) -> int:
     plan = _plan(args, spec)
     p_x = _dist_or_uniform(args.px, args.q, "--px")
     p_k = _dist_or_uniform(args.pk, args.q, "--pk")
-    sys_, search = _build_system(plan, args.seed)
+    sys_, search = _build_system(plan, _sub_seed(args.seed, 1), build_codebook(plan))
     try:
         report = exact_mutual_info(sys_, p_x, p_k, search=search)
         payload = report.to_json()

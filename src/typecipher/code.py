@@ -14,8 +14,8 @@ encoder maps the i-th member (in type order, then lexicographic order) to
 the word with positional value i+1; the decoder inverts that and maps x0 and
 any out-of-image word to a fixed default sequence.  So a member's rank is its
 type's offset (the sizes of the member types before it) plus its rank within
-its type class, and `Codebook` keeps only the offsets: it ranks sequences by
-arithmetic and lists the member tuples only when a caller asks for them.
+its type class: `Codebook` encodes by that arithmetic and builds the decode
+table (the members' sequence indices) only when a caller asks for it.
 
 At desk scale gamma_n is large (over a bit per symbol for n <= 8), so m
 routinely exceeds n; that is what the formulas give, and every finite-n bound
@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -37,6 +38,7 @@ from .fields import (
     FieldSpec,
     index_decode,
     index_encode,
+    indices_to_vectors,
     vector_to_text,
     vectors_to_indices,
 )
@@ -48,6 +50,7 @@ from .typeclasses import (
     class_ranks,
     class_size,
     enumerate_types,
+    type_counts,
     type_entropy,
 )
 
@@ -65,9 +68,9 @@ __all__ = [
     "codebook_size_margins",
 ]
 
-# Largest sequence space q**n over which a codebook builds its tuple and
-# array forms (`members`, `member_rank`, `member_idx`, `rank_of`), each
-# holding up to q**n entries; the offsets and the rank arithmetic have no cap.
+# Most entries a codebook's index arrays hold: `member_idx` holds one per
+# member, `rank_of` one per sequence; the offsets and the rank arithmetic
+# have no cap.
 MAX_MEMBERS = 1 << 22
 
 
@@ -136,19 +139,19 @@ def explicit_m_plan(n: int, m: int, spec: FieldSpec, R: float | None = None) -> 
 
 
 class Codebook:
-    """The codebook as type offsets, with the tuple form built on demand.
+    """The codebook as type offsets, with its index arrays built on demand.
 
     Members are listed type by type (in `enumerate_types` order), each type
     in lexicographic order, so a member's rank is its type's offset plus its
     rank within the class: `ranks` computes that by arithmetic
-    (`class_ranks`) and never lists a member.  `members` and `member_rank`
-    (the ordered tuples and their inverse, what the scalar `encode` and
-    `decode` read) and the int64 arrays `member_idx` and `rank_of` (the
-    same bijection over sequence indices, what the exact array paths read)
-    are each built on first use, so codebooks that only sample never pay
-    for them.  Only these four forms refuse sequence spaces past
-    `MAX_MEMBERS`; the offsets and `ranks` work at any n whose class sizes
-    times n fit in int64.
+    (`class_ranks`), and that is the encoder.  The int64 arrays `member_idx`
+    (each member's sequence index in rank order, the decoder's table) and
+    `rank_of` (its inverse over every sequence index, what the exact array
+    paths read) are each built on first use, so codebooks that only sample
+    never pay for them.  Each refuses to hold more than `MAX_MEMBERS`
+    entries: `member_idx` holds `member_count`, `rank_of` q**n.  The
+    offsets and `ranks` work at any n whose class sizes times n fit in
+    int64.
     """
 
     def __init__(self, plan: RatePlan):
@@ -196,8 +199,7 @@ class Codebook:
         """Member rank of each sequence row of xs, -1 for non-members."""
         n, q = self.plan.n, self.plan.q
         xs = np.asarray(xs, dtype=np.int64).reshape(-1, n)
-        counts = np.stack([(xs == a).sum(axis=1) for a in range(q)], axis=1)
-        types, inverse = np.unique(counts, axis=0, return_inverse=True)
+        types, inverse = np.unique(type_counts(xs, q), axis=0, return_inverse=True)
         offset = np.array(
             [self.type_offset.get(tuple(t), -1) for t in types.tolist()],
             dtype=np.int64,
@@ -206,40 +208,33 @@ class Codebook:
         offset[member] += class_ranks(xs[member], q)
         return offset
 
-    def _check_listable(self) -> None:
-        n, q = self.plan.n, self.plan.q
-        if q**n > MAX_MEMBERS:
+    def _check_size(self, entries: int, what: str) -> None:
+        if entries > MAX_MEMBERS:
             raise FieldError(
-                f"refusing to list the members of a codebook over {q}^{n} "
-                f"sequences (MAX_MEMBERS = 2^{MAX_MEMBERS.bit_length() - 1}); "
-                "Codebook.ranks ranks them without a list"
+                f"refusing to build {what} (MAX_MEMBERS = "
+                f"2^{MAX_MEMBERS.bit_length() - 1}); Codebook.ranks ranks "
+                "members without a table"
             )
-
-    @cached_property
-    def members(self) -> tuple[tuple[int, ...], ...]:
-        """Every member in rank order (`member_rank` and `member_idx` are
-        built from it, so the MAX_MEMBERS cap holds for them too)."""
-        self._check_listable()
-        return tuple(x for P in self.member_types for x in class_members(P))
-
-    @cached_property
-    def member_rank(self) -> dict[tuple[int, ...], int]:
-        """Rank of each member tuple (the inverse of `members`)."""
-        return {x: i for i, x in enumerate(self.members)}
 
     @cached_property
     def member_idx(self) -> np.ndarray:
         """Sequence index of each member, in rank order (what decode reads)."""
-        return _frozen(_sequence_indices(self.members, self.plan.n, self.spec))
+        n = self.plan.n
+        self._check_size(self.member_count, f"a list of {self.member_count} members")
+        symbols = chain.from_iterable(
+            chain.from_iterable(class_members(P) for P in self.member_types)
+        )
+        seqs = np.fromiter(symbols, dtype=np.int64, count=self.member_count * n)
+        return _frozen(vectors_to_indices(seqs.reshape(-1, n), self.spec))
 
     @cached_property
     def rank_of(self) -> np.ndarray:
-        """Rank of every sequence index under member_rank (what encode reads),
-        -1 for non-members."""
-        self._check_listable()
-        ranks = np.full(self.plan.q**self.plan.n, -1, dtype=np.int64)
-        idx = _sequence_indices(list(self.member_rank), self.plan.n, self.spec)
-        ranks[idx] = np.fromiter(self.member_rank.values(), dtype=np.int64, count=idx.size)
+        """Member rank of every sequence index, -1 for non-members: the
+        inverse of member_idx (what the exact paths encode with)."""
+        q, n = self.plan.q, self.plan.n
+        self._check_size(q**n, f"a rank table over {q}^{n} sequences")
+        ranks = np.full(q**n, -1, dtype=np.int64)
+        ranks[self.member_idx] = np.arange(self.member_count)
         return _frozen(ranks)
 
     def __repr__(self) -> str:
@@ -248,10 +243,6 @@ class Codebook:
             f"Codebook(n={p.n}, R={p.R}, q={p.q}, m={p.m}, "
             f"members={self.member_count})"
         )
-
-
-def _sequence_indices(seqs, n: int, spec: FieldSpec) -> np.ndarray:
-    return vectors_to_indices(np.array(seqs, dtype=np.int64).reshape(-1, n), spec)
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -265,18 +256,13 @@ def build_codebook(plan: RatePlan) -> Codebook:
 
 def encode(cb: Codebook, x) -> tuple[int, ...]:
     """Member i maps to the word with positional value i+1; others to x0."""
-    rank = cb.member_rank.get(tuple(int(a) for a in x))
-    if rank is None:
-        return cb.x0
-    return index_decode(rank + 1, cb.plan.m, cb.spec)
+    (rank,) = cb.ranks(x)
+    return index_decode(int(rank) + 1, cb.plan.m, cb.spec)
 
 
 def decode(cb: Codebook, w) -> tuple[int, ...]:
     """Inverse of encode on its image; default elsewhere (including x0)."""
-    value = index_encode(tuple(int(a) for a in w), cb.spec)
-    if 1 <= value <= cb.member_count:
-        return cb.members[value - 1]
-    return cb.default_decode
+    return index_decode(int(decode_indices(cb, w)), cb.plan.n, cb.spec)
 
 
 def decode_indices(cb: Codebook, words) -> np.ndarray:
@@ -306,7 +292,8 @@ def codebook_to_json(cb: Codebook, include_members: bool = False) -> dict:
         "default_decode": vector_to_text(cb.default_decode, cb.spec),
     }
     if include_members:
-        out["members"] = [vector_to_text(x, cb.spec) for x in cb.members]
+        members = indices_to_vectors(cb.member_idx, plan.n, cb.spec).tolist()
+        out["members"] = [vector_to_text(x, cb.spec) for x in members]
     return out
 
 
@@ -327,5 +314,3 @@ def codebook_size_margins(cb: Codebook) -> dict:
         "holds": count <= entropy_bound and count <= word_budget,
     }
 
-
-__all__.append("codebook_size_margins")

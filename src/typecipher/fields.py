@@ -19,9 +19,6 @@ __all__ = [
     "FieldSpec",
     "field_vector",
     "field_matrix",
-    "vec_add",
-    "vec_sub",
-    "vec_affine",
     "index_encode",
     "index_decode",
     "vector_to_text",
@@ -90,34 +87,6 @@ def field_matrix(rows: Sequence[Sequence[int]], spec: FieldSpec) -> np.ndarray:
         raise FieldError(f"matrix entries out of range [0, {spec.q})")
     A.flags.writeable = False
     return A
-
-
-def vec_add(x: Sequence[int], y: Sequence[int], spec: FieldSpec) -> tuple[int, ...]:
-    if len(x) != len(y):
-        raise FieldError(f"length mismatch: {len(x)} vs {len(y)}")
-    return tuple((int(a) + int(b)) % spec.q for a, b in zip(x, y))
-
-
-def vec_sub(x: Sequence[int], y: Sequence[int], spec: FieldSpec) -> tuple[int, ...]:
-    if len(x) != len(y):
-        raise FieldError(f"length mismatch: {len(x)} vs {len(y)}")
-    return tuple((int(a) - int(b)) % spec.q for a, b in zip(x, y))
-
-
-def vec_affine(
-    k: Sequence[int], A: np.ndarray, b: Sequence[int], spec: FieldSpec
-) -> tuple[int, ...]:
-    """Affine map k |-> kA + b over Z_q (k a row vector of length n, A n x m)."""
-    if A.ndim != 2:
-        raise FieldError(f"matrix must be two-dimensional, got shape {A.shape}")
-    n, m = A.shape
-    if len(k) != n:
-        raise FieldError(f"vector length {len(k)} does not match matrix rows {n}")
-    if len(b) != m:
-        raise FieldError(f"offset length {len(b)} does not match matrix cols {m}")
-    kv = np.asarray(k, dtype=np.int64)
-    bv = np.asarray(b, dtype=np.int64)
-    return tuple(int(v) for v in (kv @ A + bv) % spec.q)
 
 
 def index_encode(v: Sequence[int], spec: FieldSpec) -> int:

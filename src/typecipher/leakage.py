@@ -45,17 +45,11 @@ from .cipher import (
     pad_law,
     theta_n,
 )
-from .code import exact_error_prob, make_rate_plan
+from .code import RatePlan, exact_error_prob, make_rate_plan
 from .exponents import ExponentResult, exponent_F
-from .fields import (
-    FieldError,
-    FieldSpec,
-    all_vectors,
-    indices_to_vectors,
-    vectors_to_indices,
-)
+from .fields import FieldError, FieldSpec, indices_to_vectors, vectors_to_indices
 from .simplex import Distribution, entropy
-from .typeclasses import class_prob, class_size, enumerate_types
+from .typeclasses import class_prob, class_size, enumerate_types, sequence_probs
 
 __all__ = [
     "MAX_EXACT_PAIRS",
@@ -63,6 +57,7 @@ __all__ = [
     "exact_laws",
     "LeakageReport",
     "exact_mutual_info",
+    "security_bound",
     "MonteCarloMI",
     "monte_carlo_mi",
     "check_birkhoff",
@@ -110,12 +105,6 @@ def _digit_transform(
     if inverse:
         out /= 2.0**m
     return out
-
-
-def _plaintext_probs(sys: CipherSystem, p_X: Distribution) -> np.ndarray:
-    """p_X^n of every plaintext, in sequence-index order."""
-    xs = all_vectors(sys.plan.n, sys.spec)
-    return np.prod(np.asarray(p_X)[xs], axis=1)
 
 
 def _codeword_weights(
@@ -166,7 +155,7 @@ class ExactLaws:
 
     @cached_property
     def plaintext_probs(self) -> np.ndarray:
-        return _plaintext_probs(self.sys, self.p_X)
+        return sequence_probs(self.p_X, self.sys.plan.n, self.sys.spec)
 
     @cached_property
     def ciphertext(self) -> np.ndarray:
@@ -251,6 +240,12 @@ class LeakageReport:
         }
 
 
+def security_bound(plan: RatePlan, f: float) -> float:
+    """(2 R_n + 1) q (n+1)^{4q} 2^{-n f}, the leakage bound at exponent f."""
+    n, q = plan.n, plan.q
+    return (2 * plan.R_n + 1) * q * (n + 1) ** (4 * q) * 2.0 ** (-n * f)
+
+
 def exact_mutual_info(
     sys: CipherSystem,
     p_X: Distribution,
@@ -287,23 +282,20 @@ def exact_mutual_info(
     for P, d in divergences:
         typewise += class_prob(P, p_K) * d
 
-    security_bound = None
+    bound = None
     f_value = None
     if plan.canonical:
         if f_result is None:
             f_result = exponent_F(plan.R, p_K, method="tilted", tol=1e-9)
         f_value = f_result.rounded_down()
-        n, q = plan.n, plan.q
-        security_bound = (2 * plan.R_n + 1) * q * (n + 1) ** (4 * q) * 2.0 ** (
-            -n * f_value
-        )
+        bound = security_bound(plan, f_value)
     return LeakageReport(
         mi_exact=mi,
         h_pad=h_pad,
         h_ciphertext=h_c,
         pad_divergence=divergence,
         typewise_bound=typewise,
-        security_bound=security_bound,
+        security_bound=bound,
         f_exponent=f_value,
         canonical=plan.canonical,
     )
@@ -442,9 +434,9 @@ def check_birkhoff(
     laws.check_matches(sys, None, p_K)
     if not cb.member_count:
         return 0.0
-    weights = np.bincount(
-        cb.rank_of[cb.member_idx] + 1, minlength=sys.spec.q**sys.plan.m
-    ).astype(np.float64)
+    # members take the word values 1..member_count, one each
+    weights = np.zeros(sys.spec.q**sys.plan.m)
+    weights[1 : cb.member_count + 1] = 1.0
     return float(laws.mixture(weights).max())
 
 

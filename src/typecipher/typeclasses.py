@@ -24,7 +24,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .fields import FieldSpec
+from .fields import FieldSpec, all_vectors
 from .simplex import Distribution
 
 __all__ = [
@@ -33,8 +33,9 @@ __all__ = [
     "enumerate_types",
     "class_size",
     "class_prob",
-    "class_prob_fraction",
+    "sequence_probs",
     "class_members",
+    "type_counts",
     "class_ranks",
     "type_entropy",
 ]
@@ -122,15 +123,9 @@ def class_prob(P: TypeComposition, p: Distribution) -> float:
     return value
 
 
-def class_prob_fraction(P: TypeComposition, p: Sequence[Fraction]) -> Fraction:
-    """Exact-rational class probability for a rational symbol law."""
-    if len(p) != P.q:
-        raise ValueError(f"alphabet mismatch: {len(p)} vs {P.q}")
-    value = Fraction(class_size(P))
-    for a, c in enumerate(P.counts):
-        if c:
-            value *= Fraction(p[a]) ** c
-    return value
+def sequence_probs(p: Distribution, n: int, spec: FieldSpec) -> np.ndarray:
+    """p^n(x) of every length-n sequence x, in sequence-index order."""
+    return np.prod(np.asarray(p)[all_vectors(n, spec)], axis=1)
 
 
 def class_members(P: TypeComposition) -> Iterator[tuple[int, ...]]:
@@ -157,6 +152,11 @@ def class_members(P: TypeComposition) -> Iterator[tuple[int, ...]]:
         a[i + 1 :] = a[: i : -1]
 
 
+def type_counts(xs: np.ndarray, q: int) -> np.ndarray:
+    """The type of each row of xs: column a counts the symbol a."""
+    return np.stack([(xs == a).sum(axis=1) for a in range(q)], axis=1)
+
+
 def class_ranks(xs, q: int) -> np.ndarray:
     """Lexicographic rank of each row of xs within its own type class.
 
@@ -175,7 +175,7 @@ def class_ranks(xs, q: int) -> np.ndarray:
     if xs.size and (xs.min() < 0 or xs.max() >= q):
         raise ValueError(f"symbol out of range [0, {q})")
     rows, n = xs.shape
-    counts = np.stack([(xs == a).sum(axis=1) for a in range(q)], axis=1)
+    counts = type_counts(xs, q)
     types, inverse = np.unique(counts, axis=0, return_inverse=True)
     sizes = [class_size(TypeComposition(tuple(t))) for t in types.tolist()]
     if max(sizes, default=0) * max(n, 1) > np.iinfo(np.int64).max:

@@ -3,16 +3,22 @@
 These are the loops the package used before its laws moved to a transform
 over Z_q^m, its decryption check to one array comparison per key, its Monte
 Carlo estimator to counted cells and its type-class generator to an
-iterative next-permutation; keep them to small n.  The law oracles work
-tuple by tuple, so they are independent of the codebook's index arrays
-(`member_idx`, `rank_of`) and of the transform.  The decryption oracle calls
-the shipped `encrypt` and `decrypt` once per (key, plaintext) pair.
-The tilted exponent solver is the scalar one that the stacked bisection
-replaced: one bisection per rate, per face and per branch, each on its own
-1-D arrays.
+iterative next-permutation; keep them to small n.  The codebook oracle is
+the tuple codebook the package used to keep (`members`, `member_rank`),
+listed here by the recursive generator, so the law oracles that work tuple
+by tuple are independent of the codebook's rank arithmetic, of its index
+arrays (`member_idx`, `rank_of`) and of the transform.  The exact-rational
+pad and image laws (`pad_law_fraction`, `omega_counts`, `omega_dist`,
+`class_prob_fraction`) and the scalar affine map `vec_affine` are here
+because only tests use them.  The decryption oracle calls the shipped
+`encrypt` and `decrypt` once per (key, plaintext) pair.  The tilted exponent
+solver is the scalar one that the stacked bisection replaced: one bisection
+per rate, per face and per branch, each on its own 1-D arrays.
 """
 
 import math
+from fractions import Fraction
+from functools import cache
 from itertools import combinations
 
 import numpy as np
@@ -20,9 +26,90 @@ import numpy as np
 from typecipher.cipher import CipherSystem, decrypt, encrypt, pad_law
 from typecipher.code import decode, encode
 from typecipher.exponents import ExponentResult
-from typecipher.fields import all_vectors, vectors_to_indices
+from typecipher.fields import (
+    FieldError,
+    all_vectors,
+    index_decode,
+    index_encode,
+    vectors_to_indices,
+)
 from typecipher.leakage import MonteCarloMI
 from typecipher.simplex import Distribution
+from typecipher.typeclasses import class_size
+
+
+# ----------------------------------------------------------------------
+# tuple codebook and exact-rational laws
+# ----------------------------------------------------------------------
+
+
+@cache
+def members(cb):
+    """Every member tuple of cb in rank order: type by type, each class in
+    lexicographic order."""
+    return tuple(x for P in cb.member_types for x in class_members(P))
+
+
+@cache
+def member_rank(cb):
+    """Rank of each member tuple (the inverse of `members`)."""
+    return {x: i for i, x in enumerate(members(cb))}
+
+
+def encode_tuple(cb, x):
+    """Member i to the word with positional value i+1, others to x0, by
+    dictionary lookup."""
+    rank = member_rank(cb).get(tuple(int(a) for a in x))
+    return cb.x0 if rank is None else index_decode(rank + 1, cb.plan.m, cb.spec)
+
+
+def vec_affine(k, A, b, spec):
+    """Affine map k |-> kA + b over Z_q (k a row vector of length n, A n x m)."""
+    n, m = A.shape
+    if len(k) != n or len(b) != m:
+        raise FieldError(f"shapes {len(k)}, {A.shape}, {len(b)} do not match")
+    kv = np.asarray(k, dtype=np.int64)
+    return tuple(int(v) for v in (kv @ A + np.asarray(b, dtype=np.int64)) % spec.q)
+
+
+def class_prob_fraction(P, p):
+    """Exact-rational class probability for a rational symbol law."""
+    value = Fraction(class_size(P))
+    for a, c in enumerate(P.counts):
+        if c:
+            value *= Fraction(p[a]) ** c
+    return value
+
+
+def pad_law_fraction(enc, p_K, spec):
+    """Exact-rational pad law for a rational key law, key by key."""
+    out = [Fraction(0)] * spec.q**enc.m
+    for key in all_vectors(enc.n, spec):
+        k = tuple(int(v) for v in key)
+        prob = Fraction(1)
+        for a in k:
+            prob *= Fraction(p_K[a])
+        out[index_encode(vec_affine(k, enc.A, enc.b, spec), spec)] += prob
+    return out
+
+
+def omega_counts(P, enc, spec):
+    """Integer image counts of the type class T^n(P) under the key encoder."""
+    counts = np.zeros(spec.q**enc.m, dtype=np.int64)
+    for k in class_members(P):
+        counts[index_encode(vec_affine(k, enc.A, enc.b, spec), spec)] += 1
+    return counts, class_size(P)
+
+
+def omega_dist(P, enc, spec):
+    """Omega_P: the image law of a uniformly random key of type P."""
+    counts, size = omega_counts(P, enc, spec)
+    return Distribution(counts / size)
+
+
+# ----------------------------------------------------------------------
+# exact laws and checks
+# ----------------------------------------------------------------------
 
 
 def shift_mixture(pad, weights, digits, q):
@@ -45,7 +132,7 @@ def codeword_weights(sys_: CipherSystem, p_X, mask=None):
     weights = np.zeros(sys_.spec.q**sys_.plan.m)
     rows = range(xs.shape[0]) if mask is None else np.nonzero(mask)[0]
     for i in rows:
-        rank = cb.member_rank.get(tuple(int(v) for v in xs[i]))
+        rank = member_rank(cb).get(tuple(int(v) for v in xs[i]))
         weights[0 if rank is None else rank + 1] += px[i]
     return weights
 
@@ -123,7 +210,7 @@ def monte_carlo_mi(sys_, p_X, p_K, samples, seed, corrected=True, bootstrap=200)
         x = tuple(int(v) for v in xs[i])
         w = word_cache.get(x)
         if w is None:
-            w = encode(cb, x)
+            w = encode_tuple(cb, x)
             word_cache[x] = w
         words[i] = w
     ci = vectors_to_indices((pads + words) % q, spec)

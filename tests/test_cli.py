@@ -65,7 +65,24 @@ def test_codebook_payload(tmp_path):
     cb = build_codebook(plan)
     assert payload["provenance"] == "exact"
     assert payload["m"] == plan.m
-    assert len(payload["members"]) == len(cb.members)
+    assert len(payload["members"]) == cb.member_count
+
+
+def test_codebook_lists_a_small_codebook_over_a_large_space(tmp_path):
+    # 2^23 sequences but few members: the member list is capped on what it
+    # holds, not on q^n
+    out = tmp_path / "cb.json"
+    argv = ["codebook", "--q", "2", "--n", "23", "--out", str(out)]
+    assert main(argv + ["--rate", "0.1"]) == 0
+    payload = _read_json(str(out))
+    assert payload["member_count"] == 2
+    assert payload["members"] == ["1" * 23, "0" * 23]  # type (0, 23) first
+    # at R=0.3 the types with at most one minority symbol qualify
+    assert main(argv + ["--rate", "0.3"]) == 0
+    payload = _read_json(str(out))
+    assert payload["member_count"] == 48 == len(set(payload["members"]))
+    assert payload["members"][:2] == ["1" * 23, "0" + "1" * 22]
+    assert all(m.count("1") in (0, 1, 22, 23) for m in payload["members"])
 
 
 def test_verify_canonical_smoke(tmp_path):
@@ -209,13 +226,43 @@ def test_monte_carlo_outputs_match_golden(tmp_path, name, argv):
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
 
 
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("verify_q2_n7_uniform_pk.json",
+         ["verify", "--q", "2", "--n", "7", "--rate", "0.9", "--px", "0.82,0.18",
+          "--seed", "41"]),
+        ("verify_q2_n7.json",
+         ["verify", "--q", "2", "--n", "7", "--rate", "0.9", "--px", "0.82,0.18",
+          "--pk", "0.62,0.38", "--seed", "42"]),
+        ("verify_q3_n4.json",
+         ["verify", "--q", "3", "--n", "4", "--rate", "1.2", "--px", "0.65,0.2,0.15",
+          "--pk", "0.4,0.35,0.25", "--seed", "43"]),
+        ("verify_q2_n6_m8.json",
+         ["verify", "--q", "2", "--n", "6", "--m", "8", "--px", "0.8,0.2",
+          "--pk", "0.7,0.3", "--seed", "44"]),
+        ("exact_mi_q2_n8.json",
+         ["exact-mi", "--q", "2", "--n", "8", "--rate", "0.9", "--px", "0.82,0.18",
+          "--pk", "0.62,0.38", "--seed", "45"]),
+        ("codebook_q2_n10.json", ["codebook", "--q", "2", "--n", "10", "--rate", "0.9"]),
+        ("codebook_q3_n6.json", ["codebook", "--q", "3", "--n", "6", "--rate", "1.2"]),
+    ],
+)
+def test_exact_outputs_match_golden(tmp_path, name, argv):
+    # exact reports, byte for byte as the tuple codebook and the scalar
+    # encode/decode loops wrote them
+    out = tmp_path / name
+    assert main(argv + ["--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
 def test_sweep_never_lists_members(tmp_path, monkeypatch):
     # binary n=20 has 120,920 members; the sweep encodes its samples by rank
     # arithmetic and must not list one of them
     def refuse(P):
         raise AssertionError("class_members called on the sweep path")
 
-    for module in ("typeclasses", "code", "cipher"):
+    for module in ("typeclasses", "code"):
         monkeypatch.setattr(f"typecipher.{module}.class_members", refuse)
     built = []
 
@@ -230,7 +277,7 @@ def test_sweep_never_lists_members(tmp_path, monkeypatch):
     assert main(argv) == 0
     assert _read_csv(str(out))[0]["mi_flag"] == "estimate"
     (cb,) = built
-    assert "members" not in vars(cb) and "member_rank" not in vars(cb)
+    assert "member_idx" not in vars(cb) and "rank_of" not in vars(cb)
 
 
 def test_verify_computes_divergences_once_per_attempt(tmp_path, monkeypatch):

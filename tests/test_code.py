@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from typecipher.code import (
+    MAX_MEMBERS,
     build_codebook,
     codebook_size_margins,
     codebook_to_json,
@@ -23,10 +24,18 @@ from typecipher.fields import (
     all_vectors,
     index_decode,
     index_encode,
+    indices_to_vectors,
     vectors_to_indices,
 )
 from typecipher.simplex import Distribution, uniform
 from typecipher.typeclasses import class_size, type_entropy, type_of
+
+import oracles
+
+
+def _members(cb):
+    """The codebook's members in rank order, as tuples read off member_idx."""
+    return [tuple(x) for x in indices_to_vectors(cb.member_idx, cb.plan.n, cb.spec).tolist()]
 
 
 def test_rate_plan_worked_example():
@@ -93,7 +102,7 @@ def test_codebook_members_low_entropy_types_only():
         assert type_entropy(P) < plan.R
     for P in cb.error_types:
         assert type_entropy(P) >= plan.R
-    for x in cb.members:
+    for x in _members(cb):
         assert type_entropy(type_of(x, spec)) < plan.R
 
 
@@ -103,7 +112,7 @@ def test_codebook_worked_example_n2():
     plan = make_rate_plan(2, 0.5, spec)
     cb = build_codebook(plan)
     assert plan.m == 6
-    assert cb.members == ((1, 1), (0, 0))
+    assert _members(cb) == [(1, 1), (0, 0)]
     assert exact_error_prob(cb, uniform(2)) == pytest.approx(0.5)
 
 
@@ -121,12 +130,12 @@ def test_encode_decode_roundtrip_members():
     for n, R in ((3, 0.4), (5, 0.8), (6, 1.1)):
         cb = build_codebook(make_rate_plan(n, R, spec))
         seen = set()
-        for x in cb.members:
+        for x in _members(cb):
             w = encode(cb, x)
             assert len(w) == cb.plan.m
             assert decode(cb, w) == x
             seen.add(w)
-        assert len(seen) == len(cb.members)  # injective on members
+        assert len(seen) == cb.member_count  # injective on members
 
 
 def test_encode_maps_errors_to_x0():
@@ -135,7 +144,7 @@ def test_encode_maps_errors_to_x0():
     non_members = [
         x
         for x in itertools.product(range(2), repeat=4)
-        if x not in cb.member_rank
+        if x not in oracles.member_rank(cb)
     ]
     assert non_members, "test needs a non-trivial error set"
     for x in non_members:
@@ -149,19 +158,19 @@ def test_decode_default_on_unused_words():
     # x0 and any word beyond the member range decode to the default
     assert decode(cb, cb.x0) == cb.default_decode
     top = (1,) * cb.plan.m
-    assert index_encode(top, spec) > len(cb.members)
+    assert index_encode(top, spec) > cb.member_count
     assert decode(cb, top) == cb.default_decode
     # the default is the smallest non-member in index order
-    assert cb.default_decode not in cb.member_rank
+    assert cb.default_decode not in oracles.member_rank(cb)
     for i in range(index_encode(cb.default_decode, spec)):
-        assert index_decode(i, cb.plan.n, spec) in cb.member_rank
+        assert index_decode(i, cb.plan.n, spec) in oracles.member_rank(cb)
 
 
 def test_default_decode_when_everything_is_a_member():
     spec = FieldSpec(2)
     plan = explicit_m_plan(2, 4, spec, R=1.5)  # all 4 types below R=1.5
     cb = build_codebook(plan)
-    assert len(cb.members) == 4
+    assert cb.member_count == cb.member_idx.size == 4
     assert cb.default_decode == (0, 0)
 
 
@@ -175,7 +184,7 @@ def test_exact_error_prob_matches_brute_force():
         cb = build_codebook(make_rate_plan(n, R, spec))
         brute = 0.0
         for x in itertools.product(range(2), repeat=n):
-            if x not in cb.member_rank:
+            if x not in oracles.member_rank(cb):
                 brute += math.prod(p[a] for a in x)
         assert exact_error_prob(cb, p) == pytest.approx(brute, abs=1e-12)
 
@@ -215,7 +224,7 @@ def test_member_count_below_word_budget_randomized():
         n = int(rng.integers(1, 9))
         R = float(rng.uniform(0.1, 1.5))
         cb = build_codebook(make_rate_plan(n, R, spec))
-        assert len(cb.members) <= q**cb.plan.m - 1
+        assert cb.member_idx.size <= q**cb.plan.m - 1
 
 
 def test_index_arrays_mirror_members_and_ranks():
@@ -224,11 +233,11 @@ def test_index_arrays_mirror_members_and_ranks():
         cb = build_codebook(make_rate_plan(n, R, spec))
         # built on first use only: sampling paths never pay for them
         assert "member_idx" not in vars(cb) and "rank_of" not in vars(cb)
-        want = vectors_to_indices(np.array(cb.members).reshape(-1, n), spec)
+        want = vectors_to_indices(np.array(oracles.members(cb)).reshape(-1, n), spec)
         assert cb.member_idx.tolist() == want.tolist()
         assert cb.rank_of.shape == (q**n,)
         for i in range(q**n):
-            rank = cb.member_rank.get(index_decode(i, n, spec), -1)
+            rank = oracles.member_rank(cb).get(index_decode(i, n, spec), -1)
             assert cb.rank_of[i] == rank
         assert not cb.rank_of.flags.writeable and not cb.member_idx.flags.writeable
 
@@ -243,12 +252,14 @@ def test_ranks_match_member_rank_on_every_sequence():
                 cb = build_codebook(make_rate_plan(n, R, spec))
                 xs = all_vectors(n, spec)
                 got = cb.ranks(xs)
-                # ranked by arithmetic: no member tuple built yet
-                assert "members" not in vars(cb) and "member_rank" not in vars(cb)
-                want = [cb.member_rank.get(x, -1) for x in map(tuple, xs.tolist())]
+                # ranked by arithmetic: no index array built yet
+                assert "member_idx" not in vars(cb) and "rank_of" not in vars(cb)
+                rank = oracles.member_rank(cb)
+                want = [rank.get(x, -1) for x in map(tuple, xs.tolist())]
                 assert got.tolist() == want, (q, n, R)
-                assert cb.member_count == len(cb.members)
+                assert cb.member_count == len(rank)
                 assert cb.ranks(xs[0]).tolist() == want[:1]
+                assert cb.rank_of.tolist() == want
 
 
 def test_codebook_lists_members_on_demand():
@@ -258,19 +269,26 @@ def test_codebook_lists_members_on_demand():
     assert codebook_size_margins(cb)["holds"]
     assert codebook_to_json(cb)["member_count"] == cb.member_count
     assert type_entropy(type_of(cb.default_decode, spec)) >= cb.plan.R
-    assert "members" not in vars(cb) and "member_rank" not in vars(cb)
-    assert len(cb.members) == cb.member_count
+    assert "member_idx" not in vars(cb) and "rank_of" not in vars(cb)
+    assert cb.member_idx.size == cb.member_count
+    head = indices_to_vectors(cb.member_idx[:50], 20, spec)
+    assert cb.ranks(head).tolist() == list(range(50))
 
 
 def test_member_list_cap_sits_on_the_lazy_forms():
-    # binary n=23 is past MAX_MEMBERS: the codebook and its rank arithmetic
-    # work, the four q^n-sized forms refuse and name the cap
-    cb = build_codebook(make_rate_plan(23, 0.9, FieldSpec(2)))
-    assert cb.member_count > 0
-    assert cb.ranks(np.zeros((1, 23), dtype=np.int64))[0] >= 0  # a member
-    for form in ("members", "member_rank", "member_idx", "rank_of"):
+    # the lazy index arrays: member_idx holds one entry per member, rank_of
+    # one per sequence; each refuses past MAX_MEMBERS entries and names the
+    # cap, while the codebook and its rank arithmetic work
+    small = build_codebook(make_rate_plan(23, 0.1, FieldSpec(2)))  # 2 members
+    assert small.member_idx.tolist() == [2**23 - 1, 0]
+    with pytest.raises(FieldError, match="MAX_MEMBERS"):
+        small.rank_of
+    large = build_codebook(make_rate_plan(30, 0.9, FieldSpec(2)))
+    assert large.member_count > MAX_MEMBERS
+    assert large.ranks(np.zeros((1, 30), dtype=np.int64))[0] >= 0  # a member
+    for form in ("member_idx", "rank_of"):
         with pytest.raises(FieldError, match="MAX_MEMBERS"):
-            getattr(cb, form)
+            getattr(large, form)
 
 
 def test_decode_indices_matches_scalar_decode():
@@ -279,6 +297,13 @@ def test_decode_indices_matches_scalar_decode():
         cb = build_codebook(make_rate_plan(n, R, spec))
         m = cb.plan.m
         words = np.array(list(itertools.product(range(q), repeat=m)))
-        want = [index_encode(decode(cb, w), spec) for w in words]
+        members = oracles.members(cb)
+        want = [
+            index_encode(members[v - 1] if 1 <= v <= len(members) else cb.default_decode, spec)
+            for v in (index_encode(w, spec) for w in words)
+        ]
+        # the reference is the oracle member list, since scalar decode is a
+        # one-row call of decode_indices
         assert decode_indices(cb, words).tolist() == want
         assert int(decode_indices(cb, words[5])) == want[5]
+        assert [index_encode(decode(cb, w), spec) for w in words] == want

@@ -13,7 +13,6 @@ from typecipher.typeclasses import (
     TypeComposition,
     class_members,
     class_prob,
-    class_prob_fraction,
     class_ranks,
     class_size,
     enumerate_types,
@@ -22,6 +21,7 @@ from typecipher.typeclasses import (
 )
 
 import oracles
+from oracles import class_prob_fraction
 
 
 def _brute_types(n, q):
