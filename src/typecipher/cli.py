@@ -45,7 +45,6 @@ from .leakage import (
 from .simplex import Distribution, uniform
 
 DEFAULT_RATE_GRID = [round(0.05 * i, 10) for i in range(1, 31)]
-EXPONENT_TOL = 1e-9
 # The exhaustive decryption check covers q**(2n) (key, plaintext) pairs in
 # one array pass per key: binary n <= 10, ternary n <= 6.
 CONDITION_CHECK_CAP = 1 << 20
@@ -123,7 +122,7 @@ def cmd_exponents(args) -> int:
     p_k = _dist_or_uniform(args.pk, q, "--pk")
     grid = args.rate_list if args.rate_list else DEFAULT_RATE_GRID
     rows = []
-    for entry in positivity_region(p_x, p_k, grid, method="tilted"):
+    for entry in positivity_region(p_x, p_k, grid):
         rows.append(
             [
                 entry["R"],
@@ -248,8 +247,8 @@ def cmd_sweep(args) -> int:
     if not args.n_list:
         raise FieldError("--n (comma list allowed) is required for sweep")
     R = args.rate_scalar
-    e_val = exponent_E(R, p_x, method="tilted", tol=EXPONENT_TOL).rounded_down()
-    f_res = exponent_F(R, p_k, method="tilted", tol=EXPONENT_TOL)
+    e_val = exponent_E(R, p_x).rounded_down()
+    f_res = exponent_F(R, p_k)
     rows = []
     for n in args.n_list:
         plan = make_rate_plan(n, R, spec)

@@ -171,9 +171,10 @@ class Codebook:
             type_offset[P.counts] = count
             count += class_size(P)
         if count > q**m - 1:
-            raise AssertionError(
-                f"{count} members exceed the {q}^{m}-1 usable words; "
-                "the size bound guarantees this cannot happen"
+            # The size bound rules this out for canonical plans only.
+            raise FieldError(
+                f"{count} members at rate {plan.R} exceed the {q}^{m} - 1 "
+                f"usable words of m={m}; use a larger --m or a lower --rate"
             )
 
         self.plan = plan

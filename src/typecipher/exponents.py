@@ -6,19 +6,17 @@ Two variational quantities drive every finite-n bound in this package:
     F(R|p) = min_P { [H(P) - R]^+ + D(P||p) }      (decay of key-pad leakage)
 
 with [a]^+ = max(a, 0) and all information in bits.  E is positive exactly
-when R > H(p); F is positive exactly when R < H(p).  Two solvers are
-provided and cross-validated:
+when R > H(p); F is positive exactly when R < H(p).
 
-* ``grid`` — brute-force enumeration of the simplex (alphabets of size 2 or
-  3 only).  Slow, assumption-free; the arbiter of record in the tests.
-* ``tilted`` — one-dimensional search over the exponential family
-  P_s ∝ p**s.  The minimizer of D(P||p) under an entropy constraint lies in
-  this family (Lagrange stationarity), so each regime of the objective
-  reduces to bisections on H(P_s) = R.  Used by default.  Each call runs
-  one stacked bisection: every rate, face and branch it needs is a column
-  of one array, stepped together, so `positivity_region` solves a whole
-  rate grid for both exponents at once and `exponent_E`/`exponent_F` are
-  its one-rate case.
+Both are solved over the exponential family P_s ∝ p**s.  The minimizer of
+D(P||p) under an entropy constraint lies in this family (Lagrange
+stationarity), so each regime of the objective reduces to bisections on
+H(P_s) = R.  Each call runs one stacked bisection: every rate, face and
+branch it needs is a column of one array, stepped together, so
+`positivity_region` solves a whole rate grid for both exponents at once and
+`exponent_E`/`exponent_F` are its one-rate case.  The tests hold this
+solver against a brute-force grid over the simplex and against the scalar
+bisection it replaced.
 
 The family argument for F needs care.  With [·]^+ inactive, F minimizes D
 over {H(P) <= R}, which is not convex, so that regime collects every
@@ -33,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
 
 import numpy as np
@@ -47,16 +46,16 @@ __all__ = [
     "admissible_thresholds",
 ]
 
-GRID_MAX_ALPHABET = 3
-DEFAULT_GRID_STEP = 1e-4
 POSITIVITY_THRESHOLD = 1e-9
+# The accuracy every result states, which `rounded_down` subtracts.  It sets
+# no work: every call runs STEPS bisection steps.
+TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
 class ExponentResult:
     value: float
     argmin: Distribution | None
-    method: str
     tolerance: float
 
     def rounded_down(self) -> float:
@@ -72,36 +71,28 @@ class ExponentResult:
 #
 # A call gathers every bisection its rates need -- E's [0, 1] branch, each
 # face of F's plain regime in both directions, F's active branch -- as the
-# columns of one stack, and runs the bisection steps on all of them at once.
-# A column holds one face's log2 p (in face order, packed to the top, the
-# rest masked to -inf before the max-shift) and its own bracket and target.
-# Each column gets the elementwise arithmetic of a scalar bisection on that
-# face, and its sums run in numpy's order for a 1-D array of the stack's
-# width: the scalar solver's results exactly below 8 symbols, within
-# round-off above.  No rate, face or branch depends on what else is stacked.
+# columns of one stack as wide as its widest law, and runs the bisection
+# steps on all of them at once.  A column holds one face's log2 p (in face
+# order, packed to the top, the rest masked to -inf before the max-shift)
+# and its own bracket and target.  Each column gets the elementwise
+# arithmetic of a scalar bisection on that face, and its sums run in order
+# down the column, where the zero padding adds nothing: no rate, face or
+# branch depends on what else is stacked.
 
 STEPS = 80  # bisection steps, and doubling levels s = +-2^i searched
 STACK_CELLS = 1 << 16  # entries per block of stacked columns
-PAIRWISE_BLOCK = 128  # numpy's pairwise-summation block
 
 
-def _colsum(a: np.ndarray) -> np.ndarray:
-    """Sum down axis 0 as numpy sums a 1-D array of that length: in order
-    below 8 terms, with 8 pairwise accumulators from 8 terms on."""
-    n = a.shape[0]
-    if n < 8:
-        return a.sum(axis=0)
-    if n > PAIRWISE_BLOCK:
-        half = n // 2 - (n // 2) % 8
-        return _colsum(a[:half]) + _colsum(a[half:])
-    r = a[:8].copy()
-    stop = n - n % 8
-    for i in range(8, stop, 8):
-        r += a[i : i + 8]
-    out = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for i in range(stop, n):
-        out = out + a[i]
-    return out
+def _in_order_sum(a: np.ndarray) -> np.ndarray:
+    """Sum down axis 0, first row to last.
+
+    `a.sum(axis=0)` keeps that order only on a row-major block of two or
+    more columns; one column, or a column-major block such as fancy
+    indexing returns, gets numpy's pairwise sum from 8 rows on, which the
+    zero padding would regroup.  Adding row by row keeps the order whatever
+    the layout.
+    """
+    return reduce(np.add, a)
 
 
 def _tilt(L: np.ndarray, live: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -109,7 +100,7 @@ def _tilt(L: np.ndarray, live: np.ndarray, s: np.ndarray) -> np.ndarray:
     w = np.where(live, s * L, -np.inf)
     w -= w.max(axis=0)
     P = np.exp2(w)
-    return P / _colsum(P)
+    return P / _in_order_sum(P)
 
 
 def _xlog2x(v: np.ndarray) -> np.ndarray:
@@ -118,17 +109,17 @@ def _xlog2x(v: np.ndarray) -> np.ndarray:
 
 def _H(P: np.ndarray) -> np.ndarray:
     """Entropy in bits down each column (0 log 0 = 0)."""
-    return -_colsum(_xlog2x(P))
+    return -_in_order_sum(_xlog2x(P))
 
 
 def _D(P: np.ndarray, logp: np.ndarray) -> np.ndarray:
     """D(P||p) down each column, summed over P's support."""
     pos = P > 0.0
-    return _colsum(np.where(pos, P * (np.log2(np.where(pos, P, 1.0)) - logp[:, None]), 0.0))
+    return _in_order_sum(np.where(pos, P * (np.log2(np.where(pos, P, 1.0)) - logp[:, None]), 0.0))
 
 
 def _cross_entropy(P: np.ndarray, logp: np.ndarray) -> np.ndarray:
-    return -_colsum(np.where(P > 0.0, P * logp[:, None], 0.0))
+    return -_in_order_sum(np.where(P > 0.0, P * logp[:, None], 0.0))
 
 
 def _blocks(width: int, n: int):
@@ -173,7 +164,7 @@ class _Law:
 
 
 class _Stack:
-    """Faces of one width, and the bisections queued on them.
+    """Faces of at most `width` symbols, and the bisections queued on them.
 
     Columns are numbered in the order they are queued.
     """
@@ -236,7 +227,7 @@ class _TiltedE:
         self.inside = (rates > law.H) & (rates <= law.log_k)
         self.cols = stack.add(stack.face(law.logp), rates[self.inside], 0.0, 1.0)
 
-    def results(self, tol: float, argmins: bool) -> list[ExponentResult]:
+    def results(self, argmins: bool) -> list[ExponentResult]:
         law = self.law
         P = self.stack.P[: law.k, self.cols]
         D = _D(P, law.logp).tolist()
@@ -244,12 +235,12 @@ class _TiltedE:
         for R, inside in zip(self.rates.tolist(), self.inside.tolist()):
             if R <= law.H:
                 argmin = Distribution(law.full) if argmins else None
-                out.append(ExponentResult(0.0, argmin, "tilted", tol))
+                out.append(ExponentResult(0.0, argmin, TOLERANCE))
             elif not inside:
-                out.append(ExponentResult(math.inf, None, "tilted", tol))
+                out.append(ExponentResult(math.inf, None, TOLERANCE))
             else:
                 argmin = law.embed(P[:, j]) if argmins else None
-                out.append(ExponentResult(D[j], argmin, "tilted", tol))
+                out.append(ExponentResult(D[j], argmin, TOLERANCE))
                 j += 1
         return out
 
@@ -333,7 +324,7 @@ class _TiltedF:
                 cols = stack.add(face_id, rates[ok], 0.0, far)
             self.col[b, ok] = cols - self.base
 
-    def results(self, tol: float, argmins: bool) -> list[ExponentResult]:
+    def results(self, argmins: bool) -> list[ExponentResult]:
         law, R = self.law, self.rates
         k = law.k
         # The solved crossings, scattered from face order into support order.
@@ -379,127 +370,19 @@ class _TiltedF:
         for value, ref in zip(values[at, best].tolist(), picked.tolist()):
             P = self.fixed[:, ref] if ref < off else solved[:, ref - off]
             argmin = law.embed(P) if argmins else None
-            out.append(ExponentResult(max(value, 0.0), argmin, "tilted", tol))
+            out.append(ExponentResult(max(value, 0.0), argmin, TOLERANCE))
         return out
 
 
-def _tilted(rates, requests, tol: float, argmins: bool) -> list[list[ExponentResult]]:
+def _tilted(rates, requests, argmins: bool) -> list[list[ExponentResult]]:
     """Each (solver, law) request's results at every rate, from one stacked
-    bisection.
-
-    Sums of fewer than 8 terms run in order however the stack is padded, so
-    laws that small share one stack; a larger law gets a stack of its own
-    width (padding would regroup numpy's pairwise sums).
-    """
+    bisection."""
     rates = np.asarray(rates, dtype=np.float64)
     laws = [_Law(p) for _, p in requests]
-    small = max((law.k for law in laws if law.k < 8), default=0)
-    stacks: dict[int, _Stack] = {}
-    solvers = []
-    for (kind, _), law in zip(requests, laws):
-        width = law.k if law.k >= 8 else small
-        solvers.append(kind(law, rates, stacks.setdefault(width, _Stack(width))))
-    for stack in stacks.values():
-        stack.solve()
-    return [solver.results(tol, argmins) for solver in solvers]
-
-
-# ----------------------------------------------------------------------
-# grid solvers (the brute-force arbiter)
-# ----------------------------------------------------------------------
-
-
-def _grid_points(k: int, step: float) -> np.ndarray:
-    t = np.arange(0.0, 1.0 + step / 2, step)
-    t[-1] = 1.0
-    if k == 2:
-        return np.column_stack([t, 1.0 - t])
-    a, b = np.meshgrid(t, t, indexing="ij")
-    keep = a + b <= 1.0 + 1e-15
-    a, b = a[keep], b[keep]
-    return np.column_stack([a, b, np.clip(1.0 - a - b, 0.0, None)])
-
-
-def _grid_eval(P: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Entropies and divergences against p for every row of P."""
-    H = -_xlog2x(P).sum(axis=1)
-    inside = np.all((P == 0.0) | (p > 0.0), axis=1)
-    D = np.full(P.shape[0], np.inf)
-    if np.any(inside):
-        sel = P[inside]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.where(sel > 0.0, sel * (np.log2(np.where(sel > 0, sel, 1.0)) - np.log2(np.where(p > 0, p, 1.0))), 0.0)
-        D[inside] = terms.sum(axis=1)
-    return H, D
-
-
-def _refine_box(center: np.ndarray, radius: float, step: float, k: int) -> np.ndarray:
-    axes = []
-    for c in center[: k - 1]:
-        lo = max(0.0, c - radius)
-        hi = min(1.0, c + radius)
-        axes.append(np.arange(lo, hi + step / 2, step))
-    if k == 2:
-        t = axes[0]
-        P = np.column_stack([t, 1.0 - t])
-    else:
-        a, b = np.meshgrid(axes[0], axes[1], indexing="ij")
-        keep = a + b <= 1.0 + 1e-15
-        a, b = a[keep], b[keep]
-        P = np.column_stack([a, b, 1.0 - a - b])
-    return np.clip(P, 0.0, None)
-
-
-def _grid_min(
-    objective, p: np.ndarray, k: int, step: float
-) -> tuple[float, np.ndarray | None]:
-    """Two-stage grid minimization; coarse pass only when the fine lattice
-    would be too large to enumerate outright."""
-    coarse = max(step, 1e-3) if k == 3 else step
-    P = _grid_points(k, coarse)
-    vals = objective(P)
-    best = int(np.argmin(vals))
-    if not np.isfinite(vals[best]):
-        return math.inf, None
-    best_val, best_P = float(vals[best]), P[best]
-    if coarse > step:
-        for center in (best_P, np.full(k, 1.0 / k)):
-            Pr = _refine_box(center, 3 * coarse, step, k)
-            vr = objective(Pr)
-            i = int(np.argmin(vr))
-            if np.isfinite(vr[i]) and vr[i] < best_val:
-                best_val, best_P = float(vr[i]), Pr[i]
-    return best_val, best_P
-
-
-def _grid_E(R: float, p: Distribution, step: float) -> ExponentResult:
-    full = np.asarray(p, dtype=np.float64)
-    k = full.size
-    if k > GRID_MAX_ALPHABET:
-        raise ValueError(f"grid solver limited to alphabets of size <= {GRID_MAX_ALPHABET}")
-
-    def objective(P: np.ndarray) -> np.ndarray:
-        H, D = _grid_eval(P, full)
-        return np.where(H >= R, D, np.inf)
-
-    value, P = _grid_min(objective, full, k, step)
-    if not np.isfinite(value):
-        return ExponentResult(math.inf, None, "grid", step)
-    return ExponentResult(value, Distribution(P / P.sum()), "grid", step)
-
-
-def _grid_F(R: float, p: Distribution, step: float) -> ExponentResult:
-    full = np.asarray(p, dtype=np.float64)
-    k = full.size
-    if k > GRID_MAX_ALPHABET:
-        raise ValueError(f"grid solver limited to alphabets of size <= {GRID_MAX_ALPHABET}")
-
-    def objective(P: np.ndarray) -> np.ndarray:
-        H, D = _grid_eval(P, full)
-        return np.maximum(H - R, 0.0) + D
-
-    value, P = _grid_min(objective, full, k, step)
-    return ExponentResult(max(value, 0.0), Distribution(P / P.sum()), "grid", step)
+    stack = _Stack(max(law.k for law in laws))
+    solvers = [kind(law, rates, stack) for (kind, _), law in zip(requests, laws)]
+    stack.solve()
+    return [solver.results(argmins) for solver in solvers]
 
 
 # ----------------------------------------------------------------------
@@ -512,59 +395,37 @@ def _check_positive(R: float) -> None:
         raise ValueError(f"rate must be positive, got {R}")
 
 
-def exponent_E(
-    R: float, p: Distribution, method: str = "tilted", tol: float = 1e-9
-) -> ExponentResult:
+def exponent_E(R: float, p: Distribution) -> ExponentResult:
     """E(R|p): smallest divergence from p among laws of entropy at least R."""
     _check_positive(R)
-    if method == "grid":
-        return _grid_E(R, p, step=max(tol, DEFAULT_GRID_STEP))
-    if method == "tilted":
-        return _tilted([R], [(_TiltedE, p)], tol, argmins=True)[0][0]
-    raise ValueError(f"unknown method {method!r}")
+    return _tilted([R], [(_TiltedE, p)], argmins=True)[0][0]
 
 
-def exponent_F(
-    R: float, p: Distribution, method: str = "tilted", tol: float = 1e-9
-) -> ExponentResult:
+def exponent_F(R: float, p: Distribution) -> ExponentResult:
     """F(R|p): min over the simplex of [H(P)-R]^+ + D(P||p)."""
     if R < 0.0 or math.isnan(R):
         raise ValueError(f"rate must be nonnegative, got {R}")
-    if method == "grid":
-        return _grid_F(R, p, step=max(tol, DEFAULT_GRID_STEP))
-    if method == "tilted":
-        return _tilted([R], [(_TiltedF, p)], tol, argmins=True)[0][0]
-    raise ValueError(f"unknown method {method!r}")
+    return _tilted([R], [(_TiltedF, p)], argmins=True)[0][0]
 
 
-def positivity_region(
-    p_X: Distribution,
-    p_K: Distribution,
-    R_grid,
-    method: str = "tilted",
-    threshold: float = POSITIVITY_THRESHOLD,
-) -> list[dict]:
+def positivity_region(p_X: Distribution, p_K: Distribution, R_grid) -> list[dict]:
     """Per-rate positivity flags for E(R|p_X) and F(R|p_K).
 
     Both are positive together exactly on {H(X) < R < H(K)} (up to grid
-    resolution and the numeric threshold).  The tilted solver takes the
-    whole grid in one stacked call; every rate is checked before any solve.
+    resolution and POSITIVITY_THRESHOLD).  The whole grid is solved in one
+    stacked call; every rate is checked before any solve.
     """
     rates = [float(R) for R in R_grid]
     for R in rates:
         _check_positive(R)
-    if method == "tilted":
-        E, F = _tilted(rates, [(_TiltedE, p_X), (_TiltedF, p_K)], 1e-9, argmins=False)
-    else:
-        E = [exponent_E(R, p_X, method=method) for R in rates]
-        F = [exponent_F(R, p_K, method=method) for R in rates]
+    E, F = _tilted(rates, [(_TiltedE, p_X), (_TiltedF, p_K)], argmins=False)
     return [
         {
             "R": R,
             "E": e.value,
             "F": f.value,
-            "E_positive": bool(e.value > threshold),
-            "F_positive": bool(f.value > threshold),
+            "E_positive": bool(e.value > POSITIVITY_THRESHOLD),
+            "F_positive": bool(f.value > POSITIVITY_THRESHOLD),
         }
         for R, e, f in zip(rates, E, F)
     ]

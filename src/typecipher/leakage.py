@@ -40,6 +40,8 @@ import numpy as np
 from .cipher import (
     CipherSystem,
     SearchResult,
+    _encrypt_words,
+    _key_pads,
     n_types,
     omega_divergences,
     pad_law,
@@ -74,11 +76,6 @@ __all__ = [
 MAX_EXACT_PAIRS = 1 << 24
 
 DELTA_CAP_DEFAULT = 1.0
-
-
-def _entropy_bits(law: np.ndarray) -> float:
-    pos = law[law > 0]
-    return float(-np.sum(pos * np.log2(pos)))
 
 
 def _digit_transform(
@@ -164,11 +161,16 @@ class ExactLaws:
 
     @cached_property
     def h_pad(self) -> float:
-        return _entropy_bits(self.pad)
+        return entropy(self.pad)
 
     @cached_property
     def h_ciphertext(self) -> float:
-        return _entropy_bits(self.ciphertext)
+        return entropy(self.ciphertext)
+
+    @cached_property
+    def mi(self) -> float:
+        """I(C; X) = H(C) - H(pad), clipped at 0 against round-off."""
+        return max(0.0, self.h_ciphertext - self.h_pad)
 
     def check_matches(
         self, sys: CipherSystem, p_X: Distribution | None, p_K: Distribution
@@ -273,10 +275,7 @@ def exact_mutual_info(
         divergences = search.divergences
     else:
         raise ValueError("divergences were computed for another encoder")
-    h_pad = laws.h_pad
-    h_c = laws.h_ciphertext
-    mi = max(0.0, h_c - h_pad)
-    divergence = plan.m * math.log2(plan.q) - h_pad
+    divergence = plan.m * math.log2(plan.q) - laws.h_pad
 
     typewise = 0.0
     for P, d in divergences:
@@ -286,13 +285,13 @@ def exact_mutual_info(
     f_value = None
     if plan.canonical:
         if f_result is None:
-            f_result = exponent_F(plan.R, p_K, method="tilted", tol=1e-9)
+            f_result = exponent_F(plan.R, p_K)
         f_value = f_result.rounded_down()
         bound = security_bound(plan, f_value)
     return LeakageReport(
-        mi_exact=mi,
-        h_pad=h_pad,
-        h_ciphertext=h_c,
+        mi_exact=laws.mi,
+        h_pad=laws.h_pad,
+        h_ciphertext=laws.h_ciphertext,
         pad_divergence=divergence,
         typewise_bound=typewise,
         security_bound=bound,
@@ -362,7 +361,8 @@ def monte_carlo_mi(
     rank of its value among the distinct sampled values (the joint cell
     packs the two ranks, so it stays below samples**2 whatever q**(n+m)
     is).  Only the distinct plaintexts are encoded, by rank arithmetic
-    (`Codebook.ranks`), so no member tuple is built.  The point estimate and
+    (`Codebook.ranks`), so no member tuple is built; pads and ciphertexts
+    come from the cipher's own array helpers.  The point estimate and
     each of the `bootstrap` replicates (one index redraw of all samples)
     then take their three entropies from cell counts, so a replicate costs
     O(samples + cells) and sorts nothing.
@@ -381,12 +381,12 @@ def monte_carlo_mi(
     q = spec.q
     xs = rng.choice(q, size=(samples, plan.n), p=np.asarray(p_X))
     ks = rng.choice(q, size=(samples, plan.n), p=np.asarray(p_K))
-    pads = (ks @ sys.key_encoder.A + np.asarray(sys.key_encoder.b)) % q
+    pads = _key_pads(sys.key_encoder, ks, spec)
     xi = vectors_to_indices(xs.astype(np.int64), spec)
     _, first, x_cell = np.unique(xi, return_index=True, return_inverse=True)
     # encode: member rank r -> word value r + 1, non-members (-1) -> x0
     words = indices_to_vectors(cb.ranks(xs[first]) + 1, plan.m, spec)[x_cell]
-    ci = vectors_to_indices((pads + words) % q, spec)
+    ci = vectors_to_indices(_encrypt_words(sys, pads, words), spec)
     _, c_cell = np.unique(ci, return_inverse=True)
     n_c = int(c_cell.max()) + 1
     _, joint_cell = np.unique(x_cell * n_c + c_cell, return_inverse=True)
@@ -591,7 +591,6 @@ def security_bound_curve(
     p_K: Distribution,
     n_list: Sequence[int],
     q: int | None = None,
-    tol: float = 1e-9,
 ) -> list[dict]:
     """log2 of the security bound across block lengths, at fixed rate.
 
@@ -601,7 +600,7 @@ def security_bound_curve(
     """
     q = len(p_K) if q is None else q
     spec = FieldSpec(q)
-    f = exponent_F(R, p_K, method="tilted", tol=tol).rounded_down()
+    f = exponent_F(R, p_K).rounded_down()
     rows = []
     for n in n_list:
         plan = make_rate_plan(int(n), R, spec)
@@ -715,7 +714,7 @@ def converse_diagnostics(
     measured_eps = exact_error_prob(sys.codebook, p_X)
 
     h_pad = laws.h_pad
-    measured_delta = max(0.0, laws.h_ciphertext - h_pad)
+    measured_delta = laws.mi
 
     nu_tilde = nu_n + measured_eps
     if nu_tilde < 1.0:
@@ -739,7 +738,7 @@ def converse_diagnostics(
         max_conditional = float(q_cond.max())
         conditional_cap = 2.0 ** (-n * (h_x - gamma)) / coverage
         peak_ok = max_conditional <= conditional_cap * (1 + slack)
-        h_cond = _entropy_bits(q_cond)
+        h_cond = entropy(q_cond)
         entropy_floor = n * (h_x - gamma) + math.log2(coverage)
         entropy_ok = h_cond >= entropy_floor - slack * max(1.0, abs(entropy_floor))
         conditional_mi = max(0.0, h_cond - h_pad)

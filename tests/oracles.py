@@ -13,7 +13,11 @@ pad and image laws (`pad_law_fraction`, `omega_counts`, `omega_dist`,
 because only tests use them.  The decryption oracle calls the shipped
 `encrypt` and `decrypt` once per (key, plaintext) pair.  The tilted exponent
 solver is the scalar one that the stacked bisection replaced: one bisection
-per rate, per face and per branch, each on its own 1-D arrays.
+per rate, per face and per branch, each on its own 1-D arrays, summed left
+to right as the stacked solver sums each column.  The grid exponent
+solver enumerates the simplex of a binary or ternary alphabet and assumes
+nothing about where the minimizer lies: it is the arbiter of record for
+both tilted solvers.
 """
 
 import math
@@ -25,7 +29,7 @@ import numpy as np
 
 from typecipher.cipher import CipherSystem, decrypt, encrypt, pad_law
 from typecipher.code import decode, encode
-from typecipher.exponents import ExponentResult
+from typecipher.exponents import TOLERANCE, ExponentResult
 from typecipher.fields import (
     FieldError,
     all_vectors,
@@ -250,11 +254,17 @@ def _embed(sub: np.ndarray, idx: np.ndarray, q: int) -> Distribution:
     return Distribution(full / full.sum())
 
 
+def _sum(v: np.ndarray) -> float:
+    """v[0] + v[1] + ..., left to right: the order in which the stacked
+    solver sums each column."""
+    return float(np.cumsum(v)[-1]) if v.size else 0.0
+
+
 def _tilt(logp: np.ndarray, s: float) -> np.ndarray:
     w = s * logp
     w -= w.max()
     P = np.exp2(w)
-    return P / P.sum()
+    return P / _sum(P)
 
 
 def _xlog2x(v: np.ndarray) -> np.ndarray:
@@ -265,17 +275,17 @@ def _xlog2x(v: np.ndarray) -> np.ndarray:
 
 
 def _H(P: np.ndarray) -> float:
-    return float(-_xlog2x(P).sum())
+    return -_sum(_xlog2x(P))
 
 
 def _D(P: np.ndarray, p: np.ndarray) -> float:
     pos = P > 0.0
-    return float(np.sum(P[pos] * (np.log2(P[pos]) - np.log2(p[pos]))))
+    return _sum(P[pos] * (np.log2(P[pos]) - np.log2(p[pos])))
 
 
 def _cross_entropy(P: np.ndarray, p: np.ndarray) -> float:
     pos = P > 0.0
-    return float(-np.sum(P[pos] * np.log2(p[pos])))
+    return -_sum(P[pos] * np.log2(p[pos]))
 
 
 def _bisect_entropy(
@@ -306,20 +316,20 @@ def _expand_until(logp: np.ndarray, target: float, direction: float) -> float | 
     return None
 
 
-def tilted_E(R: float, p: Distribution, tol: float) -> ExponentResult:
+def tilted_E(R: float, p: Distribution) -> ExponentResult:
     full, idx = _support(p)
     sub = full[idx]
     k = idx.size
     log_k = math.log2(k)
     Hp = _H(sub)
     if R <= Hp:
-        return ExponentResult(0.0, Distribution(full), "tilted", tol)
+        return ExponentResult(0.0, Distribution(full), TOLERANCE)
     if R > log_k:
-        return ExponentResult(math.inf, None, "tilted", tol)
+        return ExponentResult(math.inf, None, TOLERANCE)
     logp = np.log2(sub)
     # H(P_s) falls from log k at s=0 to H(p) at s=1; keep the feasible side.
     P = _bisect_entropy(logp, R, s_lo=0.0, s_hi=1.0)
-    return ExponentResult(_D(P, sub), _embed(P, idx, len(p)), "tilted", tol)
+    return ExponentResult(_D(P, sub), _embed(P, idx, len(p)), TOLERANCE)
 
 
 def _regime_plain(R: float, sub: np.ndarray, logp: np.ndarray) -> list[tuple[float, np.ndarray]]:
@@ -359,7 +369,7 @@ def _regime_plain(R: float, sub: np.ndarray, logp: np.ndarray) -> list[tuple[flo
     return cands
 
 
-def tilted_F(R: float, p: Distribution, tol: float) -> ExponentResult:
+def tilted_F(R: float, p: Distribution) -> ExponentResult:
     full, idx = _support(p)
     sub = full[idx]
     k = idx.size
@@ -390,4 +400,106 @@ def tilted_F(R: float, p: Distribution, tol: float) -> ExponentResult:
                 candidates.append((_cross_entropy(P, sub) - R, P))
 
     value, P = min(candidates, key=lambda c: c[0])
-    return ExponentResult(max(value, 0.0), _embed(P, idx, len(p)), "tilted", tol)
+    return ExponentResult(max(value, 0.0), _embed(P, idx, len(p)), TOLERANCE)
+
+
+# ----------------------------------------------------------------------
+# grid exponent solver (the brute-force arbiter)
+# ----------------------------------------------------------------------
+
+GRID_MAX_ALPHABET = 3
+DEFAULT_GRID_STEP = 1e-4
+
+
+def _grid_points(k: int, step: float) -> np.ndarray:
+    t = np.arange(0.0, 1.0 + step / 2, step)
+    t[-1] = 1.0
+    if k == 2:
+        return np.column_stack([t, 1.0 - t])
+    a, b = np.meshgrid(t, t, indexing="ij")
+    keep = a + b <= 1.0 + 1e-15
+    a, b = a[keep], b[keep]
+    return np.column_stack([a, b, np.clip(1.0 - a - b, 0.0, None)])
+
+
+def _grid_eval(P: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Entropies and divergences against p for every row of P."""
+    H = -_xlog2x(P).sum(axis=1)
+    inside = np.all((P == 0.0) | (p > 0.0), axis=1)
+    D = np.full(P.shape[0], np.inf)
+    if np.any(inside):
+        sel = P[inside]
+        log_p = np.log2(np.where(p > 0, p, 1.0))
+        terms = np.where(sel > 0.0, sel * (np.log2(np.where(sel > 0, sel, 1.0)) - log_p), 0.0)
+        D[inside] = terms.sum(axis=1)
+    return H, D
+
+
+def _refine_box(center: np.ndarray, radius: float, step: float, k: int) -> np.ndarray:
+    axes = []
+    for c in center[: k - 1]:
+        lo = max(0.0, c - radius)
+        hi = min(1.0, c + radius)
+        axes.append(np.arange(lo, hi + step / 2, step))
+    if k == 2:
+        t = axes[0]
+        P = np.column_stack([t, 1.0 - t])
+    else:
+        a, b = np.meshgrid(axes[0], axes[1], indexing="ij")
+        keep = a + b <= 1.0 + 1e-15
+        a, b = a[keep], b[keep]
+        P = np.column_stack([a, b, 1.0 - a - b])
+    return np.clip(P, 0.0, None)
+
+
+def _grid_min(objective, k: int, step: float) -> tuple[float, np.ndarray | None]:
+    """Two-stage grid minimization; coarse pass only when the fine lattice
+    would be too large to enumerate outright."""
+    coarse = max(step, 1e-3) if k == 3 else step
+    P = _grid_points(k, coarse)
+    vals = objective(P)
+    best = int(np.argmin(vals))
+    if not np.isfinite(vals[best]):
+        return math.inf, None
+    best_val, best_P = float(vals[best]), P[best]
+    if coarse > step:
+        for center in (best_P, np.full(k, 1.0 / k)):
+            Pr = _refine_box(center, 3 * coarse, step, k)
+            vr = objective(Pr)
+            i = int(np.argmin(vr))
+            if np.isfinite(vr[i]) and vr[i] < best_val:
+                best_val, best_P = float(vr[i]), Pr[i]
+    return best_val, best_P
+
+
+def _grid_law(p: Distribution) -> np.ndarray:
+    full = np.asarray(p, dtype=np.float64)
+    if full.size > GRID_MAX_ALPHABET:
+        raise ValueError(f"grid solver limited to alphabets of size <= {GRID_MAX_ALPHABET}")
+    return full
+
+
+def grid_E(R: float, p: Distribution, step: float = DEFAULT_GRID_STEP) -> ExponentResult:
+    """E(R|p) as the least divergence over a lattice of the simplex."""
+    full = _grid_law(p)
+
+    def objective(P: np.ndarray) -> np.ndarray:
+        H, D = _grid_eval(P, full)
+        return np.where(H >= R, D, np.inf)
+
+    value, P = _grid_min(objective, full.size, step)
+    if not np.isfinite(value):
+        return ExponentResult(math.inf, None, step)
+    return ExponentResult(value, Distribution(P / P.sum()), step)
+
+
+def grid_F(R: float, p: Distribution, step: float = DEFAULT_GRID_STEP) -> ExponentResult:
+    """F(R|p) as the least objective over a lattice of the simplex."""
+    full = _grid_law(p)
+
+    def objective(P: np.ndarray) -> np.ndarray:
+        H, D = _grid_eval(P, full)
+        return np.maximum(H - R, 0.0) + D
+
+    value, P = _grid_min(objective, full.size, step)
+    return ExponentResult(max(value, 0.0), Distribution(P / P.sum()), step)

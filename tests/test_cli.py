@@ -256,6 +256,56 @@ def test_exact_outputs_match_golden(tmp_path, name, argv):
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
 
 
+_EXPONENT_LAWS = {  # the benchmark's base laws
+    2: ("0.820,0.180", "0.620,0.380"),
+    3: ("0.650,0.200,0.150", "0.400,0.350,0.250"),
+    5: ("0.380,0.240,0.150,0.120,0.110", "0.300,0.250,0.200,0.150,0.100"),
+}
+
+
+@pytest.mark.parametrize("q", sorted(_EXPONENT_LAWS))
+def test_exponents_match_golden(tmp_path, q):
+    # the default rate grid, byte for byte as the solver with a separate
+    # stack per law width wrote it
+    px, pk = _EXPONENT_LAWS[q]
+    out = tmp_path / "exp.csv"
+    assert main(["exponents", "--q", str(q), "--px", px, "--pk", pk, "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / f"exponents_q{q}.csv").read_bytes()
+
+
+def test_exponents_q11_match_golden_to_round_off(tmp_path):
+    # eleven symbols: the columns are summed in order, where the golden's
+    # solver used numpy's pairwise order, so the last digits may move
+    out = tmp_path / "exp.csv"
+    argv = ["exponents", "--q", "11",
+            "--px", "0.3,0.15,0.1,0.1,0.08,0.07,0.06,0.05,0.04,0.03,0.02",
+            "--pk", "0.14,0.12,0.11,0.1,0.1,0.09,0.09,0.08,0.07,0.06,0.04",
+            "--rate", "0.25,0.5,0.75,1.0,1.25,1.5,1.75,2.0,2.25,2.5,2.75,3.0,"
+                      "3.1,3.2,3.25,3.3,3.4,3.45,3.5",
+            "--out", str(out)]
+    assert main(argv) == 0
+    got, want = _read_csv(str(out)), _read_csv(str(GOLDEN / "exponents_q11.csv"))
+    assert len(got) == len(want)
+    for row, ref in zip(got, want):
+        assert row.keys() == ref.keys()
+        for key in row:
+            if key in ("E", "F"):
+                assert float(row[key]) == pytest.approx(float(ref[key]), rel=1e-12, abs=0.0)
+            else:
+                assert row[key] == ref[key]
+
+
+@pytest.mark.parametrize("command", ["codebook", "verify"])
+def test_plan_with_more_members_than_words_exits_2(capsys, command):
+    # at R=0.9 binary n=4 has 10 members; m=3 holds 7 codewords
+    assert main([command, "--q", "2", "--n", "4", "--rate", "0.9", "--m", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: 10 members")
+    assert "2^3 - 1 usable words" in captured.err
+    assert "--m" in captured.err and "--rate" in captured.err
+
+
 def test_sweep_never_lists_members(tmp_path, monkeypatch):
     # binary n=20 has 120,920 members; the sweep encodes its samples by rank
     # arithmetic and must not list one of them
