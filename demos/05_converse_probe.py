@@ -14,6 +14,7 @@ from typecipher import (
     converse_diagnostics,
     derandomize,
     entropy,
+    exact_laws,
     FieldSpec,
     make_rate_plan,
     strong_converse_probe,
@@ -23,10 +24,11 @@ from typecipher import (
 spec = FieldSpec(2)
 plan = make_rate_plan(4, 0.9, spec)
 cb = build_codebook(plan)
-sys_ = CipherSystem(codebook=cb, key_encoder=derandomize(plan, base_seed=0).encoder)
+search = derandomize(plan, base_seed=0)
+sys_ = CipherSystem(codebook=cb, key_encoder=search.encoder)
 
 p_X = Distribution([0.9, 0.1])
-d = converse_diagnostics(sys_, p_X, uniform(2), gamma=0.1)
+d = converse_diagnostics(exact_laws(sys_, p_X, uniform(2), search), gamma=0.1)
 
 print(f"typicality miss nu_n      = {d.nu_n:.4f}")
 print(f"decoding error eps        = {d.measured_eps:.4f}")

@@ -37,6 +37,7 @@ from .fields import (
     FieldSpec,
     all_vectors,
     field_matrix,
+    field_row,
     field_vector,
     index_decode,
     indices_to_vectors,
@@ -132,13 +133,6 @@ class CipherSystem:
         return self.codebook.spec
 
 
-def _row(v: Sequence[int], length: int, what: str) -> np.ndarray:
-    row = np.asarray(v, dtype=np.int64)
-    if row.shape != (length,):
-        raise FieldError(f"{what} length {row.size} does not match {length}")
-    return row
-
-
 def _encrypt_words(sys: CipherSystem, pads: np.ndarray, words: np.ndarray) -> np.ndarray:
     """Ciphertext rows pad + codeword over Z_q (rows broadcast)."""
     return (pads + words) % sys.spec.q
@@ -150,15 +144,19 @@ def _decrypt_words(sys: CipherSystem, pads: np.ndarray, cipher: np.ndarray) -> n
     return decode_indices(sys.codebook, (cipher - pads) % sys.spec.q)
 
 
+def _pad(sys: CipherSystem, k: Sequence[int]) -> np.ndarray:
+    key = field_row(k, sys.plan.n, sys.spec, "key")
+    return _key_pads(sys.key_encoder, key, sys.spec)
+
+
 def encrypt(sys: CipherSystem, k: Sequence[int], x: Sequence[int]) -> tuple[int, ...]:
-    pad = _key_pads(sys.key_encoder, _row(k, sys.plan.n, "key"), sys.spec)
     word = np.asarray(encode(sys.codebook, x), dtype=np.int64)
-    return tuple(int(v) for v in _encrypt_words(sys, pad, word))
+    return tuple(int(v) for v in _encrypt_words(sys, _pad(sys, k), word))
 
 
 def decrypt(sys: CipherSystem, k: Sequence[int], c: Sequence[int]) -> tuple[int, ...]:
-    pad = _key_pads(sys.key_encoder, _row(k, sys.plan.n, "key"), sys.spec)
-    idx = _decrypt_words(sys, pad, _row(c, sys.plan.m, "ciphertext"))
+    cipher = field_row(c, sys.plan.m, sys.spec, "ciphertext")
+    idx = _decrypt_words(sys, _pad(sys, k), cipher)
     return index_decode(int(idx), sys.plan.n, sys.spec)
 
 

@@ -36,6 +36,7 @@ import numpy as np
 from .fields import (
     FieldError,
     FieldSpec,
+    field_row,
     index_decode,
     index_encode,
     indices_to_vectors,
@@ -257,13 +258,14 @@ def build_codebook(plan: RatePlan) -> Codebook:
 
 def encode(cb: Codebook, x) -> tuple[int, ...]:
     """Member i maps to the word with positional value i+1; others to x0."""
-    (rank,) = cb.ranks(x)
+    (rank,) = cb.ranks(field_row(x, cb.plan.n, cb.spec, "plaintext"))
     return index_decode(int(rank) + 1, cb.plan.m, cb.spec)
 
 
 def decode(cb: Codebook, w) -> tuple[int, ...]:
     """Inverse of encode on its image; default elsewhere (including x0)."""
-    return index_decode(int(decode_indices(cb, w)), cb.plan.n, cb.spec)
+    word = field_row(w, cb.plan.m, cb.spec, "word")
+    return index_decode(int(decode_indices(cb, word)), cb.plan.n, cb.spec)
 
 
 def decode_indices(cb: Codebook, words) -> np.ndarray:

@@ -3,8 +3,12 @@
 Everything downstream (codebook, cipher, leakage accounting) works with
 length-n symbol strings over an alphabet that is a finite field.  Prime
 fields are enough for every experiment at desk scale, so residues are plain
-integers mod q and vectors are tuples; nothing in this module touches
-floating point.
+integers mod q.  A vector is a row of an int64 digit array, and a set of
+vectors is one such array with a row per vector; each row also has a word
+index, its big-endian base-q value (`vectors_to_indices`,
+`indices_to_vectors`), so a law over vectors is one array over indices.
+Tuples appear only at the scalar API and in text.  Nothing in this module
+touches floating point.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ __all__ = [
     "FieldError",
     "FieldSpec",
     "field_vector",
+    "field_row",
     "field_matrix",
     "index_encode",
     "index_decode",
@@ -32,7 +37,9 @@ __all__ = [
 # on a desk machine anyway.
 MAX_Q = 257
 
-# Largest table of vectors all_vectors() will materialize (number of entries).
+# Most rows (q**length vectors) all_vectors() will materialize.  The cap
+# counts rows, not entries: each row holds `length` int64 digits, so binary
+# length 22, the largest allowed, is 2^22 x 22 entries, about 740 MB.
 MAX_ENUM = 1 << 22
 
 
@@ -76,6 +83,21 @@ def _check_residue(a: int, spec: FieldSpec) -> int:
 def field_vector(entries: Iterable[int], spec: FieldSpec) -> tuple[int, ...]:
     """Validate and freeze a sequence of residues as a vector over Z_q."""
     return tuple(_check_residue(a, spec) for a in entries)
+
+
+def field_row(v: Sequence[int], length: int, spec: FieldSpec, what: str) -> np.ndarray:
+    """Validate one vector of `length` residues; returns it as an int64 row.
+
+    `what` names the vector in the FieldError a wrong length or an entry
+    outside [0, q) raises.
+    """
+    row = np.asarray(v, dtype=np.int64)
+    if row.shape != (length,):
+        raise FieldError(f"{what} length {row.size} does not match {length}")
+    bad = row[(row < 0) | (row >= spec.q)]
+    if bad.size:
+        raise FieldError(f"{what} residue {bad[0]} out of range [0, {spec.q})")
+    return row
 
 
 def field_matrix(rows: Sequence[Sequence[int]], spec: FieldSpec) -> np.ndarray:

@@ -5,8 +5,16 @@ measured by the mutual information I(C; X) in bits.  Because every
 conditional law C | X=x is a cyclic shift of the pad law, the exact value
 collapses to H(C) - H(pad), and the ciphertext law is the pad law cyclically
 convolved with the codeword law over Z_q^m.  This module computes that
-convolution with one transform along the m base-q digits (`ExactLaws`) at
-small scales and estimates the leakage by sampling beyond them.
+convolution with one transform along the m base-q digits at small scales
+and estimates the leakage by sampling beyond them.
+
+Every exact figure is a function of one system, the two source laws and,
+for an encoder found by `derandomize`, its search result.  `exact_laws`
+gathers them into one `ExactLaws` handle, after the MAX_EXACT_PAIRS check
+and the check that the search belongs to the system's encoder;
+`exact_mutual_info`, `security_certificate`, `check_birkhoff` and
+`converse_diagnostics` take only that handle, so each law is computed once
+per report however many figures read it.
 
 On top of the exact value sit the certified upper bounds, checked as a
 chain with explicit margins:
@@ -48,10 +56,16 @@ from .cipher import (
     theta_n,
 )
 from .code import RatePlan, exact_error_prob, make_rate_plan
-from .exponents import ExponentResult, exponent_F
+from .exponents import exponent_F
 from .fields import FieldError, FieldSpec, indices_to_vectors, vectors_to_indices
 from .simplex import Distribution, entropy
-from .typeclasses import class_prob, class_size, enumerate_types, sequence_probs
+from .typeclasses import (
+    TypeComposition,
+    class_prob,
+    class_size,
+    enumerate_types,
+    sequence_probs,
+)
 
 __all__ = [
     "MAX_EXACT_PAIRS",
@@ -76,6 +90,10 @@ __all__ = [
 MAX_EXACT_PAIRS = 1 << 24
 
 DELTA_CAP_DEFAULT = 1.0
+
+# Relative slack of every inequality checked in the bound chain and the
+# converse diagnostics: lhs <= rhs + SLACK * max(1, |lhs|, |rhs|).
+SLACK = 1e-9
 
 
 def _digit_transform(
@@ -104,60 +122,71 @@ def _digit_transform(
     return out
 
 
-def _codeword_weights(
-    sys: CipherSystem, px: np.ndarray, mask: np.ndarray | None = None
-) -> np.ndarray:
-    """Plaintext mass grouped by codeword index (non-members on x0 = 0)."""
-    words = sys.codebook.rank_of + 1
-    if mask is not None:
-        words, px = words[mask], px[mask]
-    return np.bincount(words, weights=px, minlength=sys.spec.q**sys.plan.m)
-
-
-def _check_pair_scale(sys: CipherSystem) -> None:
-    q, n = sys.spec.q, sys.plan.n
-    if q ** (2 * n) > MAX_EXACT_PAIRS:
-        raise FieldError(
-            f"exact leakage over {q}^{2 * n} (key, plaintext) pairs exceeds "
-            f"{MAX_EXACT_PAIRS}; use monte_carlo_mi instead"
-        )
-
-
 @dataclass(frozen=True, eq=False)
 class ExactLaws:
-    """The pad law of one system and key law, with its transform over Z_q^m.
+    """One system and its two source laws: the handle of every exact figure.
 
-    `mixture` convolves the pad law with any weights over word indices, so
-    the ciphertext law, the row sums and the conditioned ciphertext law all
-    reuse the one transform.  Build it with `exact_laws` and pass it to
-    `exact_mutual_info`, `security_certificate`, `check_birkhoff` and
-    `converse_diagnostics` to compute each law once per report.  `p_X` is
-    None only for row-sum checks, which need no plaintext law.
+    Holds the system, p_X, p_K and, when the system's encoder came from
+    `derandomize`, that search result.  The pad law and its transform over
+    Z_q^m are computed once, on first use; `mixture` convolves the pad law
+    with any weights over word indices, so the ciphertext law, the row sums
+    and the conditioned ciphertext law all reuse the one transform.  Build
+    it with `exact_laws` and pass it to `exact_mutual_info`,
+    `security_certificate`, `check_birkhoff` and `converse_diagnostics`.
     """
 
     sys: CipherSystem
-    p_X: Distribution | None
+    p_X: Distribution
     p_K: Distribution
-    pad: np.ndarray
-    pad_hat: np.ndarray
+    search: SearchResult | None
+
+    @property
+    def plan(self) -> RatePlan:
+        return self.sys.plan
+
+    @property
+    def spec(self) -> FieldSpec:
+        return self.sys.spec
+
+    @cached_property
+    def pad(self) -> np.ndarray:
+        return pad_law(self.sys.key_encoder, self.p_K, self.spec)
+
+    @cached_property
+    def pad_hat(self) -> np.ndarray:
+        return _digit_transform(self.pad, self.spec.q, self.plan.m)
+
+    @cached_property
+    def divergences(self) -> Sequence[tuple[TypeComposition, float]]:
+        """(P, D(Omega_P || uniform)) per key type: the search's own, if any."""
+        if self.search is not None:
+            return self.search.divergences
+        return omega_divergences(self.sys.key_encoder, self.plan)
 
     def mixture(self, weights: np.ndarray) -> np.ndarray:
         """sum_w weights[w] pad((. - w) mod q), over word indices.
 
         Negative round-off of the inverse transform is clipped to 0.
         """
-        q, m = self.sys.spec.q, self.sys.plan.m
+        q, m = self.spec.q, self.plan.m
         hat = self.pad_hat * _digit_transform(weights, q, m)
         return np.maximum(_digit_transform(hat, q, m, inverse=True).real, 0.0)
 
+    def codeword_weights(self, mask: np.ndarray | None = None) -> np.ndarray:
+        """Plaintext mass grouped by codeword index (non-members on x0 = 0)."""
+        words, px = self.sys.codebook.rank_of + 1, self.plaintext_probs
+        if mask is not None:
+            words, px = words[mask], px[mask]
+        return np.bincount(words, weights=px, minlength=self.spec.q**self.plan.m)
+
     @cached_property
     def plaintext_probs(self) -> np.ndarray:
-        return sequence_probs(self.p_X, self.sys.plan.n, self.sys.spec)
+        return sequence_probs(self.p_X, self.plan.n, self.spec)
 
     @cached_property
     def ciphertext(self) -> np.ndarray:
         """Law of C = phi(K) + encode(X) over word indices."""
-        return self.mixture(_codeword_weights(self.sys, self.plaintext_probs))
+        return self.mixture(self.codeword_weights())
 
     @cached_property
     def h_pad(self) -> float:
@@ -172,42 +201,29 @@ class ExactLaws:
         """I(C; X) = H(C) - H(pad), clipped at 0 against round-off."""
         return max(0.0, self.h_ciphertext - self.h_pad)
 
-    def check_matches(
-        self, sys: CipherSystem, p_X: Distribution | None, p_K: Distribution
-    ) -> None:
-        """Refuse laws computed for another system or other source laws.
-
-        p_X None means the caller needs no plaintext law.
-        """
-
-        def differ(mine, theirs) -> bool:
-            return mine is None or not np.array_equal(mine, theirs)
-
-        if (
-            self.sys is not sys
-            or differ(self.p_K, p_K)
-            or (p_X is not None and differ(self.p_X, p_X))
-        ):
-            raise ValueError("laws were computed for another system or law")
-
-
-def _pad_laws(
-    sys: CipherSystem, p_X: Distribution | None, p_K: Distribution
-) -> ExactLaws:
-    pad = pad_law(sys.key_encoder, p_K, sys.spec)
-    pad_hat = _digit_transform(pad, sys.spec.q, sys.plan.m)
-    return ExactLaws(sys=sys, p_X=p_X, p_K=p_K, pad=pad, pad_hat=pad_hat)
-
 
 def exact_laws(
-    sys: CipherSystem, p_X: Distribution, p_K: Distribution
+    sys: CipherSystem,
+    p_X: Distribution,
+    p_K: Distribution,
+    search: SearchResult | None = None,
 ) -> ExactLaws:
-    """The pad law, its transform and (on first use) the ciphertext law.
+    """The handle of every exact figure of `sys` under p_X and p_K.
 
-    Guarded by MAX_EXACT_PAIRS like every exact leakage figure.
+    `search` is the `derandomize` result that produced the system's encoder;
+    given, the typewise bound reuses its divergences and the certificate
+    adds the theta steps.  Refused past MAX_EXACT_PAIRS (key, plaintext)
+    pairs, and for a search made for another encoder.
     """
-    _check_pair_scale(sys)
-    return _pad_laws(sys, p_X, p_K)
+    q, n = sys.spec.q, sys.plan.n
+    if q ** (2 * n) > MAX_EXACT_PAIRS:
+        raise FieldError(
+            f"exact leakage over {q}^{2 * n} (key, plaintext) pairs exceeds "
+            f"{MAX_EXACT_PAIRS}; use monte_carlo_mi instead"
+        )
+    if search is not None and search.encoder is not sys.key_encoder:
+        raise ValueError("divergences were computed for another encoder")
+    return ExactLaws(sys=sys, p_X=p_X, p_K=p_K, search=search)
 
 
 @dataclass(frozen=True)
@@ -248,51 +264,25 @@ def security_bound(plan: RatePlan, f: float) -> float:
     return (2 * plan.R_n + 1) * q * (n + 1) ** (4 * q) * 2.0 ** (-n * f)
 
 
-def exact_mutual_info(
-    sys: CipherSystem,
-    p_X: Distribution,
-    p_K: Distribution,
-    f_result: ExponentResult | None = None,
-    laws: ExactLaws | None = None,
-    search: SearchResult | None = None,
-) -> LeakageReport:
+def exact_mutual_info(laws: ExactLaws) -> LeakageReport:
     """I(C; X) from the exact ciphertext law, plus every upper bound in the chain.
 
     Independence of K and X and the shift structure give
     H(C | X = x) = H(pad) for every x, so I(C; X) = H(C) - H(pad) exactly;
     the ciphertext law comes from one transform over Z_q^m (`ExactLaws`).
-    The typewise bound reuses the divergences of `search`, the `derandomize`
-    result for this system's encoder, when it is given.
-    Guarded by MAX_EXACT_PAIRS; larger systems must sample.
     """
-    plan = sys.plan
-    if laws is None:
-        laws = exact_laws(sys, p_X, p_K)
-    laws.check_matches(sys, p_X, p_K)
-    if search is None:
-        divergences = omega_divergences(sys.key_encoder, plan)
-    elif search.encoder is sys.key_encoder:
-        divergences = search.divergences
-    else:
-        raise ValueError("divergences were computed for another encoder")
-    divergence = plan.m * math.log2(plan.q) - laws.h_pad
-
-    typewise = 0.0
-    for P, d in divergences:
-        typewise += class_prob(P, p_K) * d
-
+    plan = laws.plan
+    typewise = sum(class_prob(P, laws.p_K) * d for P, d in laws.divergences)
     bound = None
     f_value = None
     if plan.canonical:
-        if f_result is None:
-            f_result = exponent_F(plan.R, p_K)
-        f_value = f_result.rounded_down()
+        f_value = exponent_F(plan.R, laws.p_K).rounded_down()
         bound = security_bound(plan, f_value)
     return LeakageReport(
         mi_exact=laws.mi,
         h_pad=laws.h_pad,
         h_ciphertext=laws.h_ciphertext,
-        pad_divergence=divergence,
+        pad_divergence=plan.m * math.log2(plan.q) - laws.h_pad,
         typewise_bound=typewise,
         security_bound=bound,
         f_exponent=f_value,
@@ -418,9 +408,7 @@ def monte_carlo_mi(
 # ----------------------------------------------------------------------
 
 
-def check_birkhoff(
-    sys: CipherSystem, p_K: Distribution, laws: ExactLaws | None = None
-) -> float:
+def check_birkhoff(laws: ExactLaws) -> float:
     """max over ciphertexts c of sum over decodable x of Pr[encrypt(K,x)=c].
 
     Each conditional law is a shift of the pad law and members map to
@@ -428,14 +416,11 @@ def check_birkhoff(
     doubly-substochastic property, Birkhoff/von Neumann flavor).  Returns
     the maximum so callers can check the contract max <= 1 + 1e-12.
     """
-    cb = sys.codebook
-    if laws is None:
-        laws = _pad_laws(sys, None, p_K)
-    laws.check_matches(sys, None, p_K)
+    cb = laws.sys.codebook
     if not cb.member_count:
         return 0.0
     # members take the word values 1..member_count, one each
-    weights = np.zeros(sys.spec.q**sys.plan.m)
+    weights = np.zeros(laws.spec.q**laws.plan.m)
     weights[1 : cb.member_count + 1] = 1.0
     return float(laws.mixture(weights).max())
 
@@ -466,8 +451,19 @@ class BoundCheck:
         }
 
 
+# The chain steps that need the canonical word length m.
+EXPONENT_STEPS = (
+    "theta_vs_padded_exponent",
+    "padded_equals_security_bound",
+    "mi_vs_security_bound",
+)
+
+
 @dataclass(frozen=True)
 class SecurityCertificate:
+    """The bound chain checked on one system; `skipped` in the JSON names
+    the exponent steps a non-canonical plan leaves out."""
+
     report: LeakageReport
     checks: tuple[BoundCheck, ...]
     typewise_theta_bound: float | None
@@ -479,7 +475,7 @@ class SecurityCertificate:
         return all(c.holds for c in self.checks)
 
     def to_json(self) -> dict:
-        return {
+        out = {
             "report": self.report.to_json(),
             "checks": [c.to_json() for c in self.checks],
             "typewise_theta_bound": self.typewise_theta_bound,
@@ -487,57 +483,47 @@ class SecurityCertificate:
             "derandomized": self.derandomized,
             "passed": self.passed,
         }
+        if not self.report.canonical:
+            out["skipped"] = list(EXPONENT_STEPS)
+        return out
 
 
-def _le(name: str, lhs: float, rhs: float, slack: float) -> BoundCheck:
-    tol = slack * max(1.0, abs(lhs), abs(rhs))
+def _le(name: str, lhs: float, rhs: float) -> BoundCheck:
+    tol = SLACK * max(1.0, abs(lhs), abs(rhs))
     return BoundCheck(name=name, lhs=lhs, rhs=rhs, holds=lhs <= rhs + tol)
 
 
-def security_certificate(
-    sys: CipherSystem,
-    p_X: Distribution,
-    p_K: Distribution,
-    f_result: ExponentResult | None = None,
-    derandomized: bool = False,
-    slack: float = 1e-9,
-    laws: ExactLaws | None = None,
-    search: SearchResult | None = None,
-) -> SecurityCertificate:
+def _eq(name: str, lhs: float, rhs: float) -> BoundCheck:
+    tol = SLACK * max(1.0, abs(rhs))
+    return BoundCheck(name=name, lhs=lhs, rhs=rhs, holds=abs(lhs - rhs) <= tol)
+
+
+def security_certificate(laws: ExactLaws) -> SecurityCertificate:
     """Evaluate the whole bound chain with margins; nothing is assumed.
 
     Steps needing extra hypotheses are included only when they apply: the
-    theta step requires an encoder whose per-type divergences were
-    certified (`derandomized=True`), and the exponent steps require the
-    canonical word length.  A failing check falsifies the implementation,
-    not the theory, so callers should treat failures as bugs.
+    theta steps require an encoder whose per-type divergences were
+    certified (a handle built with the `derandomize` search), and the
+    exponent steps require the canonical word length.  A failing check
+    falsifies the implementation, not the theory, so callers should treat
+    failures as bugs.
     """
-    plan = sys.plan
-    if laws is None:
-        laws = exact_laws(sys, p_X, p_K)
-    report = exact_mutual_info(
-        sys, p_X, p_K, f_result=f_result, laws=laws, search=search
-    )
+    plan = laws.plan
+    derandomized = laws.search is not None
+    report = exact_mutual_info(laws)
     pad = laws.pad
     direct_divergence = plan.m * math.log2(plan.q) + float(
         np.sum(pad[pad > 0] * np.log2(pad[pad > 0]))
     )
 
     checks: list[BoundCheck] = [
-        _le("mi_nonnegative", 0.0, report.mi_exact, slack),
-        _le("mi_vs_pad_divergence", report.mi_exact, report.pad_divergence, slack),
-        BoundCheck(
-            name="pad_divergence_identity",
-            lhs=report.pad_divergence,
-            rhs=direct_divergence,
-            holds=abs(report.pad_divergence - direct_divergence)
-            <= slack * max(1.0, abs(direct_divergence)),
-        ),
+        _le("mi_nonnegative", 0.0, report.mi_exact),
+        _le("mi_vs_pad_divergence", report.mi_exact, report.pad_divergence),
+        _eq("pad_divergence_identity", report.pad_divergence, direct_divergence),
         _le(
             "pad_divergence_vs_typewise",
             report.pad_divergence,
             report.typewise_bound,
-            slack,
         ),
     ]
 
@@ -546,36 +532,26 @@ def security_certificate(
     if derandomized:
         count = n_types(plan.n, plan.q)
         theta_sum = sum(
-            class_prob(P, p_K) * theta_n(P, plan)
+            class_prob(P, laws.p_K) * theta_n(P, plan)
             for P in enumerate_types(plan.n, plan.spec)
         )
         theta_bound = count * theta_sum
-        checks.append(
-            _le("typewise_vs_theta", report.typewise_bound, theta_bound, slack)
-        )
-        checks.append(_le("mi_vs_theta", report.mi_exact, theta_bound, slack))
-    if plan.canonical and report.security_bound is not None:
+        checks.append(_le("typewise_vs_theta", report.typewise_bound, theta_bound))
+        checks.append(_le("mi_vs_theta", report.mi_exact, theta_bound))
+    if plan.canonical:
         n, q = plan.n, plan.q
         padded_bound = (
             (plan.R_n + 0.5)
             * (n + 1) ** (3 * q)
             * 2.0 ** (-n * (report.f_exponent - plan.gamma_n))
         )
-        if derandomized and theta_bound is not None:
-            checks.append(
-                _le("theta_vs_padded_exponent", theta_bound, padded_bound, slack)
-            )
+        if derandomized:
+            checks.append(_le("theta_vs_padded_exponent", theta_bound, padded_bound))
         checks.append(
-            BoundCheck(
-                name="padded_equals_security_bound",
-                lhs=padded_bound,
-                rhs=report.security_bound,
-                holds=abs(padded_bound - report.security_bound)
-                <= slack * max(1.0, abs(report.security_bound)),
-            )
+            _eq("padded_equals_security_bound", padded_bound, report.security_bound)
         )
         checks.append(
-            _le("mi_vs_security_bound", report.mi_exact, report.security_bound, slack)
+            _le("mi_vs_security_bound", report.mi_exact, report.security_bound)
         )
     return SecurityCertificate(
         report=report,
@@ -590,15 +566,14 @@ def security_bound_curve(
     R: float,
     p_K: Distribution,
     n_list: Sequence[int],
-    q: int | None = None,
 ) -> list[dict]:
     """log2 of the security bound across block lengths, at fixed rate.
 
     The raw bound carries a polynomial factor (n+1)^{4q} that dominates at
     desk-scale n, so the quantity that actually decays is the per-symbol
-    value log2(bound)/n; both are reported.
+    value log2(bound)/n; both are reported.  The alphabet is p_K's.
     """
-    q = len(p_K) if q is None else q
+    q = len(p_K)
     spec = FieldSpec(q)
     f = exponent_F(R, p_K).rounded_down()
     rows = []
@@ -635,7 +610,9 @@ class ConverseDiagnostics:
     flags are the enumeration-checked inequalities; the key-rate fields
     evaluate the end-to-end conclusion in two instantiations of the margin
     term (error-numerator and leakage-numerator), both reported because the
-    two appear in different roles in the derivation.
+    two appear in different roles in the derivation.  `passed` gates on the
+    four flags, `coverage_ok` and the proof form; the display form is
+    informational (it demands more than the finite-n inequalities provide).
     """
 
     gamma: float
@@ -668,18 +645,25 @@ class ConverseDiagnostics:
     hypotheses_hold: bool
     degenerate: bool
 
+    @property
+    def passed(self) -> bool:
+        return (
+            self.peak_ok
+            and self.entropy_floor_ok
+            and self.pad_entropy_cap_ok
+            and self.mi_amplification_ok
+            and self.coverage_ok
+            and self.key_rate_proof_holds
+        )
+
     def to_json(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
+        out = {k: getattr(self, k) for k in self.__dataclass_fields__}
+        out["informational"] = ["key_rate_display_holds"]
+        return out
 
 
 def converse_diagnostics(
-    sys: CipherSystem,
-    p_X: Distribution,
-    p_K: Distribution,
-    gamma: float,
-    delta_cap: float = DELTA_CAP_DEFAULT,
-    slack: float = 1e-9,
-    laws: ExactLaws | None = None,
+    laws: ExactLaws, gamma: float, delta_cap: float = DELTA_CAP_DEFAULT
 ) -> ConverseDiagnostics:
     """Exhaustive evaluation of the converse inequalities at small scale.
 
@@ -696,22 +680,18 @@ def converse_diagnostics(
     """
     if gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
-    if laws is None:
-        laws = exact_laws(sys, p_X, p_K)
-    laws.check_matches(sys, p_X, p_K)
-    plan = sys.plan
-    n = plan.n
-    h_x = entropy(p_X)
-    h_k = entropy(p_K)
+    n = laws.plan.n
+    h_x = entropy(laws.p_X)
+    h_k = entropy(laws.p_K)
 
     px = laws.plaintext_probs
     with np.errstate(divide="ignore"):
         info = -np.log2(px) / n
     typical = info >= h_x - gamma - 1e-12
     nu_n = float(px[~typical].sum())
-    retained = typical & (sys.codebook.rank_of >= 0)
+    retained = typical & (laws.sys.codebook.rank_of >= 0)
     coverage = float(px[retained].sum())
-    measured_eps = exact_error_prob(sys.codebook, p_X)
+    measured_eps = exact_error_prob(laws.sys.codebook, laws.p_X)
 
     h_pad = laws.h_pad
     measured_delta = laws.mi
@@ -726,6 +706,7 @@ def converse_diagnostics(
         leak_margin_delta = math.inf
 
     degenerate = coverage <= 0.0
+    amplified = math.inf if degenerate else measured_delta / coverage
     if degenerate:
         max_conditional = 0.0
         conditional_cap = math.inf
@@ -734,21 +715,20 @@ def converse_diagnostics(
         conditional_mi = 0.0
         peak_ok = entropy_ok = amplification_ok = True
     else:
-        q_cond = laws.mixture(_codeword_weights(sys, px, mask=retained)) / coverage
+        q_cond = laws.mixture(laws.codeword_weights(mask=retained)) / coverage
         max_conditional = float(q_cond.max())
         conditional_cap = 2.0 ** (-n * (h_x - gamma)) / coverage
-        peak_ok = max_conditional <= conditional_cap * (1 + slack)
+        peak_ok = max_conditional <= conditional_cap * (1 + SLACK)
         h_cond = entropy(q_cond)
         entropy_floor = n * (h_x - gamma) + math.log2(coverage)
-        entropy_ok = h_cond >= entropy_floor - slack * max(1.0, abs(entropy_floor))
+        entropy_ok = h_cond >= entropy_floor - SLACK * max(1.0, abs(entropy_floor))
         conditional_mi = max(0.0, h_cond - h_pad)
-        amplified = measured_delta / coverage
-        amplification_ok = conditional_mi <= amplified + slack * max(1.0, amplified)
+        amplification_ok = conditional_mi <= amplified + SLACK * max(1.0, amplified)
 
     pad_entropy_cap = n * h_k
-    pad_cap_ok = h_pad <= pad_entropy_cap + slack * max(1.0, pad_entropy_cap)
+    pad_cap_ok = h_pad <= pad_entropy_cap + SLACK * max(1.0, pad_entropy_cap)
     coverage_floor = 1.0 - nu_n - measured_eps
-    coverage_ok = coverage >= coverage_floor - slack
+    coverage_ok = coverage >= coverage_floor - SLACK
 
     hypotheses = 0.0 < measured_eps < 1.0 and 0.0 < measured_delta <= delta_cap
     display_rhs = h_x + gamma + leak_margin
@@ -772,7 +752,7 @@ def converse_diagnostics(
         pad_entropy_cap=pad_entropy_cap,
         pad_entropy_cap_ok=pad_cap_ok,
         conditional_mi=conditional_mi,
-        amplified_mi=(measured_delta / coverage) if coverage > 0 else math.inf,
+        amplified_mi=amplified,
         mi_amplification_ok=amplification_ok,
         coverage_floor=coverage_floor,
         coverage_ok=coverage_ok,

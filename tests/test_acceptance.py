@@ -30,6 +30,7 @@ from typecipher.fields import FieldSpec
 from typecipher.leakage import (
     check_birkhoff,
     converse_diagnostics,
+    exact_laws,
     exact_mutual_info,
     security_certificate,
     strong_converse_probe,
@@ -43,15 +44,18 @@ def _verdict(label: str, ok: bool, started: float, budget: float) -> None:
     assert elapsed < budget, f"{label} exceeded {budget}s budget ({elapsed:.2f}s)"
 
 
-def _system(n, R, q=2, seed=0, derandomized=True):
-    spec = FieldSpec(q)
-    plan = make_rate_plan(n, R, spec)
-    cb = build_codebook(plan)
-    if derandomized:
-        enc = derandomize(plan, base_seed=seed).encoder
-    else:
-        enc = draw_encoder(plan, seed)
-    return CipherSystem(codebook=cb, key_encoder=enc)
+def _system(n, R, q=2, seed=0):
+    """A system with the encoder drawn at `seed`."""
+    plan = make_rate_plan(n, R, FieldSpec(q))
+    return CipherSystem(codebook=build_codebook(plan), key_encoder=draw_encoder(plan, seed))
+
+
+def _derandomized_laws(n, R, px, pk, seed=0):
+    """Exact laws of a binary system whose encoder `derandomize` found."""
+    plan = make_rate_plan(n, R, FieldSpec(2))
+    search = derandomize(plan, base_seed=seed)
+    sys_ = CipherSystem(codebook=build_codebook(plan), key_encoder=search.encoder)
+    return exact_laws(sys_, Distribution(px), Distribution(pk), search)
 
 
 def test_a01_decryption_condition_exhaustive():
@@ -59,7 +63,7 @@ def test_a01_decryption_condition_exhaustive():
     failures = []
     for q, n_range in ((2, range(2, 7)), (3, range(2, 4))):
         for n in n_range:
-            sys_ = _system(n, 0.9, q=q, seed=1, derandomized=False)
+            sys_ = _system(n, 0.9, q=q, seed=1)
             if not check_decryption_condition(sys_):
                 failures.append((q, n))
     _verdict("criterion 01 decryption-condition", not failures, t0, 5.0)
@@ -110,14 +114,7 @@ def test_a04_security_bound_chain():
         for R in (0.6, 0.9):
             for px in ((0.9, 0.1), (0.8, 0.2)):
                 for pk in ((0.5, 0.5), (0.7, 0.3)):
-                    sys_ = _system(n, R, seed=n)
-                    cert = security_certificate(
-                        sys_,
-                        Distribution(px),
-                        Distribution(pk),
-                        derandomized=True,
-                        slack=1e-9,
-                    )
+                    cert = security_certificate(_derandomized_laws(n, R, px, pk, seed=n))
                     for c in cert.checks:
                         if not c.holds:
                             failures.append((n, R, px, pk, c.name, c.lhs, c.rhs))
@@ -132,7 +129,7 @@ def test_a05_perfect_secrecy():
     cb = build_codebook(plan)
     enc = make_encoder([[1, 0], [0, 1], [0, 0]], (0, 0), spec)
     sys_ = CipherSystem(codebook=cb, key_encoder=enc)
-    mi = exact_mutual_info(sys_, Distribution([0.7, 0.3]), uniform(2)).mi_exact
+    mi = exact_mutual_info(exact_laws(sys_, Distribution([0.7, 0.3]), uniform(2))).mi_exact
     ok = mi <= 1e-10
     _verdict("criterion 05 perfect-secrecy", ok, t0, 1.0)
     assert ok, mi
@@ -144,10 +141,9 @@ def test_a06_birkhoff_row_sums():
     failures = []
     for _ in range(20):
         n = int(rng.integers(2, 5))
-        sys_ = _system(n, float(rng.uniform(0.4, 1.2)), seed=int(rng.integers(1000)),
-                       derandomized=False)
+        sys_ = _system(n, float(rng.uniform(0.4, 1.2)), seed=int(rng.integers(1000)))
         p_k = Distribution(rng.dirichlet(np.ones(2)))
-        worst = check_birkhoff(sys_, p_k)
+        worst = check_birkhoff(exact_laws(sys_, uniform(2), p_k))
         if worst > 1.0 + 1e-12:
             failures.append((n, tuple(p_k), worst))
     _verdict("criterion 06 birkhoff-row-sums", not failures, t0, 10.0)
@@ -241,10 +237,8 @@ def _converse_matrix():
     configs.append((4, 0.9, (0.97, 0.03), (0.5, 0.5), 0.05))
     configs.append((4, 0.7, (0.8, 0.2), (0.7, 0.3), 0.1))
     for n, R, px, pk, gamma in configs:
-        sys_ = _system(n, R, seed=0)
-        yield (n, R, px, pk, gamma), converse_diagnostics(
-            sys_, Distribution(px), Distribution(pk), gamma=gamma
-        )
+        laws = _derandomized_laws(n, R, px, pk, seed=0)
+        yield (n, R, px, pk, gamma), converse_diagnostics(laws, gamma=gamma)
 
 
 def test_a10_converse_inequalities():

@@ -182,6 +182,19 @@ def test_encrypt_decrypt_reject_wrong_lengths():
         decrypt(sys_, (0, 1, 1), (1,))
 
 
+def test_encrypt_decrypt_reject_out_of_range_residues():
+    sys_ = _system(4, 0.9, FieldSpec(2), seed=1)
+    m = sys_.plan.m
+    with pytest.raises(FieldError, match="key residue 5"):
+        encrypt(sys_, (0, 5, 0, 0), (0, 0, 0, 1))
+    with pytest.raises(FieldError, match="key residue -1"):
+        decrypt(sys_, (0, -1, 0, 0), (0,) * m)
+    with pytest.raises(FieldError, match="plaintext residue 2"):
+        encrypt(sys_, (0, 0, 0, 0), (0, 0, 2, 1))
+    with pytest.raises(FieldError, match="ciphertext residue 7"):
+        decrypt(sys_, (0, 0, 0, 0), (7,) + (0,) * (m - 1))
+
+
 def test_injectivity_catches_shared_codeword():
     sys_ = _system(4, 0.9, FieldSpec(2), seed=3)
     cb = sys_.codebook

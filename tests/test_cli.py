@@ -12,7 +12,7 @@ from typecipher.cipher import CipherSystem, derandomize
 from typecipher.cli import main
 from typecipher.code import build_codebook, make_rate_plan
 from typecipher.fields import FieldSpec
-from typecipher.leakage import exact_mutual_info
+from typecipher.leakage import exact_laws, exact_mutual_info
 from typecipher.simplex import Distribution, uniform
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -158,9 +158,10 @@ def test_exact_mi_matches_library(tmp_path):
     import numpy as np
 
     sub = int(np.random.SeedSequence([3, 1]).generate_state(1)[0])
-    enc = derandomize(plan, base_seed=sub).encoder
-    sys_ = CipherSystem(codebook=cb, key_encoder=enc)
-    want = exact_mutual_info(sys_, Distribution([0.8, 0.2]), Distribution([0.6, 0.4]))
+    search = derandomize(plan, base_seed=sub)
+    sys_ = CipherSystem(codebook=cb, key_encoder=search.encoder)
+    laws = exact_laws(sys_, Distribution([0.8, 0.2]), Distribution([0.6, 0.4]), search)
+    want = exact_mutual_info(laws)
     assert payload["mi_exact"] == pytest.approx(want.mi_exact, abs=1e-12)
 
 
@@ -350,6 +351,24 @@ def test_verify_computes_divergences_once_per_attempt(tmp_path, monkeypatch):
     assert len(calls) == report["encoder"]["attempts"]
 
 
+def test_verify_computes_the_pad_law_once(tmp_path, monkeypatch):
+    from typecipher.cipher import pad_law
+
+    calls = []
+
+    def counting(enc, p_K, spec):
+        calls.append(enc)
+        return pad_law(enc, p_K, spec)
+
+    monkeypatch.setattr("typecipher.cipher.pad_law", counting)
+    monkeypatch.setattr("typecipher.leakage.pad_law", counting)
+    out = tmp_path / "verify.json"
+    argv = ["verify", "--q", "2", "--n", "6", "--rate", "0.9", "--px", "0.8,0.2",
+            "--pk", "0.6,0.4", "--seed", "3", "--out", str(out)]
+    assert main(argv) == 0
+    assert len(calls) == 1
+
+
 def test_converse_probe_csv(tmp_path):
     out = tmp_path / "probe.csv"
     argv = [
@@ -372,6 +391,12 @@ def test_missing_plan_inputs_exit_2(capsys):
     assert main(["codebook", "--rate", "0.9"]) == 2
     assert main(["codebook", "--n", "4"]) == 2
     capsys.readouterr()
+
+
+def test_converse_probe_checks_px_against_q(capsys):
+    argv = ["converse-probe", "--q", "3", "--px", "0.7,0.3", "--rate", "0.6", "--n", "4"]
+    assert main(argv) == 2
+    assert "--px has 2 entries but q=3" in capsys.readouterr().err
 
 
 def test_rate_at_entropy_probe_exits_2(capsys):

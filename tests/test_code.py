@@ -152,6 +152,19 @@ def test_encode_maps_errors_to_x0():
     assert cb.x0 == (0,) * cb.plan.m
 
 
+def test_encode_decode_reject_bad_rows():
+    cb = build_codebook(make_rate_plan(4, 0.9, FieldSpec(2)))
+    m = cb.plan.m
+    with pytest.raises(FieldError, match="plaintext residue 9"):
+        encode(cb, (0, 0, 0, 9))
+    with pytest.raises(FieldError, match="plaintext length 8 does not match 4"):
+        encode(cb, (0,) * 8)
+    with pytest.raises(FieldError, match="word residue 5"):
+        decode(cb, (5,) + (0,) * (m - 1))
+    with pytest.raises(FieldError, match=f"word length {m + 1} does not match {m}"):
+        decode(cb, (0,) * (m + 1))
+
+
 def test_decode_default_on_unused_words():
     spec = FieldSpec(2)
     cb = build_codebook(make_rate_plan(3, 0.5, spec))

@@ -8,6 +8,7 @@ from typecipher.fields import (
     FieldSpec,
     all_vectors,
     field_matrix,
+    field_row,
     field_vector,
     index_decode,
     index_encode,
@@ -42,6 +43,20 @@ def test_field_vector_validates_range():
         field_vector([0, 3], spec)
     with pytest.raises(FieldError):
         field_vector([-1], spec)
+
+
+def test_field_row_validates_length_and_range():
+    spec = FieldSpec(3)
+    row = field_row((0, 2, 1), 3, spec, "key")
+    assert row.dtype == np.int64 and row.tolist() == [0, 2, 1]
+    with pytest.raises(FieldError, match="key length 2 does not match 3"):
+        field_row((0, 2), 3, spec, "key")
+    with pytest.raises(FieldError, match="key length 6 does not match 3"):
+        field_row([[0, 1, 2], [0, 1, 2]], 3, spec, "key")
+    with pytest.raises(FieldError, match=r"word residue 3 out of range \[0, 3\)"):
+        field_row((0, 3, 1), 3, spec, "word")
+    with pytest.raises(FieldError, match="word residue -1"):
+        field_row((-1, 0, 1), 3, spec, "word")
 
 
 def test_field_matrix_is_readonly():

@@ -3,6 +3,7 @@
 import itertools
 import math
 from collections import defaultdict
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -60,11 +61,13 @@ def _mi_oracle(sys_, p_X, p_K):
     return sum(v * math.log2(v / (mx[x] * mc[c])) for (x, c), v in joint.items())
 
 
-def _canonical_system(n, R, seed=0):
-    spec = FieldSpec(2)
-    plan = make_rate_plan(n, R, spec)
-    cb = build_codebook(plan)
-    return CipherSystem(codebook=cb, key_encoder=derandomize(plan, base_seed=seed).encoder)
+def _canonical_laws(n, R, p_x, p_k, seed=0):
+    """Exact laws of a binary canonical system whose encoder `derandomize`
+    found, search result included."""
+    plan = make_rate_plan(n, R, FieldSpec(2))
+    search = derandomize(plan, base_seed=seed)
+    sys_ = CipherSystem(codebook=build_codebook(plan), key_encoder=search.encoder)
+    return exact_laws(sys_, p_x, p_k, search)
 
 
 def _perfect_system():
@@ -75,14 +78,19 @@ def _perfect_system():
     return CipherSystem(codebook=cb, key_encoder=enc)
 
 
+def _perfect_laws(p_x, p_k):
+    return exact_laws(_perfect_system(), p_x, p_k)
+
+
 def test_exact_mi_matches_joint_table_oracle():
     rng = np.random.default_rng(40)
     for n, R in ((2, 0.6), (3, 0.9), (4, 0.9)):
-        sys_ = _canonical_system(n, R, seed=int(rng.integers(100)))
+        seed = int(rng.integers(100))
         p_x = Distribution(rng.dirichlet(np.ones(2)))
         p_k = Distribution(rng.dirichlet(np.ones(2)))
-        rep = exact_mutual_info(sys_, p_x, p_k)
-        assert rep.mi_exact == pytest.approx(_mi_oracle(sys_, p_x, p_k), abs=1e-9)
+        laws = _canonical_laws(n, R, p_x, p_k, seed=seed)
+        rep = exact_mutual_info(laws)
+        assert rep.mi_exact == pytest.approx(_mi_oracle(laws.sys, p_x, p_k), abs=1e-9)
 
 
 def _transform_case(q, n, R=None, m=None, point_mass=False, seed=0):
@@ -127,18 +135,18 @@ def test_transform_matches_shift_loop(case):
         assert np.max(np.abs(got - want)) <= 1e-12
 
 
-def test_shared_laws_refused_for_another_system_or_law():
-    sys_ = _canonical_system(4, 0.9)
+def test_exact_laws_refuses_search_for_another_encoder():
+    plan = make_rate_plan(4, 0.9, FieldSpec(2))
+    search = derandomize(plan, base_seed=3)
+    cb = build_codebook(plan)
     p_x, p_k = Distribution([0.9, 0.1]), uniform(2)
-    laws = exact_laws(sys_, p_x, p_k)
-    assert check_birkhoff(sys_, uniform(2), laws=laws) == check_birkhoff(sys_, p_k)
-    other = CipherSystem(codebook=sys_.codebook, key_encoder=sys_.key_encoder)
-    with pytest.raises(ValueError):
-        exact_mutual_info(sys_, Distribution([0.8, 0.2]), p_k, laws=laws)
-    with pytest.raises(ValueError):
-        check_birkhoff(sys_, Distribution([0.8, 0.2]), laws=laws)
-    with pytest.raises(ValueError):
-        converse_diagnostics(other, p_x, p_k, gamma=0.1, laws=laws)
+    # an equal encoder drawn again is still another encoder
+    for enc in (draw_encoder(plan, search.seed + 1), draw_encoder(plan, search.seed)):
+        other = CipherSystem(codebook=cb, key_encoder=enc)
+        with pytest.raises(ValueError, match="another encoder"):
+            exact_laws(other, p_x, p_k, search)
+    mine = CipherSystem(codebook=cb, key_encoder=search.encoder)
+    assert exact_laws(mine, p_x, p_k, search).search is search
 
 
 def test_search_divergences_reused_and_checked(monkeypatch):
@@ -147,26 +155,47 @@ def test_search_divergences_reused_and_checked(monkeypatch):
     search = derandomize(plan, base_seed=3)
     sys_ = CipherSystem(codebook=build_codebook(plan), key_encoder=search.encoder)
     p_x, p_k = Distribution([0.8, 0.2]), Distribution([0.6, 0.4])
-    fresh = exact_mutual_info(sys_, p_x, p_k)
-    cert = security_certificate(sys_, p_x, p_k, derandomized=True)
+    fresh = exact_mutual_info(exact_laws(sys_, p_x, p_k))
+    cert = security_certificate(exact_laws(sys_, p_x, p_k))
 
     def refuse(*args, **kwargs):
         raise AssertionError("divergences recomputed")
 
     monkeypatch.setattr("typecipher.leakage.omega_divergences", refuse)
-    assert exact_mutual_info(sys_, p_x, p_k, search=search) == fresh
-    reused = security_certificate(sys_, p_x, p_k, derandomized=True, search=search)
-    assert reused.to_json() == cert.to_json()
-    other = CipherSystem(
-        codebook=sys_.codebook, key_encoder=draw_encoder(plan, search.seed + 1)
+    laws = exact_laws(sys_, p_x, p_k, search)
+    assert exact_mutual_info(laws) == fresh
+    reused = security_certificate(laws)
+    # the search adds the theta steps and changes nothing else
+    assert reused.derandomized and not cert.derandomized
+    theta = {"typewise_vs_theta", "mi_vs_theta", "theta_vs_padded_exponent"}
+    assert [c for c in reused.checks if c.name not in theta] == list(cert.checks)
+    assert {c.name for c in reused.checks} - {c.name for c in cert.checks} == theta
+    assert reused.report == cert.report
+
+
+def test_one_handle_shared_by_every_figure_matches_fresh_handles():
+    p_x, p_k = Distribution([0.9, 0.1]), Distribution([0.7, 0.3])
+    laws = _canonical_laws(4, 0.9, p_x, p_k)
+
+    def fresh():
+        return exact_laws(laws.sys, p_x, p_k, laws.search)
+
+    shared = (
+        security_certificate(laws).to_json(),
+        check_birkhoff(laws),
+        converse_diagnostics(laws, gamma=0.1).to_json(),
+        exact_mutual_info(laws),
     )
-    with pytest.raises(ValueError, match="another encoder"):
-        exact_mutual_info(other, p_x, p_k, search=search)
+    assert shared == (
+        security_certificate(fresh()).to_json(),
+        check_birkhoff(fresh()),
+        converse_diagnostics(fresh(), gamma=0.1).to_json(),
+        exact_mutual_info(fresh()),
+    )
 
 
 def test_perfect_secrecy_zero_mi():
-    sys_ = _perfect_system()
-    rep = exact_mutual_info(sys_, Distribution([0.7, 0.3]), uniform(2))
+    rep = exact_mutual_info(_perfect_laws(Distribution([0.7, 0.3]), uniform(2)))
     assert rep.mi_exact <= 1e-10
     assert rep.h_pad == pytest.approx(2.0, abs=1e-12)
     assert rep.pad_divergence == pytest.approx(0.0, abs=1e-12)
@@ -175,7 +204,7 @@ def test_perfect_secrecy_zero_mi():
 def test_point_mass_key_leaks_codeword_entropy():
     sys_ = _perfect_system()
     p_x = Distribution([0.7, 0.3])
-    rep = exact_mutual_info(sys_, p_x, Distribution([1.0, 0.0]))
+    rep = exact_mutual_info(exact_laws(sys_, p_x, Distribution([1.0, 0.0])))
     law = defaultdict(float)
     for x in itertools.product(range(2), repeat=3):
         law[encode(sys_.codebook, x)] += math.prod(p_x[a] for a in x)
@@ -187,10 +216,10 @@ def test_report_chain_invariant_random_systems():
     rng = np.random.default_rng(41)
     for _ in range(8):
         n = int(rng.integers(2, 5))
-        sys_ = _canonical_system(n, float(rng.uniform(0.4, 1.1)), seed=int(rng.integers(100)))
+        R, seed = float(rng.uniform(0.4, 1.1)), int(rng.integers(100))
         p_x = Distribution(rng.dirichlet(np.ones(2)))
         p_k = Distribution(rng.dirichlet(np.ones(2)))
-        rep = exact_mutual_info(sys_, p_x, p_k)
+        rep = exact_mutual_info(_canonical_laws(n, R, p_x, p_k, seed=seed))
         assert 0.0 <= rep.mi_exact <= rep.pad_divergence + 1e-10
         assert rep.pad_divergence <= rep.typewise_bound + 1e-10
         assert rep.security_bound is not None
@@ -205,7 +234,7 @@ def test_pad_divergence_identity():
     enc = draw_encoder(plan, 19)
     sys_ = CipherSystem(codebook=cb, key_encoder=enc)
     p_k = Distribution([0.75, 0.25])
-    rep = exact_mutual_info(sys_, Distribution([0.6, 0.4]), p_k)
+    rep = exact_mutual_info(exact_laws(sys_, Distribution([0.6, 0.4]), p_k))
     pad = pad_law_fraction(enc, [Fraction(3, 4), Fraction(1, 4)], spec)
     direct = sum(
         float(v) * math.log2(float(v) * 4) for v in pad if v > 0
@@ -214,10 +243,8 @@ def test_pad_divergence_identity():
 
 
 def test_security_certificate_canonical_passes():
-    sys_ = _canonical_system(4, 0.9)
-    cert = security_certificate(
-        sys_, Distribution([0.9, 0.1]), uniform(2), derandomized=True
-    )
+    laws = _canonical_laws(4, 0.9, Distribution([0.9, 0.1]), uniform(2))
+    cert = security_certificate(laws)
     assert cert.passed
     names = [c.name for c in cert.checks]
     assert "theta_vs_padded_exponent" in names
@@ -227,13 +254,26 @@ def test_security_certificate_canonical_passes():
 
 
 def test_security_certificate_explicit_m_skips_exponent_steps():
-    sys_ = _perfect_system()
-    cert = security_certificate(sys_, Distribution([0.7, 0.3]), uniform(2))
+    cert = security_certificate(_perfect_laws(Distribution([0.7, 0.3]), uniform(2)))
     assert cert.passed
     names = [c.name for c in cert.checks]
     assert "mi_vs_security_bound" not in names
     assert "theta_vs_padded_exponent" not in names
     assert cert.report.security_bound is None
+
+
+@pytest.mark.parametrize("canonical", [True, False])
+def test_certificate_json_lists_skipped_steps_iff_non_canonical(canonical):
+    p_x, p_k = Distribution([0.8, 0.2]), Distribution([0.6, 0.4])
+    laws = _canonical_laws(4, 0.9, p_x, p_k) if canonical else _perfect_laws(p_x, p_k)
+    payload = security_certificate(laws).to_json()
+    assert ("skipped" in payload) is (not canonical)
+    if not canonical:
+        assert payload["skipped"] == [
+            "theta_vs_padded_exponent",
+            "padded_equals_security_bound",
+            "mi_vs_security_bound",
+        ]
 
 
 def test_monte_carlo_known_zero():
@@ -244,17 +284,17 @@ def test_monte_carlo_known_zero():
 
 
 def test_monte_carlo_tracks_exact_value():
-    sys_ = _canonical_system(4, 0.9)
     p_x = Distribution([0.8, 0.2])
     p_k = Distribution([0.9, 0.1])
-    exact = exact_mutual_info(sys_, p_x, p_k).mi_exact
-    est = monte_carlo_mi(sys_, p_x, p_k, samples=6000, seed=2)
+    laws = _canonical_laws(4, 0.9, p_x, p_k)
+    exact = exact_mutual_info(laws).mi_exact
+    est = monte_carlo_mi(laws.sys, p_x, p_k, samples=6000, seed=2)
     assert abs(est.estimate - exact) <= 3 * est.std_error
 
 
 def test_monte_carlo_se_scales_with_samples():
-    sys_ = _canonical_system(3, 0.9)
     p_x = Distribution([0.8, 0.2])
+    sys_ = _canonical_laws(3, 0.9, p_x, uniform(2)).sys
     small = monte_carlo_mi(sys_, p_x, uniform(2), samples=1000, seed=3)
     large = monte_carlo_mi(sys_, p_x, uniform(2), samples=4000, seed=3)
     ratio = small.std_error / large.std_error
@@ -348,10 +388,10 @@ def test_monte_carlo_calibration_grid(q, n, R):
     # 40 seeds at 4000 samples against the exact value: the +-3 SE interval
     # should cover it on at least 36 (a z-score beyond 3 is a 0.3% event)
     plan = make_rate_plan(n, R, FieldSpec(q))
-    enc = derandomize(plan, base_seed=0).encoder
-    sys_ = CipherSystem(codebook=build_codebook(plan), key_encoder=enc)
+    search = derandomize(plan, base_seed=0)
+    sys_ = CipherSystem(codebook=build_codebook(plan), key_encoder=search.encoder)
     p_x, p_k = (Distribution(law) for law in _CALIBRATION_LAWS[q])
-    exact = exact_mutual_info(sys_, p_x, p_k).mi_exact
+    exact = exact_mutual_info(exact_laws(sys_, p_x, p_k, search)).mi_exact
     covered = 0
     for seed in range(40):
         est = monte_carlo_mi(sys_, p_x, p_k, samples=4000, seed=seed)
@@ -360,24 +400,25 @@ def test_monte_carlo_calibration_grid(q, n, R):
 
 
 def test_birkhoff_point_mass_key():
-    sys_ = _perfect_system()
-    assert check_birkhoff(sys_, Distribution([1.0, 0.0])) == pytest.approx(1.0, abs=1e-12)
+    laws = _perfect_laws(uniform(2), Distribution([1.0, 0.0]))
+    assert check_birkhoff(laws) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_birkhoff_uniform_key_flat_rows():
     # uniform pad over all of X^m: every row sum is |members| / q^m
-    sys_ = _perfect_system()
-    got = check_birkhoff(sys_, uniform(2))
-    assert got == pytest.approx(sys_.codebook.member_count / 4, abs=1e-12)
+    laws = _perfect_laws(uniform(2), uniform(2))
+    got = check_birkhoff(laws)
+    assert got == pytest.approx(laws.sys.codebook.member_count / 4, abs=1e-12)
 
 
 def test_birkhoff_random_configs_below_one():
     rng = np.random.default_rng(44)
     for _ in range(10):
         n = int(rng.integers(2, 5))
-        sys_ = _canonical_system(n, float(rng.uniform(0.4, 1.2)), seed=int(rng.integers(100)))
+        R, seed = float(rng.uniform(0.4, 1.2)), int(rng.integers(100))
         p_k = Distribution(rng.dirichlet(np.ones(2)))
-        assert check_birkhoff(sys_, p_k) <= 1.0 + 1e-12
+        laws = _canonical_laws(n, R, uniform(2), p_k, seed=seed)
+        assert check_birkhoff(laws) <= 1.0 + 1e-12
 
 
 def test_birkhoff_exact_rational_oracle():
@@ -404,9 +445,9 @@ def test_birkhoff_exact_rational_oracle():
 
 
 def test_converse_gamma_above_entropy_keeps_everything():
-    sys_ = _canonical_system(4, 0.9)
     p_x = Distribution([0.7, 0.3])
-    d = converse_diagnostics(sys_, p_x, uniform(2), gamma=entropy(p_x) + 0.05)
+    laws = _canonical_laws(4, 0.9, p_x, uniform(2))
+    d = converse_diagnostics(laws, gamma=entropy(p_x) + 0.05)
     assert d.nu_n == pytest.approx(0.0, abs=1e-12)
     assert d.coverage == pytest.approx(1.0 - d.measured_eps, abs=1e-12)
 
@@ -415,22 +456,41 @@ def test_converse_inequalities_small_matrix():
     rng = np.random.default_rng(46)
     for n in (2, 3, 4):
         for gamma in (0.05, 0.1, 0.2):
-            sys_ = _canonical_system(n, 0.9, seed=int(rng.integers(100)))
+            seed = int(rng.integers(100))
             p_x = Distribution(rng.dirichlet(np.ones(2)))
             p_k = Distribution(rng.dirichlet(np.ones(2)))
-            d = converse_diagnostics(sys_, p_x, p_k, gamma=gamma)
+            laws = _canonical_laws(n, 0.9, p_x, p_k, seed=seed)
+            d = converse_diagnostics(laws, gamma=gamma)
             assert d.peak_ok
             assert d.entropy_floor_ok
             assert d.pad_entropy_cap_ok
             assert d.mi_amplification_ok
             assert d.coverage_ok
             assert d.key_rate_proof_holds
+            assert d.passed
+
+
+def test_converse_passed_ignores_the_display_form():
+    gated = (
+        "peak_ok",
+        "entropy_floor_ok",
+        "pad_entropy_cap_ok",
+        "mi_amplification_ok",
+        "coverage_ok",
+        "key_rate_proof_holds",
+    )
+    laws = _canonical_laws(4, 0.9, Distribution([0.97, 0.03]), uniform(2))
+    d = converse_diagnostics(laws, gamma=0.05)
+    assert d.passed and not d.key_rate_display_holds
+    assert d.to_json()["informational"] == ["key_rate_display_holds"]
+    assert replace(d, key_rate_display_holds=True).passed
+    for flag in gated:
+        assert not replace(d, **{flag: False}).passed, flag
 
 
 def test_converse_margin_formula():
-    sys_ = _canonical_system(4, 0.9)
     p_x = Distribution([0.9, 0.1])
-    d = converse_diagnostics(sys_, p_x, uniform(2), gamma=0.1)
+    d = converse_diagnostics(_canonical_laws(4, 0.9, p_x, uniform(2)), gamma=0.1)
     shrink = 1.0 - (d.nu_n + d.measured_eps)
     want = (d.measured_eps / shrink + math.log2(1.0 / shrink)) / 4
     assert d.leak_margin == pytest.approx(want, abs=1e-12)
@@ -440,19 +500,17 @@ def test_converse_margin_formula():
 
 def test_converse_hypotheses_gate():
     # leakage above the budget cap means the admissibility hypotheses fail
-    sys_ = _canonical_system(4, 0.9)
-    d = converse_diagnostics(sys_, Distribution([0.9, 0.1]), uniform(2), gamma=0.1)
+    laws = _canonical_laws(4, 0.9, Distribution([0.9, 0.1]), uniform(2))
+    d = converse_diagnostics(laws, gamma=0.1)
     assert d.measured_delta > 1.0
     assert not d.hypotheses_hold
-    d2 = converse_diagnostics(
-        sys_, Distribution([0.9, 0.1]), uniform(2), gamma=0.1, delta_cap=10.0
-    )
+    d2 = converse_diagnostics(laws, gamma=0.1, delta_cap=10.0)
     assert d2.hypotheses_hold
 
 
 def test_converse_rejects_nonpositive_gamma():
     with pytest.raises(ValueError):
-        converse_diagnostics(_perfect_system(), uniform(2), uniform(2), gamma=0.0)
+        converse_diagnostics(_perfect_laws(uniform(2), uniform(2)), gamma=0.0)
 
 
 def test_probe_matches_brute_force_topmass():
@@ -510,6 +568,20 @@ def test_security_bound_curve_per_symbol_decreases():
     assert all(r["f_exponent"] == pytest.approx(0.5, abs=1e-6) for r in rows)
 
 
+def test_security_bound_curve_takes_the_alphabet_from_the_key_law():
+    # log2 bound = log2(2 R_n + 1) + log2 q + 4 q log2(n+1) - n F, q = 3 here
+    p_k = uniform(3)
+    (row,) = security_bound_curve(0.5, p_k, [4])
+    plan = make_rate_plan(4, 0.5, FieldSpec(3))
+    want = (
+        math.log2(2 * plan.R_n + 1)
+        + math.log2(3)
+        + 12 * math.log2(5)
+        - 4 * row["f_exponent"]
+    )
+    assert row["log2_bound"] == pytest.approx(want, abs=1e-12)
+
+
 def test_exact_mi_scale_guard():
     spec = FieldSpec(2)
     plan = make_rate_plan(13, 0.5, spec)  # 2^26 pairs: past the guard
@@ -517,4 +589,4 @@ def test_exact_mi_scale_guard():
     enc = draw_encoder(plan, 0)
     sys_ = CipherSystem(codebook=cb, key_encoder=enc)
     with pytest.raises(FieldError):
-        exact_mutual_info(sys_, uniform(2), uniform(2))
+        exact_laws(sys_, uniform(2), uniform(2))
