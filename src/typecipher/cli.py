@@ -272,8 +272,9 @@ def cmd_sweep(args) -> int:
 
 
 def _sweep_mi(sys_, search, p_x, p_k, seed: int, samples: int) -> tuple[float, str]:
-    """Exact MI of a derandomized system within the pair cap; otherwise a
-    Monte Carlo estimate with the encoder drawn at `seed`."""
+    """Exact MI of a derandomized system within the pair cap; otherwise the
+    Monte Carlo point estimate with the encoder drawn at `seed`.  The row
+    prints no standard error, so no bootstrap replicate is drawn."""
     if search is not None:
         try:
             laws = exact_laws(sys_, p_x, p_k, search)
@@ -281,7 +282,7 @@ def _sweep_mi(sys_, search, p_x, p_k, seed: int, samples: int) -> tuple[float, s
         except FieldError:
             enc = draw_encoder(sys_.plan, seed)
             sys_ = CipherSystem(codebook=sys_.codebook, key_encoder=enc)
-    est = monte_carlo_mi(sys_, p_x, p_k, samples=max(samples, 1000), seed=seed)
+    est = monte_carlo_mi(sys_, p_x, p_k, samples=max(samples, 1000), seed=seed, bootstrap=0)
     return est.estimate, "estimate"
 
 

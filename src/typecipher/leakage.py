@@ -298,7 +298,7 @@ def exact_mutual_info(laws: ExactLaws) -> LeakageReport:
 @dataclass(frozen=True)
 class MonteCarloMI:
     estimate: float
-    std_error: float
+    std_error: float | None
     samples: int
     raw_plugin: float
     corrected: bool
@@ -345,7 +345,7 @@ def monte_carlo_mi(
     corrected: bool = True,
     bootstrap: int = 200,
 ) -> MonteCarloMI:
-    """Plug-in estimate of I(C; X) from sampled pairs, with bootstrap SE.
+    """Plug-in estimate of I(C; X) from sampled pairs, with a bootstrap SE.
 
     Each sampled plaintext x and ciphertext c is replaced by its cell: the
     rank of its value among the distinct sampled values (the joint cell
@@ -355,7 +355,11 @@ def monte_carlo_mi(
     come from the cipher's own array helpers.  The point estimate and
     each of the `bootstrap` replicates (one index redraw of all samples)
     then take their three entropies from cell counts, so a replicate costs
-    O(samples + cells) and sorts nothing.
+    O(samples + cells) and sorts nothing.  `bootstrap=0` skips the
+    replicates and leaves `std_error` None; the replicates draw their
+    indices after every sample the point estimate uses, so `estimate` and
+    `raw_plugin` are the same bits either way.  Any other `bootstrap` below
+    2 has no sample standard deviation and is refused.
 
     The plug-in estimator is biased upward by roughly (cells - 1)/(2N ln 2);
     the default first-order correction removes most of it, which matters
@@ -364,6 +368,10 @@ def monte_carlo_mi(
     """
     if samples < 1000:
         raise ValueError(f"need at least 1000 samples, got {samples}")
+    if bootstrap != 0 and bootstrap < 2:
+        raise ValueError(
+            f"bootstrap must be 0 (no standard error) or at least 2, got {bootstrap}"
+        )
     spec = sys.spec
     plan = sys.plan
     cb = sys.codebook
@@ -396,7 +404,7 @@ def monte_carlo_mi(
         reps[b] = _mi_from_counts(*counts(idx), samples, corrected)
     return MonteCarloMI(
         estimate=point,
-        std_error=float(np.std(reps, ddof=1)),
+        std_error=float(np.std(reps, ddof=1)) if bootstrap else None,
         samples=samples,
         raw_plugin=raw,
         corrected=corrected,

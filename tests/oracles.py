@@ -199,7 +199,8 @@ def _plugin_mi(xi, ci, corrected):
 
 def monte_carlo_mi(sys_, p_X, p_K, samples, seed, corrected=True, bootstrap=200):
     """Plug-in I(C; X) over sampled pairs: each sample encoded through a
-    tuple cache, and every bootstrap replicate re-sorting its resampled rows."""
+    tuple cache, and every bootstrap replicate re-sorting its resampled rows
+    (none, and no standard error, when `bootstrap` is 0)."""
     if samples < 1000:
         raise ValueError(f"need at least 1000 samples, got {samples}")
     spec, plan, cb = sys_.spec, sys_.plan, sys_.codebook
@@ -228,7 +229,7 @@ def monte_carlo_mi(sys_, p_X, p_K, samples, seed, corrected=True, bootstrap=200)
         reps[b] = _plugin_mi(xi[idx], ci[idx], corrected)
     return MonteCarloMI(
         estimate=point,
-        std_error=float(np.std(reps, ddof=1)),
+        std_error=float(np.std(reps, ddof=1)) if bootstrap else None,
         samples=samples,
         raw_plugin=raw,
         corrected=corrected,

@@ -331,6 +331,41 @@ def test_sweep_never_lists_members(tmp_path, monkeypatch):
     assert "member_idx" not in vars(cb) and "rank_of" not in vars(cb)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--q", "2", "--n", "16", "--rate", "0.9", "--px", "0.82,0.18",
+         "--pk", "0.62,0.38", "--samples", "1000", "--seed", "6"],
+        ["exact-mi", "--q", "2", "--n", "13", "--rate", "0.9", "--px", "0.82,0.18",
+         "--pk", "0.62,0.38", "--samples", "1000", "--seed", "6"],
+    ],
+    ids=["sweep", "exact-mi"],
+)
+def test_only_exact_mi_draws_bootstrap_replicates(tmp_path, monkeypatch, argv):
+    # a sweep row prints the point estimate alone; exact-mi's Monte Carlo
+    # fallback prints its standard error too
+    from typecipher.leakage import monte_carlo_mi
+
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append((kwargs, monte_carlo_mi(*args, **kwargs)))
+        return calls[-1][1]
+
+    monkeypatch.setattr("typecipher.cli.monte_carlo_mi", spy)
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 0
+    ((kwargs, est),) = calls
+    if argv[0] == "sweep":
+        assert kwargs["bootstrap"] == 0 and est.std_error is None
+        assert _read_csv(str(out))[0]["mi"] == repr(est.estimate)
+    else:
+        assert "bootstrap" not in kwargs
+        payload = _read_json(out)
+        assert math.isfinite(payload["std_error"]) and payload["std_error"] > 0
+        assert payload["std_error"] == est.std_error
+
+
 def test_verify_computes_divergences_once_per_attempt(tmp_path, monkeypatch):
     from typecipher.cipher import omega_divergences
 

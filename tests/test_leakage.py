@@ -306,6 +306,27 @@ def test_monte_carlo_sample_floor():
         monte_carlo_mi(_perfect_system(), uniform(2), uniform(2), samples=999, seed=0)
 
 
+@pytest.mark.parametrize("bootstrap", [1, -1])
+def test_monte_carlo_refuses_a_bootstrap_without_a_deviation(bootstrap):
+    # one replicate has no sample deviation (NaN) and a negative count no
+    # replicates at all; 0 is the explicit "no standard error"
+    with pytest.raises(ValueError, match=f"bootstrap must be 0 .* got {bootstrap}"):
+        monte_carlo_mi(_perfect_system(), uniform(2), uniform(2), samples=1000, seed=0,
+                       bootstrap=bootstrap)
+
+
+def test_monte_carlo_without_bootstrap_keeps_the_point_estimate():
+    # the replicates draw after every sample of the point estimate, so
+    # skipping them leaves its bits alone (a sweep-sized binary n=16 system)
+    plan = make_rate_plan(16, 0.9, FieldSpec(2))
+    sys_ = CipherSystem(codebook=build_codebook(plan), key_encoder=draw_encoder(plan, 9))
+    p_x, p_k = Distribution([0.82, 0.18]), Distribution([0.62, 0.38])
+    full = monte_carlo_mi(sys_, p_x, p_k, samples=4000, seed=2024)
+    bare = monte_carlo_mi(sys_, p_x, p_k, samples=4000, seed=2024, bootstrap=0)
+    assert bare.std_error is None and math.isfinite(full.std_error)
+    assert bare == replace(full, std_error=None)
+
+
 @st.composite
 def _mc_cases(draw):
     q = draw(st.sampled_from([2, 3, 5]))
@@ -325,7 +346,7 @@ def _mc_cases(draw):
         samples=draw(st.integers(1000, 1500)),
         seed=draw(st.integers(0, 1 << 30)),
         corrected=draw(st.booleans()),
-        bootstrap=draw(st.integers(2, 12)),
+        bootstrap=draw(st.one_of(st.just(0), st.integers(2, 12))),
     )
 
 
@@ -341,6 +362,7 @@ _BINARY_N6 = dict(q=2, n=6, R=0.9, p_x=(0.82, 0.18), p_k=(0.62, 0.38), encoder_s
               samples=2000, seed=2, corrected=False, bootstrap=3))
 @example(dict(q=5, n=3, R=1.5, p_x=(0.38, 0.24, 0.15, 0.12, 0.11), p_k=(0, 0, 1.0, 0, 0),
               encoder_seed=3, samples=1000, seed=4, corrected=True, bootstrap=2))
+@example(dict(_BINARY_N6, corrected=True, bootstrap=0))
 def test_monte_carlo_matches_sorting_oracle(case):
     # same seed, same bytes: counted cells must reproduce every bit of the
     # row-sorting estimator, zero-probability symbols and point-mass keys
