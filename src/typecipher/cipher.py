@@ -163,20 +163,28 @@ def decrypt(sys: CipherSystem, k: Sequence[int], c: Sequence[int]) -> tuple[int,
 def check_decryption_condition(sys: CipherSystem) -> bool:
     """Exhaustive check that decrypt(k, encrypt(k, x)) = decode(encode(x)).
 
-    Covers all q**(2n) (key, plaintext) pairs with one array comparison per
-    key.  The codewords come from the rank table (`rank_of`: word value
-    rank + 1, x0 for non-members) and the expected outputs from the decode
-    table (`decode_indices`); each key's pad is then pushed through the same
-    array helpers that `encrypt` and `decrypt` wrap, so the check exercises
-    the shipped cipher rather than an identity.  This certifies that the
-    correctly-decodable set is the same for every key.
+    Covers all q**(2n) (key, plaintext) pairs through their (pad, codeword)
+    classes: both sides depend on the plaintext only through its codeword,
+    so every key's pad is checked against each codeword in use, which
+    includes every input that any pair produces.  The codewords in use come
+    from the rank table (`rank_of`: word value rank + 1, x0 for non-members)
+    and the expected outputs from the decode table (`decode_indices`); blocks
+    of pads are then pushed through the same array helpers that `encrypt`
+    and `decrypt` wrap, so the check exercises the shipped cipher rather
+    than an identity.  This certifies that the correctly-decodable set is
+    the same for every key.
     """
     spec, cb = sys.spec, sys.codebook
-    words = indices_to_vectors(cb.rank_of + 1, sys.plan.m, spec)
+    used = np.flatnonzero(np.bincount(cb.rank_of + 1))
+    words = indices_to_vectors(used, sys.plan.m, spec)
     expected = decode_indices(cb, words)
-    for pad in _key_pads(sys.key_encoder, all_vectors(sys.plan.n, spec), spec):
-        decoded = _decrypt_words(sys, pad, _encrypt_words(sys, pad, words))
-        if not np.array_equal(decoded, expected):
+    pads = _key_pads(sys.key_encoder, all_vectors(sys.plan.n, spec), spec)
+    # about 2**12 (pad, codeword) pairs per block keeps peak memory flat
+    block = max(1, (1 << 12) // len(used))
+    for start in range(0, len(pads), block):
+        chunk = pads[start : start + block, None, :]
+        decoded = _decrypt_words(sys, chunk, _encrypt_words(sys, chunk, words))
+        if not (decoded == expected).all():
             return False
     return True
 

@@ -45,8 +45,8 @@ from .leakage import (
 from .simplex import Distribution, uniform
 
 DEFAULT_RATE_GRID = [round(0.05 * i, 10) for i in range(1, 31)]
-# The exhaustive decryption check covers q**(2n) (key, plaintext) pairs in
-# one array pass per key: binary n <= 10, ternary n <= 6.
+# The exhaustive decryption check covers q**(2n) (key, plaintext) pairs
+# through their (pad, codeword) classes: binary n <= 10, ternary n <= 6.
 CONDITION_CHECK_CAP = 1 << 20
 
 
@@ -345,17 +345,17 @@ def cmd_converse_probe(args) -> int:
 # ----------------------------------------------------------------------
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--n", type=str, default=None, help="block length (or comma list)")
-    sub.add_argument("--rate", type=str, default=None, help="target rate R in bits (or comma list)")
-    sub.add_argument("--m", type=int, default=None, help="explicit word length (non-canonical plan)")
-    sub.add_argument("--q", type=int, default=2, help="prime alphabet size")
-    sub.add_argument("--px", type=str, default=None, help="plaintext law, comma-separated decimals")
-    sub.add_argument("--pk", type=str, default=None, help="key law, comma-separated decimals")
-    sub.add_argument("--seed", type=int, default=0, help="master seed")
-    sub.add_argument("--samples", type=int, default=5000, help="Monte Carlo sample count")
-    sub.add_argument("--gamma", type=float, default=0.1, help="typicality slack for converse diagnostics")
-    sub.add_argument("--out", type=str, default=None, help="output path (default stdout)")
+def _add_common(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--n", type=str, default=None, help="block length (or comma list)")
+    parser.add_argument("--rate", type=str, default=None, help="target rate R in bits (or comma list)")
+    parser.add_argument("--m", type=int, default=None, help="explicit word length (non-canonical plan)")
+    parser.add_argument("--q", type=int, default=2, help="prime alphabet size")
+    parser.add_argument("--px", type=str, default=None, help="plaintext law, comma-separated decimals")
+    parser.add_argument("--pk", type=str, default=None, help="key law, comma-separated decimals")
+    parser.add_argument("--seed", type=int, default=0, help="master seed")
+    parser.add_argument("--samples", type=int, default=5000, help="Monte Carlo sample count")
+    parser.add_argument("--gamma", type=float, default=0.1, help="typicality slack for converse diagnostics")
+    parser.add_argument("--out", type=str, default=None, help="output path (default stdout)")
 
 
 def _normalize(args) -> None:
@@ -382,9 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Type-class source coding with an affine one-time pad: "
         "exponents, codebooks, leakage bounds, and converse probes.",
     )
-    subs = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        _add_common(subs.add_parser(name))
+    parser.add_argument("command", choices=list(_COMMANDS))
+    _add_common(parser)
     return parser
 
 

@@ -6,7 +6,9 @@ conditional law C | X=x is a cyclic shift of the pad law, the exact value
 collapses to H(C) - H(pad), and the ciphertext law is the pad law cyclically
 convolved with the codeword law over Z_q^m.  This module computes that
 convolution with one transform along the m base-q digits at small scales
-and estimates the leakage by sampling beyond them.
+(m rotated passes over contiguous rows: a butterfly for q = 2, one product
+with the q x q character table otherwise) and estimates the leakage by
+sampling beyond them.
 
 Every exact figure is a function of one system, the two source laws and,
 for an encoder found by `derandomize`, its search result.  `exact_laws`
@@ -101,24 +103,33 @@ def _digit_transform(
 ) -> np.ndarray:
     """The characters of Z_q^m applied to a law over word indices.
 
-    One pass per base-q digit: a Walsh-Hadamard butterfly when q = 2 (real,
-    its own inverse up to the factor 2^-m), a q-point DFT otherwise.
-    Convolution over Z_q^m becomes a pointwise product of transforms.
+    One pass per base-q digit, each on contiguous rows: the leading digit is
+    axis 0 of `out.reshape(q, -1)`, and the q x q character table applied to
+    it is written with that digit moved to the back, so after m passes the
+    digits are in their original order again.  For q = 2 the table is the
+    Walsh-Hadamard butterfly (real, its own inverse up to the factor 2^-m);
+    otherwise it is exp(-2 pi i ab/q) (+ for the inverse), one matrix
+    product per pass.  Convolution over Z_q^m becomes a pointwise product
+    of transforms.
     """
-    if q != 2:
-        out = law.reshape(1, -1)
-        for j in range(m):
-            out = out.reshape(q**j, q, -1)
-            out = np.fft.ifft(out, axis=1) if inverse else np.fft.fft(out, axis=1)
-        return out.reshape(-1)
-    out = np.array(law, dtype=np.float64)
-    for j in range(m):
-        pair = out.reshape(2**j, 2, -1)
-        head = pair[:, 0].copy()
-        pair[:, 0] += pair[:, 1]
-        pair[:, 1] = head - pair[:, 1]
+    if q == 2:
+        out = np.array(law, dtype=np.float64)
+    else:
+        out = np.array(law, dtype=np.complex128)
+        digits = np.arange(q)
+        sign = 2j if inverse else -2j
+        table = np.exp(sign * np.pi / q * (np.outer(digits, digits) % q))
+    buf = np.empty_like(out)
+    for _ in range(m):
+        rows, dst = out.reshape(q, -1), buf.reshape(-1, q).T
+        if q == 2:
+            np.add(rows[0], rows[1], out=dst[0])
+            np.subtract(rows[0], rows[1], out=dst[1])
+        else:
+            np.matmul(table, rows, out=dst)
+        out, buf = buf, out
     if inverse:
-        out /= 2.0**m
+        out /= q**m
     return out
 
 

@@ -1,9 +1,11 @@
 """Slow reference implementations that the array paths are checked against.
 
 These are the loops the package used before its laws moved to a transform
-over Z_q^m, its decryption check to one array comparison per key, its Monte
-Carlo estimator to counted cells and its type-class generator to an
-iterative next-permutation; keep them to small n.  The codebook oracle is
+over Z_q^m, that transform to rotated passes (`digit_transform` is the
+strided butterfly and per-digit `np.fft` it replaced), its decryption check
+to blocks of (pad, codeword) pairs, its Monte Carlo estimator to counted
+cells and its type-class generator to an iterative next-permutation; keep
+them to small n.  The codebook oracle is
 the tuple codebook the package used to keep (`members`, `member_rank`),
 listed here by the recursive generator, so the law oracles that work tuple
 by tuple are independent of the codebook's rank arithmetic, of its index
@@ -114,6 +116,26 @@ def omega_dist(P, enc, spec):
 # ----------------------------------------------------------------------
 # exact laws and checks
 # ----------------------------------------------------------------------
+
+
+def digit_transform(law, q, m, inverse=False):
+    """The characters of Z_q^m by the strided butterfly (q = 2) or one
+    `np.fft` call per digit (q >= 3), the digit order never moving."""
+    if q != 2:
+        out = np.asarray(law).reshape(1, -1)
+        for j in range(m):
+            out = out.reshape(q**j, q, -1)
+            out = np.fft.ifft(out, axis=1) if inverse else np.fft.fft(out, axis=1)
+        return out.reshape(-1)
+    out = np.array(law, dtype=np.float64)
+    for j in range(m):
+        pair = out.reshape(2**j, 2, -1)
+        head = pair[:, 0].copy()
+        pair[:, 0] += pair[:, 1]
+        pair[:, 1] = head - pair[:, 1]
+    if inverse:
+        out /= 2.0**m
+    return out
 
 
 def shift_mixture(pad, weights, digits, q):

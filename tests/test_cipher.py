@@ -34,7 +34,13 @@ from typecipher.code import (
     explicit_m_plan,
     make_rate_plan,
 )
-from typecipher.fields import FieldError, FieldSpec, all_vectors, index_encode
+from typecipher.fields import (
+    FieldError,
+    FieldSpec,
+    all_vectors,
+    index_encode,
+    indices_to_vectors,
+)
 from typecipher.simplex import Distribution, kl_divergence, uniform
 from typecipher.typeclasses import class_size, enumerate_types, type_of
 
@@ -144,6 +150,49 @@ def test_batched_decryption_check_matches_scalar_loop():
             R = float(rng.uniform(0.2, 1.4))
             sys_ = _system(n, R, spec, seed=int(rng.integers(0, 2**31)))
             assert check_decryption_condition(sys_) is oracles.check_decryption_condition(sys_)
+
+
+@pytest.mark.parametrize(
+    "q, n, R, m",
+    [(2, 4, 1.5, None), (3, 3, 1.6, None), (2, 4, None, 6), (3, 3, None, 4)],
+    ids=["q2-all-members", "q3-all-members", "q2-explicit-m", "q3-explicit-m"],
+)
+def test_decryption_check_matches_oracle_without_x0_and_explicit_m(q, n, R, m):
+    spec = FieldSpec(q)
+    plan = make_rate_plan(n, R, spec) if m is None else explicit_m_plan(n, m, spec)
+    cb = build_codebook(plan)
+    if m is None:  # every plaintext is a member: no codeword is x0
+        assert cb.member_count == q**n and (cb.rank_of >= 0).all()
+    sys_ = CipherSystem(codebook=cb, key_encoder=draw_encoder(plan, 7))
+    assert check_decryption_condition(sys_) is oracles.check_decryption_condition(sys_)
+    assert check_decryption_condition(sys_)
+
+
+def test_decryption_check_catches_one_broken_pad_codeword_pair(monkeypatch):
+    # binary n=7: 128 pads against 59 codewords in use, so more than one
+    # block of pads; only the last pad meeting the last member codeword breaks
+    spec = FieldSpec(2)
+    sys_ = _system(7, 0.9, spec, seed=11)
+    cb, m = sys_.codebook, sys_.plan.m
+    assert check_decryption_condition(sys_)
+    last_pad = cipher_mod._key_pads(sys_.key_encoder, all_vectors(7, spec)[-1], spec)
+    last_word = indices_to_vectors(np.int64(cb.member_count), m, spec)
+    hit = (last_pad + last_word) % 2
+    shipped = cipher_mod._decrypt_words
+
+    def broken(s, pads, cipher):
+        out = shipped(s, pads, cipher)
+        mask = (np.broadcast_to(pads, cipher.shape) == last_pad).all(axis=-1)
+        mask &= (cipher == hit).all(axis=-1)
+        return np.where(mask, (out + 1) % 2**7, out)
+
+    monkeypatch.setattr(cipher_mod, "_decrypt_words", broken)
+    assert not check_decryption_condition(sys_)
+    # the scalar round trip breaks for that key and member alone
+    x = tuple(int(v) for v in indices_to_vectors(cb.member_idx[-1], 7, spec))
+    first, last = all_vectors(7, spec)[[0, -1]]
+    assert decrypt(sys_, last, encrypt(sys_, last, x)) != x
+    assert decrypt(sys_, first, encrypt(sys_, first, x)) == x
 
 
 def test_decryption_checks_catch_broken_subtraction(monkeypatch):

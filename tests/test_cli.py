@@ -3,6 +3,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -16,6 +19,22 @@ from typecipher.leakage import exact_laws, exact_mutual_info
 from typecipher.simplex import Distribution, uniform
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# Runs `verify` at q=2 and q=3 in one fresh interpreter, then prints the
+# numpy submodules that a cold run must not pay to import.
+_COLD_VERIFY = """
+import contextlib, io, sys
+from typecipher.cli import main
+for argv in (
+    ["verify", "--q", "2", "--n", "5", "--rate", "0.9", "--px", "0.8,0.2", "--pk", "0.7,0.3"],
+    ["verify", "--q", "3", "--n", "3", "--rate", "1.2", "--px", "0.6,0.3,0.1",
+     "--pk", "0.5,0.3,0.2"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+print(sorted(name for name in ("numpy.fft", "numpy.ma") if name in sys.modules))
+"""
 
 
 def _read_csv(path):
@@ -449,3 +468,14 @@ def test_sweep_past_the_member_list_cap(tmp_path, capsys):
     assert [r["n"] for r in rows] == ["23"] and rows[0]["mi_flag"] == "estimate"
     assert main(argv + ["--n", "64"]) == 2
     assert "int64" in capsys.readouterr().err
+
+
+def test_cold_verify_imports_neither_fft_nor_masked_arrays():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_VERIFY], capture_output=True, text=True,
+        env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

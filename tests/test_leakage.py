@@ -21,6 +21,7 @@ from typecipher.cipher import (
 from typecipher.code import build_codebook, encode, explicit_m_plan, make_rate_plan
 from typecipher.fields import FieldError, FieldSpec, all_vectors, index_encode
 from typecipher.leakage import (
+    _digit_transform,
     check_birkhoff,
     converse_diagnostics,
     exact_laws,
@@ -133,6 +134,39 @@ def test_transform_matches_shift_loop(case):
     ):
         assert got.min() >= 0.0
         assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def _law(size, rng, zeros):
+    law = rng.uniform(0.0, 1.0, size=size)
+    if zeros:
+        law[rng.uniform(size=size) < 0.6] = 0.0
+        law[0] = 1.0  # never all zero
+    return law / law.sum()
+
+
+@pytest.mark.parametrize("m", [1, 5, 14])
+@pytest.mark.parametrize("zeros", [False, True], ids=["dense", "zeros"])
+def test_binary_transform_is_the_butterfly_bit_for_bit(m, zeros):
+    law = _law(2**m, np.random.default_rng(m), zeros)
+    hat = _digit_transform(law, 2, m)
+    assert np.array_equal(hat, oracles.digit_transform(law, 2, m))
+    assert np.array_equal(
+        _digit_transform(hat, 2, m, inverse=True),
+        oracles.digit_transform(hat, 2, m, inverse=True),
+    )
+
+
+@pytest.mark.parametrize("q, m", [(2, 9), (3, 6), (5, 4), (7, 3), (257, 2)])
+def test_transform_matches_per_digit_fft_and_inverts(q, m):
+    rng = np.random.default_rng(q)
+    for zeros in (False, True):
+        law = _law(q**m, rng, zeros)
+        hat = _digit_transform(law, q, m)
+        want = oracles.digit_transform(law, q, m)
+        assert np.max(np.abs(hat - want)) <= 1e-12
+        back = _digit_transform(hat, q, m, inverse=True)
+        assert np.max(np.abs(back - oracles.digit_transform(want, q, m, inverse=True))) <= 1e-12
+        assert np.max(np.abs(back - law)) <= 1e-12
 
 
 def test_exact_laws_refuses_search_for_another_encoder():
