@@ -26,6 +26,7 @@ yields a concrete encoder certified type-by-type (D(Omega_P||U) <=
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -94,12 +95,136 @@ class AffineEncoder:
         return self.A.shape[1]
 
 
+# ----------------------------------------------------------------------
+# seeded draws
+#
+# numpy's SeedSequence -> PCG64 -> Generator.integers stream, copied bit for
+# bit so that drawing an encoder does not import numpy.random (the import
+# costs more than a small exact job).  The stream is fixed by this code,
+# not by the installed numpy.
+# ----------------------------------------------------------------------
+
+_MASK32 = 0xFFFFFFFF
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _entropy_words(entropy: Sequence[int]) -> list[int]:
+    """Each non-negative int as its little-endian uint32 words, in turn."""
+    words = []
+    for value in entropy:
+        value = operator.index(value)
+        if value < 0:
+            raise ValueError("expected non-negative integer")
+        words.append(value & _MASK32)
+        while value := value >> 32:
+            words.append(value & _MASK32)
+    return words
+
+
+def seed_state(entropy: Sequence[int], n_words: int) -> list[int]:
+    """numpy's `SeedSequence(entropy).generate_state(n_words)` as ints."""
+    words = _entropy_words(entropy)
+    const = _INIT_A
+
+    def hashmix(value: int) -> int:
+        nonlocal const
+        value ^= const
+        const = const * _MULT_A & _MASK32
+        value = value * const & _MASK32
+        return value ^ (value >> 16)
+
+    def mix(x: int, y: int) -> int:
+        value = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+        return value ^ (value >> 16)
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    const = _INIT_B
+    out = []
+    for i in range(n_words):
+        value = pool[i % _POOL_SIZE] ^ const
+        const = const * _MULT_B & _MASK32
+        value = value * const & _MASK32
+        out.append(value ^ (value >> 16))
+    return out
+
+
+class _PCG64:
+    """numpy's PCG64 seeded from `seed`, read as 32-bit words: each 64-bit
+    output gives its low half, then (on the next read) its high half."""
+
+    def __init__(self, seed: int) -> None:
+        w = seed_state([seed], 8)
+        w0, w1, w2, w3 = (w[i] | w[i + 1] << 32 for i in range(0, 8, 2))
+        self.inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
+        self.state = ((self.inc + (w0 << 64 | w1)) * _PCG_MULT + self.inc) & _MASK128
+        self.high: int | None = None
+
+    def uint32s(self, count: int) -> np.ndarray:
+        """The next `count` 32-bit words, as uint64."""
+        head = []
+        if self.high is not None and count:
+            head, self.high, count = [self.high], None, count - 1
+        state, inc = self.state, self.inc
+        xors, rots = [], []
+        for _ in range((count + 1) // 2):
+            state = (state * _PCG_MULT + inc) & _MASK128
+            xors.append((state >> 64) ^ (state & _MASK64))
+            rots.append(state >> 122)
+        self.state = state
+        # XSL-RR output: the xor-folded state rotated right by its top 6 bits
+        x = np.array(xors, dtype=np.uint64)
+        r = np.array(rots, dtype=np.uint64)
+        x = (x >> r) | (x << ((np.uint64(64) - r) & np.uint64(63)))
+        words = np.empty(2 * len(x), dtype=np.uint64)
+        words[0::2] = x & np.uint64(_MASK32)
+        words[1::2] = x >> np.uint64(32)
+        if count % 2:
+            self.high, words = int(words[-1]), words[:-1]
+        return np.concatenate([np.array(head, dtype=np.uint64), words]) if head else words
+
+
+def _lemire(words: np.ndarray, q: int) -> np.ndarray:
+    """Lemire's bounded draw below q over 32-bit `words` (uint64): the high
+    half of word * q, keeping only the words whose low half reaches the
+    rejection threshold (2^32 - q) % q; a rejected word is skipped, as
+    numpy's retry draws the next word and tests it the same way."""
+    threshold = ((1 << 32) - q) % q
+    prod = words * np.uint64(q)
+    return (prod >> np.uint64(32))[(prod & np.uint64(_MASK32)) >= threshold]
+
+
+def _bounded(next_words, q: int, count: int) -> np.ndarray:
+    """`count` draws below q (2 <= q < 2^32: numpy's 32-bit path), reading
+    words from `next_words(k)` and again for each rejected word."""
+    parts = []
+    while count:
+        part = _lemire(next_words(count), q)
+        parts.append(part)
+        count -= len(part)
+    return np.concatenate(parts).astype(np.int64)
+
+
 def draw_encoder(plan: RatePlan, seed: int) -> AffineEncoder:
-    """Entrywise-uniform A then b from numpy's seeded default generator."""
-    rng = np.random.default_rng(seed)
-    q = plan.q
-    A = rng.integers(0, q, size=(plan.n, plan.m), dtype=np.int64)
-    b = rng.integers(0, q, size=plan.m, dtype=np.int64)
+    """Entrywise-uniform A then b, the values numpy's
+    `default_rng(seed).integers(0, q, ...)` gives for the two shapes in
+    turn; a negative seed raises ValueError."""
+    words = _PCG64(seed).uint32s
+    A = _bounded(words, plan.q, plan.n * plan.m).reshape(plan.n, plan.m)
+    b = _bounded(words, plan.q, plan.m)
     A.flags.writeable = False
     return AffineEncoder(A=A, b=tuple(int(v) for v in b), seed=int(seed))
 
@@ -301,8 +426,10 @@ def derandomize(
     Success is typically immediate: the score's expectation over the draw is
     at most |P_n(X)|.  The returned encoder then automatically satisfies the
     per-type certificate D(Omega_P||U) <= |P_n(X)| theta(P), which is
-    asserted before returning.
+    asserted before returning.  Past the word-space cap it refuses before
+    drawing anything.
     """
+    _check_word_space(plan.spec, plan.m)
     count = n_types(plan.n, plan.q)
     best = math.inf
     for attempt in range(max_attempts):

@@ -3,7 +3,8 @@
 Sweeps and curves go to CSV, structured reports to JSON.  Identical
 configuration and seed produce byte-identical output; every number carries a
 provenance flag (exact / bound / estimate).  All randomness descends from
---seed through per-component SeedSequence spawns.
+--seed: each component draws from its own sub-seed, SeedSequence([seed, key])
+hashed to one 32-bit word by `cipher.seed_state` (no numpy.random import).
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from .cipher import (
     CipherSystem,
     check_decryption_condition,
@@ -22,6 +21,7 @@ from .cipher import (
     draw_encoder,
     encoder_to_json,
     injective_on_members,
+    seed_state,
 )
 from .code import (
     build_codebook,
@@ -98,7 +98,7 @@ def _float_list(text: str) -> list[float]:
 
 
 def _sub_seed(seed: int, *key: int) -> int:
-    return int(np.random.SeedSequence([seed, *key]).generate_state(1)[0])
+    return seed_state([seed, *key], 1)[0]
 
 
 def _plan(args, spec: FieldSpec):

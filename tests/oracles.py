@@ -19,7 +19,10 @@ per rate, per face and per branch, each on its own 1-D arrays, summed left
 to right as the stacked solver sums each column.  The grid exponent
 solver enumerates the simplex of a binary or ternary alphabet and assumes
 nothing about where the minimizer lies: it is the arbiter of record for
-both tilted solvers.
+both tilted solvers.  numpy's own Generator and SeedSequence are the
+oracles of the encoder draw and the CLI sub-seeds, which the package copies
+without importing numpy.random, and `lemire_scalar` is its bounded draw
+written out word by word.
 """
 
 import math
@@ -67,6 +70,34 @@ def encode_tuple(cb, x):
     dictionary lookup."""
     rank = member_rank(cb).get(tuple(int(a) for a in x))
     return cb.x0 if rank is None else index_decode(rank + 1, cb.plan.m, cb.spec)
+
+
+def numpy_encoder_draw(seed, q, n, m):
+    """(A, b) as numpy's Generator draws them: `default_rng(seed)` gives A,
+    then b continues from the same stream."""
+    rng = np.random.default_rng(seed)
+    A = rng.integers(0, q, (n, m), np.int64)
+    return A, rng.integers(0, q, m, np.int64)
+
+
+def numpy_sub_seed(seed, *key):
+    """numpy's SeedSequence([seed, *key]) hashed to one 32-bit word."""
+    return int(np.random.SeedSequence([seed, *key]).generate_state(1)[0])
+
+
+def lemire_scalar(words, q):
+    """numpy's 32-bit bounded draw below q, one word at a time in Python
+    ints: m = word * q, retried on the next word while m mod 2^32 falls
+    under (2^32 - q) % q.  The words must not end on a rejected one."""
+    words, out = iter(words), []
+    for word in words:
+        m = word * q
+        if m % 2**32 < q:
+            threshold = (2**32 - q) % q
+            while m % 2**32 < threshold:
+                m = next(words) * q
+        out.append(m >> 32)
+    return out
 
 
 def vec_affine(k, A, b, spec):

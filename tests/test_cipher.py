@@ -3,9 +3,12 @@
 import itertools
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import typecipher.cipher as cipher_mod
 from typecipher.cipher import (
@@ -24,6 +27,7 @@ from typecipher.cipher import (
     omega_divergences,
     pad_law,
     search_score,
+    seed_state,
     theta_n,
 )
 from typecipher.code import (
@@ -47,6 +51,9 @@ from typecipher.typeclasses import class_size, enumerate_types, type_of
 import oracles
 from oracles import (
     class_prob_fraction,
+    lemire_scalar,
+    numpy_encoder_draw,
+    numpy_sub_seed,
     omega_counts,
     omega_dist,
     pad_law_fraction,
@@ -78,6 +85,85 @@ def test_encoder_matrix_readonly():
     enc = draw_encoder(plan, 1)
     with pytest.raises(ValueError):
         enc.A[0, 0] = 1
+
+
+_SEEDS = (0, 2**32 - 1, 2**32, 2**64, 2**64 + 5, 2**130)
+_ALPHABETS = (2, 3, 4, 5, 7, 127, 256, 257)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**131),
+    q=st.sampled_from(_ALPHABETS),
+    n=st.integers(1, 40),
+    m=st.integers(1, 25),
+)
+@example(seed=_SEEDS[0], q=2, n=20, m=28)
+@example(seed=_SEEDS[1], q=3, n=7, m=9)
+@example(seed=_SEEDS[2], q=4, n=5, m=11)
+@example(seed=_SEEDS[3], q=127, n=31, m=31)
+@example(seed=_SEEDS[4], q=256, n=1, m=1)
+@example(seed=_SEEDS[5], q=257, n=3, m=6)
+def test_draw_encoder_matches_numpy_generator(seed, q, n, m):
+    # the draw only reads q, n and m off the plan, so composite q can be
+    # checked too
+    enc = draw_encoder(SimpleNamespace(q=q, n=n, m=m), seed)
+    A, b = numpy_encoder_draw(seed, q, n, m)
+    assert enc.A.dtype == np.int64 and np.array_equal(enc.A, A)
+    assert enc.b == tuple(int(v) for v in b)
+
+
+@pytest.mark.parametrize("seed", _SEEDS + (12345,))
+def test_seed_state_matches_numpy_seed_sequence(seed):
+    for n in (1, 2, 7):
+        for key in (1, 2, n):
+            assert seed_state([seed, key], 1)[0] == numpy_sub_seed(seed, key)
+    entropy = [seed, 3, 2**70, 0, 9]
+    want = np.random.SeedSequence(entropy).generate_state(9)
+    assert seed_state(entropy, 9) == [int(v) for v in want]
+
+
+def test_negative_seeds_are_refused_as_numpy_refuses():
+    plan = make_rate_plan(4, 0.9, FieldSpec(2))
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        np.random.default_rng(-1)
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        draw_encoder(plan, -1)
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        seed_state([3, -2], 1)
+
+
+def _rejected_words(q):
+    """Every 32-bit word whose product with odd q leaves a low half under
+    the rejection threshold (2^32 - q) % q."""
+    inverse = pow(q, -1, 2**32)
+    return [low * inverse % 2**32 for low in range((2**32 - q) % q)]
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 127, 257])
+def test_bounded_draw_skips_rejected_words(q):
+    rejected = _rejected_words(q)
+    assert rejected and all(w * q % 2**32 < (2**32 - q) % q for w in rejected)
+    accepted = [1, 2**31, 2**32 - 1, 123456789, 987654321]
+    pairs = itertools.zip_longest(rejected, accepted)
+    words = [w for pair in pairs for w in pair if w is not None]
+    words += rejected[:1] + accepted[:1]
+    want = lemire_scalar(words, q)
+    got = cipher_mod._lemire(np.asarray(words, dtype=np.uint64), q)
+    assert got.tolist() == want
+    assert len(want) == len(words) - len(rejected) - 1
+
+    # the draw reads one more word for each one rejected, and no more
+    stream = iter(words)
+    reads = []
+
+    def next_words(k):
+        reads.append(k)
+        return np.asarray([next(stream) for _ in range(k)], dtype=np.uint64)
+
+    out = cipher_mod._bounded(next_words, q, len(want))
+    assert out.dtype == np.int64 and out.tolist() == want
+    assert sum(reads) == len(words) and next(stream, None) is None
 
 
 def test_make_encoder_validates():
@@ -420,6 +506,20 @@ def test_word_space_guard():
     enc = draw_encoder(plan, 0)
     with pytest.raises(FieldError):
         pad_law(enc, uniform(2), spec)
+
+
+def test_derandomize_refuses_past_the_word_space_cap_before_drawing(monkeypatch):
+    draws = []
+
+    def counting(plan, seed):
+        draws.append(seed)
+        return draw_encoder(plan, seed)
+
+    monkeypatch.setattr(cipher_mod, "draw_encoder", counting)
+    plan = explicit_m_plan(4, 21, FieldSpec(2))
+    with pytest.raises(FieldError, match="materialization cap"):
+        derandomize(plan)
+    assert draws == []
 
 
 def test_encoder_json_shape():

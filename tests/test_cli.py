@@ -18,6 +18,8 @@ from typecipher.fields import FieldSpec
 from typecipher.leakage import exact_laws, exact_mutual_info
 from typecipher.simplex import Distribution, uniform
 
+from oracles import numpy_sub_seed
+
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -35,6 +37,29 @@ for argv in (
         assert main(argv) == 0
 print(sorted(name for name in ("numpy.fft", "numpy.ma") if name in sys.modules))
 """
+
+# Runs each exact command once in a fresh interpreter, then prints whether
+# numpy.random was imported: only the Monte Carlo paths may load it.
+_COLD_EXACT = """
+import contextlib, io, sys
+from typecipher.cli import main
+law = ["--q", "2", "--n", "4", "--rate", "0.9", "--px", "0.8,0.2", "--pk", "0.7,0.3"]
+for command in ("verify", "exact-mi", "search-encoder"):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([command, *law]) == 0
+print("numpy.random" in sys.modules)
+"""
+
+
+def _run_cold(script):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
 
 
 def _read_csv(path):
@@ -174,10 +199,7 @@ def test_exact_mi_matches_library(tmp_path):
 
     plan = make_rate_plan(4, 0.9, FieldSpec(2))
     cb = build_codebook(plan)
-    import numpy as np
-
-    sub = int(np.random.SeedSequence([3, 1]).generate_state(1)[0])
-    search = derandomize(plan, base_seed=sub)
+    search = derandomize(plan, base_seed=numpy_sub_seed(3, 1))
     sys_ = CipherSystem(codebook=cb, key_encoder=search.encoder)
     laws = exact_laws(sys_, Distribution([0.8, 0.2]), Distribution([0.6, 0.4]), search)
     want = exact_mutual_info(laws)
@@ -423,6 +445,33 @@ def test_verify_computes_the_pad_law_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("command", ["verify", "exact-mi", "sweep", "search-encoder"])
+def test_negative_seed_exits_2(capsys, command):
+    argv = [command, "--q", "2", "--n", "4", "--rate", "0.9", "--seed", "-1"]
+    assert main(argv) == 2
+    assert "expected non-negative integer" in capsys.readouterr().err
+
+
+def test_sweep_past_the_word_space_cap_draws_each_encoder_once(tmp_path, monkeypatch):
+    # derandomize refuses before it draws, so the only draw is the fallback
+    from typecipher.cipher import draw_encoder
+
+    draws = []
+
+    def counting(plan, seed):
+        draws.append((plan.n, seed))
+        return draw_encoder(plan, seed)
+
+    monkeypatch.setattr("typecipher.cipher.draw_encoder", counting)
+    monkeypatch.setattr("typecipher.cli.draw_encoder", counting)
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--q", "3", "--n", "9", "--rate", "1.2", "--px", "0.65,0.2,0.15",
+            "--pk", "0.4,0.35,0.25", "--samples", "4000", "--seed", "2025"]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / "sweep_q3_n9.csv").read_bytes()
+    assert len(draws) == 1 and draws[0][0] == 9
+
+
 def test_converse_probe_csv(tmp_path):
     out = tmp_path / "probe.csv"
     argv = [
@@ -471,11 +520,10 @@ def test_sweep_past_the_member_list_cap(tmp_path, capsys):
 
 
 def test_cold_verify_imports_neither_fft_nor_masked_arrays():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-c", _COLD_VERIFY], capture_output=True, text=True,
-        env=env, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert _run_cold(_COLD_VERIFY) == "[]"
+
+
+def test_cold_exact_commands_do_not_import_numpy_random():
+    # the encoder and sub-seed draws copy numpy's stream in Python; importing
+    # numpy.random at module level would only move its cost to start-up
+    assert _run_cold(_COLD_EXACT) == "False"
