@@ -343,7 +343,7 @@ def _check_word_space(spec: FieldSpec, m: int) -> int:
     if total > MAX_WORDS:
         raise FieldError(
             f"word space {spec.q}^{m} exceeds the materialization cap {MAX_WORDS}; "
-            "use a sampling path instead"
+            "past it `exact-mi --samples N` and `sweep` estimate the leakage"
         )
     return total
 
@@ -386,7 +386,7 @@ def omega_divergences(
     spec = plan.spec
     total = _check_word_space(spec, plan.m)
     keys = all_vectors(plan.n, spec)
-    images = key_image_indices(enc, spec)
+    images = vectors_to_indices(_key_pads(enc, keys, spec), spec)
     counts_per_symbol = type_counts(keys, spec.q)
     out = []
     for P in enumerate_types(plan.n, spec):

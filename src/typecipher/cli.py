@@ -153,8 +153,9 @@ def cmd_codebook(args) -> int:
 
 def _build_system(plan, seed: int, cb):
     """The system with the encoder `derandomize` finds from `seed`, and its
-    search result; past the word-space cap, the encoder drawn at `seed` and
-    no search."""
+    search result; where `derandomize` refuses (past `MAX_WORDS` or
+    `MAX_ENUM`), the encoder drawn at `seed` and no search.  The search is
+    what decides exact or sampled: every exact array fits once it is found."""
     try:
         result = derandomize(plan, max_attempts=1000, base_seed=seed)
         enc, search = result.encoder, result
@@ -168,7 +169,9 @@ def cmd_verify(args) -> int:
     plan = _plan(args, spec)
     p_x = _dist_or_uniform(args.px, args.q, "--px")
     p_k = _dist_or_uniform(args.pk, args.q, "--pk")
-    sys_, search = _build_system(plan, _sub_seed(args.seed, 1), build_codebook(plan))
+    cb = build_codebook(plan)
+    search = derandomize(plan, max_attempts=1000, base_seed=_sub_seed(args.seed, 1))
+    sys_ = CipherSystem(codebook=cb, key_encoder=search.encoder)
 
     report: dict = {
         "config": {
@@ -182,13 +185,12 @@ def cmd_verify(args) -> int:
             "seed": args.seed,
             "gamma": args.gamma,
         },
-        "encoder": encoder_to_json(sys_.key_encoder, spec),
+        "encoder": {
+            **encoder_to_json(search.encoder, spec), "derandomized": True,
+            "score": search.score, "type_count": search.type_count,
+            "attempts": search.attempts,
+        },
     }
-    report["encoder"]["derandomized"] = search is not None
-    if search is not None:
-        report["encoder"]["score"] = search.score
-        report["encoder"]["type_count"] = search.type_count
-        report["encoder"]["attempts"] = search.attempts
 
     gating: list[bool] = []
     if spec.q ** (2 * plan.n) <= CONDITION_CHECK_CAP:
@@ -272,16 +274,11 @@ def cmd_sweep(args) -> int:
 
 
 def _sweep_mi(sys_, search, p_x, p_k, seed: int, samples: int) -> tuple[float, str]:
-    """Exact MI of a derandomized system within the pair cap; otherwise the
-    Monte Carlo point estimate with the encoder drawn at `seed`.  The row
-    prints no standard error, so no bootstrap replicate is drawn."""
+    """Exact MI of a derandomized system; otherwise the Monte Carlo point
+    estimate.  The row prints no standard error, so no bootstrap replicate
+    is drawn."""
     if search is not None:
-        try:
-            laws = exact_laws(sys_, p_x, p_k, search)
-            return exact_mutual_info(laws).mi_exact, "exact"
-        except FieldError:
-            enc = draw_encoder(sys_.plan, seed)
-            sys_ = CipherSystem(codebook=sys_.codebook, key_encoder=enc)
+        return exact_laws(sys_, p_x, p_k, search).mi, "exact"
     est = monte_carlo_mi(sys_, p_x, p_k, samples=max(samples, 1000), seed=seed, bootstrap=0)
     return est.estimate, "estimate"
 

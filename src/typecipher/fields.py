@@ -37,9 +37,9 @@ __all__ = [
 # on a desk machine anyway.
 MAX_Q = 257
 
-# Most rows (q**length vectors) all_vectors() will materialize.  The cap
-# counts rows, not entries: each row holds `length` int64 digits, so binary
-# length 22, the largest allowed, is 2^22 x 22 entries, about 740 MB.
+# Most vectors (q**length) that all_vectors() lists or sequence_probs()
+# weighs.  all_vectors holds `length` int64 digits per row, so binary length
+# 22, the largest allowed, is 2^22 x 22 entries, about 740 MB.
 MAX_ENUM = 1 << 22
 
 
@@ -154,12 +154,17 @@ def all_vectors(length: int, spec: FieldSpec) -> np.ndarray:
     Row i holds the digits of index i (big-endian), so lexicographic order on
     rows coincides with numeric order of index_encode.
     """
+    return indices_to_vectors(np.arange(_check_enum(length, spec)), length, spec)
+
+
+def _check_enum(length: int, spec: FieldSpec) -> int:
+    """q**length, refused past MAX_ENUM."""
     total = spec.q**length
     if total > MAX_ENUM:
         raise FieldError(
             f"refusing to materialize {spec.q}^{length} vectors (cap {MAX_ENUM})"
         )
-    return indices_to_vectors(np.arange(total, dtype=np.int64), length, spec)
+    return total
 
 
 def vectors_to_indices(arr: np.ndarray, spec: FieldSpec) -> np.ndarray:

@@ -12,11 +12,12 @@ sampling beyond them.
 
 Every exact figure is a function of one system, the two source laws and,
 for an encoder found by `derandomize`, its search result.  `exact_laws`
-gathers them into one `ExactLaws` handle, after the MAX_EXACT_PAIRS check
-and the check that the search belongs to the system's encoder;
-`exact_mutual_info`, `security_certificate`, `check_birkhoff` and
-`converse_diagnostics` take only that handle, so each law is computed once
-per report however many figures read it.
+gathers them into one `ExactLaws` handle, after checking that the search
+belongs to the system's encoder; `exact_mutual_info`,
+`security_certificate`, `check_birkhoff` and `converse_diagnostics` take
+only that handle, so each law is computed once per report however many
+figures read it.  Only the caps on the q**m words and q**n sequences it
+builds bound the exact path, and `derandomize` meets them all.
 
 On top of the exact value sit the certified upper bounds, checked as a
 chain with explicit margins:
@@ -70,7 +71,6 @@ from .typeclasses import (
 )
 
 __all__ = [
-    "MAX_EXACT_PAIRS",
     "ExactLaws",
     "exact_laws",
     "LeakageReport",
@@ -87,9 +87,6 @@ __all__ = [
     "converse_diagnostics",
     "strong_converse_probe",
 ]
-
-# Exact figures are refused past q**(2n) (key, plaintext) pairs.
-MAX_EXACT_PAIRS = 1 << 24
 
 DELTA_CAP_DEFAULT = 1.0
 
@@ -223,15 +220,8 @@ def exact_laws(
 
     `search` is the `derandomize` result that produced the system's encoder;
     given, the typewise bound reuses its divergences and the certificate
-    adds the theta steps.  Refused past MAX_EXACT_PAIRS (key, plaintext)
-    pairs, and for a search made for another encoder.
+    adds the theta steps.  Refused for a search made for another encoder.
     """
-    q, n = sys.spec.q, sys.plan.n
-    if q ** (2 * n) > MAX_EXACT_PAIRS:
-        raise FieldError(
-            f"exact leakage over {q}^{2 * n} (key, plaintext) pairs exceeds "
-            f"{MAX_EXACT_PAIRS}; use monte_carlo_mi instead"
-        )
     if search is not None and search.encoder is not sys.key_encoder:
         raise ValueError("divergences were computed for another encoder")
     return ExactLaws(sys=sys, p_X=p_X, p_K=p_K, search=search)

@@ -20,11 +20,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .fields import FieldSpec, all_vectors
+from .fields import FieldSpec, _check_enum
 from .simplex import Distribution
 
 __all__ = [
@@ -124,8 +125,10 @@ def class_prob(P: TypeComposition, p: Distribution) -> float:
 
 
 def sequence_probs(p: Distribution, n: int, spec: FieldSpec) -> np.ndarray:
-    """p^n(x) of every length-n sequence x, in sequence-index order."""
-    return np.prod(np.asarray(p)[all_vectors(n, spec)], axis=1)
+    """p^n(x) of every length-n sequence x, in sequence-index order: the
+    n-fold outer product of p, p(x_1) p(x_2) ... p(x_n) left to right."""
+    _check_enum(n, spec)
+    return reduce(np.multiply.outer, [np.asarray(p)] * n).ravel()
 
 
 def class_members(P: TypeComposition) -> Iterator[tuple[int, ...]]:

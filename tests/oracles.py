@@ -12,17 +12,18 @@ by tuple are independent of the codebook's rank arithmetic, of its index
 arrays (`member_idx`, `rank_of`) and of the transform.  The exact-rational
 pad and image laws (`pad_law_fraction`, `omega_counts`, `omega_dist`,
 `class_prob_fraction`) and the scalar affine map `vec_affine` are here
-because only tests use them.  The decryption oracle calls the shipped
-`encrypt` and `decrypt` once per (key, plaintext) pair.  The tilted exponent
-solver is the scalar one that the stacked bisection replaced: one bisection
-per rate, per face and per branch, each on its own 1-D arrays, summed left
-to right as the stacked solver sums each column.  The grid exponent
-solver enumerates the simplex of a binary or ternary alphabet and assumes
-nothing about where the minimizer lies: it is the arbiter of record for
-both tilted solvers.  numpy's own Generator and SeedSequence are the
-oracles of the encoder draw and the CLI sub-seeds, which the package copies
-without importing numpy.random, and `lemire_scalar` is its bounded draw
-written out word by word.
+because only tests use them, as is the digit-array form of the sequence
+law (`sequence_probs`) that the outer product replaced.  The decryption
+oracle calls the shipped `encrypt` and `decrypt` once per (key, plaintext)
+pair.  The tilted exponent solver is the scalar one that the stacked
+bisection replaced: one bisection per rate, per face and per branch, each
+on its own 1-D arrays, summed left to right as the stacked solver sums each
+column.  The grid exponent solver enumerates the simplex of a binary or
+ternary alphabet and assumes nothing about where the minimizer lies: it is
+the arbiter of record for both tilted solvers.  numpy's own Generator and
+SeedSequence are the oracles of the encoder draw and the CLI sub-seeds,
+which the package copies without importing numpy.random, and
+`lemire_scalar` is its bounded draw written out word by word.
 """
 
 import math
@@ -107,6 +108,12 @@ def vec_affine(k, A, b, spec):
         raise FieldError(f"shapes {len(k)}, {A.shape}, {len(b)} do not match")
     kv = np.asarray(k, dtype=np.int64)
     return tuple(int(v) for v in (kv @ A + np.asarray(b, dtype=np.int64)) % spec.q)
+
+
+def sequence_probs(p, n, spec):
+    """p^n(x) of every length-n sequence x, as a product along the rows of
+    the all_vectors(n) digit array."""
+    return np.prod(np.asarray(p)[all_vectors(n, spec)], axis=1)
 
 
 def class_prob_fraction(P, p):

@@ -11,10 +11,10 @@ from pathlib import Path
 
 import pytest
 
-from typecipher.cipher import CipherSystem, derandomize
+from typecipher.cipher import MAX_WORDS, CipherSystem, derandomize
 from typecipher.cli import main
-from typecipher.code import build_codebook, make_rate_plan
-from typecipher.fields import FieldSpec
+from typecipher.code import MAX_MEMBERS, build_codebook, make_rate_plan
+from typecipher.fields import MAX_ENUM, FieldSpec
 from typecipher.leakage import exact_laws, exact_mutual_info
 from typecipher.simplex import Distribution, uniform
 
@@ -253,7 +253,7 @@ def test_sweep_rows_and_determinism(tmp_path):
              "--pk", "0.4,0.35,0.25", "--samples", "4000", "--seed", "2025"],
         ),
         (
-            # 2^26 pairs: exact-mi refuses and falls back to Monte Carlo
+            # 2^21 words, past MAX_WORDS: exact-mi falls back to Monte Carlo
             "exact_mi_q2_n13_mc.json",
             ["exact-mi", "--q", "2", "--n", "13", "--rate", "0.9", "--px", "0.82,0.18",
              "--pk", "0.62,0.38", "--samples", "2000", "--seed", "2026"],
@@ -470,6 +470,61 @@ def test_sweep_past_the_word_space_cap_draws_each_encoder_once(tmp_path, monkeyp
     assert main(argv + ["--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / "sweep_q3_n9.csv").read_bytes()
     assert len(draws) == 1 and draws[0][0] == 9
+
+
+def test_sweep_is_exact_wherever_derandomize_finds_an_encoder(tmp_path, monkeypatch):
+    # 2^26 (key, plaintext) pairs but 2^13 words: exact, with no second draw
+    from typecipher.cipher import draw_encoder
+
+    draws = {"cipher": [], "cli": []}
+
+    def spy(where):
+        def counting(plan, seed):
+            draws[where].append(seed)
+            return draw_encoder(plan, seed)
+        return counting
+
+    monkeypatch.setattr("typecipher.cipher.draw_encoder", spy("cipher"))
+    monkeypatch.setattr("typecipher.cli.draw_encoder", spy("cli"))
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--q", "2", "--n", "13", "--rate", "0.3", "--seed", "1"]
+    assert main(argv + ["--out", str(out)]) == 0
+    (row,) = _read_csv(str(out))
+    assert (row["mi"], row["mi_flag"]) == ("0.0", "exact")
+    # derandomize draws each seed once; the CLI draws nothing of its own
+    assert draws["cli"] == []
+    assert len(set(draws["cipher"])) == len(draws["cipher"]) >= 1
+
+
+def test_verify_past_q_to_the_2n_pairs_is_exact(tmp_path):
+    out = tmp_path / "verify13.json"
+    assert main(["verify", "--q", "2", "--n", "13", "--rate", "0.5", "--out", str(out)]) == 0
+    report = _read_json(str(out))
+    assert report["passed"] is True
+    assert report["decryption_condition"] == {"holds": None, "checked": "skipped"}
+    assert report["certificate"]["report"]["provenance"] == "exact"
+
+
+def test_verify_past_the_word_space_cap_exits_2_before_checking(capsys, monkeypatch):
+    checks = []
+    monkeypatch.setattr(
+        "typecipher.cli.check_decryption_condition", lambda sys_: checks.append(sys_)
+    )
+    assert main(["verify", "--q", "2", "--n", "5", "--m", "21"]) == 2
+    err = capsys.readouterr().err
+    assert "materialization cap" in err and "exact-mi --samples N" in err
+    assert checks == []
+
+
+def test_exact_caps_cover_what_derandomize_checks():
+    # sweep and exact-mi go exact exactly when derandomize returns, which
+    # needs q^m <= MAX_WORDS and q^n <= MAX_ENUM.  The exact path then builds
+    # the codebook's rank table (q^n entries) and member list (fewer than q^m
+    # entries), each capped at MAX_MEMBERS; were either cap above it, a
+    # derandomized system could be refused there and sweep would exit 2
+    # where it used to sample.
+    assert MAX_WORDS <= MAX_MEMBERS
+    assert MAX_ENUM <= MAX_MEMBERS
 
 
 def test_converse_probe_csv(tmp_path):

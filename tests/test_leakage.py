@@ -638,11 +638,15 @@ def test_security_bound_curve_takes_the_alphabet_from_the_key_law():
     assert row["log2_bound"] == pytest.approx(want, abs=1e-12)
 
 
-def test_exact_mi_scale_guard():
-    spec = FieldSpec(2)
-    plan = make_rate_plan(13, 0.5, spec)  # 2^26 pairs: past the guard
+def test_exact_laws_past_q_to_the_2n_pairs_match_the_shift_loop():
+    # 2^26 (key, plaintext) pairs, 2^16 words: only the arrays built bound
+    # the exact path, and these fit
+    plan = make_rate_plan(13, 0.5, FieldSpec(2))
     cb = build_codebook(plan)
-    enc = draw_encoder(plan, 0)
-    sys_ = CipherSystem(codebook=cb, key_encoder=enc)
-    with pytest.raises(FieldError):
-        exact_laws(sys_, uniform(2), uniform(2))
+    assert (plan.m, cb.member_count) == (16, 28)
+    sys_ = CipherSystem(codebook=cb, key_encoder=draw_encoder(plan, 0))
+    p_x, p_k = Distribution([0.8, 0.2]), Distribution([0.6, 0.4])
+    laws = exact_laws(sys_, p_x, p_k)
+    want = oracles.ciphertext_law(sys_, p_x, p_k)
+    assert np.max(np.abs(laws.ciphertext - want)) <= 1e-12
+    assert abs(laws.mi - (entropy(want) - entropy(laws.pad))) <= 1e-12

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from typecipher.fields import FieldSpec
+from typecipher.fields import FieldError, FieldSpec
 from typecipher.simplex import Distribution, entropy, uniform
 from typecipher.typeclasses import (
     TypeComposition,
@@ -16,6 +16,7 @@ from typecipher.typeclasses import (
     class_ranks,
     class_size,
     enumerate_types,
+    sequence_probs,
     type_entropy,
     type_of,
 )
@@ -177,6 +178,23 @@ def test_type_class_size_sandwich():
                 ratio = class_size(P) / 2.0 ** (n * type_entropy(P))
                 assert ratio <= 1.0 + 1e-9
                 assert ratio >= (n + 1) ** (-(q - 1)) - 1e-12
+
+
+@pytest.mark.parametrize("q, top", [(2, 15), (3, 9), (5, 6), (7, 5)])
+def test_sequence_probs_match_the_digit_array_product_bit_for_bit(q, top):
+    spec = FieldSpec(q)
+    rng = np.random.default_rng(q)
+    for _ in range(5):
+        p = Distribution((rng.dirichlet(np.ones(q))).tolist())
+        for n in range(1, top + 1):
+            assert np.array_equal(
+                sequence_probs(p, n, spec), oracles.sequence_probs(p, n, spec)
+            )
+
+
+def test_sequence_probs_refuse_past_the_enumeration_cap():
+    with pytest.raises(FieldError, match=r"refusing to materialize 2\^23 vectors"):
+        sequence_probs(uniform(2), 23, FieldSpec(2))
 
 
 def test_class_prob_sandwich():
