@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -98,10 +98,12 @@ class AffineEncoder:
 # ----------------------------------------------------------------------
 # seeded draws
 #
-# numpy's SeedSequence -> PCG64 -> Generator.integers stream, copied bit for
-# bit so that drawing an encoder does not import numpy.random (the import
-# costs more than a small exact job).  The stream is fixed by this code,
-# not by the installed numpy.
+# numpy's SeedSequence -> PCG64 stream and the Generator methods that read
+# it (`integers` below 2^32, `random`, `choice` with p), copied bit for bit
+# so that no draw, the encoder's or the Monte Carlo estimator's, imports
+# numpy's random module: the import costs more than a small exact job, and
+# more than all the sampling of a sampled sweep.  The stream is fixed by
+# this code, not by the installed numpy.
 # ----------------------------------------------------------------------
 
 _MASK32 = 0xFFFFFFFF
@@ -112,6 +114,12 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# A read of at most _PY_STATES outputs before any longer one steps the LCG
+# in Python ints; the stream then advances rows of up to _LANES states.
+_PY_STATES = 256
+_LANES = 8192
+_U32, _U58, _U64 = np.uint64(32), np.uint64(58), np.uint64(64)
+_LOW32 = np.uint64(_MASK32)
 
 
 def _entropy_words(entropy: Sequence[int]) -> list[int]:
@@ -162,9 +170,53 @@ def seed_state(entropy: Sequence[int], n_words: int) -> list[int]:
     return out
 
 
+def _halves(states: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """128-bit states as their high and low uint64 halves."""
+    hi = np.array([s >> 64 for s in states], dtype=np.uint64)
+    lo = np.array([s & _MASK64 for s in states], dtype=np.uint64)
+    return hi, lo
+
+
+def _affine(a: int, c: int, hi: np.ndarray, lo: np.ndarray):
+    """a * s + c mod 2^128 for every state s = hi * 2^64 + lo, on uint64
+    halves: the low product wraps, and its carry into the high half is
+    taken from 32-bit limbs of lo and a."""
+    a_hi, a_lo = np.uint64(a >> 64), np.uint64(a & _MASK64)
+    a0, a1 = np.uint64(a & _MASK32), np.uint64(a >> 32 & _MASK32)
+    c_hi, c_lo = np.uint64(c >> 64), np.uint64(c & _MASK64)
+    x0, x1 = lo & _LOW32, lo >> _U32
+    mid = x0 * a1 + (x0 * a0 >> _U32)
+    top = x1 * a0 + (mid & _LOW32)
+    new_hi = x1 * a1 + (mid >> _U32) + (top >> _U32) + hi * a_lo + lo * a_hi + c_hi
+    new_lo = lo * a_lo + c_lo
+    new_hi += new_lo < c_lo
+    return new_hi, new_lo
+
+
+def _xsl_rr(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """PCG64's output: the xor-folded state rotated right by its top 6 bits
+    (numpy's shift by 64 gives 0, so rotating by 0 needs no mask)."""
+    x = hi ^ lo
+    r = hi >> _U58
+    return (x >> r) | (x << (_U64 - r))
+
+
 class _PCG64:
-    """numpy's PCG64 seeded from `seed`, read as 32-bit words: each 64-bit
-    output gives its low half, then (on the next read) its high half."""
+    """numpy's PCG64 seeded from `seed`.
+
+    `uint64s` reads its 64-bit outputs (`next_uint64`), `doubles` its
+    doubles (`Generator.random`), and `uint32s` its 32-bit words: each
+    64-bit output gives its low half, then (on the next 32-bit read) its
+    high half, which 64-bit reads leave buffered.
+
+    Short reads step the LCG in Python ints.  The first read longer than
+    _PY_STATES steps _PY_STATES states in Python ints; from then on the
+    stream is a row of states (uint64 halves) that the b-step map
+    s -> A_b s + C_b advances b states at once, b being the row's width
+    (O'Neill's jump-ahead for LCGs).  While b < _LANES each advanced row is
+    appended, doubling it; past that it replaces the row.  Outputs of a row
+    beyond the read wait in `ahead` for the next read.
+    """
 
     def __init__(self, seed: int) -> None:
         w = seed_state([seed], 8)
@@ -172,39 +224,88 @@ class _PCG64:
         self.inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
         self.state = ((self.inc + (w0 << 64 | w1)) * _PCG_MULT + self.inc) & _MASK128
         self.high: int | None = None
+        self.row: tuple[np.ndarray, np.ndarray] | None = None
+        self.jump = (1, 0)  # (A_b, C_b) for the row's width b
+        self.ahead = np.empty(0, dtype=np.uint64)
+
+    def _states(self, count: int) -> list[int]:
+        state, inc, out = self.state, self.inc, []
+        for _ in range(count):
+            state = (state * _PCG_MULT + inc) & _MASK128
+            out.append(state)
+        self.state = state
+        return out
+
+    def _next_row(self) -> np.ndarray:
+        if self.row is None:
+            start = self.state
+            states = self._states(_PY_STATES)
+            a = pow(_PCG_MULT, _PY_STATES, 1 << 128)
+            self.row, self.jump = _halves(states), (a, (states[-1] - a * start) & _MASK128)
+            return _xsl_rr(*self.row)
+        (a, c), (hi, lo) = self.jump, self.row
+        new = _affine(a, c, hi, lo)
+        if len(hi) < _LANES:
+            self.row = (np.concatenate([hi, new[0]]), np.concatenate([lo, new[1]]))
+            self.jump = (a * a & _MASK128, (a * c + c) & _MASK128)
+        else:
+            self.row = new
+        return _xsl_rr(*new)
+
+    def _chunks(self, count: int):
+        """The next `count` 64-bit outputs, as consecutive arrays."""
+        if self.row is None and count <= _PY_STATES:
+            yield _xsl_rr(*_halves(self._states(count)))
+            return
+        while count:
+            if not len(self.ahead):
+                self.ahead = self._next_row()
+            part, self.ahead = self.ahead[:count], self.ahead[count:]
+            count -= len(part)
+            yield part
+
+    def uint64s(self, count: int) -> np.ndarray:
+        """The next `count` 64-bit outputs."""
+        out = np.empty(count, dtype=np.uint64)
+        done = 0
+        for part in self._chunks(count):
+            out[done : done + len(part)] = part
+            done += len(part)
+        return out
+
+    def doubles(self, count: int) -> np.ndarray:
+        """The next `count` doubles in [0, 1): each output's top 53 bits
+        times 2^-53, numpy's `Generator.random`."""
+        out = np.empty(count)
+        done = 0
+        for part in self._chunks(count):
+            np.multiply(part >> np.uint64(11), 2.0**-53, out=out[done : done + len(part)])
+            done += len(part)
+        return out
 
     def uint32s(self, count: int) -> np.ndarray:
-        """The next `count` 32-bit words, as uint64."""
+        """The next `count` 32-bit words."""
         head = []
         if self.high is not None and count:
             head, self.high, count = [self.high], None, count - 1
-        state, inc = self.state, self.inc
-        xors, rots = [], []
-        for _ in range((count + 1) // 2):
-            state = (state * _PCG_MULT + inc) & _MASK128
-            xors.append((state >> 64) ^ (state & _MASK64))
-            rots.append(state >> 122)
-        self.state = state
-        # XSL-RR output: the xor-folded state rotated right by its top 6 bits
-        x = np.array(xors, dtype=np.uint64)
-        r = np.array(rots, dtype=np.uint64)
-        x = (x >> r) | (x << ((np.uint64(64) - r) & np.uint64(63)))
-        words = np.empty(2 * len(x), dtype=np.uint64)
-        words[0::2] = x & np.uint64(_MASK32)
-        words[1::2] = x >> np.uint64(32)
+        words = self.uint64s((count + 1) // 2).astype("<u8", copy=False).view("<u4")
         if count % 2:
             self.high, words = int(words[-1]), words[:-1]
-        return np.concatenate([np.array(head, dtype=np.uint64), words]) if head else words
+        return np.concatenate([np.array(head, dtype="<u4"), words]) if head else words
 
 
 def _lemire(words: np.ndarray, q: int) -> np.ndarray:
-    """Lemire's bounded draw below q over 32-bit `words` (uint64): the high
-    half of word * q, keeping only the words whose low half reaches the
-    rejection threshold (2^32 - q) % q; a rejected word is skipped, as
-    numpy's retry draws the next word and tests it the same way."""
-    threshold = ((1 << 32) - q) % q
-    prod = words * np.uint64(q)
-    return (prod >> np.uint64(32))[(prod & np.uint64(_MASK32)) >= threshold]
+    """Lemire's bounded draw below q over 32-bit `words`: the high half of
+    word * q, keeping only the words whose low half reaches the rejection
+    threshold (2^32 - q) % q; a rejected word is skipped, as numpy's retry
+    draws the next word and tests it the same way."""
+    words = words.astype(np.uint32, copy=False)
+    # the low half is the wrapping 32-bit product, cheaper than masking
+    keep = words * np.uint32(q) >= np.uint32(((1 << 32) - q) % q)
+    prod = words.astype(np.uint64)
+    prod *= np.uint64(q)
+    prod >>= np.uint64(32)
+    return prod if keep.all() else prod[keep]
 
 
 def _bounded(next_words, q: int, count: int) -> np.ndarray:
@@ -215,7 +316,17 @@ def _bounded(next_words, q: int, count: int) -> np.ndarray:
         part = _lemire(next_words(count), q)
         parts.append(part)
         count -= len(part)
-    return np.concatenate(parts).astype(np.int64)
+    # every draw is below q < 2^32, so its uint64 bits read the same as int64
+    return (parts[0] if len(parts) == 1 else np.concatenate(parts)).view(np.int64)
+
+
+def _choice(rng: _PCG64, p, shape: tuple[int, ...]) -> np.ndarray:
+    """Symbols drawn from law p, numpy's `Generator.choice(len(p), shape,
+    p=p)`: one double u per draw, located in the normalized cumulative law
+    by `searchsorted(u, side="right")`."""
+    cdf = np.cumsum(np.asarray(p, dtype=np.float64))
+    cdf /= cdf[-1]
+    return cdf.searchsorted(rng.doubles(math.prod(shape)).reshape(shape), side="right")
 
 
 def draw_encoder(plan: RatePlan, seed: int) -> AffineEncoder:
@@ -358,11 +469,20 @@ def key_image_indices(enc: AffineEncoder, spec: FieldSpec) -> np.ndarray:
     return vectors_to_indices(_key_pads(enc, all_vectors(enc.n, spec), spec), spec)
 
 
-def pad_law(enc: AffineEncoder, p_K: Distribution, spec: FieldSpec) -> np.ndarray:
-    """Distribution of the pad phi(K) over word indices, K i.i.d. p_K."""
+def pad_law(
+    enc: AffineEncoder,
+    p_K: Distribution,
+    spec: FieldSpec,
+    images: np.ndarray | None = None,
+) -> np.ndarray:
+    """Distribution of the pad phi(K) over word indices, K i.i.d. p_K.
+
+    `images` are `key_image_indices(enc, spec)` if already computed, as a
+    `SearchResult` carries them for its encoder."""
     total = _check_word_space(spec, enc.m)
     key_probs = sequence_probs(p_K, enc.n, spec)
-    images = key_image_indices(enc, spec)
+    if images is None:
+        images = key_image_indices(enc, spec)
     return np.bincount(images, weights=key_probs, minlength=total)
 
 
@@ -379,10 +499,8 @@ def _divergence_from_counts(counts: np.ndarray, size: int, total_words: int) -> 
     return math.log2(total_words) - h
 
 
-def omega_divergences(
-    enc: AffineEncoder, plan: RatePlan
-) -> list[tuple[TypeComposition, float]]:
-    """(P, D(Omega_P || uniform)) for every type P of length n."""
+def _omega(enc: AffineEncoder, plan: RatePlan):
+    """`omega_divergences` together with the key images it counted."""
     spec = plan.spec
     total = _check_word_space(spec, plan.m)
     keys = all_vectors(plan.n, spec)
@@ -393,7 +511,14 @@ def omega_divergences(
         mask = np.all(counts_per_symbol == np.asarray(P.counts), axis=1)
         counts = np.bincount(images[mask], minlength=total)
         out.append((P, _divergence_from_counts(counts, int(mask.sum()), total)))
-    return out
+    return out, images
+
+
+def omega_divergences(
+    enc: AffineEncoder, plan: RatePlan
+) -> list[tuple[TypeComposition, float]]:
+    """(P, D(Omega_P || uniform)) for every type P of length n."""
+    return _omega(enc, plan)[0]
 
 
 def _score(divergences, plan: RatePlan) -> float:
@@ -408,7 +533,8 @@ def search_score(enc: AffineEncoder, plan: RatePlan) -> float:
 @dataclass(frozen=True)
 class SearchResult:
     """The certified encoder of `derandomize`, with the per-type divergences
-    D(Omega_P || uniform) its score was computed from."""
+    D(Omega_P || uniform) its score was computed from and the key images
+    (`key_image_indices`, read-only) they were counted from."""
 
     encoder: AffineEncoder
     seed: int
@@ -416,6 +542,7 @@ class SearchResult:
     attempts: int
     type_count: int
     divergences: tuple[tuple[TypeComposition, float], ...]
+    images: np.ndarray = field(repr=False, compare=False)
 
 
 def derandomize(
@@ -435,7 +562,7 @@ def derandomize(
     for attempt in range(max_attempts):
         seed = base_seed + attempt
         enc = draw_encoder(plan, seed)
-        divs = omega_divergences(enc, plan)
+        divs, images = _omega(enc, plan)
         score = _score(divs, plan)
         best = min(best, score)
         if score <= count:
@@ -446,9 +573,10 @@ def derandomize(
                         f"score {score} <= {count} but type {P.counts} has "
                         f"divergence {d} above its cap {cap}"
                     )
+            images.flags.writeable = False
             return SearchResult(
                 encoder=enc, seed=seed, score=score, attempts=attempt + 1,
-                type_count=count, divergences=tuple(divs),
+                type_count=count, divergences=tuple(divs), images=images,
             )
     raise RuntimeError(
         f"no encoder scored <= {count} within {max_attempts} seeds "

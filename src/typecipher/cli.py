@@ -4,7 +4,10 @@ Sweeps and curves go to CSV, structured reports to JSON.  Identical
 configuration and seed produce byte-identical output; every number carries a
 provenance flag (exact / bound / estimate).  All randomness descends from
 --seed: each component draws from its own sub-seed, SeedSequence([seed, key])
-hashed to one 32-bit word by `cipher.seed_state` (no numpy.random import).
+hashed to one 32-bit word by `cipher.seed_state`.  The encoder draw and the
+Monte Carlo samples then read numpy's PCG64 stream as `cipher._PCG64`
+computes it, so the output does not depend on the installed numpy's random
+module, which no command imports.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from .leakage import (
     exact_laws,
     exact_mutual_info,
     monte_carlo_mi,
+    scaled_power,
     security_bound,
     security_certificate,
     strong_converse_probe,
@@ -235,7 +239,7 @@ def cmd_sweep(args) -> int:
         seed = _sub_seed(args.seed, n)
         sys_, search = _build_system(plan, seed, build_codebook(plan))
         p_e = exact_error_prob(sys_.codebook, p_x)
-        err_bound = (n + 1) ** spec.q * 2.0 ** (-n * e_val)
+        err_bound = scaled_power(1.0, n + 1, spec.q, -n * e_val)
         sec_bound = security_bound(plan, f_res.rounded_down())
         mi_value, mi_flag = _sweep_mi(sys_, search, p_x, p_k, seed, args.samples)
         rows.append(

@@ -171,7 +171,11 @@ def vectors_to_indices(arr: np.ndarray, spec: FieldSpec) -> np.ndarray:
     """index_encode applied to every row of a digit array (fits in int64)."""
     length = arr.shape[-1]
     if spec.q**length > np.iinfo(np.int64).max:
-        raise FieldError("index range exceeds int64; use index_encode per vector")
+        raise FieldError(
+            f"index range {spec.q}^{length} exceeds int64; use index_encode per "
+            "vector, or on the command line give `verify` or `exact-mi` an "
+            "explicit --m plan whose word space q^m fits"
+        )
     weights = spec.q ** np.arange(length - 1, -1, -1, dtype=np.int64)
     return arr @ weights
 

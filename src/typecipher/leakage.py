@@ -51,7 +51,10 @@ import numpy as np
 from .cipher import (
     CipherSystem,
     SearchResult,
+    _bounded,
+    _choice,
     _encrypt_words,
+    _PCG64,
     _key_pads,
     n_types,
     omega_divergences,
@@ -76,6 +79,7 @@ __all__ = [
     "LeakageReport",
     "exact_mutual_info",
     "security_bound",
+    "scaled_power",
     "MonteCarloMI",
     "monte_carlo_mi",
     "check_birkhoff",
@@ -158,7 +162,8 @@ class ExactLaws:
 
     @cached_property
     def pad(self) -> np.ndarray:
-        return pad_law(self.sys.key_encoder, self.p_K, self.spec)
+        images = None if self.search is None else self.search.images
+        return pad_law(self.sys.key_encoder, self.p_K, self.spec, images)
 
     @cached_property
     def pad_hat(self) -> np.ndarray:
@@ -259,10 +264,22 @@ class LeakageReport:
         }
 
 
+def scaled_power(coef: float, base: int, power: int, exponent: float) -> float:
+    """coef * base**power * 2**exponent, for coef > 0, as the plain float
+    expression while the integer base**power converts to a float.  Past
+    that (large q), from its log2: the value when it is a finite double,
+    inf above the double range."""
+    try:
+        return coef * base**power * 2.0**exponent
+    except OverflowError:
+        log2 = math.log2(coef) + power * math.log2(base) + exponent
+        return 2.0**log2 if log2 < float_info.max_exp else math.inf
+
+
 def security_bound(plan: RatePlan, f: float) -> float:
     """(2 R_n + 1) q (n+1)^{4q} 2^{-n f}, the leakage bound at exponent f."""
     n, q = plan.n, plan.q
-    return (2 * plan.R_n + 1) * q * (n + 1) ** (4 * q) * 2.0 ** (-n * f)
+    return scaled_power((2 * plan.R_n + 1) * q, n + 1, 4 * q, -n * f)
 
 
 def exact_mutual_info(laws: ExactLaws) -> LeakageReport:
@@ -362,6 +379,13 @@ def monte_carlo_mi(
     `raw_plugin` are the same bits either way.  Any other `bootstrap` below
     2 has no sample standard deviation and is refused.
 
+    Every draw reads one PCG64 stream seeded from `seed` (`cipher._PCG64`):
+    the plaintexts, then the keys, each numpy's `Generator.choice` with p
+    written out (one double per symbol, located in the cumulative law),
+    then each replicate's indices, numpy's `Generator.integers(0, samples,
+    samples)`.  So the same seed gives the same bits whatever numpy is
+    installed, and no draw imports numpy's random module.
+
     The plug-in estimator is biased upward by roughly (cells - 1)/(2N ln 2);
     the default first-order correction removes most of it, which matters
     when testing near-zero leakage.  The uncorrected value is kept in
@@ -376,12 +400,11 @@ def monte_carlo_mi(
     spec = sys.spec
     plan = sys.plan
     cb = sys.codebook
-    rng = np.random.default_rng(seed)
-    q = spec.q
-    xs = rng.choice(q, size=(samples, plan.n), p=np.asarray(p_X))
-    ks = rng.choice(q, size=(samples, plan.n), p=np.asarray(p_K))
+    rng = _PCG64(seed)
+    xs = _choice(rng, p_X, (samples, plan.n))
+    ks = _choice(rng, p_K, (samples, plan.n))
     pads = _key_pads(sys.key_encoder, ks, spec)
-    xi = vectors_to_indices(xs.astype(np.int64), spec)
+    xi = vectors_to_indices(xs, spec)
     _, first, x_cell = np.unique(xi, return_index=True, return_inverse=True)
     # encode: member rank r -> word value r + 1, non-members (-1) -> x0
     words = indices_to_vectors(cb.ranks(xs[first]) + 1, plan.m, spec)[x_cell]
@@ -401,7 +424,7 @@ def monte_carlo_mi(
     raw = point if not corrected else _mi_from_counts(*full, samples, False)
     reps = np.empty(bootstrap)
     for b in range(bootstrap):
-        idx = rng.integers(0, samples, size=samples)
+        idx = _bounded(rng.uint32s, samples, samples)
         reps[b] = _mi_from_counts(*counts(idx), samples, corrected)
     return MonteCarloMI(
         estimate=point,

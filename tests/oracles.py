@@ -21,8 +21,10 @@ on its own 1-D arrays, summed left to right as the stacked solver sums each
 column.  The grid exponent solver enumerates the simplex of a binary or
 ternary alphabet and assumes nothing about where the minimizer lies: it is
 the arbiter of record for both tilted solvers.  numpy's own Generator and
-SeedSequence are the oracles of the encoder draw and the CLI sub-seeds,
-which the package copies without importing numpy.random, and
+SeedSequence are the oracles of every seeded draw, which the package copies
+without importing numpy's random module: the encoder draw, the CLI
+sub-seeds, and the Monte Carlo estimator's symbol draws
+(`numpy_choice_draw`) and bootstrap indices (`numpy_bootstrap_indices`);
 `lemire_scalar` is its bounded draw written out word by word.
 """
 
@@ -84,6 +86,17 @@ def numpy_encoder_draw(seed, q, n, m):
 def numpy_sub_seed(seed, *key):
     """numpy's SeedSequence([seed, *key]) hashed to one 32-bit word."""
     return int(np.random.SeedSequence([seed, *key]).generate_state(1)[0])
+
+
+def numpy_choice_draw(rng, p, shape):
+    """Symbols of law p as numpy's `Generator.choice` draws them from `rng`."""
+    return rng.choice(len(p), size=shape, p=np.asarray(p))
+
+
+def numpy_bootstrap_indices(rng, samples, bootstrap):
+    """Each bootstrap replicate's resampling indices, as numpy's
+    `Generator.integers` draws them from `rng`, one replicate after another."""
+    return [rng.integers(0, samples, size=samples) for _ in range(bootstrap)]
 
 
 def lemire_scalar(words, q):
@@ -260,14 +273,15 @@ def _plugin_mi(xi, ci, corrected):
 def monte_carlo_mi(sys_, p_X, p_K, samples, seed, corrected=True, bootstrap=200):
     """Plug-in I(C; X) over sampled pairs: each sample encoded through a
     tuple cache, and every bootstrap replicate re-sorting its resampled rows
-    (none, and no standard error, when `bootstrap` is 0)."""
+    (none, and no standard error, when `bootstrap` is 0).  Every draw comes
+    from numpy's own Generator."""
     if samples < 1000:
         raise ValueError(f"need at least 1000 samples, got {samples}")
     spec, plan, cb = sys_.spec, sys_.plan, sys_.codebook
     rng = np.random.default_rng(seed)
     q = spec.q
-    xs = rng.choice(q, size=(samples, plan.n), p=np.asarray(p_X))
-    ks = rng.choice(q, size=(samples, plan.n), p=np.asarray(p_K))
+    xs = numpy_choice_draw(rng, p_X, (samples, plan.n))
+    ks = numpy_choice_draw(rng, p_K, (samples, plan.n))
     pads = (ks @ sys_.key_encoder.A + np.asarray(sys_.key_encoder.b)) % q
     words = np.empty((samples, plan.m), dtype=np.int64)
     word_cache = {}
@@ -284,8 +298,7 @@ def monte_carlo_mi(sys_, p_X, p_K, samples, seed, corrected=True, bootstrap=200)
     point = _plugin_mi(xi, ci, corrected)
     raw = point if not corrected else _plugin_mi(xi, ci, False)
     reps = np.empty(bootstrap)
-    for b in range(bootstrap):
-        idx = rng.integers(0, samples, size=samples)
+    for b, idx in enumerate(numpy_bootstrap_indices(rng, samples, bootstrap)):
         reps[b] = _plugin_mi(xi[idx], ci[idx], corrected)
     return MonteCarloMI(
         estimate=point,

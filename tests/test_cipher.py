@@ -52,6 +52,7 @@ import oracles
 from oracles import (
     class_prob_fraction,
     lemire_scalar,
+    numpy_choice_draw,
     numpy_encoder_draw,
     numpy_sub_seed,
     omega_counts,
@@ -164,6 +165,70 @@ def test_bounded_draw_skips_rejected_words(q):
     out = cipher_mod._bounded(next_words, q, len(want))
     assert out.dtype == np.int64 and out.tolist() == want
     assert sum(reads) == len(words) and next(stream, None) is None
+
+
+# Read lengths around the stream's Python block and its widest row.
+_PY = cipher_mod._PY_STATES
+_LANES = cipher_mod._LANES
+_STREAM_SEEDS = (0, 2**32, 2**64, 2**130)
+_STREAM_LENGTHS = (0, 1, _PY - 1, _PY, _PY + 1, 3 * _PY + 7,
+                   _LANES - 1, _LANES, _LANES + 1, 3 * _LANES + 7)
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2**131))
+@example(seed=_STREAM_SEEDS[0])
+@example(seed=_STREAM_SEEDS[1])
+@example(seed=_STREAM_SEEDS[2])
+@example(seed=_STREAM_SEEDS[3])
+def test_doubles_match_numpy_random(seed):
+    for k in _STREAM_LENGTHS:
+        got = cipher_mod._PCG64(seed).doubles(k)
+        assert np.array_equal(got, np.random.default_rng(seed).random(k))
+    # consecutive reads continue the stream, whatever the row boundaries
+    ours, rng = cipher_mod._PCG64(seed), np.random.default_rng(seed)
+    for k in _STREAM_LENGTHS:
+        assert np.array_equal(ours.doubles(k), rng.random(k))
+
+
+_READ = st.tuples(st.sampled_from(["doubles", "uint32s"]), st.integers(0, 3 * _PY + 7))
+# odd 32-bit reads around 64-bit ones, across the switch from Python ints to
+# rows and across full rows
+_INTERLEAVED = [("uint32s", 3), ("doubles", _PY - 1), ("uint32s", 1), ("doubles", 2),
+                ("uint32s", 2 * _PY + 1), ("doubles", 3 * _LANES + 7), ("uint32s", 5),
+                ("uint32s", _LANES + 3), ("doubles", 1), ("uint32s", 1)]
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2**131), reads=st.lists(_READ, max_size=8))
+@example(seed=_STREAM_SEEDS[0], reads=_INTERLEAVED)
+@example(seed=_STREAM_SEEDS[1], reads=_INTERLEAVED[::-1])
+@example(seed=_STREAM_SEEDS[2], reads=_INTERLEAVED)
+@example(seed=_STREAM_SEEDS[3], reads=_INTERLEAVED[1:])
+def test_interleaved_reads_match_numpy(seed, reads):
+    # a 64-bit read leaves the buffered high half of an odd 32-bit read for
+    # the next 32-bit read, as numpy's PCG64 does
+    ours, rng = cipher_mod._PCG64(seed), np.random.default_rng(seed)
+    for kind, k in reads:
+        if kind == "doubles":
+            assert np.array_equal(ours.doubles(k), rng.random(k))
+        else:
+            want = rng.integers(0, 2**32, k, dtype=np.uint32)
+            assert np.array_equal(ours.uint32s(k), want)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 16, 17, 257])
+def test_choice_matches_numpy_choice(q):
+    # zero masses inside the law and at its end
+    law = np.random.default_rng(q).random(q)
+    law[q // 2] = law[-1] = 0.0
+    law = Distribution(law / law.sum())
+    for seed in _STREAM_SEEDS:
+        ours, rng = cipher_mod._PCG64(seed), np.random.default_rng(seed)
+        for shape in ((7,), (_PY + 1, 3), (3 * _LANES + 7, 2)):
+            got = cipher_mod._choice(ours, law, shape)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, numpy_choice_draw(rng, law, shape))
 
 
 def test_make_encoder_validates():

@@ -39,7 +39,7 @@ print(sorted(name for name in ("numpy.fft", "numpy.ma") if name in sys.modules))
 """
 
 # Runs each exact command once in a fresh interpreter, then prints whether
-# numpy.random was imported: only the Monte Carlo paths may load it.
+# numpy.random was imported: no command may load it.
 _COLD_EXACT = """
 import contextlib, io, sys
 from typecipher.cli import main
@@ -47,6 +47,20 @@ law = ["--q", "2", "--n", "4", "--rate", "0.9", "--px", "0.8,0.2", "--pk", "0.7,
 for command in ("verify", "exact-mi", "search-encoder"):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main([command, *law]) == 0
+print("numpy.random" in sys.modules)
+"""
+
+# The same for the sampled paths: a sweep past the word-space cap and
+# exact-mi's Monte Carlo fallback, bootstrap included.
+_COLD_SAMPLED = """
+import contextlib, io, sys
+from typecipher.cli import main
+law = ["--q", "2", "--rate", "0.9", "--samples", "1000"]
+for argv in (["sweep", "--n", "16", *law], ["exact-mi", "--n", "13", *law]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    assert "estimate" in out.getvalue()
 print("numpy.random" in sys.modules)
 """
 
@@ -408,16 +422,17 @@ def test_only_exact_mi_draws_bootstrap_replicates(tmp_path, monkeypatch, argv):
 
 
 def test_verify_computes_divergences_once_per_attempt(tmp_path, monkeypatch):
-    from typecipher.cipher import omega_divergences
+    # every divergence computation, the search's and omega_divergences', runs
+    # through cipher._omega
+    from typecipher.cipher import _omega
 
     calls = []
 
     def counting(enc, plan):
         calls.append(enc)
-        return omega_divergences(enc, plan)
+        return _omega(enc, plan)
 
-    monkeypatch.setattr("typecipher.cipher.omega_divergences", counting)
-    monkeypatch.setattr("typecipher.leakage.omega_divergences", counting)
+    monkeypatch.setattr("typecipher.cipher._omega", counting)
     out = tmp_path / "verify.json"
     argv = ["verify", "--q", "2", "--n", "6", "--rate", "0.9", "--px", "0.8,0.2",
             "--seed", "3", "--out", str(out)]
@@ -432,9 +447,9 @@ def test_verify_computes_the_pad_law_once(tmp_path, monkeypatch):
 
     calls = []
 
-    def counting(enc, p_K, spec):
+    def counting(enc, p_K, spec, images=None):
         calls.append(enc)
-        return pad_law(enc, p_K, spec)
+        return pad_law(enc, p_K, spec, images)
 
     monkeypatch.setattr("typecipher.cipher.pad_law", counting)
     monkeypatch.setattr("typecipher.leakage.pad_law", counting)
@@ -443,6 +458,44 @@ def test_verify_computes_the_pad_law_once(tmp_path, monkeypatch):
             "--pk", "0.6,0.4", "--seed", "3", "--out", str(out)]
     assert main(argv) == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command, checks", [("verify", 1), ("exact-mi", 0)])
+def test_pad_law_reuses_the_search_key_images(monkeypatch, command, checks):
+    # each search attempt builds all keys and their pads once; the pad law
+    # reads the last attempt's images, and only verify's decryption check
+    # builds them once more
+    import typecipher.cipher as cipher_mod
+
+    calls = {"all_vectors": 0, "_key_pads": 0, "_omega": 0}
+
+    def counting(name):
+        real = getattr(cipher_mod, name)
+
+        def spy(*args):
+            calls[name] += 1
+            return real(*args)
+        return spy
+
+    for name in calls:
+        monkeypatch.setattr(f"typecipher.cipher.{name}", counting(name))
+    argv = [command, "--q", "3", "--n", "4", "--rate", "1.2", "--px", "0.6,0.3,0.1",
+            "--pk", "0.5,0.3,0.2", "--seed", "5", "--out", os.devnull]
+    assert main(argv) == 0
+    attempts = calls.pop("_omega")
+    assert attempts >= 1
+    assert calls == {"all_vectors": attempts + checks, "_key_pads": attempts + checks}
+
+
+def test_sweep_at_a_large_alphabet_names_the_explicit_m_remedy(capsys):
+    # (n+1)^(4q) no longer converts to a float at q=257, so the bounds come
+    # from their log2; the canonical word then leaves int64, and the message
+    # names the plan that fits
+    assert main(["sweep", "--q", "257", "--n", "1", "--rate", "4"]) == 2
+    err = capsys.readouterr().err
+    assert "exceeds int64" in err and "--m" in err and "Traceback" not in err
+    assert main(["verify", "--q", "257", "--n", "1", "--m", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"]
 
 
 @pytest.mark.parametrize("command", ["verify", "exact-mi", "sweep", "search-encoder"])
@@ -582,3 +635,8 @@ def test_cold_exact_commands_do_not_import_numpy_random():
     # the encoder and sub-seed draws copy numpy's stream in Python; importing
     # numpy.random at module level would only move its cost to start-up
     assert _run_cold(_COLD_EXACT) == "False"
+
+
+def test_cold_sampled_commands_do_not_import_numpy_random():
+    # the Monte Carlo draws read the same copied stream (`cipher._PCG64`)
+    assert _run_cold(_COLD_SAMPLED) == "False"

@@ -27,14 +27,17 @@ from typecipher.leakage import (
     exact_laws,
     exact_mutual_info,
     monte_carlo_mi,
+    scaled_power,
+    security_bound,
     security_bound_curve,
     security_certificate,
     strong_converse_probe,
 )
 from typecipher.simplex import Distribution, entropy, uniform
 
+import typecipher.cipher as cipher_mod
 import oracles
-from oracles import pad_law_fraction
+from oracles import numpy_bootstrap_indices, numpy_choice_draw, pad_law_fraction
 
 
 def _mi_oracle(sys_, p_X, p_K):
@@ -408,6 +411,53 @@ def test_monte_carlo_matches_sorting_oracle(case):
     kwargs = {k: case[k] for k in ("samples", "seed", "corrected", "bootstrap")}
     got = monte_carlo_mi(sys_, p_x, p_k, **kwargs)
     assert got == oracles.monte_carlo_mi(sys_, p_x, p_k, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "q, n, R, p_x, p_k",
+    [
+        (2, 6, 0.9, (0.82, 0.18), (0.62, 0.38)),
+        (3, 4, 1.2, (0.65, 0.2, 0.15), (0.4, 0.35, 0.25)),
+        (5, 3, 1.5, (0.38, 0.24, 0.15, 0.12, 0.11), (0.3, 0.25, 0.2, 0.15, 0.1)),
+    ],
+)
+def test_monte_carlo_draws_match_numpy_generator(monkeypatch, q, n, R, p_x, p_k):
+    # the plaintexts, the keys and every replicate's indices, in stream
+    # order, are the draws numpy's Generator makes from the same seed
+    draws = []
+
+    def record(draw):
+        def spy(*args):
+            draws.append(draw(*args))
+            return draws[-1]
+        return spy
+
+    monkeypatch.setattr("typecipher.leakage._choice", record(cipher_mod._choice))
+    monkeypatch.setattr("typecipher.leakage._bounded", record(cipher_mod._bounded))
+    plan = make_rate_plan(n, R, FieldSpec(q))
+    sys_ = CipherSystem(codebook=build_codebook(plan), key_encoder=draw_encoder(plan, 1))
+    p_x, p_k = Distribution(p_x), Distribution(p_k)
+    samples, seed, bootstrap = 3000, 2**64 + q, 4
+    monte_carlo_mi(sys_, p_x, p_k, samples=samples, seed=seed, bootstrap=bootstrap)
+    rng = np.random.default_rng(seed)
+    want = [numpy_choice_draw(rng, p_x, (samples, n)), numpy_choice_draw(rng, p_k, (samples, n)),
+            *numpy_bootstrap_indices(rng, samples, bootstrap)]
+    assert len(draws) == len(want)
+    for got, expected in zip(draws, want):
+        assert got.dtype == np.int64 and np.array_equal(got, expected)
+
+
+def test_scaled_power_is_the_float_expression_until_the_power_overflows():
+    # the same bits wherever base**power converts to a float
+    assert scaled_power(3.5, 9, 40, -12.25) == 3.5 * 9**40 * 2.0**-12.25
+    assert scaled_power(1.0, 17, 2, -3.0) == 17**2 * 2.0**-3.0
+    with pytest.raises(OverflowError):
+        3.0 * 2**1100 * 2.0**-200.0
+    # past it, from log2: finite when the value fits a double, inf above
+    assert scaled_power(3.0, 2, 1100, -200.0) == pytest.approx(3.0 * 2.0**900, rel=1e-12)
+    assert scaled_power(1.0, 2, 1100, 0.0) == math.inf
+    plan = make_rate_plan(1, 4.0, FieldSpec(257))
+    assert security_bound(plan, 0.0) == math.inf
 
 
 # The benchmark's base laws: p_X and p_K per alphabet size.
