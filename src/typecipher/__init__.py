@@ -44,6 +44,7 @@ from .exponents import (
     admissible_thresholds,
     exponent_E,
     exponent_F,
+    exponent_pair,
     positivity_region,
 )
 from .fields import (

@@ -493,14 +493,19 @@ def theta_n(P: TypeComposition, plan: RatePlan) -> float:
 
 
 def _divergence_from_counts(counts: np.ndarray, size: int, total_words: int) -> float:
-    """D(counts/size || uniform over total_words) in bits, from integers."""
-    pos = counts[counts > 0].astype(np.float64)
+    """D(counts/size || uniform over total_words) in bits, from the positive
+    image counts in word order."""
+    pos = counts.astype(np.float64)
     h = math.log2(size) - float(np.sum(pos * np.log2(pos))) / size
     return math.log2(total_words) - h
 
 
 def _omega(enc: AffineEncoder, plan: RatePlan):
-    """`omega_divergences` together with the key images it counted."""
+    """`omega_divergences` together with the key images it counted.
+
+    Each type's images are counted among themselves (`np.unique` sorts them
+    into word order), so no array over the q**m words is built per type.
+    """
     spec = plan.spec
     total = _check_word_space(spec, plan.m)
     keys = all_vectors(plan.n, spec)
@@ -508,9 +513,9 @@ def _omega(enc: AffineEncoder, plan: RatePlan):
     counts_per_symbol = type_counts(keys, spec.q)
     out = []
     for P in enumerate_types(plan.n, spec):
-        mask = np.all(counts_per_symbol == np.asarray(P.counts), axis=1)
-        counts = np.bincount(images[mask], minlength=total)
-        out.append((P, _divergence_from_counts(counts, int(mask.sum()), total)))
+        own = images[np.all(counts_per_symbol == np.asarray(P.counts), axis=1)]
+        counts = np.unique(own, return_counts=True)[1]
+        out.append((P, _divergence_from_counts(counts, own.size, total)))
     return out, images
 
 

@@ -33,7 +33,7 @@ from .code import (
     explicit_m_plan,
     make_rate_plan,
 )
-from .exponents import exponent_E, exponent_F, positivity_region
+from .exponents import exponent_pair, positivity_region
 from .fields import FieldError, FieldSpec
 from .leakage import (
     check_birkhoff,
@@ -231,8 +231,8 @@ def cmd_sweep(args) -> int:
     if not args.n_list:
         raise FieldError("--n (comma list allowed) is required for sweep")
     R = args.rate_scalar
-    e_val = exponent_E(R, p_x).rounded_down()
-    f_res = exponent_F(R, p_k)
+    (e_res,), (f_res,) = exponent_pair(p_x, p_k, [R])
+    e_val, f_val = e_res.rounded_down(), f_res.rounded_down()
     rows = []
     for n in args.n_list:
         plan = make_rate_plan(n, R, spec)
@@ -240,7 +240,7 @@ def cmd_sweep(args) -> int:
         sys_, search = _build_system(plan, seed, build_codebook(plan))
         p_e = exact_error_prob(sys_.codebook, p_x)
         err_bound = scaled_power(1.0, n + 1, spec.q, -n * e_val)
-        sec_bound = security_bound(plan, f_res.rounded_down())
+        sec_bound = security_bound(plan, f_val)
         mi_value, mi_flag = _sweep_mi(sys_, search, p_x, p_k, seed, args.samples)
         rows.append(
             [

@@ -46,9 +46,10 @@ from .fields import (
 from .simplex import Distribution
 from .typeclasses import (
     TypeComposition,
+    _class_sizes,
+    _walk_ranks,
     class_members,
     class_prob,
-    class_ranks,
     class_size,
     enumerate_types,
     type_counts,
@@ -144,12 +145,12 @@ class Codebook:
 
     Members are listed type by type (in `enumerate_types` order), each type
     in lexicographic order, so a member's rank is its type's offset plus its
-    rank within the class: `ranks` computes that by arithmetic
-    (`class_ranks`), and that is the encoder.  The int64 arrays `member_idx`
-    (each member's sequence index in rank order, the decoder's table) and
-    `rank_of` (its inverse over every sequence index, what the exact array
-    paths read) are each built on first use, so codebooks that only sample
-    never pay for them.  Each refuses to hold more than `MAX_MEMBERS`
+    rank within the class: `ranks` computes that by arithmetic (the
+    `class_ranks` walk), and that is the encoder.  The int64 arrays
+    `member_idx` (each member's sequence index in rank order, the decoder's
+    table) and `rank_of` (its inverse over every sequence index, what the
+    exact array paths read) are each built on first use, so codebooks that
+    only sample never pay for them.  Each refuses to hold more than `MAX_MEMBERS`
     entries: `member_idx` holds `member_count`, `rank_of` q**n.  The
     offsets and `ranks` work at any n whose class sizes times n fit in
     int64.
@@ -198,17 +199,26 @@ class Codebook:
         )
 
     def ranks(self, xs) -> np.ndarray:
-        """Member rank of each sequence row of xs, -1 for non-members."""
+        """Member rank of each sequence row of xs, -1 for non-members.
+
+        The rows are counted and grouped by type once; each member row then
+        gets its type's offset plus its rank within the class, from the
+        class-rank walk (`class_ranks` without its own grouping) on its
+        counts and class size.
+        """
         n, q = self.plan.n, self.plan.q
         xs = np.asarray(xs, dtype=np.int64).reshape(-1, n)
-        types, inverse = np.unique(type_counts(xs, q), axis=0, return_inverse=True)
-        offset = np.array(
-            [self.type_offset.get(tuple(t), -1) for t in types.tolist()],
-            dtype=np.int64,
-        )[inverse.reshape(-1)]
-        member = offset >= 0
-        offset[member] += class_ranks(xs[member], q)
-        return offset
+        counts = type_counts(xs, q)
+        types, inverse = np.unique(counts, axis=0, return_inverse=True)
+        types, inverse = types.tolist(), inverse.reshape(-1)
+        offset = np.array([self.type_offset.get(tuple(t), -1) for t in types], dtype=np.int64)
+        sizes = np.zeros(len(types), dtype=np.int64)
+        kept = np.flatnonzero(offset >= 0)
+        sizes[kept] = _class_sizes([types[j] for j in kept], n)
+        rank = offset[inverse]
+        member = rank >= 0
+        rank[member] += _walk_ranks(xs[member], counts[member], sizes[inverse[member]])
+        return rank
 
     def _check_size(self, entries: int, what: str) -> None:
         if entries > MAX_MEMBERS:
@@ -278,7 +288,7 @@ def decode_indices(cb: Codebook, words) -> np.ndarray:
 
 def exact_error_prob(cb: Codebook, p_X: Distribution) -> float:
     """Pr[X^n outside the codebook], summed exactly over excluded types."""
-    return sum(class_prob(P, p_X) for P in cb.error_types)
+    return sum((class_prob(P, p_X) for P in cb.error_types), 0.0)
 
 
 def codebook_to_json(cb: Codebook, include_members: bool = False) -> dict:

@@ -12,11 +12,13 @@ Both are solved over the exponential family P_s ∝ p**s.  The minimizer of
 D(P||p) under an entropy constraint lies in this family (Lagrange
 stationarity), so each regime of the objective reduces to bisections on
 H(P_s) = R.  Each call runs one stacked bisection: every rate, face and
-branch it needs is a column of one array, stepped together, so
-`positivity_region` solves a whole rate grid for both exponents at once and
-`exponent_E`/`exponent_F` are its one-rate case.  The tests hold this
-solver against a brute-force grid over the simplex and against the scalar
-bisection it replaced.
+branch it needs is a column of one array, stepped together, and no column
+depends on what else is stacked.  `exponent_pair` solves E(R|p_X) and
+F(R|p_K) at every rate of a list at once; `positivity_region` (the
+`exponents` command's grid) and a `sweep` row (its one rate) both call it,
+and `exponent_E`/`exponent_F` are the one-law, one-rate case.  The tests
+hold this solver against a brute-force grid over the simplex and against
+the scalar bisection it replaced.
 
 The family argument for F needs care.  With [·]^+ inactive, F minimizes D
 over {H(P) <= R}, which is not convex, so that regime collects every
@@ -42,6 +44,7 @@ __all__ = [
     "ExponentResult",
     "exponent_E",
     "exponent_F",
+    "exponent_pair",
     "positivity_region",
     "admissible_thresholds",
 ]
@@ -408,17 +411,29 @@ def exponent_F(R: float, p: Distribution) -> ExponentResult:
     return _tilted([R], [(_TiltedF, p)], argmins=True)[0][0]
 
 
+def exponent_pair(
+    p_X: Distribution, p_K: Distribution, rates
+) -> tuple[list[ExponentResult], list[ExponentResult]]:
+    """E(R|p_X) and F(R|p_K) at every rate, from one stacked bisection.
+
+    Each value is bit-equal to `exponent_E`/`exponent_F` at that rate alone;
+    the results carry no argmin.  Every rate is checked before any solve.
+    """
+    for R in rates:
+        _check_positive(R)
+    E, F = _tilted(rates, [(_TiltedE, p_X), (_TiltedF, p_K)], argmins=False)
+    return E, F
+
+
 def positivity_region(p_X: Distribution, p_K: Distribution, R_grid) -> list[dict]:
     """Per-rate positivity flags for E(R|p_X) and F(R|p_K).
 
     Both are positive together exactly on {H(X) < R < H(K)} (up to grid
-    resolution and POSITIVITY_THRESHOLD).  The whole grid is solved in one
-    stacked call; every rate is checked before any solve.
+    resolution and POSITIVITY_THRESHOLD).  The whole grid is one
+    `exponent_pair` call.
     """
     rates = [float(R) for R in R_grid]
-    for R in rates:
-        _check_positive(R)
-    E, F = _tilted(rates, [(_TiltedE, p_X), (_TiltedF, p_K)], argmins=False)
+    E, F = exponent_pair(p_X, p_K, rates)
     return [
         {
             "R": R,

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
 from typing import Iterator, Sequence
 
@@ -65,7 +64,7 @@ class TypeComposition:
         n = self.n
         if n == 0:
             raise ValueError("empty composition has no empirical distribution")
-        return Distribution(Fraction(c, n) for c in self.counts)
+        return Distribution(c / n for c in self.counts)
 
 
 def type_of(x: Sequence[int], spec: FieldSpec) -> TypeComposition:
@@ -164,32 +163,50 @@ def class_ranks(xs, q: int) -> np.ndarray:
     """Lexicographic rank of each row of xs within its own type class.
 
     The inverse of `class_members`: row x gets the position at which the
-    generator for type_of(x) yields x.  Walking the positions left to right
-    with the remaining counts c and length L, the M = L!/prod(c!)
-    arrangements of the rest split by their first symbol, M c_s / L of them
-    starting with s, so a row at symbol x_i skips the blocks of every s < x_i.
-    That is n (q - 1) int64 passes over the rows.  Class sizes come from the
-    big-integer multinomial once per distinct type, and every value stays
-    below the class size times n.
+    generator for type_of(x) yields x.  This checks the rows, groups them by
+    type and runs `_walk_ranks`; `Codebook.ranks`, which groups its rows by
+    type anyway, hands its member rows to the walk itself.
     """
     xs = np.asarray(xs, dtype=np.int64)
     if xs.ndim != 2:
         raise ValueError(f"expected a 2-d array of sequences, got shape {xs.shape}")
     if xs.size and (xs.min() < 0 or xs.max() >= q):
         raise ValueError(f"symbol out of range [0, {q})")
-    rows, n = xs.shape
     counts = type_counts(xs, q)
     types, inverse = np.unique(counts, axis=0, return_inverse=True)
-    sizes = [class_size(TypeComposition(tuple(t))) for t in types.tolist()]
+    sizes = _class_sizes(types.tolist(), xs.shape[1])
+    return _walk_ranks(xs, counts, sizes[inverse.reshape(-1)])
+
+
+def _class_sizes(types: list, n: int) -> np.ndarray:
+    """|T^n(P)| of each count vector in types, as int64.
+
+    Refuses classes whose size times n leaves int64, the most the rank walk
+    holds.
+    """
+    sizes = [class_size(TypeComposition(tuple(t))) for t in types]
     if max(sizes, default=0) * max(n, 1) > np.iinfo(np.int64).max:
         raise ValueError(f"type classes of length {n} are too large to rank in int64")
-    arrangements = np.array(sizes, dtype=np.int64)[inverse.reshape(-1)]
+    return np.array(sizes, dtype=np.int64)
+
+
+def _walk_ranks(xs: np.ndarray, counts: np.ndarray, arrangements: np.ndarray) -> np.ndarray:
+    """Class rank of each row of xs, from its type counts and class size.
+
+    Walking the positions left to right with the remaining counts c and
+    length L, the M = L!/prod(c!) arrangements of the rest split by their
+    first symbol, M c_s / L of them starting with s, so a row at symbol x_i
+    skips the blocks of every s < x_i.  That is n (q - 1) int64 passes over
+    the rows, and every value stays below the class size times n.  The walk
+    uses up `counts` (one row per row of xs, one column per symbol).
+    """
+    rows, n = xs.shape
     rank = np.zeros(rows, dtype=np.int64)
     at = np.arange(rows)
     for i in range(n):
         left = n - i
         x = xs[:, i]
-        for s in range(q - 1):
+        for s in range(counts.shape[1] - 1):
             rank += np.where(x > s, arrangements * counts[:, s] // left, 0)
         arrangements = arrangements * counts[at, x] // left
         counts[at, x] -= 1

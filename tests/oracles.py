@@ -11,7 +11,8 @@ listed here by the recursive generator, so the law oracles that work tuple
 by tuple are independent of the codebook's rank arithmetic, of its index
 arrays (`member_idx`, `rank_of`) and of the transform.  The exact-rational
 pad and image laws (`pad_law_fraction`, `omega_counts`, `omega_dist`,
-`class_prob_fraction`) and the scalar affine map `vec_affine` are here
+`class_prob_fraction`), the image divergence that counts every word
+(`omega_divergence`) and the scalar affine map `vec_affine` are here
 because only tests use them, as is the digit-array form of the sequence
 law (`sequence_probs`) that the outer product replaced.  The decryption
 oracle calls the shipped `encrypt` and `decrypt` once per (key, plaintext)
@@ -156,6 +157,16 @@ def omega_counts(P, enc, spec):
     for k in class_members(P):
         counts[index_encode(vec_affine(k, enc.A, enc.b, spec), spec)] += 1
     return counts, class_size(P)
+
+
+def omega_divergence(P, enc, spec):
+    """D(Omega_P || uniform) in bits from `omega_counts` (every word's count,
+    as the per-type bincount over Z_q^m had it), with the package's
+    arithmetic on the positive counts in word order."""
+    counts, size = omega_counts(P, enc, spec)
+    pos = counts[counts > 0].astype(np.float64)
+    h = math.log2(size) - float(np.sum(pos * np.log2(pos))) / size
+    return math.log2(counts.size) - h
 
 
 def omega_dist(P, enc, spec):

@@ -518,6 +518,22 @@ def test_omega_divergences_match_kl():
         assert table[P.counts] == pytest.approx(direct, abs=1e-10)
 
 
+@pytest.mark.parametrize(
+    "q, n, R", [(2, 4, 0.9), (2, 7, 0.6), (3, 3, 1.2), (3, 4, 1.0), (5, 2, 1.5)]
+)
+def test_omega_divergences_bit_equal_the_counting_oracle(q, n, R):
+    # each type's images counted among themselves give the positive counts
+    # in word order, so the divergences are the same doubles
+    spec = FieldSpec(q)
+    plan = make_rate_plan(n, R, spec)
+    for seed in range(3):
+        enc = draw_encoder(plan, seed)
+        got = omega_divergences(enc, plan)
+        assert [P for P, _ in got] == enumerate_types(n, spec)
+        for P, d in got:
+            assert d == oracles.omega_divergence(P, enc, spec), (q, n, seed, P.counts)
+
+
 def test_search_score_definition():
     spec = FieldSpec(2)
     plan = explicit_m_plan(4, 3, spec)

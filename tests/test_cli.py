@@ -65,6 +65,21 @@ print("numpy.random" in sys.modules)
 """
 
 
+# Imports the package, then runs a sampled sweep and an exact verify, and
+# prints which of the modules `Fraction` would bring in got loaded.
+_COLD_IMPORT = """
+import contextlib, io, sys
+import typecipher
+from typecipher.cli import main
+loaded = [name for name in ("fractions", "decimal") if name in sys.modules]
+law = ["--q", "2", "--rate", "0.9", "--px", "0.8,0.2", "--pk", "0.7,0.3"]
+for argv in (["sweep", "--n", "16", "--samples", "1000", *law], ["verify", "--n", "5", *law]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+print(loaded, [name for name in ("fractions", "decimal") if name in sys.modules])
+"""
+
+
 def _run_cold(script):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
@@ -640,3 +655,28 @@ def test_cold_exact_commands_do_not_import_numpy_random():
 def test_cold_sampled_commands_do_not_import_numpy_random():
     # the Monte Carlo draws read the same copied stream (`cipher._PCG64`)
     assert _run_cold(_COLD_SAMPLED) == "False"
+
+
+def test_cold_import_loads_neither_fractions_nor_decimal():
+    # type laws divide their integer counts as floats, the same doubles a
+    # Fraction converts to
+    assert _run_cold(_COLD_IMPORT) == "[] []"
+
+
+def test_sweep_solves_both_exponents_in_one_stack(monkeypatch):
+    # E(R|p_X) and F(R|p_K) are the same for every n of a sweep: one stacked
+    # bisection gives both
+    from typecipher import exponents
+
+    calls = []
+    tilted = exponents._tilted
+
+    def counting(rates, requests, argmins):
+        calls.append([kind.__name__ for kind, _ in requests])
+        return tilted(rates, requests, argmins)
+
+    monkeypatch.setattr(exponents, "_tilted", counting)
+    argv = ["sweep", "--q", "2", "--n", "16,20", "--rate", "0.9", "--px", "0.82,0.18",
+            "--pk", "0.62,0.38", "--samples", "1000", "--out", os.devnull]
+    assert main(argv) == 0
+    assert calls == [["_TiltedE", "_TiltedF"]]

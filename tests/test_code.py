@@ -1,11 +1,14 @@
 """Rate plans and the type-class universal codebook."""
 
+import csv
+import io
 import itertools
 import math
 
 import numpy as np
 import pytest
 
+from typecipher.cli import main
 from typecipher.code import (
     MAX_MEMBERS,
     build_codebook,
@@ -28,7 +31,7 @@ from typecipher.fields import (
     vectors_to_indices,
 )
 from typecipher.simplex import Distribution, uniform
-from typecipher.typeclasses import class_size, type_entropy, type_of
+from typecipher.typeclasses import class_size, type_counts, type_entropy, type_of
 
 import oracles
 
@@ -202,11 +205,18 @@ def test_exact_error_prob_matches_brute_force():
         assert exact_error_prob(cb, p) == pytest.approx(brute, abs=1e-12)
 
 
-def test_error_prob_zero_when_rate_exceeds_log_q():
+def test_error_prob_zero_when_rate_exceeds_log_q(capsys):
+    # an empty sum is still the float every other plan gives, so sweep
+    # prints 0.0 and verify writes "measured_eps": 0.0
     spec = FieldSpec(2)
-    cb = build_codebook(make_rate_plan(5, 1.3, spec))
-    assert not cb.error_types
-    assert exact_error_prob(cb, Distribution([0.6, 0.4])) == 0.0
+    for plan in (make_rate_plan(5, 1.3, spec), explicit_m_plan(6, 8, spec)):
+        cb = build_codebook(plan)
+        assert not cb.error_types
+        value = exact_error_prob(cb, Distribution([0.6, 0.4]))
+        assert type(value) is float and value == 0.0
+    assert main(["sweep", "--q", "2", "--n", "16", "--rate", "1.5", "--samples", "1000"]) == 0
+    (row,) = csv.DictReader(io.StringIO(capsys.readouterr().out))
+    assert row["p_e_exact"] == "0.0"
 
 
 def test_size_margins_hold_on_grid():
@@ -273,6 +283,37 @@ def test_ranks_match_member_rank_on_every_sequence():
                 assert cb.member_count == len(rank)
                 assert cb.ranks(xs[0]).tolist() == want[:1]
                 assert cb.rank_of.tolist() == want
+
+
+@pytest.mark.parametrize("q, n, R", [(2, 14, 0.7), (3, 8, 1.0), (5, 5, 1.5), (7, 4, 1.8)])
+def test_ranks_match_member_order_on_random_rows(q, n, R, monkeypatch):
+    # random rows, repeated members and non-members, and no rows at all;
+    # each call counts its rows by type once
+    spec = FieldSpec(q)
+    cb = build_codebook(make_rate_plan(n, R, spec))
+    rank = oracles.member_rank(cb)
+    members = np.array(oracles.members(cb))
+    calls = []
+
+    def counting(xs, q):
+        calls.append(len(xs))
+        return type_counts(xs, q)
+
+    monkeypatch.setattr("typecipher.code.type_counts", counting)
+    monkeypatch.setattr("typecipher.typeclasses.type_counts", counting)
+    rng = np.random.default_rng(q)
+    for size in (1, 7, 400):
+        xs = np.concatenate(
+            [rng.integers(0, q, size=(size, n)), members[rng.integers(len(members), size=size)]]
+        )
+        xs = xs[rng.permutation(len(xs))]
+        want = [rank.get(x, -1) for x in map(tuple, xs.tolist())]
+        assert -1 in want or size == 1
+        assert cb.ranks(xs).tolist() == want, (q, n, size)
+        assert calls == [len(xs)]
+        calls.clear()
+    assert cb.ranks(np.zeros((0, n), dtype=np.int64)).tolist() == []
+    assert calls == [0]
 
 
 def test_codebook_lists_members_on_demand():

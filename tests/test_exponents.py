@@ -16,6 +16,7 @@ from typecipher.exponents import (
     admissible_thresholds,
     exponent_E,
     exponent_F,
+    exponent_pair,
     positivity_region,
 )
 from typecipher.simplex import Distribution, entropy, kl_divergence, uniform
@@ -290,6 +291,40 @@ def test_region_rows_equal_single_rate_calls(case):
     for row in positivity_region(p_x, p_k, grid):
         assert row["E"] == exponent_E(row["R"], p_x).value
         assert row["F"] == exponent_F(row["R"], p_k).value
+
+
+# Per alphabet size, (p_X, p_K) pairs: full support, zero-probability
+# symbols, and laws of different support widths stacked together.
+_PAIR_LAWS = {
+    2: [((0.82, 0.18), (0.62, 0.38)), ((1.0, 0.0), (0.5, 0.5)), ((0.3, 0.7), (0.0, 1.0))],
+    3: [((0.65, 0.2, 0.15), (0.4, 0.35, 0.25)), ((0.9, 0.0, 0.1), (0.2, 0.3, 0.5)),
+        ((0.5, 0.25, 0.25), (0.0, 0.0, 1.0))],
+    5: [((0.38, 0.24, 0.15, 0.12, 0.11), (0.3, 0.25, 0.2, 0.15, 0.1)),
+        ((0.7, 0.0, 0.3, 0.0, 0.0), (0.2, 0.2, 0.2, 0.2, 0.2)),
+        ((0.2, 0.2, 0.2, 0.2, 0.2), (0.0, 0.6, 0.0, 0.25, 0.15))],
+}
+
+
+@pytest.mark.parametrize("q", sorted(_PAIR_LAWS))
+def test_exponent_pair_equals_single_law_calls(q):
+    # one stack for both laws must leave each column as its own call solves
+    # it: R <= H(p) (value 0), R past log2 q (value inf) and the rates between
+    for px, pk in _PAIR_LAWS[q]:
+        p_x, p_k = Distribution(px), Distribution(pk)
+        rates = [entropy(p_x), entropy(p_k), 0.5 * entropy(p_x), 0.05, 0.6, 1.3,
+                 math.log2(q), math.log2(q) + 0.25]
+        rates = [R for R in rates if R > 0.0]
+        E, F = exponent_pair(p_x, p_k, rates)
+        assert len(E) == len(F) == len(rates)
+        for R, e, f in zip(rates, E, F):
+            assert e.value == exponent_E(R, p_x).value, (q, px, R)
+            assert f.value == exponent_F(R, p_k).value, (q, pk, R)
+            assert e.argmin is None and f.argmin is None
+            assert e.tolerance == f.tolerance == exponents.TOLERANCE
+            if R <= entropy(p_x):
+                assert e.value == 0.0
+            if R > math.log2(q):
+                assert e.value == math.inf and f.value == 0.0
 
 
 @pytest.mark.parametrize("bad", [0.0, -0.3, math.nan])

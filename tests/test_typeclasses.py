@@ -219,3 +219,13 @@ def test_class_prob_sandwich():
 def test_negative_counts_rejected():
     with pytest.raises(ValueError):
         TypeComposition((-1, 2))
+
+
+def test_empirical_divides_counts_to_the_doubles_of_a_fraction():
+    # c / n is correctly rounded, as the conversion of Fraction(c, n) is
+    for n in range(1, 80):
+        for c in range(n + 1):
+            assert c / n == float(Fraction(c, n)), (c, n)
+    for counts in ((3, 0, 4), (1, 1, 1, 7), (0, 49), (5, 6, 7, 8, 9)):
+        want = [float(Fraction(c, sum(counts))) for c in counts]
+        assert TypeComposition(counts).empirical().probs.tolist() == want
