@@ -80,7 +80,6 @@ from .leakage import (
 from .simplex import Distribution, entropy, kl_divergence, uniform
 from .typeclasses import (
     TypeComposition,
-    class_members,
     class_prob,
     class_ranks,
     class_size,

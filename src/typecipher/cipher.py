@@ -429,10 +429,12 @@ def injective_on_members(sys: CipherSystem) -> bool:
     """For every key, x -> encrypt(k, x) is one-to-one on codebook members.
 
     Adding a fixed pad is a bijection of Z_q^m, so this holds for every key
-    exactly when the members' codewords are distinct.  Checked as a round
-    trip: the rank arithmetic that encodes (`Codebook.ranks`) must give each
-    entry of the decode table (`member_idx`) its own position, so no two
-    members share a rank, and hence a codeword.
+    exactly when the members' codewords are distinct.  Checked as the round
+    trip of the two class walks: the decode table (`member_idx`, the walk
+    from rank to sequence) must go back through the encoder's walk
+    (`Codebook.ranks`, from sequence to rank) to its own positions, so no
+    two members share a rank, and hence a codeword.  It costs O(members),
+    so `verify` runs it at every size it reaches.
     """
     cb = sys.codebook
     members = indices_to_vectors(cb.member_idx, sys.plan.n, sys.spec)
@@ -503,17 +505,22 @@ def _divergence_from_counts(counts: np.ndarray, size: int, total_words: int) -> 
 def _omega(enc: AffineEncoder, plan: RatePlan):
     """`omega_divergences` together with the key images it counted.
 
-    Each type's images are counted among themselves (`np.unique` sorts them
-    into word order), so no array over the q**m words is built per type.
+    One stable sort of the keys on their count vectors lists them type by
+    type in `enumerate_types` order, so each class is the next |T^n(P)|
+    images.  Each type's images are then counted among themselves
+    (`np.unique` sorts them into word order), so no array over the q**m
+    words is built per type.
     """
     spec = plan.spec
     total = _check_word_space(spec, plan.m)
     keys = all_vectors(plan.n, spec)
     images = vectors_to_indices(_key_pads(enc, keys, spec), spec)
-    counts_per_symbol = type_counts(keys, spec.q)
+    # the last key of np.lexsort sorts first: symbol 0's count
+    by_type = images[np.lexsort(type_counts(keys, spec.q).T[::-1])]
+    types = enumerate_types(plan.n, spec)
+    ends = np.cumsum([class_size(P) for P in types])
     out = []
-    for P in enumerate_types(plan.n, spec):
-        own = images[np.all(counts_per_symbol == np.asarray(P.counts), axis=1)]
+    for P, own in zip(types, np.split(by_type, ends[:-1])):
         counts = np.unique(own, return_counts=True)[1]
         out.append((P, _divergence_from_counts(counts, own.size, total)))
     return out, images

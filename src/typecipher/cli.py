@@ -196,14 +196,13 @@ def cmd_verify(args) -> int:
         },
     }
 
-    gating: list[bool] = []
+    inj = injective_on_members(sys_)
+    report["injective_on_members"] = inj
+    gating = [inj]
     if spec.q ** (2 * plan.n) <= CONDITION_CHECK_CAP:
         ok = check_decryption_condition(sys_)
         report["decryption_condition"] = {"holds": ok, "checked": "exhaustive"}
         gating.append(ok)
-        inj = injective_on_members(sys_)
-        report["injective_on_members"] = inj
-        gating.append(inj)
     else:
         report["decryption_condition"] = {"holds": None, "checked": "skipped"}
 

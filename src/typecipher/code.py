@@ -29,11 +29,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 
 from .fields import (
+    MAX_ENUM,
     FieldError,
     FieldSpec,
     field_row,
@@ -47,8 +47,8 @@ from .simplex import Distribution
 from .typeclasses import (
     TypeComposition,
     _class_sizes,
+    _walk_members,
     _walk_ranks,
-    class_members,
     class_prob,
     class_size,
     enumerate_types,
@@ -69,12 +69,6 @@ __all__ = [
     "codebook_to_json",
     "codebook_size_margins",
 ]
-
-# Most entries a codebook's index arrays hold: `member_idx` holds one per
-# member, `rank_of` one per sequence; the offsets and the rank arithmetic
-# have no cap.
-MAX_MEMBERS = 1 << 22
-
 
 @dataclass(frozen=True)
 class RatePlan:
@@ -148,12 +142,13 @@ class Codebook:
     rank within the class: `ranks` computes that by arithmetic (the
     `class_ranks` walk), and that is the encoder.  The int64 arrays
     `member_idx` (each member's sequence index in rank order, the decoder's
-    table) and `rank_of` (its inverse over every sequence index, what the
-    exact array paths read) are each built on first use, so codebooks that
-    only sample never pay for them.  Each refuses to hold more than `MAX_MEMBERS`
-    entries: `member_idx` holds `member_count`, `rank_of` q**n.  The
-    offsets and `ranks` work at any n whose class sizes times n fit in
-    int64.
+    table, from the same walk run backwards) and `rank_of` (its inverse over
+    every sequence index, what the exact array paths read) are each built on
+    first use, so codebooks that only sample never pay for them.  Each
+    refuses to hold more than `fields.MAX_ENUM` entries, the cap on every
+    array over sequences: `member_idx` holds `member_count`, `rank_of`
+    q**n.  The offsets and `ranks` work at any n whose class sizes times n
+    fit in int64.
     """
 
     def __init__(self, plan: RatePlan):
@@ -221,23 +216,29 @@ class Codebook:
         return rank
 
     def _check_size(self, entries: int, what: str) -> None:
-        if entries > MAX_MEMBERS:
+        if entries > MAX_ENUM:
             raise FieldError(
-                f"refusing to build {what} (MAX_MEMBERS = "
-                f"2^{MAX_MEMBERS.bit_length() - 1}); Codebook.ranks ranks "
+                f"refusing to build {what} (MAX_ENUM = "
+                f"2^{MAX_ENUM.bit_length() - 1}); Codebook.ranks ranks "
                 "members without a table"
             )
 
     @cached_property
     def member_idx(self) -> np.ndarray:
-        """Sequence index of each member, in rank order (what decode reads)."""
+        """Sequence index of each member, in rank order (what decode reads).
+
+        One walk over every rank: each member type repeats by its class
+        size, and a rank's place in its class is the rank less its type's
+        offset.
+        """
         n = self.plan.n
         self._check_size(self.member_count, f"a list of {self.member_count} members")
-        symbols = chain.from_iterable(
-            chain.from_iterable(class_members(P) for P in self.member_types)
-        )
-        seqs = np.fromiter(symbols, dtype=np.int64, count=self.member_count * n)
-        return _frozen(vectors_to_indices(seqs.reshape(-1, n), self.spec))
+        types = np.array([P.counts for P in self.member_types], dtype=np.int64)
+        sizes = _class_sizes(types.tolist(), n)
+        which = np.repeat(np.arange(len(sizes)), sizes)
+        local = np.arange(self.member_count) - (np.cumsum(sizes) - sizes)[which]
+        seqs = _walk_members(local, types[which], sizes[which])
+        return _frozen(vectors_to_indices(seqs, self.spec))
 
     @cached_property
     def rank_of(self) -> np.ndarray:

@@ -232,6 +232,11 @@ def exact_laws(
     return ExactLaws(sys=sys, p_X=p_X, p_K=p_K, search=search)
 
 
+def _fields_json(report, **extra) -> dict:
+    """A report dataclass's fields by name, plus the `extra` keys."""
+    return {k: getattr(report, k) for k in report.__dataclass_fields__} | extra
+
+
 @dataclass(frozen=True)
 class LeakageReport:
     """Exact leakage of one system together with its certified upper bounds.
@@ -251,17 +256,7 @@ class LeakageReport:
     canonical: bool
 
     def to_json(self) -> dict:
-        return {
-            "mi_exact": self.mi_exact,
-            "h_pad": self.h_pad,
-            "h_ciphertext": self.h_ciphertext,
-            "pad_divergence": self.pad_divergence,
-            "typewise_bound": self.typewise_bound,
-            "security_bound": self.security_bound,
-            "f_exponent": self.f_exponent,
-            "canonical": self.canonical,
-            "provenance": "exact",
-        }
+        return _fields_json(self, provenance="exact")
 
 
 def scaled_power(coef: float, base: int, power: int, exponent: float) -> float:
@@ -322,14 +317,7 @@ class MonteCarloMI:
     corrected: bool
 
     def to_json(self) -> dict:
-        return {
-            "estimate": self.estimate,
-            "std_error": self.std_error,
-            "samples": self.samples,
-            "raw_plugin": self.raw_plugin,
-            "corrected": self.corrected,
-            "provenance": "estimate",
-        }
+        return _fields_json(self, provenance="estimate")
 
 
 def _mi_from_counts(
@@ -474,13 +462,7 @@ class BoundCheck:
         return self.rhs - self.lhs
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "margin": self.margin,
-            "holds": self.holds,
-        }
+        return _fields_json(self, margin=self.margin)
 
 
 # The chain steps that need the canonical word length m.
@@ -689,9 +671,7 @@ class ConverseDiagnostics:
         )
 
     def to_json(self) -> dict:
-        out = {k: getattr(self, k) for k in self.__dataclass_fields__}
-        out["informational"] = ["key_rate_display_holds"]
-        return out
+        return _fields_json(self, informational=["key_rate_display_holds"])
 
 
 def converse_diagnostics(

@@ -69,7 +69,8 @@ def entropy(P: DistLike) -> float:
     """H(P) = -sum P(x) log2 P(x) in bits, with 0 log 0 = 0."""
     p = np.asarray(P, dtype=np.float64)
     pos = p > 0.0
-    return float(-np.sum(p[pos] * np.log2(p[pos])))
+    # 0.0 - s, not -s: a point mass sums to +0.0, which must not print as -0.0
+    return float(0.0 - np.sum(p[pos] * np.log2(p[pos])))
 
 
 def kl_divergence(P: DistLike, Q: DistLike) -> float:

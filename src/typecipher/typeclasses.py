@@ -4,8 +4,9 @@ The type of a length-n string is its symbol-count vector.  Everything here is
 exact: class sizes are big-integer multinomials, class probabilities convert
 to float only in the final product (in log space once a class size no longer
 fits a float), and the entropy of a type is computed from integer counts.
-`class_members` lists a class in lexicographic order and `class_ranks`
-inverts that order by arithmetic, without listing anything.  These are the
+The order inside a class is lexicographic, and it is computed by arithmetic
+alone: `class_ranks` (the `_walk_ranks` walk) gives a sequence's rank in its
+class, and `_walk_members` gives the sequence at a rank.  These are the
 quantities behind the standard sandwich bounds
 
     |P_n(X)| <= (n+1)**(q-1),
@@ -34,7 +35,6 @@ __all__ = [
     "class_size",
     "class_prob",
     "sequence_probs",
-    "class_members",
     "type_counts",
     "class_ranks",
     "type_entropy",
@@ -130,30 +130,6 @@ def sequence_probs(p: Distribution, n: int, spec: FieldSpec) -> np.ndarray:
     return reduce(np.multiply.outer, [np.asarray(p)] * n).ravel()
 
 
-def class_members(P: TypeComposition) -> Iterator[tuple[int, ...]]:
-    """All sequences of type P in lexicographic symbol order.
-
-    Starts from the sorted sequence and steps to the next permutation of the
-    multiset in place: swap the rightmost ascent a[i] < a[i+1] with the
-    rightmost larger symbol after it, then reverse the (non-increasing) tail.
-    """
-    a = [s for s, c in enumerate(P.counts) for _ in range(c)]
-    last = len(a) - 1
-    while True:
-        yield tuple(a)
-        i = last - 1
-        while i >= 0 and a[i] >= a[i + 1]:
-            i -= 1
-        if i < 0:
-            return
-        pivot = a[i]
-        j = last
-        while a[j] <= pivot:
-            j -= 1
-        a[i], a[j] = a[j], pivot
-        a[i + 1 :] = a[: i : -1]
-
-
 def type_counts(xs: np.ndarray, q: int) -> np.ndarray:
     """The type of each row of xs: column a counts the symbol a."""
     return np.stack([(xs == a).sum(axis=1) for a in range(q)], axis=1)
@@ -162,10 +138,10 @@ def type_counts(xs: np.ndarray, q: int) -> np.ndarray:
 def class_ranks(xs, q: int) -> np.ndarray:
     """Lexicographic rank of each row of xs within its own type class.
 
-    The inverse of `class_members`: row x gets the position at which the
-    generator for type_of(x) yields x.  This checks the rows, groups them by
-    type and runs `_walk_ranks`; `Codebook.ranks`, which groups its rows by
-    type anyway, hands its member rows to the walk itself.
+    Row x gets its position among the sequences of type_of(x) listed in
+    lexicographic order.  This checks the rows, groups them by type and runs
+    `_walk_ranks`; `Codebook.ranks`, which groups its rows by type anyway,
+    hands its member rows to the walk itself.
     """
     xs = np.asarray(xs, dtype=np.int64)
     if xs.ndim != 2:
@@ -211,6 +187,34 @@ def _walk_ranks(xs: np.ndarray, counts: np.ndarray, arrangements: np.ndarray) ->
         arrangements = arrangements * counts[at, x] // left
         counts[at, x] -= 1
     return rank
+
+
+def _walk_members(rank: np.ndarray, counts: np.ndarray, arrangements: np.ndarray) -> np.ndarray:
+    """The sequence at each class rank: the inverse of `_walk_ranks`.
+
+    The same walk run backwards: at each position, with the remaining counts
+    c, length L and M arrangements, a rank passes the block of M c_s / L
+    arrangements of every smaller symbol s and subtracts its size; the
+    symbol it stops at is the next entry.  Returns one row of length
+    n = sum(c) per rank, and uses up `rank` and `counts` (one row per rank,
+    one column per symbol).
+    """
+    rows, q = counts.shape
+    n = int(counts[:1].sum())
+    xs = np.empty((rows, n), dtype=np.int64)
+    at = np.arange(rows)
+    for i in range(n):
+        left = n - i
+        x = np.zeros(rows, dtype=np.int64)
+        for s in range(q - 1):
+            block = arrangements * counts[:, s] // left
+            past = (x == s) & (rank >= block)
+            rank -= np.where(past, block, 0)
+            x += past
+        xs[:, i] = x
+        arrangements = arrangements * counts[at, x] // left
+        counts[at, x] -= 1
+    return xs
 
 
 def type_entropy(P: TypeComposition) -> float:

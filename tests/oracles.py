@@ -3,13 +3,14 @@
 These are the loops the package used before its laws moved to a transform
 over Z_q^m, that transform to rotated passes (`digit_transform` is the
 strided butterfly and per-digit `np.fft` it replaced), its decryption check
-to blocks of (pad, codeword) pairs, its Monte Carlo estimator to counted
-cells and its type-class generator to an iterative next-permutation; keep
-them to small n.  The codebook oracle is
-the tuple codebook the package used to keep (`members`, `member_rank`),
-listed here by the recursive generator, so the law oracles that work tuple
-by tuple are independent of the codebook's rank arithmetic, of its index
-arrays (`member_idx`, `rank_of`) and of the transform.  The exact-rational
+to blocks of (pad, codeword) pairs and its Monte Carlo estimator to counted
+cells; keep them to small n.  The recursive type-class generator
+(`class_members`) is the oracle of the class order that the package now
+computes only by arithmetic (the rank walk and its inverse).  The codebook
+oracle is the tuple codebook the package used to keep (`members`,
+`member_rank`), listed here by the recursive generator, so the law oracles
+that work tuple by tuple are independent of the codebook's rank arithmetic,
+of its index arrays (`member_idx`, `rank_of`) and of the transform.  The exact-rational
 pad and image laws (`pad_law_fraction`, `omega_counts`, `omega_dist`,
 `class_prob_fraction`), the image divergence that counts every word
 (`omega_divergence`) and the scalar affine map `vec_affine` are here

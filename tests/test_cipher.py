@@ -519,11 +519,13 @@ def test_omega_divergences_match_kl():
 
 
 @pytest.mark.parametrize(
-    "q, n, R", [(2, 4, 0.9), (2, 7, 0.6), (3, 3, 1.2), (3, 4, 1.0), (5, 2, 1.5)]
+    "q, n, R",
+    [(2, 4, 0.9), (2, 7, 0.6), (3, 3, 1.2), (3, 4, 1.0), (5, 2, 1.5), (7, 3, 1.5), (2, 12, 0.3)],
 )
 def test_omega_divergences_bit_equal_the_counting_oracle(q, n, R):
-    # each type's images counted among themselves give the positive counts
-    # in word order, so the divergences are the same doubles
+    # the keys sorted by type, and each type's images counted among
+    # themselves, give the positive counts in word order, so the divergences
+    # are the same doubles
     spec = FieldSpec(q)
     plan = make_rate_plan(n, R, spec)
     for seed in range(3):
@@ -531,6 +533,19 @@ def test_omega_divergences_bit_equal_the_counting_oracle(q, n, R):
         got = omega_divergences(enc, plan)
         assert [P for P, _ in got] == enumerate_types(n, spec)
         for P, d in got:
+            assert d == oracles.omega_divergence(P, enc, spec), (q, n, seed, P.counts)
+
+
+@pytest.mark.parametrize("q, n, m", [(2, 6, 3), (3, 4, 2), (5, 3, 2)])
+def test_omega_divergences_of_many_to_one_encoders_bit_equal_the_oracle(q, n, m):
+    # with m < n no class maps one-to-one, so a class's divergence depends
+    # on which keys it holds and not only on its size: grouping the keys
+    # into the wrong classes of equal size shows here, not with m >= n
+    spec = FieldSpec(q)
+    plan = explicit_m_plan(n, m, spec)
+    for seed in range(3):
+        enc = draw_encoder(plan, seed)
+        for P, d in omega_divergences(enc, plan):
             assert d == oracles.omega_divergence(P, enc, spec), (q, n, seed, P.counts)
 
 

@@ -13,7 +13,7 @@ import pytest
 
 from typecipher.cipher import MAX_WORDS, CipherSystem, derandomize
 from typecipher.cli import main
-from typecipher.code import MAX_MEMBERS, build_codebook, make_rate_plan
+from typecipher.code import build_codebook, make_rate_plan
 from typecipher.fields import MAX_ENUM, FieldSpec
 from typecipher.leakage import exact_laws, exact_mutual_info
 from typecipher.simplex import Distribution, uniform
@@ -380,11 +380,11 @@ def test_plan_with_more_members_than_words_exits_2(capsys, command):
 def test_sweep_never_lists_members(tmp_path, monkeypatch):
     # binary n=20 has 120,920 members; the sweep encodes its samples by rank
     # arithmetic and must not list one of them
-    def refuse(P):
-        raise AssertionError("class_members called on the sweep path")
+    def refuse(*args):
+        raise AssertionError("_walk_members called on the sweep path")
 
     for module in ("typeclasses", "code"):
-        monkeypatch.setattr(f"typecipher.{module}.class_members", refuse)
+        monkeypatch.setattr(f"typecipher.{module}._walk_members", refuse)
     built = []
 
     def recording_build(plan):
@@ -570,7 +570,29 @@ def test_verify_past_q_to_the_2n_pairs_is_exact(tmp_path):
     report = _read_json(str(out))
     assert report["passed"] is True
     assert report["decryption_condition"] == {"holds": None, "checked": "skipped"}
+    assert report["injective_on_members"] is True
     assert report["certificate"]["report"]["provenance"] == "exact"
+
+
+@pytest.mark.parametrize(
+    "argv, code, shown",
+    [
+        (["verify", "--q", "2", "--n", "4", "--rate", "0.9", "--pk", "1,0"], 0,
+         '"pad_entropy_cap": 0.0'),
+        (["exact-mi", "--q", "2", "--n", "4", "--rate", "0.9", "--pk", "1,0"], 0,
+         '"h_pad": 0.0'),
+        (["converse-probe", "--q", "2", "--n", "4", "--rate", "0.3", "--px", "1,0"], 2,
+         "source entropy 0.000000"),
+    ],
+    ids=["verify", "exact-mi", "converse-probe"],
+)
+def test_point_mass_laws_print_no_negative_zero(capsys, argv, code, shown):
+    # a point-mass law has entropy +0.0, so no entropy, and no figure
+    # scaled from one, prints as -0.0
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert "-0.0" not in captured.out + captured.err
+    assert shown in captured.out + captured.err
 
 
 def test_verify_past_the_word_space_cap_exits_2_before_checking(capsys, monkeypatch):
@@ -588,11 +610,10 @@ def test_exact_caps_cover_what_derandomize_checks():
     # sweep and exact-mi go exact exactly when derandomize returns, which
     # needs q^m <= MAX_WORDS and q^n <= MAX_ENUM.  The exact path then builds
     # the codebook's rank table (q^n entries) and member list (fewer than q^m
-    # entries), each capped at MAX_MEMBERS; were either cap above it, a
+    # entries), each capped at MAX_ENUM; were MAX_WORDS above it, a
     # derandomized system could be refused there and sweep would exit 2
     # where it used to sample.
-    assert MAX_WORDS <= MAX_MEMBERS
-    assert MAX_ENUM <= MAX_MEMBERS
+    assert MAX_WORDS <= MAX_ENUM
 
 
 def test_converse_probe_csv(tmp_path):
@@ -631,7 +652,7 @@ def test_rate_at_entropy_probe_exits_2(capsys):
 
 
 def test_sweep_past_the_member_list_cap(tmp_path, capsys):
-    # the sweep ranks members by arithmetic, so q^n past MAX_MEMBERS runs;
+    # the sweep ranks members by arithmetic, so q^n past MAX_ENUM runs;
     # binary n=64 still stops cleanly where word indices leave int64
     out = tmp_path / "sweep.csv"
     argv = ["sweep", "--q", "2", "--rate", "0.9", "--samples", "1000", "--seed", "1"]

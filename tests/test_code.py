@@ -10,7 +10,6 @@ import pytest
 
 from typecipher.cli import main
 from typecipher.code import (
-    MAX_MEMBERS,
     build_codebook,
     codebook_size_margins,
     codebook_to_json,
@@ -22,6 +21,7 @@ from typecipher.code import (
     make_rate_plan,
 )
 from typecipher.fields import (
+    MAX_ENUM,
     FieldError,
     FieldSpec,
     all_vectors,
@@ -331,17 +331,17 @@ def test_codebook_lists_members_on_demand():
 
 def test_member_list_cap_sits_on_the_lazy_forms():
     # the lazy index arrays: member_idx holds one entry per member, rank_of
-    # one per sequence; each refuses past MAX_MEMBERS entries and names the
+    # one per sequence; each refuses past MAX_ENUM entries and names the
     # cap, while the codebook and its rank arithmetic work
     small = build_codebook(make_rate_plan(23, 0.1, FieldSpec(2)))  # 2 members
     assert small.member_idx.tolist() == [2**23 - 1, 0]
-    with pytest.raises(FieldError, match="MAX_MEMBERS"):
+    with pytest.raises(FieldError, match="MAX_ENUM"):
         small.rank_of
     large = build_codebook(make_rate_plan(30, 0.9, FieldSpec(2)))
-    assert large.member_count > MAX_MEMBERS
+    assert large.member_count > MAX_ENUM
     assert large.ranks(np.zeros((1, 30), dtype=np.int64))[0] >= 0  # a member
     for form in ("member_idx", "rank_of"):
-        with pytest.raises(FieldError, match="MAX_MEMBERS"):
+        with pytest.raises(FieldError, match="MAX_ENUM"):
             getattr(large, form)
 
 

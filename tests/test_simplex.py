@@ -48,6 +48,13 @@ def test_entropy_worked_values():
     assert entropy(Distribution([0.9, 0.1])) == pytest.approx(0.468996, abs=1e-6)
 
 
+def test_entropy_of_a_point_mass_is_positive_zero():
+    # the sum over the support is +0.0; negating it must not give -0.0
+    for p in ([1, 0], [0, 1, 0], [1.0]):
+        h = entropy(p)
+        assert h == 0.0 and math.copysign(1.0, h) == 1.0, p
+
+
 def test_entropy_bounds_random():
     rng = np.random.default_rng(0)
     for _ in range(100):

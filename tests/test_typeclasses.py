@@ -11,7 +11,7 @@ from typecipher.fields import FieldError, FieldSpec
 from typecipher.simplex import Distribution, entropy, uniform
 from typecipher.typeclasses import (
     TypeComposition,
-    class_members,
+    _walk_members,
     class_prob,
     class_ranks,
     class_size,
@@ -77,9 +77,17 @@ def test_class_size_worked_values():
     assert class_size(TypeComposition((2, 1, 1))) == 12
 
 
-def test_class_members_lexicographic_and_complete():
+def _members_by_walk(P):
+    """Every sequence of type P, in rank order, from `_walk_members`."""
+    size = class_size(P)
+    counts = np.tile(np.array(P.counts, dtype=np.int64), (size, 1))
+    rows = _walk_members(np.arange(size), counts, np.full(size, size))
+    return [tuple(x) for x in rows.tolist()]
+
+
+def test_walk_members_lexicographic_and_complete():
     P = TypeComposition((2, 2))
-    got = list(class_members(P))
+    got = _members_by_walk(P)
     assert got == sorted(got)
     assert got == [
         (0, 0, 1, 1),
@@ -92,26 +100,26 @@ def test_class_members_lexicographic_and_complete():
     assert len(got) == class_size(P)
 
 
-def test_class_members_match_recursive_oracle():
-    # every type (zero counts included) from n=1 up: the iterative
-    # next-permutation must give the recursion's order, so codebook ranks
+def test_walk_members_match_recursive_oracle():
+    # every type (zero counts included) from n=1 up: the rank walk run
+    # backwards must give the recursion's order, so codebook decode tables
     # and encoders stay put
     for q, n_max in ((2, 12), (3, 7), (5, 4)):
         for n in range(1, n_max + 1):
             for P in enumerate_types(n, FieldSpec(q)):
-                assert list(class_members(P)) == list(oracles.class_members(P)), P.counts
-    assert list(class_members(TypeComposition((0, 0)))) == [()]
+                assert _members_by_walk(P) == list(oracles.class_members(P)), P.counts
+    assert _members_by_walk(TypeComposition((0, 0))) == [()]
 
 
 def test_class_ranks_invert_class_members():
     # every sequence of every type (zero counts included) from n=1 up, in a
-    # shuffled order: its rank is its position in class_members
+    # shuffled order: its rank is its position in the recursive listing
     rng = np.random.default_rng(17)
     for q, n_max in ((2, 12), (3, 7), (5, 4)):
         for n in range(1, n_max + 1):
             rows, want = [], []
             for P in enumerate_types(n, FieldSpec(q)):
-                members = list(class_members(P))
+                members = list(oracles.class_members(P))
                 rows.extend(members)
                 want.extend(range(len(members)))
             order = rng.permutation(len(rows))
