@@ -73,8 +73,10 @@ __all__ = [
     "encoder_to_json",
 ]
 
-# Largest word space q**m that omega/pad computations will materialize.
+# Largest word space q**m that the pad law and the exact figures materialize.
 MAX_WORDS = 1 << 20
+# Most (pad, codeword) pairs, q**n pads x codewords in use, the decryption check runs.
+CONDITION_CHECK_CAP = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -396,8 +398,9 @@ def decrypt(sys: CipherSystem, k: Sequence[int], c: Sequence[int]) -> tuple[int,
     return index_decode(int(idx), sys.plan.n, sys.spec)
 
 
-def check_decryption_condition(sys: CipherSystem) -> bool:
-    """Exhaustive check that decrypt(k, encrypt(k, x)) = decode(encode(x)).
+def check_decryption_condition(sys: CipherSystem) -> bool | None:
+    """Exhaustive check that decrypt(k, encrypt(k, x)) = decode(encode(x)),
+    or None (not checked) past CONDITION_CHECK_CAP (pad, codeword) pairs.
 
     Covers all q**(2n) (key, plaintext) pairs through their (pad, codeword)
     classes: both sides depend on the plaintext only through its codeword,
@@ -412,6 +415,8 @@ def check_decryption_condition(sys: CipherSystem) -> bool:
     """
     spec, cb = sys.spec, sys.codebook
     used = np.flatnonzero(np.bincount(cb.rank_of + 1))
+    if spec.q**sys.plan.n * len(used) > CONDITION_CHECK_CAP:
+        return None
     words = indices_to_vectors(used, sys.plan.m, spec)
     expected = decode_indices(cb, words)
     pads = _key_pads(sys.key_encoder, all_vectors(sys.plan.n, spec), spec)
@@ -509,10 +514,10 @@ def _omega(enc: AffineEncoder, plan: RatePlan):
     type in `enumerate_types` order, so each class is the next |T^n(P)|
     images.  Each type's images are then counted among themselves
     (`np.unique` sorts them into word order), so no array over the q**m
-    words is built per type.
+    words is built at all: the word space enters only through its log2, and
+    the q**n keys are bounded by `all_vectors`.
     """
     spec = plan.spec
-    total = _check_word_space(spec, plan.m)
     keys = all_vectors(plan.n, spec)
     images = vectors_to_indices(_key_pads(enc, keys, spec), spec)
     # the last key of np.lexsort sorts first: symbol 0's count
@@ -522,7 +527,7 @@ def _omega(enc: AffineEncoder, plan: RatePlan):
     out = []
     for P, own in zip(types, np.split(by_type, ends[:-1])):
         counts = np.unique(own, return_counts=True)[1]
-        out.append((P, _divergence_from_counts(counts, own.size, total)))
+        out.append((P, _divergence_from_counts(counts, own.size, spec.q**plan.m)))
     return out, images
 
 
@@ -565,10 +570,9 @@ def derandomize(
     Success is typically immediate: the score's expectation over the draw is
     at most |P_n(X)|.  The returned encoder then automatically satisfies the
     per-type certificate D(Omega_P||U) <= |P_n(X)| theta(P), which is
-    asserted before returning.  Past the word-space cap it refuses before
-    drawing anything.
+    asserted before returning.  It builds arrays over the q**n keys only,
+    so it runs past the word-space cap wherever `all_vectors` lists them.
     """
-    _check_word_space(plan.spec, plan.m)
     count = n_types(plan.n, plan.q)
     best = math.inf
     for attempt in range(max_attempts):

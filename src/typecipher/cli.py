@@ -40,6 +40,7 @@ from .leakage import (
     converse_diagnostics,
     exact_laws,
     exact_mutual_info,
+    exact_refusal,
     monte_carlo_mi,
     scaled_power,
     security_bound,
@@ -49,9 +50,6 @@ from .leakage import (
 from .simplex import Distribution, uniform
 
 DEFAULT_RATE_GRID = [round(0.05 * i, 10) for i in range(1, 31)]
-# The exhaustive decryption check covers q**(2n) (key, plaintext) pairs
-# through their (pad, codeword) classes: binary n <= 10, ternary n <= 6.
-CONDITION_CHECK_CAP = 1 << 20
 
 
 def _write_text(text: str, out: str | None) -> None:
@@ -155,24 +153,14 @@ def cmd_codebook(args) -> int:
     return 0
 
 
-def _build_system(plan, seed: int, cb):
-    """The system with the encoder `derandomize` finds from `seed`, and its
-    search result; where `derandomize` refuses (past `MAX_WORDS` or
-    `MAX_ENUM`), the encoder drawn at `seed` and no search.  The search is
-    what decides exact or sampled: every exact array fits once it is found."""
-    try:
-        result = derandomize(plan, max_attempts=1000, base_seed=seed)
-        enc, search = result.encoder, result
-    except FieldError:
-        enc, search = draw_encoder(plan, seed), None
-    return CipherSystem(codebook=cb, key_encoder=enc), search
-
-
 def cmd_verify(args) -> int:
     spec = FieldSpec(args.q)
     plan = _plan(args, spec)
     p_x = _dist_or_uniform(args.px, args.q, "--px")
     p_k = _dist_or_uniform(args.pk, args.q, "--pk")
+    refusal = exact_refusal(plan)
+    if refusal is not None:
+        raise refusal
     cb = build_codebook(plan)
     search = derandomize(plan, max_attempts=1000, base_seed=_sub_seed(args.seed, 1))
     sys_ = CipherSystem(codebook=cb, key_encoder=search.encoder)
@@ -198,13 +186,11 @@ def cmd_verify(args) -> int:
 
     inj = injective_on_members(sys_)
     report["injective_on_members"] = inj
-    gating = [inj]
-    if spec.q ** (2 * plan.n) <= CONDITION_CHECK_CAP:
-        ok = check_decryption_condition(sys_)
-        report["decryption_condition"] = {"holds": ok, "checked": "exhaustive"}
-        gating.append(ok)
-    else:
-        report["decryption_condition"] = {"holds": None, "checked": "skipped"}
+    ok = check_decryption_condition(sys_)
+    checked = "skipped" if ok is None else "exhaustive"
+    report["decryption_condition"] = {"holds": ok, "checked": checked}
+    # a skipped check gates nothing
+    gating = [inj, ok is not False]
 
     laws = exact_laws(sys_, p_x, p_k, search)
     cert = security_certificate(laws)
@@ -236,11 +222,19 @@ def cmd_sweep(args) -> int:
     for n in args.n_list:
         plan = make_rate_plan(n, R, spec)
         seed = _sub_seed(args.seed, n)
-        sys_, search = _build_system(plan, seed, build_codebook(plan))
-        p_e = exact_error_prob(sys_.codebook, p_x)
+        cb = build_codebook(plan)
+        if exact_refusal(plan) is None:
+            search = derandomize(plan, max_attempts=1000, base_seed=seed)
+            sys_ = CipherSystem(codebook=cb, key_encoder=search.encoder)
+            mi_value, mi_flag = exact_laws(sys_, p_x, p_k, search).mi, "exact"
+        else:
+            sys_ = CipherSystem(codebook=cb, key_encoder=draw_encoder(plan, seed))
+            # the row prints no standard error, so no bootstrap replicate is drawn
+            est = monte_carlo_mi(sys_, p_x, p_k, max(args.samples, 1000), seed, bootstrap=0)
+            mi_value, mi_flag = est.estimate, "estimate"
+        p_e = exact_error_prob(cb, p_x)
         err_bound = scaled_power(1.0, n + 1, spec.q, -n * e_val)
         sec_bound = security_bound(plan, f_val)
-        mi_value, mi_flag = _sweep_mi(sys_, search, p_x, p_k, seed, args.samples)
         rows.append(
             [
                 n,
@@ -276,34 +270,26 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _sweep_mi(sys_, search, p_x, p_k, seed: int, samples: int) -> tuple[float, str]:
-    """Exact MI of a derandomized system; otherwise the Monte Carlo point
-    estimate.  The row prints no standard error, so no bootstrap replicate
-    is drawn."""
-    if search is not None:
-        return exact_laws(sys_, p_x, p_k, search).mi, "exact"
-    est = monte_carlo_mi(sys_, p_x, p_k, samples=max(samples, 1000), seed=seed, bootstrap=0)
-    return est.estimate, "estimate"
-
-
 def cmd_exact_mi(args) -> int:
     spec = FieldSpec(args.q)
     plan = _plan(args, spec)
     p_x = _dist_or_uniform(args.px, args.q, "--px")
     p_k = _dist_or_uniform(args.pk, args.q, "--pk")
-    sys_, search = _build_system(plan, _sub_seed(args.seed, 1), build_codebook(plan))
-    try:
+    refusal = exact_refusal(plan)
+    if refusal is not None and args.samples <= 0:
+        raise refusal
+    seed = _sub_seed(args.seed, 1)
+    cb = build_codebook(plan)
+    if refusal is None:
+        search = derandomize(plan, max_attempts=1000, base_seed=seed)
+        sys_ = CipherSystem(codebook=cb, key_encoder=search.encoder)
         payload = exact_mutual_info(exact_laws(sys_, p_x, p_k, search)).to_json()
-    except FieldError:
-        if args.samples <= 0:
-            raise
-        est = monte_carlo_mi(
-            sys_, p_x, p_k, samples=max(args.samples, 1000),
-            seed=_sub_seed(args.seed, 2),
-        )
-        payload = est.to_json()
+    else:
+        sys_ = CipherSystem(codebook=cb, key_encoder=draw_encoder(plan, seed))
+        samples = max(args.samples, 1000)
+        payload = monte_carlo_mi(sys_, p_x, p_k, samples, _sub_seed(args.seed, 2)).to_json()
     payload["encoder"] = encoder_to_json(sys_.key_encoder, spec)
-    payload["encoder"]["derandomized"] = search is not None
+    payload["encoder"]["derandomized"] = refusal is None
     _write_text(_json_text(payload), args.out)
     return 0
 

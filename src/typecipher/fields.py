@@ -170,7 +170,7 @@ def _check_enum(length: int, spec: FieldSpec) -> int:
 def vectors_to_indices(arr: np.ndarray, spec: FieldSpec) -> np.ndarray:
     """index_encode applied to every row of a digit array (fits in int64)."""
     length = arr.shape[-1]
-    if spec.q**length > np.iinfo(np.int64).max:
+    if spec.q**length - 1 > np.iinfo(np.int64).max:
         raise FieldError(
             f"index range {spec.q}^{length} exceeds int64; use index_encode per "
             "vector, or on the command line give `verify` or `exact-mi` an "

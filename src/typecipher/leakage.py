@@ -17,7 +17,8 @@ belongs to the system's encoder; `exact_mutual_info`,
 `security_certificate`, `check_birkhoff` and `converse_diagnostics` take
 only that handle, so each law is computed once per report however many
 figures read it.  Only the caps on the q**m words and q**n sequences it
-builds bound the exact path, and `derandomize` meets them all.
+builds bound the exact path, and `exact_refusal` reads both from the plan
+before anything is built: the one place that decides exact or sampled.
 
 On top of the exact value sit the certified upper bounds, checked as a
 chain with explicit margins:
@@ -52,6 +53,7 @@ from .cipher import (
     CipherSystem,
     SearchResult,
     _bounded,
+    _check_word_space,
     _choice,
     _encrypt_words,
     _PCG64,
@@ -63,7 +65,7 @@ from .cipher import (
 )
 from .code import RatePlan, exact_error_prob, make_rate_plan
 from .exponents import exponent_F
-from .fields import FieldError, FieldSpec, indices_to_vectors, vectors_to_indices
+from .fields import FieldError, FieldSpec, _check_enum, indices_to_vectors, vectors_to_indices
 from .simplex import Distribution, entropy
 from .typeclasses import (
     TypeComposition,
@@ -74,6 +76,7 @@ from .typeclasses import (
 )
 
 __all__ = [
+    "exact_refusal",
     "ExactLaws",
     "exact_laws",
     "LeakageReport",
@@ -132,6 +135,19 @@ def _digit_transform(
     if inverse:
         out /= q**m
     return out
+
+
+def exact_refusal(plan: RatePlan) -> FieldError | None:
+    """None where every array the exact path builds for `plan` fits: q**m
+    words within `cipher.MAX_WORDS` and q**n sequences within
+    `fields.MAX_ENUM`.  Otherwise the FieldError naming the cap exceeded,
+    the word space checked first.  Reads the sizes only; builds nothing."""
+    try:
+        _check_word_space(plan.spec, plan.m)
+        _check_enum(plan.n, plan.spec)
+    except FieldError as exc:
+        return exc
+    return None
 
 
 @dataclass(frozen=True, eq=False)

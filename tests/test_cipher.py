@@ -346,6 +346,19 @@ def test_decryption_check_catches_one_broken_pad_codeword_pair(monkeypatch):
     assert decrypt(sys_, first, encrypt(sys_, first, x)) == x
 
 
+def test_decryption_check_is_skipped_past_its_work_cap(monkeypatch):
+    # the cap counts the work done, q^n pads times the codewords in use,
+    # which is below the q^(2n) (key, plaintext) pairs
+    spec = FieldSpec(2)
+    sys_ = _system(5, 0.9, spec, seed=3)
+    work = 2**5 * len(np.unique(sys_.codebook.rank_of))
+    assert work < 2 ** (2 * 5)
+    monkeypatch.setattr(cipher_mod, "CONDITION_CHECK_CAP", work)
+    assert check_decryption_condition(sys_) is True
+    monkeypatch.setattr(cipher_mod, "CONDITION_CHECK_CAP", work - 1)
+    assert check_decryption_condition(sys_) is None
+
+
 def test_decryption_checks_catch_broken_subtraction(monkeypatch):
     # over Z_3 adding the pad again instead of subtracting it does not undo it
     sys_ = _system(3, 0.9, FieldSpec(3), seed=5)
@@ -604,18 +617,19 @@ def test_word_space_guard():
         pad_law(enc, uniform(2), spec)
 
 
-def test_derandomize_refuses_past_the_word_space_cap_before_drawing(monkeypatch):
-    draws = []
-
-    def counting(plan, seed):
-        draws.append(seed)
-        return draw_encoder(plan, seed)
-
-    monkeypatch.setattr(cipher_mod, "draw_encoder", counting)
-    plan = explicit_m_plan(4, 21, FieldSpec(2))
-    with pytest.raises(FieldError, match="materialization cap"):
-        derandomize(plan)
-    assert draws == []
+def test_derandomize_runs_past_the_word_space_cap():
+    # the search builds arrays over the q^n keys only, so 2^21 words do not
+    # stop it; its divergences match the oracle's count over every word
+    spec = FieldSpec(2)
+    plan = explicit_m_plan(4, 21, spec)
+    assert spec.q**plan.m > MAX_WORDS
+    res = derandomize(plan)
+    assert res.score <= n_types(4, 2)
+    assert [P.counts for P, _ in res.divergences] == [
+        P.counts for P in enumerate_types(4, spec)
+    ]
+    for P, d in res.divergences:
+        assert d == oracles.omega_divergence(P, res.encoder, spec), P.counts
 
 
 def test_encoder_json_shape():

@@ -521,7 +521,8 @@ def test_negative_seed_exits_2(capsys, command):
 
 
 def test_sweep_past_the_word_space_cap_draws_each_encoder_once(tmp_path, monkeypatch):
-    # derandomize refuses before it draws, so the only draw is the fallback
+    # the gate refuses before derandomize is called, so the only draw is the
+    # sampled path's
     from typecipher.cipher import draw_encoder
 
     draws = []
@@ -569,7 +570,8 @@ def test_verify_past_q_to_the_2n_pairs_is_exact(tmp_path):
     assert main(["verify", "--q", "2", "--n", "13", "--rate", "0.5", "--out", str(out)]) == 0
     report = _read_json(str(out))
     assert report["passed"] is True
-    assert report["decryption_condition"] == {"holds": None, "checked": "skipped"}
+    # 2^13 pads against 29 codewords in use fit the check's work cap
+    assert report["decryption_condition"] == {"holds": True, "checked": "exhaustive"}
     assert report["injective_on_members"] is True
     assert report["certificate"]["report"]["provenance"] == "exact"
 
@@ -607,13 +609,83 @@ def test_verify_past_the_word_space_cap_exits_2_before_checking(capsys, monkeypa
 
 
 def test_exact_caps_cover_what_derandomize_checks():
-    # sweep and exact-mi go exact exactly when derandomize returns, which
-    # needs q^m <= MAX_WORDS and q^n <= MAX_ENUM.  The exact path then builds
-    # the codebook's rank table (q^n entries) and member list (fewer than q^m
-    # entries), each capped at MAX_ENUM; were MAX_WORDS above it, a
-    # derandomized system could be refused there and sweep would exit 2
-    # where it used to sample.
+    # sweep and exact-mi go exact exactly when `exact_refusal` admits the
+    # plan: q^m <= MAX_WORDS and q^n <= MAX_ENUM.  The exact path then builds
+    # the codebook's rank table (q^n entries, so within MAX_ENUM) and member
+    # list, shorter than q^m <= MAX_WORDS <= MAX_ENUM; were MAX_WORDS above
+    # MAX_ENUM, an admitted plan could be refused there and sweep would exit
+    # 2 where it used to sample.
     assert MAX_WORDS <= MAX_ENUM
+
+
+def test_each_command_on_both_sides_of_the_word_space_cap(tmp_path, capsys):
+    # binary R=0.9: n=12 has 2^20 words, at MAX_WORDS; n=13 has 2^21
+    spec = FieldSpec(2)
+    assert 2 ** make_rate_plan(12, 0.9, spec).m == MAX_WORDS
+    assert 2 ** make_rate_plan(13, 0.9, spec).m == 2 * MAX_WORDS
+    law = ["--q", "2", "--rate", "0.9", "--seed", "1"]
+    out = tmp_path / "out"
+    assert main(["sweep", "--n", "12,13", "--samples", "1000", *law, "--out", str(out)]) == 0
+    assert [r["mi_flag"] for r in _read_csv(out)] == ["exact", "estimate"]
+    for n, provenance in (("12", "exact"), ("13", "estimate")):
+        argv = ["exact-mi", "--n", n, "--samples", "1000", *law, "--out", str(out)]
+        assert main(argv) == 0
+        payload = _read_json(out)
+        assert payload["provenance"] == provenance
+        assert payload["encoder"]["derandomized"] is (provenance == "exact")
+        # the encoder search builds nothing over the words, so it runs on both sides
+        assert main(["search-encoder", "--n", n, *law, "--out", str(out)]) == 0
+        assert _read_json(out)["provenance"] == "exact"
+    assert main(["verify", "--n", "12", *law, "--out", str(out)]) == 0
+    assert _read_json(out)["certificate"]["report"]["provenance"] == "exact"
+    for argv in (["verify", "--n", "13"], ["exact-mi", "--n", "13", "--samples", "0"]):
+        assert main(argv + law) == 2
+        assert "materialization cap" in capsys.readouterr().err
+
+
+def test_each_command_past_the_sequence_cap(tmp_path, capsys):
+    # binary n=23: 2^23 sequences pass MAX_ENUM while the words fit
+    law = ["--q", "2", "--n", "23", "--seed", "1"]
+    out = tmp_path / "out"
+    argv = ["sweep", "--rate", "0.3", "--samples", "1000", *law, "--out", str(out)]
+    assert 2 ** make_rate_plan(23, 0.3, FieldSpec(2)).m <= MAX_WORDS
+    assert main(argv) == 0
+    assert [r["mi_flag"] for r in _read_csv(out)] == ["estimate"]
+    argv = ["exact-mi", "--m", "5", "--samples", "1000", *law, "--out", str(out)]
+    assert main(argv) == 0
+    payload = _read_json(out)
+    assert payload["provenance"] == "estimate" and payload["encoder"]["derandomized"] is False
+    for argv in (["verify"], ["exact-mi", "--samples", "0"], ["search-encoder"]):
+        assert main(argv + ["--m", "5", *law]) == 2
+        assert "refusing to materialize 2^23 vectors" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "plan, cap",
+    [(["--n", "13", "--rate", "0.9"], "materialization cap"),
+     (["--n", "23", "--m", "5"], "refusing to materialize")],
+    ids=["words", "sequences"],
+)
+def test_verify_past_either_cap_exits_2_before_building(capsys, monkeypatch, plan, cap):
+    calls = []
+    for name in ("build_codebook", "derandomize", "draw_encoder"):
+        monkeypatch.setattr(f"typecipher.cli.{name}", lambda *a, name=name, **k: calls.append(name))
+    assert main(["verify", "--q", "2", *plan]) == 2
+    assert cap in capsys.readouterr().err
+    assert calls == []
+
+
+def test_sweep_reaches_word_length_63(tmp_path, capsys):
+    # binary n=55 at R=0.9 has m=63: the largest word index, 2^63 - 1, fits
+    # int64; n=56 (m=64) still stops where it does not
+    assert make_rate_plan(55, 0.9, FieldSpec(2)).m == 63
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--q", "2", "--rate", "0.9", "--samples", "1000", "--seed", "1"]
+    assert main(argv + ["--n", "55", "--out", str(out)]) == 0
+    rows = _read_csv(out)
+    assert [r["n"] for r in rows] == ["55"] and rows[0]["mi_flag"] == "estimate"
+    assert main(argv + ["--n", "56"]) == 2
+    assert "2^64 exceeds int64" in capsys.readouterr().err
 
 
 def test_converse_probe_csv(tmp_path):

@@ -197,6 +197,33 @@ def test_admissible_thresholds():
     assert t3["converse_threshold"] == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize(
+    "p_x, p_k",
+    [((0.82, 0.18), (0.62, 0.38)), ((0.65, 0.2, 0.15), (0.4, 0.35, 0.25))],
+    ids=["q2", "q3"],
+)
+def test_admissible_thresholds_bound_the_positivity_region(p_x, p_k):
+    # H(X) < H(K): the rates where both exponents are positive lie in
+    # (H(X), H(K)), above the achievable threshold H(X)
+    p_x, p_k = Distribution(p_x), Distribution(p_k)
+    t = admissible_thresholds(p_x, p_k)
+    assert t["h_x"] < t["h_k"] and t["achievable_threshold"] == entropy(p_x)
+    both = [
+        row["R"]
+        for row in positivity_region(p_x, p_k, DEFAULT_RATE_GRID)
+        if row["E_positive"] and row["F_positive"]
+    ]
+    assert both and all(t["achievable_threshold"] < R < t["h_k"] for R in both)
+    # H(X) >= H(K), the laws swapped or equal: no admissible rate, and no
+    # rate on the grid makes both exponents positive
+    for px, pk in ((p_k, p_x), (p_k, p_k)):
+        t = admissible_thresholds(px, pk)
+        assert math.isinf(t["achievable_threshold"])
+        assert t["strong_converse_rate"] is None
+        rows = positivity_region(px, pk, DEFAULT_RATE_GRID)
+        assert not any(row["E_positive"] and row["F_positive"] for row in rows)
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="bisection rounding on the flat root at s=0 leaves E(log2 k) "

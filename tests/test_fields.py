@@ -116,6 +116,17 @@ def test_index_encode_handles_big_vectors_exactly():
     assert index_decode(2**80, 81, spec) == v
 
 
+def test_vector_indices_reach_int64_max():
+    # binary length 63: the largest index is 2^63 - 1, which fits int64
+    spec = FieldSpec(2)
+    ones = np.ones((1, 63), dtype=np.int64)
+    idx = vectors_to_indices(ones, spec)
+    assert idx.tolist() == [2**63 - 1]
+    assert np.array_equal(indices_to_vectors(idx, 63, spec), ones)
+    with pytest.raises(FieldError, match="2\\^64 exceeds int64"):
+        vectors_to_indices(np.ones((1, 64), dtype=np.int64), spec)
+
+
 def test_text_roundtrip_digit_form():
     spec = FieldSpec(2)
     assert vector_to_text((0, 1, 1, 0), spec) == "0110"

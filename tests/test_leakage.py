@@ -26,6 +26,7 @@ from typecipher.leakage import (
     converse_diagnostics,
     exact_laws,
     exact_mutual_info,
+    exact_refusal,
     monte_carlo_mi,
     scaled_power,
     security_bound,
@@ -38,6 +39,25 @@ from typecipher.simplex import Distribution, entropy, uniform
 import typecipher.cipher as cipher_mod
 import oracles
 from oracles import numpy_bootstrap_indices, numpy_choice_draw, pad_law_fraction
+
+
+def test_exact_refusal_reads_both_caps_from_the_plan(monkeypatch):
+    # the gate builds nothing: it runs with every array builder broken
+    def refuse(*args, **kwargs):
+        raise AssertionError("the gate built an array")
+
+    monkeypatch.setattr("typecipher.fields.all_vectors", refuse)
+    monkeypatch.setattr("typecipher.cipher.all_vectors", refuse)
+    spec = FieldSpec(2)
+    assert exact_refusal(explicit_m_plan(22, 20, spec)) is None
+    words = exact_refusal(explicit_m_plan(4, 21, spec))
+    assert isinstance(words, FieldError)
+    assert "materialization cap" in str(words) and "exact-mi --samples N" in str(words)
+    sequences = exact_refusal(explicit_m_plan(23, 5, spec))
+    assert isinstance(sequences, FieldError)
+    assert "refusing to materialize 2^23 vectors" in str(sequences)
+    # past both caps, the word space is named first
+    assert "materialization cap" in str(exact_refusal(explicit_m_plan(23, 21, spec)))
 
 
 def _mi_oracle(sys_, p_X, p_K):
