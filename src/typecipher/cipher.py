@@ -36,7 +36,7 @@ from .code import Codebook, RatePlan, decode_indices, encode
 from .fields import (
     FieldError,
     FieldSpec,
-    all_vectors,
+    _check_enum,
     field_matrix,
     field_row,
     field_vector,
@@ -77,6 +77,8 @@ __all__ = [
 MAX_WORDS = 1 << 20
 # Most (pad, codeword) pairs, q**n pads x codewords in use, the decryption check runs.
 CONDITION_CHECK_CAP = 1 << 20
+# Keys whose digit rows and pads a key pass holds at once.
+KEY_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,7 +103,7 @@ class AffineEncoder:
 # seeded draws
 #
 # numpy's SeedSequence -> PCG64 stream and the Generator methods that read
-# it (`integers` below 2^32, `random`, `choice` with p), copied bit for bit
+# it (`integers` below 2^32, `choice` with p), copied bit for bit
 # so that no draw, the encoder's or the Monte Carlo estimator's, imports
 # numpy's random module: the import costs more than a small exact job, and
 # more than all the sampling of a sampled sweep.  The stream is fixed by
@@ -206,10 +208,9 @@ def _xsl_rr(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
 class _PCG64:
     """numpy's PCG64 seeded from `seed`.
 
-    `uint64s` reads its 64-bit outputs (`next_uint64`), `doubles` its
-    doubles (`Generator.random`), and `uint32s` its 32-bit words: each
-    64-bit output gives its low half, then (on the next 32-bit read) its
-    high half, which 64-bit reads leave buffered.
+    `uint64s` reads its 64-bit outputs (`next_uint64`) and `uint32s` its
+    32-bit words: each 64-bit output gives its low half, then (on the next
+    32-bit read) its high half, which 64-bit reads leave buffered.
 
     Short reads step the LCG in Python ints.  The first read longer than
     _PY_STATES steps _PY_STATES states in Python ints; from then on the
@@ -275,16 +276,6 @@ class _PCG64:
             done += len(part)
         return out
 
-    def doubles(self, count: int) -> np.ndarray:
-        """The next `count` doubles in [0, 1): each output's top 53 bits
-        times 2^-53, numpy's `Generator.random`."""
-        out = np.empty(count)
-        done = 0
-        for part in self._chunks(count):
-            np.multiply(part >> np.uint64(11), 2.0**-53, out=out[done : done + len(part)])
-            done += len(part)
-        return out
-
     def uint32s(self, count: int) -> np.ndarray:
         """The next `count` 32-bit words."""
         head = []
@@ -324,11 +315,21 @@ def _bounded(next_words, q: int, count: int) -> np.ndarray:
 
 def _choice(rng: _PCG64, p, shape: tuple[int, ...]) -> np.ndarray:
     """Symbols drawn from law p, numpy's `Generator.choice(len(p), shape,
-    p=p)`: one double u per draw, located in the normalized cumulative law
-    by `searchsorted(u, side="right")`."""
+    p=p)`: numpy places u = (x >> 11) 2^-53 of each 64-bit output x in the
+    normalized cumulative law (`searchsorted(u, side="right")`), which is
+    the number of cut points t_j = ceil(cdf_j 2^53) 2^11 that x reaches.  A
+    cut at 2^64 (cdf_j = 1) is never reached, so it is dropped."""
     cdf = np.cumsum(np.asarray(p, dtype=np.float64))
     cdf /= cdf[-1]
-    return cdf.searchsorted(rng.doubles(math.prod(shape)).reshape(shape), side="right")
+    cuts = np.ceil(cdf[cdf < 1.0] * 2.0**53).astype(np.uint64) << np.uint64(11)
+    out = np.zeros(math.prod(shape), dtype=np.int64)
+    done = 0
+    for part in rng._chunks(out.size):
+        symbols = out[done : done + len(part)]
+        for cut in cuts:
+            symbols += part >= cut
+        done += len(part)
+    return out.reshape(shape)
 
 
 def draw_encoder(plan: RatePlan, seed: int) -> AffineEncoder:
@@ -372,14 +373,20 @@ class CipherSystem:
 
 
 def _encrypt_words(sys: CipherSystem, pads: np.ndarray, words: np.ndarray) -> np.ndarray:
-    """Ciphertext rows pad + codeword over Z_q (rows broadcast)."""
-    return (pads + words) % sys.spec.q
+    """Ciphertext rows pad + codeword over Z_q (rows broadcast), from
+    residues: a sum at or past q drops by q."""
+    out = pads + words
+    out -= (out >= sys.spec.q) * sys.spec.q
+    return out
 
 
 def _decrypt_words(sys: CipherSystem, pads: np.ndarray, cipher: np.ndarray) -> np.ndarray:
-    """Sequence index that decryption returns for each ciphertext row: the
-    pad is subtracted and the difference decoded through the codebook."""
-    return decode_indices(sys.codebook, (cipher - pads) % sys.spec.q)
+    """Sequence index that decryption returns for each ciphertext row of
+    residues: the pad is subtracted (a negative difference gains q) and the
+    difference decoded through the codebook."""
+    diff = cipher - pads
+    diff += (diff < 0) * sys.spec.q
+    return decode_indices(sys.codebook, diff)
 
 
 def _pad(sys: CipherSystem, k: Sequence[int]) -> np.ndarray:
@@ -419,14 +426,16 @@ def check_decryption_condition(sys: CipherSystem) -> bool | None:
         return None
     words = indices_to_vectors(used, sys.plan.m, spec)
     expected = decode_indices(cb, words)
-    pads = _key_pads(sys.key_encoder, all_vectors(sys.plan.n, spec), spec)
-    # about 2**12 (pad, codeword) pairs per block keeps peak memory flat
-    block = max(1, (1 << 12) // len(used))
-    for start in range(0, len(pads), block):
-        chunk = pads[start : start + block, None, :]
-        decoded = _decrypt_words(sys, chunk, _encrypt_words(sys, chunk, words))
-        if not (decoded == expected).all():
-            return False
+    # about 2**10 (pad, codeword) pairs per block keeps peak memory flat and
+    # each block's arrays small enough to reuse freed memory: 2**12 ran
+    # slower, its arrays landing on fresh pages
+    block = max(1, (1 << 10) // len(used))
+    for _, _, pads in _key_blocks(sys.key_encoder, spec):
+        for start in range(0, len(pads), block):
+            chunk = pads[start : start + block, None, :]
+            decoded = _decrypt_words(sys, chunk, _encrypt_words(sys, chunk, words))
+            if not (decoded == expected).all():
+                return False
     return True
 
 
@@ -468,12 +477,27 @@ def _check_word_space(spec: FieldSpec, m: int) -> int:
 
 def _key_pads(enc: AffineEncoder, keys: np.ndarray, spec: FieldSpec) -> np.ndarray:
     """The pad kA + b of each key row k (a single key gives one pad)."""
-    return (keys @ enc.A + np.asarray(enc.b, dtype=np.int64)) % spec.q
+    pads = keys @ enc.A
+    pads += np.asarray(enc.b, dtype=np.int64)
+    pads %= spec.q
+    return pads
+
+
+def _key_blocks(enc: AffineEncoder, spec: FieldSpec):
+    """(first key index, key rows, their pads) for every key in
+    lexicographic order, KEY_BLOCK keys at a time."""
+    total = _check_enum(enc.n, spec)
+    for start in range(0, total, KEY_BLOCK):
+        keys = indices_to_vectors(np.arange(start, min(start + KEY_BLOCK, total)), enc.n, spec)
+        yield start, keys, _key_pads(enc, keys, spec)
 
 
 def key_image_indices(enc: AffineEncoder, spec: FieldSpec) -> np.ndarray:
     """Word index of phi(k) for every key k in lexicographic order."""
-    return vectors_to_indices(_key_pads(enc, all_vectors(enc.n, spec), spec), spec)
+    images = np.empty(spec.q**enc.n, dtype=np.int64)
+    for start, _, pads in _key_blocks(enc, spec):
+        images[start : start + len(pads)] = vectors_to_indices(pads, spec)
+    return images
 
 
 def pad_law(
@@ -514,14 +538,19 @@ def _omega(enc: AffineEncoder, plan: RatePlan):
     type in `enumerate_types` order, so each class is the next |T^n(P)|
     images.  Each type's images are then counted among themselves
     (`np.unique` sorts them into word order), so no array over the q**m
-    words is built at all: the word space enters only through its log2, and
-    the q**n keys are bounded by `all_vectors`.
+    words is built at all: the word space enters only through its log2.
+    Keys and pads are built a block at a time; only each key's image and
+    count vector span every key (n <= 22 under `fields.MAX_ENUM`, so one
+    byte a count).
     """
     spec = plan.spec
-    keys = all_vectors(plan.n, spec)
-    images = vectors_to_indices(_key_pads(enc, keys, spec), spec)
+    images = np.empty(spec.q**plan.n, dtype=np.int64)
+    key_counts = np.empty((images.size, spec.q), dtype=np.uint8)
+    for start, keys, pads in _key_blocks(enc, spec):
+        images[start : start + len(keys)] = vectors_to_indices(pads, spec)
+        key_counts[start : start + len(keys)] = type_counts(keys, spec.q)
     # the last key of np.lexsort sorts first: symbol 0's count
-    by_type = images[np.lexsort(type_counts(keys, spec.q).T[::-1])]
+    by_type = images[np.lexsort(key_counts.T[::-1])]
     types = enumerate_types(plan.n, spec)
     ends = np.cumsum([class_size(P) for P in types])
     out = []
@@ -571,7 +600,8 @@ def derandomize(
     at most |P_n(X)|.  The returned encoder then automatically satisfies the
     per-type certificate D(Omega_P||U) <= |P_n(X)| theta(P), which is
     asserted before returning.  It builds arrays over the q**n keys only,
-    so it runs past the word-space cap wherever `all_vectors` lists them.
+    so it runs past the word-space cap wherever `fields.MAX_ENUM` admits
+    the keys.
     """
     count = n_types(plan.n, plan.q)
     best = math.inf

@@ -47,6 +47,7 @@ from .simplex import Distribution
 from .typeclasses import (
     TypeComposition,
     _class_sizes,
+    _group_types,
     _walk_members,
     _walk_ranks,
     class_prob,
@@ -204,8 +205,8 @@ class Codebook:
         n, q = self.plan.n, self.plan.q
         xs = np.asarray(xs, dtype=np.int64).reshape(-1, n)
         counts = type_counts(xs, q)
-        types, inverse = np.unique(counts, axis=0, return_inverse=True)
-        types, inverse = types.tolist(), inverse.reshape(-1)
+        types, inverse = _group_types(counts)
+        types = types.tolist()
         offset = np.array([self.type_offset.get(tuple(t), -1) for t in types], dtype=np.int64)
         sizes = np.zeros(len(types), dtype=np.int64)
         kept = np.flatnonzero(offset >= 0)

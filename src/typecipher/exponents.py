@@ -83,6 +83,7 @@ class ExponentResult:
 # branch depends on what else is stacked.
 
 STEPS = 80  # bisection steps, and doubling levels s = +-2^i searched
+ROUND = 16  # doubling levels evaluated per round of F's table
 STACK_CELLS = 1 << 16  # entries per block of stacked columns
 
 
@@ -185,6 +186,8 @@ class _Stack:
         return len(self.faces) - 1
 
     def _packed(self, faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The columns of `faces`, cut below the largest one: the rows under
+        it are masked in every column and add nothing to any sum."""
         L, live = self._library
         if L.shape[1] != len(self.faces):
             L = np.zeros((self.width, len(self.faces)))
@@ -193,7 +196,8 @@ class _Stack:
                 L[: flog.size, j] = flog
                 live[: flog.size, j] = True
             self._library = L, live
-        return L[:, faces], live[:, faces]
+        rows = max(self.faces[j].size for j in faces.tolist())
+        return L[:rows, faces], live[:rows, faces]
 
     def entropy(self, faces: np.ndarray, s: np.ndarray) -> np.ndarray:
         """H(P_s) of face faces[j] at s[j], for every j."""
@@ -219,7 +223,7 @@ class _Stack:
         self.P = np.zeros((self.width, self.size))
         for blk in _blocks(self.width, self.size):
             L, live = self._packed(face[blk])
-            self.P[:, blk] = _bisect(L, live, target[blk], s_lo[blk], s_hi[blk])
+            self.P[: len(L), blk] = _bisect(L, live, target[blk], s_lo[blk], s_hi[blk])
 
 
 class _TiltedE:
@@ -313,9 +317,23 @@ class _TiltedF:
             return
         # One doubling table per branch: H(P_s) at s = +-2^i, shared by every
         # rate; the first i with H below R is where its running minimum is.
+        # Levels are evaluated ROUND at a time, and a branch gets a further
+        # round only while its running minimum has not crossed its least
+        # needed rate, the last one it crosses.  Levels it skips read -inf,
+        # which lies past every crossing it is asked for.
         fid = np.array([b[0] for b in branches])
         s = np.array([b[2] for b in branches])[:, None] * 2.0 ** np.arange(STEPS)
-        H = stack.entropy(np.repeat(fid, STEPS), s.ravel()).reshape(s.shape)
+        H = np.full(s.shape, -np.inf)
+        least = np.array([rates[nd].min(initial=np.inf) for nd in need])
+        todo = np.flatnonzero(least < np.inf)
+        for lo in range(0, STEPS, ROUND):
+            if not todo.size:
+                break
+            levels = s[todo, lo : lo + ROUND]
+            H[todo, lo : lo + ROUND] = stack.entropy(
+                np.repeat(fid[todo], levels.shape[1]), levels.ravel()
+            ).reshape(levels.shape)
+            todo = todo[H[todo, : lo + ROUND].min(axis=1) >= least[todo]]
         falling = -np.minimum.accumulate(H, axis=1)
         for b, (face_id, _, _) in enumerate(branches):
             first = np.searchsorted(falling[b], -rates, side="right")

@@ -385,8 +385,8 @@ def monte_carlo_mi(
 
     Every draw reads one PCG64 stream seeded from `seed` (`cipher._PCG64`):
     the plaintexts, then the keys, each numpy's `Generator.choice` with p
-    written out (one double per symbol, located in the cumulative law),
-    then each replicate's indices, numpy's `Generator.integers(0, samples,
+    written out (one 64-bit output per symbol, counted against the law's
+    cut points), then each replicate's indices, numpy's `Generator.integers(0, samples,
     samples)`.  So the same seed gives the same bits whatever numpy is
     installed, and no draw imports numpy's random module.
 

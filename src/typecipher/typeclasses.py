@@ -149,9 +149,24 @@ def class_ranks(xs, q: int) -> np.ndarray:
     if xs.size and (xs.min() < 0 or xs.max() >= q):
         raise ValueError(f"symbol out of range [0, {q})")
     counts = type_counts(xs, q)
-    types, inverse = np.unique(counts, axis=0, return_inverse=True)
+    types, inverse = _group_types(counts)
     sizes = _class_sizes(types.tolist(), xs.shape[1])
-    return _walk_ranks(xs, counts, sizes[inverse.reshape(-1)])
+    return _walk_ranks(xs, counts, sizes[inverse])
+
+
+def _group_types(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct count rows in lexicographic order, and each row's place
+    among them: `np.unique(counts, axis=0, return_inverse=True)`, from one
+    stable lexsort and a flag on each row that differs from the one before.
+    """
+    # the last key of np.lexsort sorts first: column 0
+    order = np.lexsort(counts.T[::-1])
+    ordered = counts[order]
+    starts = np.ones(len(order), dtype=bool)
+    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(len(order), dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    return ordered[starts], inverse
 
 
 def _class_sizes(types: list, n: int) -> np.ndarray:

@@ -181,22 +181,22 @@ _STREAM_LENGTHS = (0, 1, _PY - 1, _PY, _PY + 1, 3 * _PY + 7,
 @example(seed=_STREAM_SEEDS[1])
 @example(seed=_STREAM_SEEDS[2])
 @example(seed=_STREAM_SEEDS[3])
-def test_doubles_match_numpy_random(seed):
+def test_uint64s_match_numpy_random_raw(seed):
     for k in _STREAM_LENGTHS:
-        got = cipher_mod._PCG64(seed).doubles(k)
-        assert np.array_equal(got, np.random.default_rng(seed).random(k))
+        got = cipher_mod._PCG64(seed).uint64s(k)
+        assert np.array_equal(got, np.random.default_rng(seed).bit_generator.random_raw(k))
     # consecutive reads continue the stream, whatever the row boundaries
-    ours, rng = cipher_mod._PCG64(seed), np.random.default_rng(seed)
+    ours, raw = cipher_mod._PCG64(seed), np.random.default_rng(seed).bit_generator
     for k in _STREAM_LENGTHS:
-        assert np.array_equal(ours.doubles(k), rng.random(k))
+        assert np.array_equal(ours.uint64s(k), raw.random_raw(k))
 
 
-_READ = st.tuples(st.sampled_from(["doubles", "uint32s"]), st.integers(0, 3 * _PY + 7))
+_READ = st.tuples(st.sampled_from(["uint64s", "uint32s"]), st.integers(0, 3 * _PY + 7))
 # odd 32-bit reads around 64-bit ones, across the switch from Python ints to
 # rows and across full rows
-_INTERLEAVED = [("uint32s", 3), ("doubles", _PY - 1), ("uint32s", 1), ("doubles", 2),
-                ("uint32s", 2 * _PY + 1), ("doubles", 3 * _LANES + 7), ("uint32s", 5),
-                ("uint32s", _LANES + 3), ("doubles", 1), ("uint32s", 1)]
+_INTERLEAVED = [("uint32s", 3), ("uint64s", _PY - 1), ("uint32s", 1), ("uint64s", 2),
+                ("uint32s", 2 * _PY + 1), ("uint64s", 3 * _LANES + 7), ("uint32s", 5),
+                ("uint32s", _LANES + 3), ("uint64s", 1), ("uint32s", 1)]
 
 
 @settings(max_examples=12, deadline=None)
@@ -210,8 +210,8 @@ def test_interleaved_reads_match_numpy(seed, reads):
     # the next 32-bit read, as numpy's PCG64 does
     ours, rng = cipher_mod._PCG64(seed), np.random.default_rng(seed)
     for kind, k in reads:
-        if kind == "doubles":
-            assert np.array_equal(ours.doubles(k), rng.random(k))
+        if kind == "uint64s":
+            assert np.array_equal(ours.uint64s(k), rng.bit_generator.random_raw(k))
         else:
             want = rng.integers(0, 2**32, k, dtype=np.uint32)
             assert np.array_equal(ours.uint32s(k), want)
@@ -229,6 +229,45 @@ def test_choice_matches_numpy_choice(q):
             got = cipher_mod._choice(ours, law, shape)
             assert got.dtype == np.int64
             assert np.array_equal(got, numpy_choice_draw(rng, law, shape))
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 257])
+def test_residue_helpers_match_mod_q(monkeypatch, q):
+    # every residue pair, in both columns of a two-symbol word
+    spec = FieldSpec(q)
+    sys_ = CipherSystem(
+        codebook=build_codebook(explicit_m_plan(1, 2, spec)),
+        key_encoder=make_encoder([[0, 0]], (0, 0), spec),
+    )
+    a, b = np.divmod(np.arange(q * q), q)
+    pads, words = np.stack([a, b], axis=1), np.stack([b, a], axis=1)
+    assert np.array_equal(cipher_mod._encrypt_words(sys_, pads, words), (pads + words) % q)
+    # the decode step after the subtraction is checked elsewhere
+    monkeypatch.setattr(cipher_mod, "decode_indices", lambda cb, diff: diff)
+    assert np.array_equal(cipher_mod._decrypt_words(sys_, pads, words), (words - pads) % q)
+
+
+@pytest.mark.parametrize("q, n, m", [(2, 7, 9), (3, 4, 6)])
+def test_blocked_key_pass_matches_one_block(monkeypatch, q, n, m):
+    # a few keys per block, with a short last block, give the same images,
+    # divergences and decryption check as one block over every key
+    spec = FieldSpec(q)
+    plan = explicit_m_plan(n, m, spec)
+    sys_ = CipherSystem(codebook=build_codebook(plan), key_encoder=draw_encoder(plan, 4))
+    enc = sys_.key_encoder
+
+    def key_pass():
+        divergences, images = cipher_mod._omega(enc, plan)
+        return divergences, images, key_image_indices(enc, spec), check_decryption_condition(sys_)
+
+    monkeypatch.setattr(cipher_mod, "KEY_BLOCK", q**n)
+    divergences, images, indices, checked = key_pass()
+    assert checked is True and np.array_equal(images, indices)
+    for block in (1, 5, q**n - 1):
+        monkeypatch.setattr(cipher_mod, "KEY_BLOCK", block)
+        got = key_pass()
+        assert got[0] == divergences and got[3] is checked
+        assert np.array_equal(got[1], images) and np.array_equal(got[2], images)
 
 
 def test_make_encoder_validates():

@@ -51,7 +51,9 @@ print("numpy.random" in sys.modules)
 """
 
 # The same for the sampled paths: a sweep past the word-space cap and
-# exact-mi's Monte Carlo fallback, bootstrap included.
+# exact-mi's Monte Carlo fallback, bootstrap included.  It also prints
+# whether numpy.ma got loaded: a plain `np.unique` (no return arguments)
+# imports it, 17-18 ms in a cold process.
 _COLD_SAMPLED = """
 import contextlib, io, sys
 from typecipher.cli import main
@@ -61,7 +63,7 @@ for argv in (["sweep", "--n", "16", *law], ["exact-mi", "--n", "13", *law]):
     with contextlib.redirect_stdout(out):
         assert main(argv) == 0
     assert "estimate" in out.getvalue()
-print("numpy.random" in sys.modules)
+print("numpy.random" in sys.modules, "numpy.ma" in sys.modules)
 """
 
 
@@ -287,6 +289,13 @@ def test_sweep_rows_and_determinism(tmp_path):
             ["exact-mi", "--q", "2", "--n", "13", "--rate", "0.9", "--px", "0.82,0.18",
              "--pk", "0.62,0.38", "--samples", "2000", "--seed", "2026"],
         ),
+        (
+            # several cut points per draw, and a zero key mass
+            "sweep_q5_n6_8.csv",
+            ["sweep", "--q", "5", "--n", "6,8", "--rate", "1.5",
+             "--px", "0.38,0.24,0.15,0.13,0.10", "--pk", "0.35,0.30,0.20,0.15,0.0",
+             "--samples", "2000", "--seed", "2027"],
+        ),
     ],
 )
 def test_monte_carlo_outputs_match_golden(tmp_path, name, argv):
@@ -477,12 +486,12 @@ def test_verify_computes_the_pad_law_once(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("command, checks", [("verify", 1), ("exact-mi", 0)])
 def test_pad_law_reuses_the_search_key_images(monkeypatch, command, checks):
-    # each search attempt builds all keys and their pads once; the pad law
-    # reads the last attempt's images, and only verify's decryption check
-    # builds them once more
+    # each search attempt runs one pass over the keys (one block of 81
+    # keys, so one pad computation); the pad law reads the last attempt's
+    # images, and only verify's decryption check runs one more pass
     import typecipher.cipher as cipher_mod
 
-    calls = {"all_vectors": 0, "_key_pads": 0, "_omega": 0}
+    calls = {"_key_blocks": 0, "_key_pads": 0, "_omega": 0}
 
     def counting(name):
         real = getattr(cipher_mod, name)
@@ -499,7 +508,7 @@ def test_pad_law_reuses_the_search_key_images(monkeypatch, command, checks):
     assert main(argv) == 0
     attempts = calls.pop("_omega")
     assert attempts >= 1
-    assert calls == {"all_vectors": attempts + checks, "_key_pads": attempts + checks}
+    assert calls == {"_key_blocks": attempts + checks, "_key_pads": attempts + checks}
 
 
 def test_sweep_at_a_large_alphabet_names_the_explicit_m_remedy(capsys):
@@ -746,8 +755,9 @@ def test_cold_exact_commands_do_not_import_numpy_random():
 
 
 def test_cold_sampled_commands_do_not_import_numpy_random():
-    # the Monte Carlo draws read the same copied stream (`cipher._PCG64`)
-    assert _run_cold(_COLD_SAMPLED) == "False"
+    # the Monte Carlo draws read the same copied stream (`cipher._PCG64`),
+    # and grouping sampled rows by type loads no numpy.ma either
+    assert _run_cold(_COLD_SAMPLED) == "False False"
 
 
 def test_cold_import_loads_neither_fractions_nor_decimal():

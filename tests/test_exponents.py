@@ -302,6 +302,52 @@ def test_benchmark_grids_match_scalar_oracle_exactly(q):
         assert row["F"] == oracles.tilted_F(row["R"], p_k).value
 
 
+def test_benchmark_grids_take_one_table_round(monkeypatch):
+    # their crossings all lie within the first ROUND doubling levels
+    calls = []
+    entropy_of = exponents._Stack.entropy
+
+    def counting(self, faces, s):
+        calls.append(s.size)
+        return entropy_of(self, faces, s)
+
+    monkeypatch.setattr(exponents._Stack, "entropy", counting)
+    for p_x, p_k in _BENCHMARK_LAWS.values():
+        calls.clear()
+        positivity_region(Distribution(p_x), Distribution(p_k), DEFAULT_RATE_GRID)
+        assert len(calls) == 1
+
+
+# Near ties put crossings past the first round; R = 0 is never crossed, so
+# it runs every round.
+_ROUND_LAWS = [
+    (0.5 + 1e-7, 0.5 - 1e-7),
+    (0.4, 0.4 - 1e-9, 0.2 - 2e-9, 3e-9),
+    tuple(np.random.default_rng(5).dirichlet(np.ones(40))),
+]
+
+
+@pytest.mark.parametrize("round_", [1, 3, 16])
+def test_F_table_in_rounds_matches_one_full_table(monkeypatch, round_):
+    # one rate per call, and a grid whose rates a branch crosses in
+    # different rounds
+    rates = [0.0, 1e-6, 0.01, 0.3, 0.9, 1.5, 3.0]
+    laws = [Distribution(np.asarray(p) / sum(p)) for p in _ROUND_LAWS]
+
+    def solve():
+        single = [[exponent_F(R, p) for R in rates] for p in laws]
+        grids = [exponent_pair(p, p, rates[1:])[1] for p in laws]
+        return single, grids
+
+    monkeypatch.setattr(exponents, "ROUND", exponents.STEPS)
+    want = solve()
+    monkeypatch.setattr(exponents, "ROUND", round_)
+    for got_rows, want_rows in zip(solve(), want):
+        for got_row, want_row in zip(got_rows, want_rows):
+            for got, w in zip(got_row, want_row):
+                _assert_same(got, w)
+
+
 @st.composite
 def _region_cases(draw):
     q = draw(st.sampled_from([2, 3, 5, 7, 11]))

@@ -47,7 +47,7 @@ def test_exact_refusal_reads_both_caps_from_the_plan(monkeypatch):
         raise AssertionError("the gate built an array")
 
     monkeypatch.setattr("typecipher.fields.all_vectors", refuse)
-    monkeypatch.setattr("typecipher.cipher.all_vectors", refuse)
+    monkeypatch.setattr("typecipher.cipher._key_blocks", refuse)
     spec = FieldSpec(2)
     assert exact_refusal(explicit_m_plan(22, 20, spec)) is None
     words = exact_refusal(explicit_m_plan(4, 21, spec))

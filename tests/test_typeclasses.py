@@ -11,6 +11,7 @@ from typecipher.fields import FieldError, FieldSpec
 from typecipher.simplex import Distribution, entropy, uniform
 from typecipher.typeclasses import (
     TypeComposition,
+    _group_types,
     _walk_members,
     class_prob,
     class_ranks,
@@ -127,6 +128,20 @@ def test_class_ranks_invert_class_members():
             assert class_ranks(xs, q).tolist() == np.array(want)[order].tolist(), (q, n)
     assert class_ranks(np.zeros((1, 0), dtype=np.int64), 2).tolist() == [0]
     assert class_ranks(np.zeros((0, 3), dtype=np.int64), 2).tolist() == []
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 257])
+@pytest.mark.parametrize("rows", [0, 1, 40])
+def test_group_types_matches_numpy_unique(q, rows):
+    # the count vectors of random sequences, repeats included
+    xs = np.random.default_rng(q * 100 + rows).integers(0, min(q, 3), (rows, 6))
+    counts = np.stack([(xs == a).sum(axis=1) for a in range(q)], axis=1)
+    types, inverse = _group_types(counts)
+    want_types, want_inverse = np.unique(counts, axis=0, return_inverse=True)
+    assert types.shape == want_types.shape and types.dtype == want_types.dtype
+    assert np.array_equal(types, want_types)
+    assert inverse.dtype == want_inverse.dtype
+    assert np.array_equal(inverse, want_inverse.reshape(-1))
 
 
 def test_class_ranks_rejects_bad_rows():
