@@ -4,9 +4,9 @@ The package builds a fixed-length universal source code from low-entropy
 type classes, whitens an i.i.d. key through a random affine map, and adds
 the two to form a cipher whose reliability and leakage admit exact
 finite-blocklength accounting: error probabilities by type enumeration,
-exact mutual information at desk scale from one transform over Z_q^m, and
-certified exponential upper bounds through the error exponent E(R|p_X) and
-the security exponent F(R|p_K).
+exact mutual information at desk scale from batched transforms on the
+cosets of the pad's row space, and certified exponential upper bounds
+through the error exponent E(R|p_X) and the security exponent F(R|p_K).
 """
 
 from .cipher import (
@@ -63,6 +63,7 @@ from .fields import (
 from .leakage import (
     BoundCheck,
     ConverseDiagnostics,
+    CosetMixture,
     ExactLaws,
     LeakageReport,
     MonteCarloMI,

@@ -37,6 +37,7 @@ from .fields import (
     FieldError,
     FieldSpec,
     _check_enum,
+    _digits_at,
     field_matrix,
     field_row,
     field_vector,
@@ -73,7 +74,8 @@ __all__ = [
     "encoder_to_json",
 ]
 
-# Largest word space q**m that the pad law and the exact figures materialize.
+# Largest word space q**m that the exact figures cover (`pad_law` over all
+# words materializes it; the exact path builds q**r per occupied coset).
 MAX_WORDS = 1 << 20
 # Most (pad, codeword) pairs, q**n pads x codewords in use, the decryption check runs.
 CONDITION_CHECK_CAP = 1 << 20
@@ -505,15 +507,21 @@ def pad_law(
     p_K: Distribution,
     spec: FieldSpec,
     images: np.ndarray | None = None,
+    digits: Sequence[int] | None = None,
 ) -> np.ndarray:
     """Distribution of the pad phi(K) over word indices, K i.i.d. p_K.
 
     `images` are `key_image_indices(enc, spec)` if already computed, as a
-    `SearchResult` carries them for its encoder."""
+    `SearchResult` carries them for its encoder.  Given increasing digit
+    positions `digits`, the law is that of the pad's digits there, over the
+    indices of Z_q^len(digits), cut from the images by arithmetic."""
     total = _check_word_space(spec, enc.m)
     key_probs = sequence_probs(p_K, enc.n, spec)
     if images is None:
         images = key_image_indices(enc, spec)
+    if digits is not None:
+        images = _digits_at(images, digits, enc.m, spec)
+        total = spec.q ** len(digits)
     return np.bincount(images, weights=key_probs, minlength=total)
 
 

@@ -142,8 +142,9 @@ class Codebook:
     in lexicographic order, so a member's rank is its type's offset plus its
     rank within the class: `ranks` computes that by arithmetic (the
     `class_ranks` walk), and that is the encoder.  The int64 arrays
-    `member_idx` (each member's sequence index in rank order, the decoder's
-    table, from the same walk run backwards) and `rank_of` (its inverse over
+    `member_idx` (each member's sequence index in rank order, from the same
+    walk run backwards), `decode_table` (the decoder's: `member_idx` after
+    the default sequence) and `rank_of` (the inverse of `member_idx` over
     every sequence index, what the exact array paths read) are each built on
     first use, so codebooks that only sample never pay for them.  Each
     refuses to hold more than `fields.MAX_ENUM` entries, the cap on every
@@ -251,6 +252,13 @@ class Codebook:
         ranks[self.member_idx] = np.arange(self.member_count)
         return _frozen(ranks)
 
+    @cached_property
+    def decode_table(self) -> np.ndarray:
+        """Sequence index decoded from each word value 0..member_count:
+        the default sequence for x0, member i-1 for value i."""
+        default = index_encode(self.default_decode, self.spec)
+        return _frozen(np.concatenate(([default], self.member_idx)))
+
     def __repr__(self) -> str:
         p = self.plan
         return (
@@ -283,9 +291,9 @@ def decode(cb: Codebook, w) -> tuple[int, ...]:
 def decode_indices(cb: Codebook, words) -> np.ndarray:
     """Array form of decode: the sequence index decoded from each word row."""
     value = vectors_to_indices(np.asarray(words, dtype=np.int64), cb.spec)
-    # word value i in 1..|members| -> member i-1; x0 and the rest -> default
-    table = np.concatenate(([index_encode(cb.default_decode, cb.spec)], cb.member_idx))
-    return table[np.where((value >= 1) & (value < table.size), value, 0)]
+    # word values past the members (out of the image) decode as x0 does
+    table = cb.decode_table
+    return table[np.where(value < table.size, value, 0)]
 
 
 def exact_error_prob(cb: Codebook, p_X: Distribution) -> float:

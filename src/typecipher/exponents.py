@@ -312,7 +312,11 @@ class _TiltedF:
         # where the branch is not needed or never crosses the rate.
         self.col = np.full((len(branches), rates.size), -1)
         self.base = stack.size
-        need = [plain] * (len(branches) - 1) + [active]
+        # On a face f, H(P_s) <= log2|f|: a rate above that has no plain
+        # crossing there, and the face's own law (in its slot, which comes
+        # first) is the least candidate of the face anyway.
+        need = [plain & (rates <= math.log2(face.size)) for face in self.faces[:-1]]
+        need.append(active)
         if not (plain.any() or active.any()):
             return
         # One doubling table per branch: H(P_s) at s = +-2^i, shared by every

@@ -4,11 +4,21 @@ The adversary sees only the ciphertext C = phi(K) + encode(X); leakage is
 measured by the mutual information I(C; X) in bits.  Because every
 conditional law C | X=x is a cyclic shift of the pad law, the exact value
 collapses to H(C) - H(pad), and the ciphertext law is the pad law cyclically
-convolved with the codeword law over Z_q^m.  This module computes that
-convolution with one transform along the m base-q digits at small scales
-(m rotated passes over contiguous rows: a butterfly for q = 2, one product
-with the q x q character table otherwise) and estimates the leakage by
-sampling beyond them.
+convolved with the codeword law over Z_q^m.
+
+Every pad kA + b lies on one coset b + V of V = rowspace(A), which has only
+q**r points (r = rank A <= n), so the exact laws live on the cosets of V.
+A is row-reduced once over Z_q; each word w then has a label (which coset
+it is on, w[~P] - w[P] B[:, ~P] for the reduced basis B and its pivot
+columns P) and a coordinate (where on it, w[P]).  A ciphertext's label is
+b's plus its codeword's, so the codewords in use split by label, and each
+occupied coset is the pad's coordinate law convolved over Z_q^r with the
+weights of the codewords on it: all such cosets go through one batched
+transform along the r base-q digits (r rotated passes over contiguous rows:
+a butterfly for q = 2, one product with the q x q character table
+otherwise), and a coset holding a single codeword is the pad itself, scaled
+and moved, with no transform.  No array over the q**m words is built.
+Beyond the exact path's caps the leakage is estimated by sampling.
 
 Every exact figure is a function of one system, the two source laws and,
 for an encoder found by `derandomize`, its search result.  `exact_laws`
@@ -16,9 +26,10 @@ gathers them into one `ExactLaws` handle, after checking that the search
 belongs to the system's encoder; `exact_mutual_info`,
 `security_certificate`, `check_birkhoff` and `converse_diagnostics` take
 only that handle, so each law is computed once per report however many
-figures read it.  Only the caps on the q**m words and q**n sequences it
-builds bound the exact path, and `exact_refusal` reads both from the plan
-before anything is built: the one place that decides exact or sampled.
+figures read it.  Two caps bound the exact path, q**m words within
+`cipher.MAX_WORDS` and q**n sequences within `fields.MAX_ENUM`, and
+`exact_refusal` reads both from the plan before anything is built: the one
+place that decides exact or sampled.
 
 On top of the exact value sit the certified upper bounds, checked as a
 chain with explicit margins:
@@ -77,6 +88,7 @@ from .typeclasses import (
 
 __all__ = [
     "exact_refusal",
+    "CosetMixture",
     "ExactLaws",
     "exact_laws",
     "LeakageReport",
@@ -105,17 +117,19 @@ SLACK = 1e-9
 def _digit_transform(
     law: np.ndarray, q: int, m: int, inverse: bool = False
 ) -> np.ndarray:
-    """The characters of Z_q^m applied to a law over word indices.
+    """The characters of Z_q^m applied along the last axis of `law`: one law
+    over word indices, or a stack of them (a leading batch axis).
 
     One pass per base-q digit, each on contiguous rows: the leading digit is
-    axis 0 of `out.reshape(q, -1)`, and the q x q character table applied to
-    it is written with that digit moved to the back, so after m passes the
-    digits are in their original order again.  For q = 2 the table is the
-    Walsh-Hadamard butterfly (real, its own inverse up to the factor 2^-m);
-    otherwise it is exp(-2 pi i ab/q) (+ for the inverse), one matrix
-    product per pass.  Convolution over Z_q^m becomes a pointwise product
-    of transforms.
+    axis 1 of `out.reshape(batch, q, -1)`, and the q x q character table
+    applied to it is written with that digit moved to the back, so after m
+    passes the digits are in their original order again.  For q = 2 the
+    table is the Walsh-Hadamard butterfly (real, its own inverse up to the
+    factor 2^-m); otherwise it is exp(-2 pi i ab/q) (+ for the inverse), one
+    matrix product per pass.  Convolution over Z_q^m becomes a pointwise
+    product of transforms.
     """
+    shape = np.shape(law)
     if q == 2:
         out = np.array(law, dtype=np.float64)
     else:
@@ -123,25 +137,27 @@ def _digit_transform(
         digits = np.arange(q)
         sign = 2j if inverse else -2j
         table = np.exp(sign * np.pi / q * (np.outer(digits, digits) % q))
+    out = out.reshape(-1, q**m)
+    batch = out.shape[0]
     buf = np.empty_like(out)
     for _ in range(m):
-        rows, dst = out.reshape(q, -1), buf.reshape(-1, q).T
+        rows, dst = out.reshape(batch, q, -1), buf.reshape(batch, -1, q).transpose(0, 2, 1)
         if q == 2:
-            np.add(rows[0], rows[1], out=dst[0])
-            np.subtract(rows[0], rows[1], out=dst[1])
+            np.add(rows[:, 0], rows[:, 1], out=dst[:, 0])
+            np.subtract(rows[:, 0], rows[:, 1], out=dst[:, 1])
         else:
             np.matmul(table, rows, out=dst)
         out, buf = buf, out
     if inverse:
         out /= q**m
-    return out
+    return out.reshape(shape)
 
 
 def exact_refusal(plan: RatePlan) -> FieldError | None:
-    """None where every array the exact path builds for `plan` fits: q**m
-    words within `cipher.MAX_WORDS` and q**n sequences within
-    `fields.MAX_ENUM`.  Otherwise the FieldError naming the cap exceeded,
-    the word space checked first.  Reads the sizes only; builds nothing."""
+    """None where `plan` is within the exact path's caps: q**m words within
+    `cipher.MAX_WORDS` and q**n sequences within `fields.MAX_ENUM`.
+    Otherwise the FieldError naming the cap exceeded, the word space
+    checked first.  Reads the sizes only; builds nothing."""
     try:
         _check_word_space(plan.spec, plan.m)
         _check_enum(plan.n, plan.spec)
@@ -150,16 +166,81 @@ def exact_refusal(plan: RatePlan) -> FieldError | None:
     return None
 
 
+def _row_reduce(A: np.ndarray, q: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The reduced row echelon form of A over Z_q, by elimination in Python
+    ints: its r nonzero rows B (the identity in the pivot columns, spanning
+    the row space of A) and the r pivot columns."""
+    m = A.shape[1]
+    rows = A.tolist()
+    pivots: list[int] = []
+    for col in range(m):
+        top = len(pivots)
+        hit = next((i for i in range(top, len(rows)) if rows[i][col]), None)
+        if hit is None:
+            continue
+        rows[top], rows[hit] = rows[hit], rows[top]
+        inv = pow(rows[top][col], -1, q)
+        pivot = rows[top] = [v * inv % q for v in rows[top]]
+        for i, row in enumerate(rows):
+            if i != top and row[col]:
+                rows[i] = [(a - row[col] * b) % q for a, b in zip(row, pivot)]
+        pivots.append(col)
+        if len(pivots) == len(rows):
+            break
+    basis = np.array(rows[: len(pivots)], dtype=np.int64).reshape(len(pivots), m)
+    return basis, tuple(pivots)
+
+
+class CosetMixture:
+    """A mixture of shifted pads, sum_w weights[w] pad((. - w) mod q), held
+    on the cosets of V = rowspace(A) that it occupies.
+
+    Row i of `laws` is the mass over the q**r coordinates of the coset of the
+    codewords labelled `labels[i]` (the ciphertexts lie on the coset whose
+    label is that plus the label of b).  A coset that holds a single
+    codeword w is the pad scaled by w's weight and moved by w's coordinate:
+    it is kept as (`single_labels`, `single_coords`, `single_weights`), with
+    no transform.  Every other word has mass 0, so `max` and `entropy` read
+    the rows and the singles only.
+    """
+
+    def __init__(
+        self,
+        laws: np.ndarray,
+        labels: np.ndarray,
+        singles: tuple[np.ndarray, np.ndarray, np.ndarray],
+        pad: np.ndarray,
+        h_pad: float,
+    ):
+        self.laws, self.labels, self.pad, self.h_pad = laws, labels, pad, h_pad
+        self.single_labels, self.single_coords, self.single_weights = singles
+
+    @property
+    def max(self) -> float:
+        singles = float(self.single_weights.max(initial=0.0)) * float(self.pad.max())
+        return max(float(self.laws.max(initial=0.0)), singles)
+
+    @property
+    def entropy(self) -> float:
+        # a single codeword of weight s adds -sum s p log2(s p) = s (H(pad) - log2 s)
+        s = self.single_weights
+        return entropy(self.laws) + float(np.sum(s * (self.h_pad - np.log2(s))))
+
+
 @dataclass(frozen=True, eq=False)
 class ExactLaws:
     """One system and its two source laws: the handle of every exact figure.
 
     Holds the system, p_X, p_K and, when the system's encoder came from
-    `derandomize`, that search result.  The pad law and its transform over
-    Z_q^m are computed once, on first use; `mixture` convolves the pad law
-    with any weights over word indices, so the ciphertext law, the row sums
-    and the conditioned ciphertext law all reuse the one transform.  Build
-    it with `exact_laws` and pass it to `exact_mutual_info`,
+    `derandomize`, that search result.  A is row-reduced once (`reduced`:
+    the basis B of V = rowspace(A) and its pivot columns P, r = rank A);
+    `pad` is the law of the pad's coordinate over Z_q^r, from the search's
+    key images, and its transform is computed once on first use.
+    `mixture` convolves it with weights over the codewords in use (word
+    values 0..member_count), coset by coset (`cells` holds each codeword's
+    label and coordinate), so the ciphertext law, the row sums and the
+    conditioned ciphertext law all reuse the one pad transform.  Build it
+    with `exact_laws` and pass it to `exact_mutual_info`,
     `security_certificate`, `check_birkhoff` and `converse_diagnostics`.
     """
 
@@ -177,13 +258,37 @@ class ExactLaws:
         return self.sys.spec
 
     @cached_property
+    def reduced(self) -> tuple[np.ndarray, tuple[int, ...]]:
+        """(B, P): the row-reduced basis of V = rowspace(A) and its pivots."""
+        return _row_reduce(self.sys.key_encoder.A, self.spec.q)
+
+    @property
+    def rank(self) -> int:
+        """r = rank A = dim V: each coset has q**r points."""
+        return len(self.reduced[1])
+
+    @cached_property
     def pad(self) -> np.ndarray:
+        """Law of the pad's coordinate k A[:, P] + b[P] over Z_q^r."""
         images = None if self.search is None else self.search.images
-        return pad_law(self.sys.key_encoder, self.p_K, self.spec, images)
+        pivots = self.reduced[1]
+        return pad_law(self.sys.key_encoder, self.p_K, self.spec, images, pivots)
 
     @cached_property
     def pad_hat(self) -> np.ndarray:
-        return _digit_transform(self.pad, self.spec.q, self.plan.m)
+        return _digit_transform(self.pad, self.spec.q, self.rank)
+
+    @cached_property
+    def cells(self) -> tuple[np.ndarray, np.ndarray]:
+        """(label, coordinate) indices of each codeword in use, by word value."""
+        basis, pivots = self.reduced
+        spec = self.spec
+        free = [c for c in range(self.plan.m) if c not in pivots]
+        words = np.arange(self.sys.codebook.member_count + 1)
+        words = indices_to_vectors(words, self.plan.m, spec)
+        coords = words[:, list(pivots)]
+        labels = (words[:, free] - coords @ basis[:, free]) % spec.q
+        return vectors_to_indices(labels, spec), vectors_to_indices(coords, spec)
 
     @cached_property
     def divergences(self) -> Sequence[tuple[TypeComposition, float]]:
@@ -192,29 +297,50 @@ class ExactLaws:
             return self.search.divergences
         return omega_divergences(self.sys.key_encoder, self.plan)
 
-    def mixture(self, weights: np.ndarray) -> np.ndarray:
-        """sum_w weights[w] pad((. - w) mod q), over word indices.
+    def mixture(self, weights: np.ndarray) -> CosetMixture:
+        """sum_w weights[w] pad((. - w) mod q) over the codewords w in use.
 
-        Negative round-off of the inverse transform is clipped to 0.
+        The codewords with positive weight are grouped by label; each coset
+        holding two or more is a row of their weights over the coordinates,
+        and all rows go through one batched transform over Z_q^r, times the
+        pad's.  Negative round-off of the inverse transform is clipped to 0.
         """
-        q, m = self.spec.q, self.plan.m
-        hat = self.pad_hat * _digit_transform(weights, q, m)
-        return np.maximum(_digit_transform(hat, q, m, inverse=True).real, 0.0)
+        q, r = self.spec.q, self.rank
+        keep = weights > 0
+        labels, coords = (a[keep] for a in self.cells)
+        weights = weights[keep]
+        size = np.bincount(labels)
+        single = size[labels] == 1
+        shared = size > 1
+        # the row of each coset holding two or more codewords, in label order
+        row = np.cumsum(shared) - 1
+        grid = np.bincount(
+            row[labels[~single]] * q**r + coords[~single],
+            weights=weights[~single],
+            minlength=int(shared.sum()) * q**r,
+        ).reshape(-1, q**r)
+        if len(grid):
+            hat = _digit_transform(grid, q, r)
+            hat *= self.pad_hat
+            grid = np.maximum(_digit_transform(hat, q, r, inverse=True).real, 0.0)
+        singles = labels[single], coords[single], weights[single]
+        return CosetMixture(grid, np.flatnonzero(shared), singles, self.pad, self.h_pad)
 
     def codeword_weights(self, mask: np.ndarray | None = None) -> np.ndarray:
-        """Plaintext mass grouped by codeword index (non-members on x0 = 0)."""
+        """Plaintext mass grouped by codeword, over the word values
+        0..member_count (non-members on x0 = 0)."""
         words, px = self.sys.codebook.rank_of + 1, self.plaintext_probs
         if mask is not None:
             words, px = words[mask], px[mask]
-        return np.bincount(words, weights=px, minlength=self.spec.q**self.plan.m)
+        return np.bincount(words, weights=px, minlength=self.sys.codebook.member_count + 1)
 
     @cached_property
     def plaintext_probs(self) -> np.ndarray:
         return sequence_probs(self.p_X, self.plan.n, self.spec)
 
     @cached_property
-    def ciphertext(self) -> np.ndarray:
-        """Law of C = phi(K) + encode(X) over word indices."""
+    def ciphertext(self) -> CosetMixture:
+        """Law of C = phi(K) + encode(X), on the cosets it occupies."""
         return self.mixture(self.codeword_weights())
 
     @cached_property
@@ -223,7 +349,7 @@ class ExactLaws:
 
     @cached_property
     def h_ciphertext(self) -> float:
-        return entropy(self.ciphertext)
+        return self.ciphertext.entropy
 
     @cached_property
     def mi(self) -> float:
@@ -298,7 +424,8 @@ def exact_mutual_info(laws: ExactLaws) -> LeakageReport:
 
     Independence of K and X and the shift structure give
     H(C | X = x) = H(pad) for every x, so I(C; X) = H(C) - H(pad) exactly;
-    the ciphertext law comes from one transform over Z_q^m (`ExactLaws`).
+    the ciphertext law comes from batched transforms over the occupied
+    cosets of rowspace(A) (`ExactLaws`).
     """
     plan = laws.plan
     typewise = sum(class_prob(P, laws.p_K) * d for P, d in laws.divergences)
@@ -456,9 +583,9 @@ def check_birkhoff(laws: ExactLaws) -> float:
     if not cb.member_count:
         return 0.0
     # members take the word values 1..member_count, one each
-    weights = np.zeros(laws.spec.q**laws.plan.m)
-    weights[1 : cb.member_count + 1] = 1.0
-    return float(laws.mixture(weights).max())
+    weights = np.ones(cb.member_count + 1)
+    weights[0] = 0.0
+    return laws.mixture(weights).max
 
 
 # ----------------------------------------------------------------------
@@ -743,11 +870,11 @@ def converse_diagnostics(
         conditional_mi = 0.0
         peak_ok = entropy_ok = amplification_ok = True
     else:
-        q_cond = laws.mixture(laws.codeword_weights(mask=retained)) / coverage
-        max_conditional = float(q_cond.max())
+        q_cond = laws.mixture(laws.codeword_weights(mask=retained) / coverage)
+        max_conditional = q_cond.max
         conditional_cap = 2.0 ** (-n * (h_x - gamma)) / coverage
         peak_ok = max_conditional <= conditional_cap * (1 + SLACK)
-        h_cond = entropy(q_cond)
+        h_cond = q_cond.entropy
         entropy_floor = n * (h_x - gamma) + math.log2(coverage)
         entropy_ok = h_cond >= entropy_floor - SLACK * max(1.0, abs(entropy_floor))
         conditional_mi = max(0.0, h_cond - h_pad)

@@ -2,9 +2,11 @@
 
 These are the loops the package used before its laws moved to a transform
 over Z_q^m, that transform to rotated passes (`digit_transform` is the
-strided butterfly and per-digit `np.fft` it replaced), its decryption check
-to blocks of (pad, codeword) pairs and its Monte Carlo estimator to counted
-cells; keep them to small n.  The recursive type-class generator
+strided butterfly and per-digit `np.fft` it replaced), the full-size
+transform to the cosets of rowspace(A) (`transform_mixture`; `coset_words`,
+`dense_pad` and `dense_mixture` put each coset cell back on its word
+index), its decryption check to blocks of (pad, codeword) pairs and its
+Monte Carlo estimator to counted cells; keep them to small n.  The recursive type-class generator
 (`class_members`) is the oracle of the class order that the package now
 computes only by arithmetic (the rank walk and its inverse).  The codebook
 oracle is the tuple codebook the package used to keep (`members`,
@@ -45,6 +47,7 @@ from typecipher.fields import (
     all_vectors,
     index_decode,
     index_encode,
+    indices_to_vectors,
     vectors_to_indices,
 )
 from typecipher.leakage import MonteCarloMI
@@ -232,6 +235,70 @@ def ciphertext_law(sys_: CipherSystem, p_X, p_K):
     pad = pad_law(sys_.key_encoder, p_K, spec)
     digits = all_vectors(sys_.plan.m, spec)
     return shift_mixture(pad, codeword_weights(sys_, p_X), digits, spec.q)
+
+
+def transform_mixture(pad, weights, q, m):
+    """sum_w weights[w] pad((. - w) mod q) over all q**m words, by the
+    full-size transform over Z_q^m (`digit_transform`), negative round-off
+    clipped to 0."""
+    hat = digit_transform(pad, q, m) * digit_transform(weights, q, m)
+    return np.maximum(digit_transform(hat, q, m, inverse=True).real, 0.0)
+
+
+def coset_words(laws, labels, coords):
+    """Word index of each (label, coordinate) cell on the cosets of
+    V = rowspace(A) (`laws.reduced`: basis B, pivots P): the word w with
+    w[P] the coordinate's digits and w[~P] the label's digits plus
+    w[P] B[:, ~P].  Labels and coordinates broadcast."""
+    basis, pivots = laws.reduced
+    spec, m = laws.spec, laws.plan.m
+    free = [c for c in range(m) if c not in pivots]
+    labels, coords = np.broadcast_arrays(labels, coords)
+    head = indices_to_vectors(coords, len(pivots), spec)
+    words = np.empty(head.shape[:-1] + (m,), dtype=np.int64)
+    words[..., list(pivots)] = head
+    tail = indices_to_vectors(labels, len(free), spec) + head @ basis[:, free]
+    words[..., free] = tail % spec.q
+    return vectors_to_indices(words, spec)
+
+
+def _label(laws, word):
+    """The label w[~P] - w[P] B[:, ~P] of one word's digits, as digits."""
+    basis, pivots = laws.reduced
+    free = [c for c in range(laws.plan.m) if c not in pivots]
+    word = np.asarray(word, dtype=np.int64)
+    return (word[free] - word[list(pivots)] @ basis[:, free]) % laws.spec.q
+
+
+def dense_pad(laws):
+    """`laws.pad` (over the pad's coordinates) over all q**m word indices:
+    every pad lies on the coset of b."""
+    q, r = laws.spec.q, laws.rank
+    label = vectors_to_indices(_label(laws, laws.sys.key_encoder.b), laws.spec)
+    out = np.zeros(q**laws.plan.m)
+    out[coset_words(laws, label, np.arange(q**r))] = laws.pad
+    return out
+
+
+def dense_mixture(laws, mix):
+    """A `CosetMixture` of `laws` over all q**m word indices: each row on
+    the coset of its codewords' label plus b's, each single codeword as the
+    pad scaled by its weight and moved by its coordinate."""
+    spec, q, r = laws.spec, laws.spec.q, laws.rank
+    free = laws.plan.m - r
+    shift = _label(laws, laws.sys.key_encoder.b)
+
+    def moved(labels):
+        return vectors_to_indices((indices_to_vectors(labels, free, spec) + shift) % q, spec)
+
+    coords = indices_to_vectors(np.arange(q**r), r, spec)
+    out = np.zeros(q**laws.plan.m)
+    rows = coset_words(laws, moved(mix.labels)[:, None], np.arange(q**r)[None, :])
+    out[rows] = mix.laws
+    for label, coord, weight in zip(mix.single_labels, mix.single_coords, mix.single_weights):
+        cells = vectors_to_indices((coords + indices_to_vectors(coord, r, spec)) % q, spec)
+        out[coset_words(laws, moved(label), cells)] += weight * mix.pad
+    return out
 
 
 def check_decryption_condition(sys_: CipherSystem) -> bool:

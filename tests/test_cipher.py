@@ -418,7 +418,11 @@ def test_decryption_checks_catch_inconsistent_decode_table():
     x = oracles.members(cb)[0]
     assert decrypt(sys_, x, encrypt(sys_, x, x)) == x
     # the decode table swaps two members; the rank arithmetic that encodes
-    # does not, so the round trip fails and members come back wrong
+    # does not, so the round trip fails and members come back wrong.  The
+    # table is cached on first use, so the swap goes into a fresh system's
+    # member list before anything decodes
+    sys_ = _system(4, 0.9, FieldSpec(2), seed=3)
+    cb = sys_.codebook
     idx = cb.member_idx.copy()
     idx[[0, 1]] = idx[[1, 0]]
     cb.member_idx = idx

@@ -23,8 +23,10 @@ from oracles import numpy_sub_seed
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# Runs `verify` at q=2 and q=3 in one fresh interpreter, then prints the
-# numpy submodules that a cold run must not pay to import.
+# Runs `verify` at q=2 and q=3, `exact-mi`, and `verify` on an explicit-m
+# plan with m < n (so A has fewer columns than rows) in one fresh
+# interpreter, then prints the numpy submodules that a cold run must not pay
+# to import.
 _COLD_VERIFY = """
 import contextlib, io, sys
 from typecipher.cli import main
@@ -32,6 +34,8 @@ for argv in (
     ["verify", "--q", "2", "--n", "5", "--rate", "0.9", "--px", "0.8,0.2", "--pk", "0.7,0.3"],
     ["verify", "--q", "3", "--n", "3", "--rate", "1.2", "--px", "0.6,0.3,0.1",
      "--pk", "0.5,0.3,0.2"],
+    ["exact-mi", "--q", "2", "--n", "7", "--rate", "0.9", "--px", "0.8,0.2", "--pk", "0.7,0.3"],
+    ["verify", "--q", "2", "--n", "6", "--m", "4", "--px", "0.8,0.2", "--pk", "0.7,0.3"],
 ):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0
@@ -471,9 +475,9 @@ def test_verify_computes_the_pad_law_once(tmp_path, monkeypatch):
 
     calls = []
 
-    def counting(enc, p_K, spec, images=None):
+    def counting(enc, p_K, spec, images=None, digits=None):
         calls.append(enc)
-        return pad_law(enc, p_K, spec, images)
+        return pad_law(enc, p_K, spec, images, digits)
 
     monkeypatch.setattr("typecipher.cipher.pad_law", counting)
     monkeypatch.setattr("typecipher.leakage.pad_law", counting)

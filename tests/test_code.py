@@ -340,7 +340,7 @@ def test_member_list_cap_sits_on_the_lazy_forms():
     large = build_codebook(make_rate_plan(30, 0.9, FieldSpec(2)))
     assert large.member_count > MAX_ENUM
     assert large.ranks(np.zeros((1, 30), dtype=np.int64))[0] >= 0  # a member
-    for form in ("member_idx", "rank_of"):
+    for form in ("member_idx", "decode_table", "rank_of"):
         with pytest.raises(FieldError, match="MAX_ENUM"):
             getattr(large, form)
 
@@ -361,3 +361,21 @@ def test_decode_indices_matches_scalar_decode():
         assert decode_indices(cb, words).tolist() == want
         assert int(decode_indices(cb, words[5])) == want[5]
         assert [index_encode(decode(cb, w), spec) for w in words] == want
+
+
+def test_decode_table_is_built_once(monkeypatch):
+    # the decryption check decodes block after block: the table (the
+    # default sequence's index, then member_idx) is built on the first call
+    cb = build_codebook(make_rate_plan(6, 0.9, FieldSpec(2)))
+    words = all_vectors(cb.plan.m, cb.spec)[:: 7]
+    first = decode_indices(cb, words)
+    table = cb.decode_table
+    assert not table.flags.writeable
+    assert table.tolist() == [index_encode(cb.default_decode, cb.spec), *cb.member_idx.tolist()]
+
+    def refuse(*args):
+        raise AssertionError("the decode table was rebuilt")
+
+    monkeypatch.setattr("typecipher.code.index_encode", refuse)
+    assert decode_indices(cb, words).tolist() == first.tolist()
+    assert cb.decode_table is table

@@ -286,6 +286,36 @@ def test_stacked_solver_matches_scalar_oracle(p, extra):
             _assert_same(exponent_E(R, p), oracles.tilted_E(R, p))
 
 
+def test_no_plain_crossing_is_queued_above_its_face_entropy_cap(monkeypatch):
+    # H(P_s) <= log2|f| on a face f, so a column with a higher target could
+    # never cross it; every column queued must be crossable on its face
+    stacks = []
+    solve = exponents._Stack.solve
+
+    def recording(self):
+        stacks.append(self)
+        return solve(self)
+
+    monkeypatch.setattr(exponents._Stack, "solve", recording)
+    rates = [round(0.05 * i, 10) for i in range(1, 61)]
+    for laws in _PAIR_LAWS.values():
+        for _, pk in laws:
+            exponent_pair(Distribution(pk), Distribution(pk), rates)
+    exponent_pair(Distribution([0.3, 0.3, 0.3, 0.1]), Distribution([0.3, 0.3, 0.3, 0.1]), rates)
+    assert stacks
+    for stack in stacks:
+        for faces, targets, _, _ in stack.queued:
+            for fid, R in zip(faces.tolist(), targets.tolist()):
+                assert R <= math.log2(stack.faces[fid].size)
+
+
+def test_tied_sub_face_above_its_entropy_cap_matches_scalar_oracle():
+    # the face {0, 1, 2} has log2 3 < 1.7 < H(p): no crossing is queued on
+    # it, and its own law (uniform, entropy log2 3) is its candidate
+    p = Distribution([0.3, 0.3, 0.3, 0.1])
+    _assert_same(exponent_F(1.7, p), oracles.tilted_F(1.7, p))
+
+
 # The benchmark's base laws: p_X and p_K per alphabet size.
 _BENCHMARK_LAWS = {
     2: ((0.82, 0.18), (0.62, 0.38)),

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from typecipher.cipher import (
@@ -17,11 +17,13 @@ from typecipher.cipher import (
     draw_encoder,
     encrypt,
     make_encoder,
+    pad_law,
 )
 from typecipher.code import build_codebook, encode, explicit_m_plan, make_rate_plan
 from typecipher.fields import FieldError, FieldSpec, all_vectors, index_encode
 from typecipher.leakage import (
     _digit_transform,
+    _row_reduce,
     check_birkhoff,
     converse_diagnostics,
     exact_laws,
@@ -140,23 +142,129 @@ def _transform_case(q, n, R=None, m=None, point_mass=False, seed=0):
         dict(q=2, n=4, m=6),
         dict(q=3, n=3, m=4),
         dict(q=5, n=2, m=3),
+        dict(q=2, n=7, R=0.9),  # cosets with one codeword and with several
     ],
     ids=lambda c: "-".join(f"{k}{v}" for k, v in c.items()),
 )
 def test_transform_matches_shift_loop(case):
+    # word by word: each (label, coordinate) cell of the coset laws is put
+    # back on its word index and compared with the dense shift loop
     sys_, p_x, p_k, rng = _transform_case(**case)
     q, m = sys_.spec.q, sys_.plan.m
     laws = exact_laws(sys_, p_x, p_k)
+    pad = pad_law(sys_.key_encoder, p_k, sys_.spec)
+    assert np.max(np.abs(oracles.dense_pad(laws) - pad)) <= 1e-12
     digits = all_vectors(m, sys_.spec)
+    used = sys_.codebook.member_count + 1
     weights = np.zeros(q**m)
-    hits = rng.choice(q**m, size=min(12, q**m), replace=False)
+    hits = rng.choice(used, size=min(12, used), replace=False)
     weights[hits] = rng.uniform(0.0, 1.0, size=hits.size)
     for got, want in (
-        (laws.mixture(weights), oracles.shift_mixture(laws.pad, weights, digits, q)),
+        (laws.mixture(weights[:used]), oracles.shift_mixture(pad, weights, digits, q)),
         (laws.ciphertext, oracles.ciphertext_law(sys_, p_x, p_k)),
     ):
-        assert got.min() >= 0.0
-        assert np.max(np.abs(got - want)) <= 1e-12
+        assert got.laws.min(initial=0.0) >= 0.0
+        assert np.max(np.abs(oracles.dense_mixture(laws, got) - want)) <= 1e-12
+        assert abs(got.max - want.max()) <= 1e-12
+        assert abs(got.entropy - entropy(want)) <= 1e-12
+
+
+def test_row_reduce_spans_the_row_space():
+    # {c B : c in Z_q^r} is {k A : k in Z_q^n}, each point once, and B is
+    # the identity in its pivot columns
+    rng = np.random.default_rng(9)
+    for q, n, m, inner in ((2, 5, 7, 3), (3, 4, 3, 2), (5, 3, 4, 3), (3, 3, 5, 0), (2, 6, 4, 4)):
+        A = rng.integers(0, q, (n, inner)) @ rng.integers(0, q, (inner, m)) % q
+        basis, pivots = _row_reduce(A, q)
+        r = len(pivots)
+        assert basis.shape == (r, m) and list(pivots) == sorted(pivots)
+        assert np.array_equal(basis[:, list(pivots)], np.eye(r, dtype=np.int64))
+        spec = FieldSpec(q)
+        span = {tuple(v) for v in (all_vectors(n, spec) @ A % q).tolist()}
+        points = [tuple(v) for v in (all_vectors(r, spec) @ basis % q).tolist()]
+        assert len(set(points)) == len(points) == len(span) and set(points) == span
+
+
+@st.composite
+def _coset_cases(draw):
+    q = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, {2: 6, 3: 4, 5: 3}[q]))
+
+    def law():
+        w = draw(st.lists(st.integers(0, 9), min_size=q, max_size=q))
+        w[draw(st.integers(0, q - 1))] += 1  # zero masses allowed, not everywhere
+        return Distribution([v / sum(w) for v in w])
+
+    spec = FieldSpec(q)
+    if n > 1 and draw(st.booleans()):
+        m = draw(st.integers(1, n - 1))
+        plan = explicit_m_plan(n, m, spec, R=draw(st.floats(0.05, 1.0)) * m * math.log2(q) / n)
+    else:
+        plan = make_rate_plan(n, draw(st.floats(0.2, 1.0)) * math.log2(q), spec)
+    return dict(
+        plan=plan,
+        p_x=law(),
+        p_k=law(),
+        encoder=draw(st.sampled_from(["drawn", "derandomized", "rank-deficient"])),
+        inner=draw(st.integers(0, min(plan.n, plan.m) - 1)),
+        seed=draw(st.integers(0, 1 << 30)),
+        gamma=draw(st.sampled_from([0.05, 0.2, 1.0])),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(_coset_cases())
+def test_coset_laws_match_the_dense_transform(case):
+    # every figure read from the coset laws against the full-size transform
+    # over Z_q^m, for full-rank and rank-deficient encoders alike
+    plan, p_x, p_k = case["plan"], case["p_x"], case["p_k"]
+    spec, q, n, m = plan.spec, plan.q, plan.n, plan.m
+    try:
+        cb = build_codebook(plan)
+    except FieldError:
+        assume(False)  # an explicit m too short for the rate's members
+    search = None
+    if case["encoder"] == "derandomized":
+        search = derandomize(plan, base_seed=case["seed"] % 1000)
+        enc = search.encoder
+    elif case["encoder"] == "drawn":
+        enc = draw_encoder(plan, case["seed"])
+    else:
+        rng = np.random.default_rng(case["seed"])
+        inner = case["inner"]
+        A = rng.integers(0, q, (n, inner)) @ rng.integers(0, q, (inner, m)) % q
+        enc = make_encoder(A, rng.integers(0, q, m), spec)
+    sys_ = CipherSystem(codebook=cb, key_encoder=enc)
+    laws = exact_laws(sys_, p_x, p_k, search)
+    if case["encoder"] == "rank-deficient":
+        assert laws.rank <= case["inner"]
+
+    def close(got, want):
+        return abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+    pad = pad_law(enc, p_k, spec)
+    ciphertext = oracles.transform_mixture(pad, oracles.codeword_weights(sys_, p_x), q, m)
+    assert close(laws.h_pad, entropy(pad))
+    assert close(laws.h_ciphertext, entropy(ciphertext))
+    assert close(laws.mi, max(0.0, entropy(ciphertext) - entropy(pad)))
+    members = np.zeros(q**m)
+    members[1 : cb.member_count + 1] = 1.0
+    rows = oracles.transform_mixture(pad, members, q, m)
+    assert close(check_birkhoff(laws), rows.max() if cb.member_count else 0.0)
+
+    d = converse_diagnostics(laws, gamma=case["gamma"])
+    px = oracles.sequence_probs(p_x, n, spec)
+    with np.errstate(divide="ignore"):
+        typical = -np.log2(px) / n >= entropy(p_x) - case["gamma"] - 1e-12
+    member = np.array([tuple(x) in oracles.member_rank(cb) for x in all_vectors(n, spec).tolist()])
+    retained = typical & member
+    if px[retained].sum() > 0.0:
+        weights = oracles.codeword_weights(sys_, p_x, mask=retained) / px[retained].sum()
+        conditioned = oracles.transform_mixture(pad, weights, q, m)
+        assert close(d.max_conditional, conditioned.max())
+        assert close(d.h_cond_ciphertext, entropy(conditioned))
+    assert d.passed
+    assert security_certificate(laws).passed
 
 
 def _law(size, rng, zeros):
@@ -718,5 +826,6 @@ def test_exact_laws_past_q_to_the_2n_pairs_match_the_shift_loop():
     p_x, p_k = Distribution([0.8, 0.2]), Distribution([0.6, 0.4])
     laws = exact_laws(sys_, p_x, p_k)
     want = oracles.ciphertext_law(sys_, p_x, p_k)
-    assert np.max(np.abs(laws.ciphertext - want)) <= 1e-12
-    assert abs(laws.mi - (entropy(want) - entropy(laws.pad))) <= 1e-12
+    assert np.max(np.abs(oracles.dense_mixture(laws, laws.ciphertext) - want)) <= 1e-12
+    pad = pad_law(sys_.key_encoder, p_k, sys_.spec)
+    assert abs(laws.mi - (entropy(want) - entropy(pad))) <= 1e-12
