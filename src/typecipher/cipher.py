@@ -37,7 +37,9 @@ from .fields import (
     FieldError,
     FieldSpec,
     _check_enum,
+    _digit_dtype,
     _digits_at,
+    all_vectors,
     field_matrix,
     field_row,
     field_vector,
@@ -79,7 +81,7 @@ __all__ = [
 MAX_WORDS = 1 << 20
 # Most (pad, codeword) pairs, q**n pads x codewords in use, the decryption check runs.
 CONDITION_CHECK_CAP = 1 << 20
-# Keys whose digit rows and pads a key pass holds at once.
+# Most keys whose pads a key pass holds at once (a block is a power of q).
 KEY_BLOCK = 1 << 15
 
 
@@ -317,14 +319,15 @@ def _bounded(next_words, q: int, count: int) -> np.ndarray:
 
 def _choice(rng: _PCG64, p, shape: tuple[int, ...]) -> np.ndarray:
     """Symbols drawn from law p, numpy's `Generator.choice(len(p), shape,
-    p=p)`: numpy places u = (x >> 11) 2^-53 of each 64-bit output x in the
-    normalized cumulative law (`searchsorted(u, side="right")`), which is
-    the number of cut points t_j = ceil(cdf_j 2^53) 2^11 that x reaches.  A
-    cut at 2^64 (cdf_j = 1) is never reached, so it is dropped."""
+    p=p)`, in the digit dtype of q = len(p): numpy places u = (x >> 11)
+    2^-53 of each 64-bit output x in the normalized cumulative law
+    (`searchsorted(u, side="right")`), which is the number of cut points
+    t_j = ceil(cdf_j 2^53) 2^11 that x reaches.  A cut at 2^64 (cdf_j = 1)
+    is never reached, so it is dropped."""
     cdf = np.cumsum(np.asarray(p, dtype=np.float64))
     cdf /= cdf[-1]
     cuts = np.ceil(cdf[cdf < 1.0] * 2.0**53).astype(np.uint64) << np.uint64(11)
-    out = np.zeros(math.prod(shape), dtype=np.int64)
+    out = np.zeros(math.prod(shape), dtype=_digit_dtype(len(cdf)))
     done = 0
     for part in rng._chunks(out.size):
         symbols = out[done : done + len(part)]
@@ -374,21 +377,30 @@ class CipherSystem:
         return self.codebook.spec
 
 
+def _fold(x: np.ndarray, q: int) -> np.ndarray:
+    """x mod q in place, for entries in [0, 2q).  In an unsigned dtype
+    x - q wraps past x exactly when x < q, so the smaller is the residue;
+    a signed row subtracts q where x reaches it."""
+    qd = x.dtype.type(q)
+    if x.dtype.kind == "u":
+        return np.minimum(x, x - qd, out=x)
+    x -= (x >= qd) * qd
+    return x
+
+
 def _encrypt_words(sys: CipherSystem, pads: np.ndarray, words: np.ndarray) -> np.ndarray:
     """Ciphertext rows pad + codeword over Z_q (rows broadcast), from
-    residues: a sum at or past q drops by q."""
-    out = pads + words
-    out -= (out >= sys.spec.q) * sys.spec.q
-    return out
+    residues: the sum stays below 2q, which the digit dtype holds."""
+    return _fold(pads + words, sys.spec.q)
 
 
 def _decrypt_words(sys: CipherSystem, pads: np.ndarray, cipher: np.ndarray) -> np.ndarray:
     """Sequence index that decryption returns for each ciphertext row of
-    residues: the pad is subtracted (a negative difference gains q) and the
-    difference decoded through the codebook."""
-    diff = cipher - pads
-    diff += (diff < 0) * sys.spec.q
-    return decode_indices(sys.codebook, diff)
+    residues: the difference c - p is taken as c + (q - p), which lies in
+    [1, 2q) and so never wraps an unsigned row, and decoded through the
+    codebook."""
+    q = sys.spec.q
+    return decode_indices(sys.codebook, _fold(cipher + (pads.dtype.type(q) - pads), q))
 
 
 def _pad(sys: CipherSystem, k: Sequence[int]) -> np.ndarray:
@@ -428,11 +440,13 @@ def check_decryption_condition(sys: CipherSystem) -> bool | None:
         return None
     words = indices_to_vectors(used, sys.plan.m, spec)
     expected = decode_indices(cb, words)
-    # about 2**10 (pad, codeword) pairs per block keeps peak memory flat and
-    # each block's arrays small enough to reuse freed memory: 2**12 ran
-    # slower, its arrays landing on fresh pages
-    block = max(1, (1 << 10) // len(used))
-    for _, _, pads in _key_blocks(sys.key_encoder, spec):
+    # about 2**13 (pad, codeword) pairs per block: at binary n=11, R=0.9
+    # (465 codewords in use) a check took 50, 41, 36 and 33 ms at 2**10 to
+    # 2**13 pairs and no less at 2**14 or 2**15, so this is the smallest
+    # block of the fastest; in byte rows its arrays hold about the bytes
+    # that 2**10 pairs of int64 rows did, so peak memory stays flat
+    block = max(1, (1 << 13) // len(used))
+    for _, pads in _key_blocks(sys.key_encoder, spec):
         for start in range(0, len(pads), block):
             chunk = pads[start : start + block, None, :]
             decoded = _decrypt_words(sys, chunk, _encrypt_words(sys, chunk, words))
@@ -477,27 +491,84 @@ def _check_word_space(spec: FieldSpec, m: int) -> int:
     return total
 
 
+def _pad_table(A: np.ndarray, spec: FieldSpec, start=None) -> np.ndarray:
+    """start + dA over Z_q for every digit row d over the rows of A, in
+    index order: A of shape (..., g, m) gives (..., q**g, m) in the digit
+    dtype, from `start` (zero if None) broadcast to (..., 1, m).  Each digit
+    multiplies the rows by q: every row so far plus each multiple of the
+    digit's row of A."""
+    q, dtype = spec.q, spec.digit_dtype
+    *batch, g, m = A.shape
+    steps = (np.arange(q)[:, None] * A[..., None, :] % q).astype(dtype)
+    table = np.zeros((*batch, 1, m), dtype=dtype)
+    if start is not None:
+        table += np.asarray(start, dtype=dtype)
+    for i in range(g):
+        table = _fold(table[..., :, None, :] + steps[..., i, None, :, :], q)
+        table = table.reshape(*batch, -1, m)
+    return table
+
+
 def _key_pads(enc: AffineEncoder, keys: np.ndarray, spec: FieldSpec) -> np.ndarray:
-    """The pad kA + b of each key row k (a single key gives one pad)."""
-    pads = keys @ enc.A
-    pads += np.asarray(enc.b, dtype=np.int64)
-    pads %= spec.q
-    return pads
+    """The pad kA + b of each key row k (a single key gives one pad), in
+    the digit dtype.  The key digits are cut into groups of g, each with one
+    table of its q**g partial pads (`_pad_table`, b in the first), so a pad
+    is the sum mod q of one table row per group.  g is the widest group
+    whose table has no more rows than there are keys, one digit at least."""
+    q, (n, m) = spec.q, enc.A.shape
+    shape = np.shape(keys)[:-1]
+    rows = np.asarray(keys).reshape(math.prod(shape), n)
+    g = 1
+    while g < n and q ** (g + 1) <= len(rows):
+        g += 1
+    groups = max(1, -(-n // g))
+    # zero digits (on zero rows of A) fill the first group; a leading zero
+    # leaves every index as it is
+    lead = groups * g - n
+    A = np.concatenate([np.zeros((lead, m), dtype=np.int64), enc.A]).reshape(groups, g, m)
+    start = np.zeros((groups, 1, m), dtype=np.int64)
+    start[0, 0] = enc.b
+    tables = _pad_table(A, spec, start)
+    if lead:
+        rows = np.pad(rows, ((0, 0), (lead, 0)))
+    idx = vectors_to_indices(rows.reshape(len(rows), groups, g), spec)
+    picked = tables[np.arange(groups)[:, None], idx.T]
+    # sum the groups pairwise, halving their number each round
+    while len(picked) > 1:
+        half = len(picked) // 2
+        _fold(np.add(picked[:half], picked[-half:], out=picked[:half]), q)
+        picked = picked[: len(picked) - half]
+    return picked[0].reshape(*shape, m)
+
+
+def _block_digits(n: int, q: int) -> int:
+    """The trailing key digits a key block spans: the most whose q**low
+    keys fit in KEY_BLOCK."""
+    low = 0
+    while low < n and q ** (low + 1) <= KEY_BLOCK:
+        low += 1
+    return low
 
 
 def _key_blocks(enc: AffineEncoder, spec: FieldSpec):
-    """(first key index, key rows, their pads) for every key in
-    lexicographic order, KEY_BLOCK keys at a time."""
-    total = _check_enum(enc.n, spec)
-    for start in range(0, total, KEY_BLOCK):
-        keys = indices_to_vectors(np.arange(start, min(start + KEY_BLOCK, total)), enc.n, spec)
-        yield start, keys, _key_pads(enc, keys, spec)
+    """(first key index, their pads) for every key in lexicographic order,
+    q**low keys at a time (`_block_digits`).  A block's keys share their
+    leading digits, so its pads are one table, the partial pads of the low
+    digits, plus the pad of the block's leading digits (a row of a second
+    table, b included), mod q: no key's digits are built and nothing is
+    multiplied per key."""
+    q, n = spec.q, enc.n
+    _check_enum(n, spec)
+    low = _block_digits(n, q)
+    table = _pad_table(enc.A[n - low :], spec)
+    for block, base in enumerate(_pad_table(enc.A[: n - low], spec, enc.b)):
+        yield block * q**low, _fold(table + base, q)
 
 
 def key_image_indices(enc: AffineEncoder, spec: FieldSpec) -> np.ndarray:
     """Word index of phi(k) for every key k in lexicographic order."""
     images = np.empty(spec.q**enc.n, dtype=np.int64)
-    for start, _, pads in _key_blocks(enc, spec):
+    for start, pads in _key_blocks(enc, spec):
         images[start : start + len(pads)] = vectors_to_indices(pads, spec)
     return images
 
@@ -547,16 +618,22 @@ def _omega(enc: AffineEncoder, plan: RatePlan):
     images.  Each type's images are then counted among themselves
     (`np.unique` sorts them into word order), so no array over the q**m
     words is built at all: the word space enters only through its log2.
-    Keys and pads are built a block at a time; only each key's image and
-    count vector span every key (n <= 22 under `fields.MAX_ENUM`, so one
-    byte a count).
+    Pads are built a block at a time (`_key_blocks`); only each key's image
+    and count vector span every key (n <= 22 under `fields.MAX_ENUM`, so one
+    byte a count), and the counts too come from two tables, over a block's
+    low digits and over the blocks' leading digits.
     """
-    spec = plan.spec
-    images = np.empty(spec.q**plan.n, dtype=np.int64)
-    key_counts = np.empty((images.size, spec.q), dtype=np.uint8)
-    for start, keys, pads in _key_blocks(enc, spec):
-        images[start : start + len(keys)] = vectors_to_indices(pads, spec)
-        key_counts[start : start + len(keys)] = type_counts(keys, spec.q)
+    spec, n, q = plan.spec, plan.n, plan.q
+    images = np.empty(q**n, dtype=np.int64)
+    key_counts = np.empty((images.size, q), dtype=np.uint8)
+    # a key's counts are its low digits' plus its block's leading digits'
+    low = _block_digits(n, q)
+    low_counts, lead_counts = (
+        type_counts(all_vectors(d, spec), q).astype(np.uint8) for d in (low, n - low)
+    )
+    for (start, pads), lead in zip(_key_blocks(enc, spec), lead_counts):
+        images[start : start + len(pads)] = vectors_to_indices(pads, spec)
+        np.add(low_counts, lead, out=key_counts[start : start + len(pads)])
     # the last key of np.lexsort sorts first: symbol 0's count
     by_type = images[np.lexsort(key_counts.T[::-1])]
     types = enumerate_types(plan.n, spec)

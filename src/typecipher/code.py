@@ -204,7 +204,7 @@ class Codebook:
         counts and class size.
         """
         n, q = self.plan.n, self.plan.q
-        xs = np.asarray(xs, dtype=np.int64).reshape(-1, n)
+        xs = np.asarray(xs).reshape(-1, n)
         counts = type_counts(xs, q)
         types, inverse = _group_types(counts)
         types = types.tolist()
@@ -290,7 +290,7 @@ def decode(cb: Codebook, w) -> tuple[int, ...]:
 
 def decode_indices(cb: Codebook, words) -> np.ndarray:
     """Array form of decode: the sequence index decoded from each word row."""
-    value = vectors_to_indices(np.asarray(words, dtype=np.int64), cb.spec)
+    value = vectors_to_indices(np.asarray(words), cb.spec)
     # word values past the members (out of the image) decode as x0 does
     table = cb.decode_table
     return table[np.where(value < table.size, value, 0)]

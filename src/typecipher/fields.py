@@ -3,12 +3,13 @@
 Everything downstream (codebook, cipher, leakage accounting) works with
 length-n symbol strings over an alphabet that is a finite field.  Prime
 fields are enough for every experiment at desk scale, so residues are plain
-integers mod q.  A vector is a row of an int64 digit array, and a set of
-vectors is one such array with a row per vector; each row also has a word
-index, its big-endian base-q value (`vectors_to_indices`,
-`indices_to_vectors`), so a law over vectors is one array over indices.
-Tuples appear only at the scalar API and in text.  Nothing in this module
-touches floating point.
+integers mod q.  A vector is a row of a digit array, and a set of vectors
+is one such array with a row per vector; each row also has a word index,
+its big-endian base-q value (`vectors_to_indices`, `indices_to_vectors`),
+so a law over vectors is one array over indices.  Bulk digit rows are held
+in the field's digit dtype (`FieldSpec.digit_dtype`, one byte a digit for
+q <= 127), indices in int64.  Tuples appear only at the scalar API and in
+text.  Nothing in this module touches floating point.
 """
 
 from __future__ import annotations
@@ -38,13 +39,19 @@ __all__ = [
 MAX_Q = 257
 
 # Most vectors (q**length) that all_vectors() lists or sequence_probs()
-# weighs.  all_vectors holds `length` int64 digits per row, so binary length
-# 22, the largest allowed, is 2^22 x 22 entries, about 740 MB.
+# weighs.  all_vectors holds `length` one-byte digits per row below q = 131,
+# so binary length 22, the largest allowed, is 2^22 x 22 bytes, about 92 MB.
 MAX_ENUM = 1 << 22
 
 
 class FieldError(ValueError):
     """Invalid field element, dimension mismatch, or unusable modulus."""
+
+
+def _digit_dtype(q: int) -> np.dtype:
+    """The narrowest unsigned dtype that holds 2(q - 1), the sum of two
+    residues: uint8 up to q = 127, uint16 from q = 131 to MAX_Q."""
+    return np.dtype(np.uint8 if 2 * (q - 1) <= 0xFF else np.uint16)
 
 
 def _is_prime(q: int) -> bool:
@@ -71,6 +78,12 @@ class FieldSpec:
             raise FieldError(f"modulus {self.q} is not prime")
         if self.q > MAX_Q:
             raise FieldError(f"modulus {self.q} exceeds the desk-scale cap {MAX_Q}")
+
+    @property
+    def digit_dtype(self) -> np.dtype:
+        """The dtype of bulk digit rows: a sum of two residues still fits,
+        so a sum mod q needs one conditional subtraction of q."""
+        return _digit_dtype(self.q)
 
 
 def _check_residue(a: int, spec: FieldSpec) -> int:
@@ -168,7 +181,8 @@ def _check_enum(length: int, spec: FieldSpec) -> int:
 
 
 def vectors_to_indices(arr: np.ndarray, spec: FieldSpec) -> np.ndarray:
-    """index_encode applied to every row of a digit array (fits in int64)."""
+    """index_encode applied to every row of a digit array (of any integer
+    dtype), accumulated in int64, where it fits."""
     length = arr.shape[-1]
     if spec.q**length - 1 > np.iinfo(np.int64).max:
         raise FieldError(
@@ -177,7 +191,9 @@ def vectors_to_indices(arr: np.ndarray, spec: FieldSpec) -> np.ndarray:
             "explicit --m plan whose word space q^m fits"
         )
     weights = spec.q ** np.arange(length - 1, -1, -1, dtype=np.int64)
-    return arr @ weights
+    # einsum casts digit rows to int64 through its buffer; a product `@`
+    # would first copy every row to int64
+    return np.einsum("...j,j->...", arr, weights, dtype=np.int64)
 
 
 def _digits_at(
@@ -198,11 +214,11 @@ def _digits_at(
 
 def indices_to_vectors(idx: np.ndarray, length: int, spec: FieldSpec) -> np.ndarray:
     """index_decode applied to every entry of an index array (one digit row
-    per entry, big-endian)."""
+    per entry, big-endian, in the digit dtype)."""
     idx = np.asarray(idx, dtype=np.int64)
     if idx.size and (int(idx.min()) < 0 or int(idx.max()) >= spec.q**length):
         raise FieldError(f"index out of range [0, {spec.q}^{length})")
-    out = np.empty(idx.shape + (length,), dtype=np.int64)
+    out = np.empty(idx.shape + (length,), dtype=spec.digit_dtype)
     for pos in range(length - 1, -1, -1):
         idx, out[..., pos] = np.divmod(idx, spec.q)
     return out

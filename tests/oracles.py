@@ -128,6 +128,13 @@ def vec_affine(k, A, b, spec):
     return tuple(int(v) for v in (kv @ A + np.asarray(b, dtype=np.int64)) % spec.q)
 
 
+def key_pads(enc, keys, spec):
+    """The pad kA + b of each key row k, as one int64 product mod q (the
+    package's kernel before its pads came from digit-group tables)."""
+    keys = np.asarray(keys, dtype=np.int64)
+    return (keys @ enc.A + np.asarray(enc.b, dtype=np.int64)) % spec.q
+
+
 def sequence_probs(p, n, spec):
     """p^n(x) of every length-n sequence x, as a product along the rows of
     the all_vectors(n) digit array."""
@@ -205,7 +212,9 @@ def digit_transform(law, q, m, inverse=False):
 
 
 def shift_mixture(pad, weights, digits, q):
-    """sum_w weights[w] * pad((. - w) mod q), one codeword at a time."""
+    """sum_w weights[w] * pad((. - w) mod q), one codeword at a time, on
+    int64 copies of the digit rows."""
+    digits = np.asarray(digits, dtype=np.int64)
     out = np.zeros_like(pad)
     for w in np.nonzero(weights)[0]:
         shifted = (digits - digits[w]) % q

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import typecipher.cipher as cipher_mod
 from typecipher.cipher import (
+    AffineEncoder,
     CipherSystem,
     MAX_WORDS,
     check_decryption_condition,
@@ -227,13 +228,16 @@ def test_choice_matches_numpy_choice(q):
         ours, rng = cipher_mod._PCG64(seed), np.random.default_rng(seed)
         for shape in ((7,), (_PY + 1, 3), (3 * _LANES + 7, 2)):
             got = cipher_mod._choice(ours, law, shape)
-            assert got.dtype == np.int64
+            assert got.dtype == (np.uint8 if q < 128 else np.uint16)
             assert np.array_equal(got, numpy_choice_draw(rng, law, shape))
 
 
-@pytest.mark.parametrize("q", [2, 3, 5, 7, 257])
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 127, 131, 257])
 def test_residue_helpers_match_mod_q(monkeypatch, q):
-    # every residue pair, in both columns of a two-symbol word
+    # every residue pair, in both columns of a two-symbol word, as digit
+    # rows (one byte up to q=127, two from q=131) and as the scalar path's
+    # int64 rows: sums and differences mod q without wrapping, in the dtype
+    # they came in
     spec = FieldSpec(q)
     sys_ = CipherSystem(
         codebook=build_codebook(explicit_m_plan(1, 2, spec)),
@@ -241,16 +245,22 @@ def test_residue_helpers_match_mod_q(monkeypatch, q):
     )
     a, b = np.divmod(np.arange(q * q), q)
     pads, words = np.stack([a, b], axis=1), np.stack([b, a], axis=1)
-    assert np.array_equal(cipher_mod._encrypt_words(sys_, pads, words), (pads + words) % q)
     # the decode step after the subtraction is checked elsewhere
     monkeypatch.setattr(cipher_mod, "decode_indices", lambda cb, diff: diff)
-    assert np.array_equal(cipher_mod._decrypt_words(sys_, pads, words), (words - pads) % q)
+    for dtype in (spec.digit_dtype, np.dtype(np.int64)):
+        p, w = pads.astype(dtype), words.astype(dtype)
+        encrypted = cipher_mod._encrypt_words(sys_, p, w)
+        decrypted = cipher_mod._decrypt_words(sys_, p, w)
+        assert encrypted.dtype == dtype and decrypted.dtype == dtype
+        assert np.array_equal(encrypted, (pads + words) % q)
+        assert np.array_equal(decrypted, (words - pads) % q)
 
 
 @pytest.mark.parametrize("q, n, m", [(2, 7, 9), (3, 4, 6)])
 def test_blocked_key_pass_matches_one_block(monkeypatch, q, n, m):
-    # a few keys per block, with a short last block, give the same images,
-    # divergences and decryption check as one block over every key
+    # a few keys per block (a block is the largest power of q within
+    # KEY_BLOCK, down to one key) give the same images, divergences and
+    # decryption check as one block over every key
     spec = FieldSpec(q)
     plan = explicit_m_plan(n, m, spec)
     sys_ = CipherSystem(codebook=build_codebook(plan), key_encoder=draw_encoder(plan, 4))
@@ -268,6 +278,67 @@ def test_blocked_key_pass_matches_one_block(monkeypatch, q, n, m):
         got = key_pass()
         assert got[0] == divergences and got[3] is checked
         assert np.array_equal(got[1], images) and np.array_equal(got[2], images)
+
+
+_TABLE_QS = [2, 3, 5, 127, 131, 257]
+
+
+def _random_encoder(q, n, m, seed):
+    # n = 0 gives an A with zero rows: every pad is b
+    rng = np.random.default_rng(seed)
+    A = rng.integers(0, q, (n, m))
+    A.flags.writeable = False
+    return AffineEncoder(A=A, b=tuple(int(v) for v in rng.integers(0, q, m))), rng
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    q=st.sampled_from(_TABLE_QS),
+    n=st.integers(0, 24),
+    m=st.integers(1, 6),
+    rows=st.integers(1, 5000),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(q=2, n=20, m=24, rows=4000, seed=0)  # a sampled sweep row: groups of 9 and 11
+@example(q=257, n=24, m=3, rows=5000, seed=1)  # one-digit groups
+@example(q=3, n=1, m=2, rows=1, seed=2)
+def test_key_pads_match_the_product_oracle(q, n, m, rows, seed):
+    # the digit-group tables give kA + b mod q for any number of rows, any
+    # n (multiple of the group width or not) and a single 1-D key
+    spec = FieldSpec(q)
+    enc, rng = _random_encoder(q, n, m, seed)
+    keys = rng.integers(0, q, (rows, n)).astype(spec.digit_dtype)
+    got = cipher_mod._key_pads(enc, keys, spec)
+    assert got.dtype == spec.digit_dtype and got.shape == (rows, m)
+    assert np.array_equal(got, oracles.key_pads(enc, keys, spec))
+    one = cipher_mod._key_pads(enc, keys[-1], spec)
+    assert one.dtype == spec.digit_dtype and one.shape == (m,)
+    assert np.array_equal(one, oracles.key_pads(enc, keys[-1], spec))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    q_n=st.sampled_from(
+        [(2, n) for n in range(0, 17)] + [(3, 7), (3, 10), (5, 5), (127, 2), (131, 2), (257, 2)]
+    ),
+    m=st.integers(1, 5),
+    block=st.sampled_from([1, 5, 300, cipher_mod.KEY_BLOCK]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_key_blocks_match_the_product_oracle(q_n, m, block, seed):
+    # every key, in lexicographic order, a block at a time
+    q, n = q_n
+    spec = FieldSpec(q)
+    enc, _ = _random_encoder(q, n, m, seed)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cipher_mod, "KEY_BLOCK", block)
+        blocks = list(cipher_mod._key_blocks(enc, spec))
+    starts = [start for start, _ in blocks]
+    assert starts == list(itertools.accumulate([len(p) for _, p in blocks[:-1]], initial=0))
+    assert all(len(pads) <= block for _, pads in blocks)
+    pads = np.concatenate([p for _, p in blocks])
+    assert pads.dtype == spec.digit_dtype
+    assert np.array_equal(pads, oracles.key_pads(enc, all_vectors(n, spec), spec))
 
 
 def test_make_encoder_validates():

@@ -491,11 +491,13 @@ def test_verify_computes_the_pad_law_once(tmp_path, monkeypatch):
 @pytest.mark.parametrize("command, checks", [("verify", 1), ("exact-mi", 0)])
 def test_pad_law_reuses_the_search_key_images(monkeypatch, command, checks):
     # each search attempt runs one pass over the keys (one block of 81
-    # keys, so one pad computation); the pad law reads the last attempt's
-    # images, and only verify's decryption check runs one more pass
+    # keys, so one table over the low digits and one over the blocks'
+    # leading digits); the pad law reads the last attempt's images, only
+    # verify's decryption check runs one more pass, and no pad comes from
+    # the sampled keys' kernel
     import typecipher.cipher as cipher_mod
 
-    calls = {"_key_blocks": 0, "_key_pads": 0, "_omega": 0}
+    calls = {"_key_blocks": 0, "_pad_table": 0, "_key_pads": 0, "_omega": 0}
 
     def counting(name):
         real = getattr(cipher_mod, name)
@@ -512,16 +514,20 @@ def test_pad_law_reuses_the_search_key_images(monkeypatch, command, checks):
     assert main(argv) == 0
     attempts = calls.pop("_omega")
     assert attempts >= 1
-    assert calls == {"_key_blocks": attempts + checks, "_key_pads": attempts + checks}
+    passes = attempts + checks
+    assert calls == {"_key_blocks": passes, "_pad_table": 2 * passes, "_key_pads": 0}
 
 
 def test_sweep_at_a_large_alphabet_names_the_explicit_m_remedy(capsys):
     # (n+1)^(4q) no longer converts to a float at q=257, so the bounds come
-    # from their log2; the canonical word then leaves int64, and the message
-    # names the plan that fits
+    # from their log2; the canonical word then leaves int64 (before any
+    # two-byte digit row is built), and the message names the plan that fits
     assert main(["sweep", "--q", "257", "--n", "1", "--rate", "4"]) == 2
-    err = capsys.readouterr().err
-    assert "exceeds int64" in err and "--m" in err and "Traceback" not in err
+    assert capsys.readouterr().err == (
+        "error: index range 257^33 exceeds int64; use index_encode per vector, "
+        "or on the command line give `verify` or `exact-mi` an explicit --m "
+        "plan whose word space q^m fits\n"
+    )
     assert main(["verify", "--q", "257", "--n", "1", "--m", "2"]) == 0
     assert json.loads(capsys.readouterr().out)["passed"]
 

@@ -36,6 +36,18 @@ def test_spec_rejects_composites_and_junk():
         FieldSpec("2")
 
 
+def test_digit_dtype_is_one_byte_below_q_131():
+    # the narrowest unsigned dtype that holds 2(q - 1)
+    for q, dtype in ((2, np.uint8), (127, np.uint8), (131, np.uint16), (257, np.uint16)):
+        spec = FieldSpec(q)
+        assert spec.digit_dtype == dtype
+        assert 2 * (q - 1) <= np.iinfo(dtype).max
+        assert all_vectors(1, spec).dtype == dtype
+        rows = indices_to_vectors(np.arange(q), 1, spec)
+        assert rows.dtype == dtype and rows[:, 0].tolist() == list(range(q))
+    assert 2 * (131 - 1) > np.iinfo(np.uint8).max
+
+
 def test_field_vector_validates_range():
     spec = FieldSpec(3)
     assert field_vector([0, 2, 1], spec) == (0, 2, 1)

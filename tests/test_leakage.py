@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from collections import defaultdict
 from dataclasses import replace
 from fractions import Fraction
@@ -466,6 +467,23 @@ def test_monte_carlo_se_scales_with_samples():
     assert 1.2 <= ratio <= 3.5  # ~2 expected; bootstrap noise allowed for
 
 
+def test_sampled_row_peak_memory_stays_small():
+    # a sampled binary n=20 row: symbols, keys, pads and ciphertexts are one
+    # byte a digit and the pads come from digit-group tables, so 4000
+    # samples peak at about 1.1 MiB under tracemalloc (int64 rows and the
+    # int64 product kA peaked at 5.1 MiB)
+    plan = make_rate_plan(20, 0.9, FieldSpec(2))
+    sys_ = CipherSystem(codebook=build_codebook(plan), key_encoder=draw_encoder(plan, 1))
+    p_x, p_k = Distribution([0.82, 0.18]), Distribution([0.62, 0.38])
+    tracemalloc.start()
+    try:
+        monte_carlo_mi(sys_, p_x, p_k, 4000, 3, bootstrap=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 2**20
+
+
 def test_monte_carlo_sample_floor():
     with pytest.raises(ValueError):
         monte_carlo_mi(_perfect_system(), uniform(2), uniform(2), samples=999, seed=0)
@@ -571,8 +589,10 @@ def test_monte_carlo_draws_match_numpy_generator(monkeypatch, q, n, R, p_x, p_k)
     want = [numpy_choice_draw(rng, p_x, (samples, n)), numpy_choice_draw(rng, p_k, (samples, n)),
             *numpy_bootstrap_indices(rng, samples, bootstrap)]
     assert len(draws) == len(want)
-    for got, expected in zip(draws, want):
-        assert got.dtype == np.int64 and np.array_equal(got, expected)
+    # symbols come in the digit dtype, bootstrap indices in int64
+    dtypes = [FieldSpec(q).digit_dtype] * 2 + [np.dtype(np.int64)] * bootstrap
+    for got, expected, dtype in zip(draws, want, dtypes):
+        assert got.dtype == dtype and np.array_equal(got, expected)
 
 
 def test_scaled_power_is_the_float_expression_until_the_power_overflows():
