@@ -34,11 +34,11 @@ import numpy as np
 
 from .code import Codebook, RatePlan, decode_indices, encode
 from .fields import (
+    MAX_ENUM,
     FieldError,
     FieldSpec,
     _check_enum,
     _digit_dtype,
-    _digits_at,
     all_vectors,
     field_matrix,
     field_row,
@@ -505,7 +505,7 @@ def _pad_table(A: np.ndarray, spec: FieldSpec, start=None) -> np.ndarray:
         table += np.asarray(start, dtype=dtype)
     for i in range(g):
         table = _fold(table[..., :, None, :] + steps[..., i, None, :, :], q)
-        table = table.reshape(*batch, -1, m)
+        table = table.reshape(*batch, q ** (i + 1), m)
     return table
 
 
@@ -556,9 +556,8 @@ def _key_blocks(enc: AffineEncoder, spec: FieldSpec):
     leading digits, so its pads are one table, the partial pads of the low
     digits, plus the pad of the block's leading digits (a row of a second
     table, b included), mod q: no key's digits are built and nothing is
-    multiplied per key."""
+    multiplied per key.  Callers hold q**n within `fields.MAX_ENUM`."""
     q, n = spec.q, enc.n
-    _check_enum(n, spec)
     low = _block_digits(n, q)
     table = _pad_table(enc.A[n - low :], spec)
     for block, base in enumerate(_pad_table(enc.A[: n - low], spec, enc.b)):
@@ -567,33 +566,18 @@ def _key_blocks(enc: AffineEncoder, spec: FieldSpec):
 
 def key_image_indices(enc: AffineEncoder, spec: FieldSpec) -> np.ndarray:
     """Word index of phi(k) for every key k in lexicographic order."""
-    images = np.empty(spec.q**enc.n, dtype=np.int64)
+    images = np.empty(_check_enum(enc.n, spec), dtype=np.int64)
     for start, pads in _key_blocks(enc, spec):
         images[start : start + len(pads)] = vectors_to_indices(pads, spec)
     return images
 
 
-def pad_law(
-    enc: AffineEncoder,
-    p_K: Distribution,
-    spec: FieldSpec,
-    images: np.ndarray | None = None,
-    digits: Sequence[int] | None = None,
-) -> np.ndarray:
-    """Distribution of the pad phi(K) over word indices, K i.i.d. p_K.
-
-    `images` are `key_image_indices(enc, spec)` if already computed, as a
-    `SearchResult` carries them for its encoder.  Given increasing digit
-    positions `digits`, the law is that of the pad's digits there, over the
-    indices of Z_q^len(digits), cut from the images by arithmetic."""
+def pad_law(enc: AffineEncoder, p_K: Distribution, spec: FieldSpec) -> np.ndarray:
+    """Distribution of the pad phi(K) over word indices, K i.i.d. p_K; the
+    pad's digits at some positions are the pad of A and b cut to them."""
     total = _check_word_space(spec, enc.m)
     key_probs = sequence_probs(p_K, enc.n, spec)
-    if images is None:
-        images = key_image_indices(enc, spec)
-    if digits is not None:
-        images = _digits_at(images, digits, enc.m, spec)
-        total = spec.q ** len(digits)
-    return np.bincount(images, weights=key_probs, minlength=total)
+    return np.bincount(key_image_indices(enc, spec), weights=key_probs, minlength=total)
 
 
 def theta_n(P: TypeComposition, plan: RatePlan) -> float:
@@ -610,21 +594,61 @@ def _divergence_from_counts(counts: np.ndarray, size: int, total_words: int) -> 
     return math.log2(total_words) - h
 
 
-def _omega(enc: AffineEncoder, plan: RatePlan):
-    """`omega_divergences` together with the key images it counted.
+def _row_reduce(A: np.ndarray, q: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The reduced row echelon form of A over Z_q, by elimination in Python
+    ints: its r nonzero rows B (the identity in the pivot columns, spanning
+    the row space of A) and the r pivot columns."""
+    m = A.shape[1]
+    rows = A.tolist()
+    pivots: list[int] = []
+    for col in range(m):
+        top = len(pivots)
+        hit = next((i for i in range(top, len(rows)) if rows[i][col]), None)
+        if hit is None:
+            continue
+        rows[top], rows[hit] = rows[hit], rows[top]
+        inv = pow(rows[top][col], -1, q)
+        pivot = rows[top] = [v * inv % q for v in rows[top]]
+        for i, row in enumerate(rows):
+            if i != top and row[col]:
+                rows[i] = [(a - row[col] * b) % q for a, b in zip(row, pivot)]
+        pivots.append(col)
+        if len(pivots) == len(rows):
+            break
+    basis = np.array(rows[: len(pivots)], dtype=np.int64).reshape(len(pivots), m)
+    return basis, tuple(pivots)
 
-    One stable sort of the keys on their count vectors lists them type by
-    type in `enumerate_types` order, so each class is the next |T^n(P)|
-    images.  Each type's images are then counted among themselves
-    (`np.unique` sorts them into word order), so no array over the q**m
-    words is built at all: the word space enters only through its log2.
-    Pads are built a block at a time (`_key_blocks`); only each key's image
-    and count vector span every key (n <= 22 under `fields.MAX_ENUM`, so one
-    byte a count), and the counts too come from two tables, over a block's
-    low digits and over the blocks' leading digits.
+
+def _check_types(n: int, spec: FieldSpec) -> None:
+    """Refuse as `fields._check_enum` does where neither the q**n sequences
+    of length n nor their types, q counts each, are within MAX_ENUM."""
+    if n_types(n, spec.q) * spec.q > MAX_ENUM:
+        _check_enum(n, spec)
+
+
+def _omega(enc: AffineEncoder, plan: RatePlan):
+    """`omega_divergences` together with the row reduction of A it read.
+
+    When rank A = n, k -> kA + b is one-to-one, so each class lands on
+    |T^n(P)| distinct words and D(Omega_P || U) = m log2 q - log2 |T^n(P)|,
+    the double the count below gives on all-ones counts: no key is visited.
+
+    Otherwise (within `fields.MAX_ENUM` keys, so one byte a count) one stable
+    sort of the keys on their count vectors lists them type by type in
+    `enumerate_types` order, so each class is the next |T^n(P)| images, and
+    each type's images are counted among themselves (`np.unique` sorts them
+    into word order): no array over the q**m words is built, and the word
+    space enters only through its log2.  Pads come a block at a time
+    (`_key_blocks`), the counts from two tables, over a block's low digits
+    and over the blocks' leading digits.
     """
     spec, n, q = plan.spec, plan.n, plan.q
-    images = np.empty(q**n, dtype=np.int64)
+    reduced = _row_reduce(enc.A, q)
+    if len(reduced[1]) == n:
+        _check_types(n, spec)
+        words = math.log2(q**plan.m)
+        return [(P, words - math.log2(class_size(P))) for P in enumerate_types(n, spec)], reduced
+    images = np.empty(_check_enum(n, spec), dtype=np.int64)
     key_counts = np.empty((images.size, q), dtype=np.uint8)
     # a key's counts are its low digits' plus its block's leading digits'
     low = _block_digits(n, q)
@@ -642,7 +666,7 @@ def _omega(enc: AffineEncoder, plan: RatePlan):
     for P, own in zip(types, np.split(by_type, ends[:-1])):
         counts = np.unique(own, return_counts=True)[1]
         out.append((P, _divergence_from_counts(counts, own.size, spec.q**plan.m)))
-    return out, images
+    return out, reduced
 
 
 def omega_divergences(
@@ -664,8 +688,8 @@ def search_score(enc: AffineEncoder, plan: RatePlan) -> float:
 @dataclass(frozen=True)
 class SearchResult:
     """The certified encoder of `derandomize`, with the per-type divergences
-    D(Omega_P || uniform) its score was computed from and the key images
-    (`key_image_indices`, read-only) they were counted from."""
+    D(Omega_P || uniform) its score was computed from and the row reduction
+    of its A (`_row_reduce`) that chose how they were computed."""
 
     encoder: AffineEncoder
     seed: int
@@ -673,7 +697,7 @@ class SearchResult:
     attempts: int
     type_count: int
     divergences: tuple[tuple[TypeComposition, float], ...]
-    images: np.ndarray = field(repr=False, compare=False)
+    reduced: tuple[np.ndarray, tuple[int, ...]] = field(repr=False, compare=False)
 
 
 def derandomize(
@@ -681,19 +705,28 @@ def derandomize(
 ) -> SearchResult:
     """First seed whose encoder scores at most |P_n(X)|.
 
-    Success is typically immediate: the score's expectation over the draw is
-    at most |P_n(X)|.  The returned encoder then automatically satisfies the
-    per-type certificate D(Omega_P||U) <= |P_n(X)| theta(P), which is
-    asserted before returning.  It builds arrays over the q**n keys only,
-    so it runs past the word-space cap wherever `fields.MAX_ENUM` admits
-    the keys.
+    The score's expectation over the draw is at most |P_n(X)|, and the
+    returned encoder satisfies the per-type certificate D(Omega_P||U) <=
+    |P_n(X)| theta(P), asserted before returning.  A draw of rank n always
+    passes, since then D(Omega_P||U) = m log2 q - log2 |T^n(P)| <= theta(P)
+    (`_omega`'s closed form), so the search runs at any n whose types
+    `_check_types` admits.  A rank-deficient draw counts its q**n key images;
+    past `fields.MAX_ENUM` it has no score and the search passes on, unless
+    it is the last or m < n (no draw can have rank n).  Nothing is built
+    over the words.
     """
     count = n_types(plan.n, plan.q)
+    _check_types(plan.n, plan.spec)
     best = math.inf
     for attempt in range(max_attempts):
         seed = base_seed + attempt
         enc = draw_encoder(plan, seed)
-        divs, images = _omega(enc, plan)
+        try:
+            divs, reduced = _omega(enc, plan)
+        except FieldError:  # rank < n past MAX_ENUM keys: no score
+            if plan.m < plan.n or attempt + 1 == max_attempts:
+                raise
+            continue
         score = _score(divs, plan)
         best = min(best, score)
         if score <= count:
@@ -704,10 +737,9 @@ def derandomize(
                         f"score {score} <= {count} but type {P.counts} has "
                         f"divergence {d} above its cap {cap}"
                     )
-            images.flags.writeable = False
             return SearchResult(
                 encoder=enc, seed=seed, score=score, attempts=attempt + 1,
-                type_count=count, divergences=tuple(divs), images=images,
+                type_count=count, divergences=tuple(divs), reduced=reduced,
             )
     raise RuntimeError(
         f"no encoder scored <= {count} within {max_attempts} seeds "

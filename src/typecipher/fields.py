@@ -196,22 +196,6 @@ def vectors_to_indices(arr: np.ndarray, spec: FieldSpec) -> np.ndarray:
     return np.einsum("...j,j->...", arr, weights, dtype=np.int64)
 
 
-def _digits_at(
-    idx: np.ndarray, keep: Sequence[int], length: int, spec: FieldSpec
-) -> np.ndarray:
-    """The index of the sub-vector at the increasing positions `keep`, for
-    every index over Z_q^length.  The other digits are cut out of the index
-    one at a time, the last first, so no digit row is built; with every
-    position kept, `idx` itself is returned."""
-    q = spec.q
-    cut = sorted(set(range(length)) - set(keep), reverse=True)
-    for done, pos in enumerate(cut):
-        # the digits after `pos` less the `done` already cut, all after it
-        low = q ** (length - 1 - pos - done)
-        idx = idx // (low * q) * low + idx % low
-    return idx
-
-
 def indices_to_vectors(idx: np.ndarray, length: int, spec: FieldSpec) -> np.ndarray:
     """index_decode applied to every entry of an index array (one digit row
     per entry, big-endian, in the digit dtype)."""

@@ -61,6 +61,7 @@ from typing import Sequence
 import numpy as np
 
 from .cipher import (
+    AffineEncoder,
     CipherSystem,
     SearchResult,
     _bounded,
@@ -69,6 +70,7 @@ from .cipher import (
     _encrypt_words,
     _PCG64,
     _key_pads,
+    _row_reduce,
     n_types,
     omega_divergences,
     pad_law,
@@ -166,31 +168,6 @@ def exact_refusal(plan: RatePlan) -> FieldError | None:
     return None
 
 
-def _row_reduce(A: np.ndarray, q: int) -> tuple[np.ndarray, tuple[int, ...]]:
-    """The reduced row echelon form of A over Z_q, by elimination in Python
-    ints: its r nonzero rows B (the identity in the pivot columns, spanning
-    the row space of A) and the r pivot columns."""
-    m = A.shape[1]
-    rows = A.tolist()
-    pivots: list[int] = []
-    for col in range(m):
-        top = len(pivots)
-        hit = next((i for i in range(top, len(rows)) if rows[i][col]), None)
-        if hit is None:
-            continue
-        rows[top], rows[hit] = rows[hit], rows[top]
-        inv = pow(rows[top][col], -1, q)
-        pivot = rows[top] = [v * inv % q for v in rows[top]]
-        for i, row in enumerate(rows):
-            if i != top and row[col]:
-                rows[i] = [(a - row[col] * b) % q for a, b in zip(row, pivot)]
-        pivots.append(col)
-        if len(pivots) == len(rows):
-            break
-    basis = np.array(rows[: len(pivots)], dtype=np.int64).reshape(len(pivots), m)
-    return basis, tuple(pivots)
-
-
 class CosetMixture:
     """A mixture of shifted pads, sum_w weights[w] pad((. - w) mod q), held
     on the cosets of V = rowspace(A) that it occupies.
@@ -232,10 +209,10 @@ class ExactLaws:
     """One system and its two source laws: the handle of every exact figure.
 
     Holds the system, p_X, p_K and, when the system's encoder came from
-    `derandomize`, that search result.  A is row-reduced once (`reduced`:
-    the basis B of V = rowspace(A) and its pivot columns P, r = rank A);
-    `pad` is the law of the pad's coordinate over Z_q^r, from the search's
-    key images, and its transform is computed once on first use.
+    `derandomize`, that search result.  A is row-reduced once, by the search
+    if any (`reduced`: the basis B of V = rowspace(A), pivot columns P and
+    r = rank A); `pad` is the law of the pad's coordinate over Z_q^r, one
+    key pass over the columns P, and its transform is computed once.
     `mixture` convolves it with weights over the codewords in use (word
     values 0..member_count), coset by coset (`cells` holds each codeword's
     label and coordinate), so the ciphertext law, the row sums and the
@@ -259,7 +236,10 @@ class ExactLaws:
 
     @cached_property
     def reduced(self) -> tuple[np.ndarray, tuple[int, ...]]:
-        """(B, P): the row-reduced basis of V = rowspace(A) and its pivots."""
+        """(B, P): the row-reduced basis of V = rowspace(A) and its pivots,
+        the search's own, if any."""
+        if self.search is not None:
+            return self.search.reduced
         return _row_reduce(self.sys.key_encoder.A, self.spec.q)
 
     @property
@@ -270,9 +250,9 @@ class ExactLaws:
     @cached_property
     def pad(self) -> np.ndarray:
         """Law of the pad's coordinate k A[:, P] + b[P] over Z_q^r."""
-        images = None if self.search is None else self.search.images
-        pivots = self.reduced[1]
-        return pad_law(self.sys.key_encoder, self.p_K, self.spec, images, pivots)
+        enc, pivots = self.sys.key_encoder, list(self.reduced[1])
+        coordinate = AffineEncoder(A=enc.A[:, pivots], b=tuple(enc.b[c] for c in pivots))
+        return pad_law(coordinate, self.p_K, self.spec)
 
     @cached_property
     def pad_hat(self) -> np.ndarray:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
+from itertools import combinations_with_replacement
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -75,12 +76,15 @@ def type_of(x: Sequence[int], spec: FieldSpec) -> TypeComposition:
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    """Every `parts`-tuple of counts summing to `total`, lexicographically, by
+    stars and bars: each count is the gap between running sums at the bars."""
+    for cuts in combinations_with_replacement(range(total + 1), parts - 1):
+        prev, counts = 0, []
+        for cut in cuts:
+            counts.append(cut - prev)
+            prev = cut
+        counts.append(total - prev)
+        yield tuple(counts)
 
 
 def enumerate_types(n: int, spec: FieldSpec) -> list[TypeComposition]:

@@ -8,7 +8,9 @@ transform to the cosets of rowspace(A) (`transform_mixture`; `coset_words`,
 index), its decryption check to blocks of (pad, codeword) pairs and its
 Monte Carlo estimator to counted cells; keep them to small n.  The recursive type-class generator
 (`class_members`) is the oracle of the class order that the package now
-computes only by arithmetic (the rank walk and its inverse).  The codebook
+computes only by arithmetic (the rank walk and its inverse), and the
+recursive `compositions` that of the type order, which the package lists by
+stars and bars.  The codebook
 oracle is the tuple codebook the package used to keep (`members`,
 `member_rank`), listed here by the recursive generator, so the law oracles
 that work tuple by tuple are independent of the codebook's rank arithmetic,
@@ -337,6 +339,17 @@ def _members(counts, remaining):
 def class_members(P):
     """All sequences of type P in lexicographic order, by recursion."""
     yield from _members(list(P.counts), P.n)
+
+
+def compositions(total, parts):
+    """Every `parts`-tuple of counts summing to `total`, lexicographically,
+    by recursion on the first count."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in compositions(total - first, parts - 1):
+            yield (first,) + rest
 
 
 def _plugin_mi(xi, ci, corrected):

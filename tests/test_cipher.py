@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import typecipher.cipher as cipher_mod
@@ -256,28 +256,126 @@ def test_residue_helpers_match_mod_q(monkeypatch, q):
         assert np.array_equal(decrypted, (words - pads) % q)
 
 
+def _repeat_first_row(enc, spec):
+    """`enc` with its second row of A replaced by its first: rank < n."""
+    A = np.array(enc.A)
+    A[1] = A[0]
+    return make_encoder(A, enc.b, spec, seed=enc.seed)
+
+
 @pytest.mark.parametrize("q, n, m", [(2, 7, 9), (3, 4, 6)])
 def test_blocked_key_pass_matches_one_block(monkeypatch, q, n, m):
     # a few keys per block (a block is the largest power of q within
-    # KEY_BLOCK, down to one key) give the same images, divergences and
-    # decryption check as one block over every key
+    # KEY_BLOCK, down to one key) give the same divergences, images and
+    # decryption check as one block over every key; A repeats a row, so the
+    # divergences come from the blocked count over the keys
     spec = FieldSpec(q)
     plan = explicit_m_plan(n, m, spec)
-    sys_ = CipherSystem(codebook=build_codebook(plan), key_encoder=draw_encoder(plan, 4))
-    enc = sys_.key_encoder
+    enc = _repeat_first_row(draw_encoder(plan, 4), spec)
+    sys_ = CipherSystem(codebook=build_codebook(plan), key_encoder=enc)
 
     def key_pass():
-        divergences, images = cipher_mod._omega(enc, plan)
-        return divergences, images, key_image_indices(enc, spec), check_decryption_condition(sys_)
+        divergences, (_, pivots) = cipher_mod._omega(enc, plan)
+        assert len(pivots) < n
+        return divergences, key_image_indices(enc, spec), check_decryption_condition(sys_)
 
     monkeypatch.setattr(cipher_mod, "KEY_BLOCK", q**n)
-    divergences, images, indices, checked = key_pass()
-    assert checked is True and np.array_equal(images, indices)
+    divergences, images, checked = key_pass()
+    assert checked is True
+    for P, d in divergences:
+        assert d == oracles.omega_divergence(P, enc, spec), P.counts
     for block in (1, 5, q**n - 1):
         monkeypatch.setattr(cipher_mod, "KEY_BLOCK", block)
         got = key_pass()
-        assert got[0] == divergences and got[3] is checked
-        assert np.array_equal(got[1], images) and np.array_equal(got[2], images)
+        assert got[0] == divergences and got[2] is checked
+        assert np.array_equal(got[1], images)
+
+
+# the largest n and m per q at which the oracle's loops over the keys and
+# its counts over the words stay small
+_ORACLE_SIZES = {2: (6, 10), 3: (4, 7), 5: (3, 5), 7: (2, 4)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(q=st.sampled_from(sorted(_ORACLE_SIZES)), data=st.data())
+def test_omega_divergences_closed_form_bit_equal_the_oracle(q, data):
+    # rank A = n: every class lands on |T^n(P)| distinct words, and the
+    # closed form m log2 q - log2 |T^n(P)| is the double that counting every
+    # word gives; A with a repeated row takes the count over the keys instead
+    max_n, max_m = _ORACLE_SIZES[q]
+    n = data.draw(st.integers(1, max_n), label="n")
+    m = data.draw(st.integers(n, max_m), label="m")
+    repeat = data.draw(st.booleans(), label="repeat") and n >= 2
+    spec = FieldSpec(q)
+    plan = explicit_m_plan(n, m, spec)
+    enc = draw_encoder(plan, data.draw(st.integers(0, 2**16), label="seed"))
+    if repeat:
+        enc = _repeat_first_row(enc, spec)
+    divergences, (_, pivots) = cipher_mod._omega(enc, plan)
+    assume(repeat or len(pivots) == n)
+    assert (len(pivots) == n) is not repeat
+    assert [P for P, _ in divergences] == enumerate_types(n, spec)
+    for P, d in divergences:
+        assert d == oracles.omega_divergence(P, enc, spec), (n, m, P.counts)
+
+
+def _counting_only(monkeypatch):
+    """Make every draw take the count over the keys: the row reduction
+    reports at most n - 1 pivots."""
+    real = cipher_mod._row_reduce
+
+    def short(A, q):
+        basis, pivots = real(A, q)
+        return basis, pivots[: A.shape[0] - 1]
+
+    monkeypatch.setattr(cipher_mod, "_row_reduce", short)
+
+
+@pytest.mark.parametrize(
+    "q, n, R", [(2, 4, 0.9), (2, 9, 0.9), (2, 10, 0.6), (3, 4, 1.2), (5, 3, 1.5), (7, 2, 1.5)]
+)
+def test_derandomize_matches_the_counting_path(monkeypatch, q, n, R):
+    # the closed form changes no seed, score, attempt count or divergence
+    spec = FieldSpec(q)
+    plan = make_rate_plan(n, R, spec)
+    assert plan.m >= n
+    closed = [derandomize(plan, base_seed=seed) for seed in (0, 17, 400)]
+    assert all(len(res.reduced[1]) == n for res in closed)
+    _counting_only(monkeypatch)
+    for res, seed in zip(closed, (0, 17, 400)):
+        counted = derandomize(plan, base_seed=seed)
+        assert (counted.seed, counted.score, counted.attempts) == (res.seed, res.score, res.attempts)
+        assert counted.divergences == res.divergences
+
+
+def test_search_refuses_before_allocating():
+    # a rank-deficient A past MAX_ENUM keys raises the FieldError naming the
+    # cap before any array over the keys is asked for (2^54 int64 images
+    # would be a numpy MemoryError, 2^100 a numpy dimension error); the
+    # search refuses at once when m < n, as no draw can then have rank n
+    spec = FieldSpec(2)
+    for n in (30, 54, 100):
+        plan = explicit_m_plan(n, 5, spec)
+        cap = f"refusing to materialize 2\\^{n} vectors"
+        with pytest.raises(FieldError, match=cap):
+            omega_divergences(draw_encoder(plan, 0), plan)
+        with pytest.raises(FieldError, match=cap):
+            derandomize(plan)
+
+
+def test_derandomize_passes_over_a_draw_it_cannot_count():
+    # binary n=160, m=160: seed 0 draws A of rank 159, which has no score
+    # past MAX_ENUM keys; seed 1's has rank 160 and passes in closed form
+    spec = FieldSpec(2)
+    plan = make_rate_plan(160, 0.9, spec)
+    assert plan.m == 160
+    with pytest.raises(FieldError, match="refusing to materialize 2\\^160 vectors"):
+        derandomize(plan, max_attempts=1)
+    res = derandomize(plan)
+    assert (res.seed, res.attempts, len(res.reduced[1])) == (1, 2, 160)
+    assert res.score <= res.type_count == 161
+    for P, d in res.divergences:
+        assert d == 160.0 - math.log2(class_size(P))
 
 
 _TABLE_QS = [2, 3, 5, 127, 131, 257]

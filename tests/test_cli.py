@@ -185,6 +185,41 @@ def test_verify_canonical_smoke(tmp_path):
     assert report["converse"]["informational"] == ["key_rate_display_holds"]
 
 
+@pytest.mark.parametrize(
+    "q, n, rate, attempts",
+    [(2, 54, "0.9", 1), (3, 32, "1.2", 1), (2, 160, "0.9", 2)],
+)
+def test_search_encoder_past_the_sequence_cap_within_budget(tmp_path, q, n, rate, attempts):
+    # far past MAX_ENUM keys a draw of full rank is scored from its types
+    # alone; at binary n=160 (m = n) seed 0 draws a rank-deficient A, which
+    # cannot be counted there, so the search certifies seed 1's instead
+    assert q**n > MAX_ENUM
+    out = tmp_path / "search.json"
+    t0 = time.perf_counter()
+    code = main(["search-encoder", "--q", str(q), "--n", str(n), "--rate", rate,
+                 "--out", str(out)])
+    elapsed = time.perf_counter() - t0
+    assert code == 0
+    payload = _read_json(out)
+    assert payload["type_count"] == math.comb(n + q - 1, q - 1)
+    assert payload["score"] <= payload["type_count"]
+    assert (payload["attempts"], payload["seed"]) == (attempts, attempts - 1)
+    assert elapsed < 10.0, elapsed
+
+
+def test_search_encoder_refuses_types_past_the_cap_before_listing(capsys, monkeypatch):
+    # q=257, n=3: 257^3 keys and 2.86M types, q counts each, both past
+    # MAX_ENUM, so the search refuses as the key cap does, listing nothing
+    def listing(*args):
+        raise AssertionError("enumerate_types called")
+
+    monkeypatch.setattr("typecipher.cipher.enumerate_types", listing)
+    assert main(["search-encoder", "--q", "257", "--n", "3", "--m", "6"]) == 2
+    assert capsys.readouterr().err == (
+        "error: refusing to materialize 257^3 vectors (cap 4194304)\n"
+    )
+
+
 def test_verify_binary_n10_exact_within_budget(tmp_path):
     # 2^17 words: out of reach for a per-codeword loop, one transform here;
     # 2^20 (key, plaintext) pairs, all decrypted in the exhaustive check
@@ -475,9 +510,9 @@ def test_verify_computes_the_pad_law_once(tmp_path, monkeypatch):
 
     calls = []
 
-    def counting(enc, p_K, spec, images=None, digits=None):
+    def counting(enc, p_K, spec):
         calls.append(enc)
-        return pad_law(enc, p_K, spec, images, digits)
+        return pad_law(enc, p_K, spec)
 
     monkeypatch.setattr("typecipher.cipher.pad_law", counting)
     monkeypatch.setattr("typecipher.leakage.pad_law", counting)
@@ -489,21 +524,25 @@ def test_verify_computes_the_pad_law_once(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("command, checks", [("verify", 1), ("exact-mi", 0)])
-def test_pad_law_reuses_the_search_key_images(monkeypatch, command, checks):
-    # each search attempt runs one pass over the keys (one block of 81
-    # keys, so one table over the low digits and one over the blocks'
-    # leading digits); the pad law reads the last attempt's images, only
-    # verify's decryption check runs one more pass, and no pad comes from
-    # the sampled keys' kernel
+def test_one_key_pass_per_report(monkeypatch, command, checks):
+    # the search's encoder has full rank, so it is scored in closed form with
+    # no pass over the keys; the one key pass of the report is the pad law's,
+    # over the r = n pivot columns of A; only verify's decryption check runs
+    # one more pass, over all m columns.  Each pass is one block of 81 keys,
+    # so one table over the low digits and one over the blocks' leading
+    # digits, and no pad comes from the sampled keys' kernel
     import typecipher.cipher as cipher_mod
 
-    calls = {"_key_blocks": 0, "_pad_table": 0, "_key_pads": 0, "_omega": 0}
+    calls = {"_key_blocks": [], "_pad_table": 0, "_key_pads": 0, "_omega": 0}
 
     def counting(name):
         real = getattr(cipher_mod, name)
 
         def spy(*args):
-            calls[name] += 1
+            if name == "_key_blocks":
+                calls[name].append(args[0].m)
+            else:
+                calls[name] += 1
             return real(*args)
         return spy
 
@@ -512,10 +551,10 @@ def test_pad_law_reuses_the_search_key_images(monkeypatch, command, checks):
     argv = [command, "--q", "3", "--n", "4", "--rate", "1.2", "--px", "0.6,0.3,0.1",
             "--pk", "0.5,0.3,0.2", "--seed", "5", "--out", os.devnull]
     assert main(argv) == 0
-    attempts = calls.pop("_omega")
-    assert attempts >= 1
-    passes = attempts + checks
-    assert calls == {"_key_blocks": passes, "_pad_table": 2 * passes, "_key_pads": 0}
+    assert calls.pop("_omega") == 1
+    m = make_rate_plan(4, 1.2, FieldSpec(3)).m
+    passes = [m] * checks + [4]  # verify checks decryption before the laws
+    assert calls == {"_key_blocks": passes, "_pad_table": 2 * len(passes), "_key_pads": 0}
 
 
 def test_sweep_at_a_large_alphabet_names_the_explicit_m_remedy(capsys):

@@ -11,6 +11,7 @@ from typecipher.fields import FieldError, FieldSpec
 from typecipher.simplex import Distribution, entropy, uniform
 from typecipher.typeclasses import (
     TypeComposition,
+    _compositions,
     _group_types,
     _walk_members,
     class_prob,
@@ -33,6 +34,24 @@ def _brute_types(n, q):
         counts = tuple(x.count(a) for a in range(q))
         seen.setdefault(counts, []).append(x)
     return seen
+
+
+def test_compositions_match_the_recursive_oracle():
+    # stars and bars lists the same tuples in the same lexicographic order
+    for parts in range(1, 8):
+        for total in range(13):
+            got = list(_compositions(total, parts))
+            assert got == list(oracles.compositions(total, parts)), (total, parts)
+            assert len(got) == math.comb(total + parts - 1, parts - 1)
+
+
+def test_enumerate_types_at_the_largest_alphabet():
+    # q = 257: C(n + 256, 256) types, which the recursion took seconds to list
+    spec = FieldSpec(257)
+    for n in (1, 2):
+        types = enumerate_types(n, spec)
+        assert len(types) == math.comb(n + 256, 256)
+        assert [P.counts for P in types] == sorted(P.counts for P in types)
 
 
 def test_type_of_counts_symbols():
