@@ -426,16 +426,16 @@ def check_decryption_condition(sys: CipherSystem) -> bool | None:
     Covers all q**(2n) (key, plaintext) pairs through their (pad, codeword)
     classes: both sides depend on the plaintext only through its codeword,
     so every key's pad is checked against each codeword in use, which
-    includes every input that any pair produces.  The codewords in use come
-    from the rank table (`rank_of`: word value rank + 1, x0 for non-members)
-    and the expected outputs from the decode table (`decode_indices`); blocks
-    of pads are then pushed through the same array helpers that `encrypt`
-    and `decrypt` wrap, so the check exercises the shipped cipher rather
-    than an identity.  This certifies that the correctly-decodable set is
-    the same for every key.
+    includes every input that any pair produces.  The codewords in use are
+    the members' word values 1..member_count, and x0 when some type is not a
+    member; the expected outputs come from the decode table
+    (`decode_indices`).  Blocks of pads are then pushed through the same
+    array helpers that `encrypt` and `decrypt` wrap, so the check exercises
+    the shipped cipher rather than an identity.  This certifies that the
+    correctly-decodable set is the same for every key.
     """
     spec, cb = sys.spec, sys.codebook
-    used = np.flatnonzero(np.bincount(cb.rank_of + 1))
+    used = np.arange(0 if cb.error_types else 1, cb.member_count + 1)
     if spec.q**sys.plan.n * len(used) > CONDITION_CHECK_CAP:
         return None
     words = indices_to_vectors(used, sys.plan.m, spec)
@@ -638,9 +638,10 @@ def _omega(enc: AffineEncoder, plan: RatePlan):
     `enumerate_types` order, so each class is the next |T^n(P)| images, and
     each type's images are counted among themselves (`np.unique` sorts them
     into word order): no array over the q**m words is built, and the word
-    space enters only through its log2.  Pads come a block at a time
-    (`_key_blocks`), the counts from two tables, over a block's low digits
-    and over the blocks' leading digits.
+    space enters only through its log2.  The images are `key_image_indices`
+    (refused past the cap before anything is allocated); a key's counts are
+    one sum of two tables, over a key block's leading digits and over its
+    low digits (`_block_digits`), in the blocks' key order.
     """
     spec, n, q = plan.spec, plan.n, plan.q
     reduced = _row_reduce(enc.A, q)
@@ -648,16 +649,12 @@ def _omega(enc: AffineEncoder, plan: RatePlan):
         _check_types(n, spec)
         words = math.log2(q**plan.m)
         return [(P, words - math.log2(class_size(P))) for P in enumerate_types(n, spec)], reduced
-    images = np.empty(_check_enum(n, spec), dtype=np.int64)
-    key_counts = np.empty((images.size, q), dtype=np.uint8)
-    # a key's counts are its low digits' plus its block's leading digits'
+    images = key_image_indices(enc, spec)
     low = _block_digits(n, q)
     low_counts, lead_counts = (
         type_counts(all_vectors(d, spec), q).astype(np.uint8) for d in (low, n - low)
     )
-    for (start, pads), lead in zip(_key_blocks(enc, spec), lead_counts):
-        images[start : start + len(pads)] = vectors_to_indices(pads, spec)
-        np.add(low_counts, lead, out=key_counts[start : start + len(pads)])
+    key_counts = (lead_counts[:, None] + low_counts).reshape(-1, q)
     # the last key of np.lexsort sorts first: symbol 0's count
     by_type = images[np.lexsort(key_counts.T[::-1])]
     types = enumerate_types(plan.n, spec)

@@ -143,14 +143,13 @@ class Codebook:
     rank within the class: `ranks` computes that by arithmetic (the
     `class_ranks` walk), and that is the encoder.  The int64 arrays
     `member_idx` (each member's sequence index in rank order, from the same
-    walk run backwards), `decode_table` (the decoder's: `member_idx` after
-    the default sequence) and `rank_of` (the inverse of `member_idx` over
-    every sequence index, what the exact array paths read) are each built on
-    first use, so codebooks that only sample never pay for them.  Each
-    refuses to hold more than `fields.MAX_ENUM` entries, the cap on every
-    array over sequences: `member_idx` holds `member_count`, `rank_of`
-    q**n.  The offsets and `ranks` work at any n whose class sizes times n
-    fit in int64.
+    walk run backwards) and `decode_table` (the decoder's: `member_idx`
+    after the default sequence) are built on first use, so codebooks that
+    only sample never pay for them; each refuses to hold more than
+    `fields.MAX_ENUM` entries.  A type's members hold consecutive ranks, so
+    the exact path weighs codewords by type, with no table over the q**n
+    sequences.  The offsets and `ranks` work at any n whose class sizes
+    times n fit in int64.
     """
 
     def __init__(self, plan: RatePlan):
@@ -217,14 +216,6 @@ class Codebook:
         rank[member] += _walk_ranks(xs[member], counts[member], sizes[inverse[member]])
         return rank
 
-    def _check_size(self, entries: int, what: str) -> None:
-        if entries > MAX_ENUM:
-            raise FieldError(
-                f"refusing to build {what} (MAX_ENUM = "
-                f"2^{MAX_ENUM.bit_length() - 1}); Codebook.ranks ranks "
-                "members without a table"
-            )
-
     @cached_property
     def member_idx(self) -> np.ndarray:
         """Sequence index of each member, in rank order (what decode reads).
@@ -234,23 +225,17 @@ class Codebook:
         offset.
         """
         n = self.plan.n
-        self._check_size(self.member_count, f"a list of {self.member_count} members")
+        if self.member_count > MAX_ENUM:
+            raise FieldError(
+                f"refusing to build a list of {self.member_count} members (MAX_ENUM = "
+                f"2^{MAX_ENUM.bit_length() - 1}); Codebook.ranks ranks members without a table"
+            )
         types = np.array([P.counts for P in self.member_types], dtype=np.int64)
         sizes = _class_sizes(types.tolist(), n)
         which = np.repeat(np.arange(len(sizes)), sizes)
         local = np.arange(self.member_count) - (np.cumsum(sizes) - sizes)[which]
         seqs = _walk_members(local, types[which], sizes[which])
         return _frozen(vectors_to_indices(seqs, self.spec))
-
-    @cached_property
-    def rank_of(self) -> np.ndarray:
-        """Member rank of every sequence index, -1 for non-members: the
-        inverse of member_idx (what the exact paths encode with)."""
-        q, n = self.plan.q, self.plan.n
-        self._check_size(q**n, f"a rank table over {q}^{n} sequences")
-        ranks = np.full(q**n, -1, dtype=np.int64)
-        ranks[self.member_idx] = np.arange(self.member_count)
-        return _frozen(ranks)
 
     @cached_property
     def decode_table(self) -> np.ndarray:

@@ -39,8 +39,8 @@ __all__ = [
 MAX_Q = 257
 
 # Most vectors (q**length) that all_vectors() lists or sequence_probs()
-# weighs.  all_vectors holds `length` one-byte digits per row below q = 131,
-# so binary length 22, the largest allowed, is 2^22 x 22 bytes, about 92 MB.
+# weighs (of length n: keys only).  all_vectors holds `length` one-byte digits
+# per row below q = 131: binary length 22, the most allowed, takes 92 MB.
 MAX_ENUM = 1 << 22
 
 

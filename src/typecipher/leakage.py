@@ -27,7 +27,7 @@ belongs to the system's encoder; `exact_mutual_info`,
 `security_certificate`, `check_birkhoff` and `converse_diagnostics` take
 only that handle, so each law is computed once per report however many
 figures read it.  Two caps bound the exact path, q**m words within
-`cipher.MAX_WORDS` and q**n sequences within `fields.MAX_ENUM`, and
+`cipher.MAX_WORDS` and q**n keys within `fields.MAX_ENUM`, and
 `exact_refusal` reads both from the plan before anything is built: the one
 place that decides exact or sampled.
 
@@ -85,7 +85,6 @@ from .typeclasses import (
     class_prob,
     class_size,
     enumerate_types,
-    sequence_probs,
 )
 
 __all__ = [
@@ -157,7 +156,7 @@ def _digit_transform(
 
 def exact_refusal(plan: RatePlan) -> FieldError | None:
     """None where `plan` is within the exact path's caps: q**m words within
-    `cipher.MAX_WORDS` and q**n sequences within `fields.MAX_ENUM`.
+    `cipher.MAX_WORDS` and q**n keys within `fields.MAX_ENUM`.
     Otherwise the FieldError naming the cap exceeded, the word space
     checked first.  Reads the sizes only; builds nothing."""
     try:
@@ -216,8 +215,10 @@ class ExactLaws:
     `mixture` convolves it with weights over the codewords in use (word
     values 0..member_count), coset by coset (`cells` holds each codeword's
     label and coordinate), so the ciphertext law, the row sums and the
-    conditioned ciphertext law all reuse the one pad transform.  Build it
-    with `exact_laws` and pass it to `exact_mutual_info`,
+    conditioned ciphertext law all reuse the one pad transform.  The
+    plaintext side is read from the types (`codeword_weights`), so only the
+    pad visits the q**n sequences, as keys.  Build it with `exact_laws` and
+    pass it to `exact_mutual_info`,
     `security_certificate`, `check_birkhoff` and `converse_diagnostics`.
     """
 
@@ -306,17 +307,23 @@ class ExactLaws:
         singles = labels[single], coords[single], weights[single]
         return CosetMixture(grid, np.flatnonzero(shared), singles, self.pad, self.h_pad)
 
-    def codeword_weights(self, mask: np.ndarray | None = None) -> np.ndarray:
-        """Plaintext mass grouped by codeword, over the word values
-        0..member_count (non-members on x0 = 0)."""
-        words, px = self.sys.codebook.rank_of + 1, self.plaintext_probs
-        if mask is not None:
-            words, px = words[mask], px[mask]
-        return np.bincount(words, weights=px, minlength=self.sys.codebook.member_count + 1)
-
     @cached_property
-    def plaintext_probs(self) -> np.ndarray:
-        return sequence_probs(self.p_X, self.plan.n, self.spec)
+    def p_e(self) -> float:
+        """Pr[X^n outside the codebook] (`exact_error_prob`)."""
+        return exact_error_prob(self.sys.codebook, self.p_X)
+
+    def codeword_weights(self, types: set | None = None) -> np.ndarray:
+        """Plaintext mass on each word value 0..member_count, read from the
+        types: x0 carries p_e (every non-member encodes to it), and the
+        members of a type hold consecutive ranks, each with the type's
+        sequence probability p^n(P) = prod_a p(a)**c_a.  Given a set of
+        types, only the members of those types carry mass (x0 none)."""
+        cb = self.sys.codebook
+        probs = np.prod(np.asarray(self.p_X) ** [P.counts for P in cb.member_types], axis=1)
+        if types is not None:
+            probs *= [P in types for P in cb.member_types]
+        head = self.p_e if types is None else 0.0
+        return np.concatenate(([head], np.repeat(probs, [class_size(P) for P in cb.member_types])))
 
     @cached_property
     def ciphertext(self) -> CosetMixture:
@@ -797,21 +804,31 @@ class ConverseDiagnostics:
         return _fields_json(self, informational=["key_rate_display_holds"])
 
 
+def _log2_sequence_prob(P: TypeComposition, p) -> float:
+    """log2 p^n(x) of each sequence x of type P: sum_a c_a log2 p(a) over
+    the symbols P uses (0 log2 0 = 0), -inf when one of them has mass 0."""
+    if any(c > 0 and p[a] == 0 for a, c in enumerate(P.counts)):
+        return -math.inf
+    return sum(c * math.log2(p[a]) for a, c in enumerate(P.counts) if c > 0)
+
+
 def converse_diagnostics(
     laws: ExactLaws, gamma: float, delta_cap: float = DELTA_CAP_DEFAULT
 ) -> ConverseDiagnostics:
     """Exhaustive evaluation of the converse inequalities at small scale.
 
-    gamma > 0 widens the set of "typical enough" plaintexts; nu_n is the
-    mass it misses.  With Q the mass that is both typical and decodable,
-    the checks certify: the conditioned ciphertext law has no point mass
-    above Q^{-1} 2^{-n(H(X)-gamma)}; its entropy is at least
-    n(H(X)-gamma) + log2 Q; the conditional entropy given the plaintext is
-    exactly H(pad) <= n H(K); and Q^{-1} I(C;X) dominates the conditioned
-    mutual information.  The key-rate conclusion is evaluated in display
-    form H(K) >= H(X) + gamma + margin (recorded, not asserted — it demands
-    more than the finite-n inequalities provide) and in the proof's form
-    H(K) >= H(X) - gamma - margin_delta.
+    gamma > 0 widens the set of "typical enough" plaintexts, of information
+    density -log2 p_X^n(x) / n >= H(X) - gamma: a set of types, since all
+    sequences of a type share it (+inf, typical with mass 0, on a symbol of
+    mass 0); nu_n is the mass it misses.  With Q the mass that is both
+    typical and decodable, the checks certify: the conditioned ciphertext
+    law has no point mass above Q^{-1} 2^{-n(H(X)-gamma)}; its entropy is
+    at least n(H(X)-gamma) + log2 Q; the conditional entropy given the
+    plaintext is exactly H(pad) <= n H(K); and Q^{-1} I(C;X) dominates the
+    conditioned mutual information.  The key-rate conclusion is evaluated in
+    display form H(K) >= H(X) + gamma + margin (recorded, not asserted — it
+    demands more than the finite-n inequalities provide) and in the proof's
+    form H(K) >= H(X) - gamma - margin_delta.
     """
     if gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
@@ -819,14 +836,13 @@ def converse_diagnostics(
     h_x = entropy(laws.p_X)
     h_k = entropy(laws.p_K)
 
-    px = laws.plaintext_probs
-    with np.errstate(divide="ignore"):
-        info = -np.log2(px) / n
-    typical = info >= h_x - gamma - 1e-12
-    nu_n = float(px[~typical].sum())
-    retained = typical & (laws.sys.codebook.rank_of >= 0)
-    coverage = float(px[retained].sum())
-    measured_eps = exact_error_prob(laws.sys.codebook, laws.p_X)
+    types = enumerate_types(n, laws.spec)
+    floor = h_x - gamma - 1e-12
+    typical = {P for P in types if -_log2_sequence_prob(P, laws.p_X) / n >= floor}
+    nu_n = sum((class_prob(P, laws.p_X) for P in types if P not in typical), 0.0)
+    retained = [P for P in laws.sys.codebook.member_types if P in typical]
+    coverage = sum((class_prob(P, laws.p_X) for P in retained), 0.0)
+    measured_eps = laws.p_e
 
     h_pad = laws.h_pad
     measured_delta = laws.mi
@@ -850,7 +866,7 @@ def converse_diagnostics(
         conditional_mi = 0.0
         peak_ok = entropy_ok = amplification_ok = True
     else:
-        q_cond = laws.mixture(laws.codeword_weights(mask=retained) / coverage)
+        q_cond = laws.mixture(laws.codeword_weights(typical) / coverage)
         max_conditional = q_cond.max
         conditional_cap = 2.0 ** (-n * (h_x - gamma)) / coverage
         peak_ok = max_conditional <= conditional_cap * (1 + SLACK)
@@ -942,10 +958,9 @@ def strong_converse_probe(
         budget = 2**log_size
         per_type = []
         for P in enumerate_types(n, spec):
-            if any(c > 0 and p[a] == 0 for a, c in enumerate(P.counts)):
-                continue
-            logp = sum(c * math.log2(p[a]) for a, c in enumerate(P.counts) if c > 0)
-            per_type.append((logp, class_size(P)))
+            logp = _log2_sequence_prob(P, p)
+            if logp > -math.inf:
+                per_type.append((logp, class_size(P)))
         per_type.sort(key=lambda t: -t[0])
         mass = 0.0
         remaining = budget

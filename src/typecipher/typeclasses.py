@@ -49,7 +49,7 @@ class TypeComposition:
     counts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if any(c < 0 for c in self.counts):
+        if min(self.counts, default=0) < 0:
             raise ValueError(f"negative count in {self.counts}")
 
     @property
@@ -98,7 +98,8 @@ def class_size(P: TypeComposition) -> int:
     """|T^n(P)| = n! / prod(counts!), exact big integer."""
     size = math.factorial(P.n)
     for c in P.counts:
-        size //= math.factorial(c)
+        if c > 1:
+            size //= math.factorial(c)
     return size
 
 

@@ -14,8 +14,11 @@ stars and bars.  The codebook
 oracle is the tuple codebook the package used to keep (`members`,
 `member_rank`), listed here by the recursive generator, so the law oracles
 that work tuple by tuple are independent of the codebook's rank arithmetic,
-of its index arrays (`member_idx`, `rank_of`) and of the transform.  The exact-rational
-pad and image laws (`pad_law_fraction`, `omega_counts`, `omega_dist`,
+of its index arrays and of the transform.  `rank_of`, the inverse of the
+member table over every sequence, and `codeword_weights`, the plaintext
+mass of each codeword summed sequence by sequence, are the q**n forms that
+the package's exact path read before it weighed codewords by type.  The
+exact-rational pad and image laws (`pad_law_fraction`, `omega_counts`, `omega_dist`,
 `class_prob_fraction`), the image divergence that counts every word
 (`omega_divergence`) and the scalar affine map `vec_affine` are here
 because only tests use them, as is the digit-array form of the sequence
@@ -35,6 +38,7 @@ sub-seeds, and the Monte Carlo estimator's symbol draws
 """
 
 import math
+from collections import defaultdict
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
@@ -73,6 +77,15 @@ def members(cb):
 def member_rank(cb):
     """Rank of each member tuple (the inverse of `members`)."""
     return {x: i for i, x in enumerate(members(cb))}
+
+
+def rank_of(cb):
+    """Member rank of every sequence index, -1 for non-members: the inverse
+    of `cb.member_idx` over all q**n sequences (the table the package's
+    exact paths read before they weighed codewords by type)."""
+    ranks = np.full(cb.spec.q**cb.plan.n, -1, dtype=np.int64)
+    ranks[cb.member_idx] = np.arange(cb.member_count)
+    return ranks
 
 
 def encode_tuple(cb, x):
@@ -228,15 +241,20 @@ def shift_mixture(pad, weights, digits, q):
 
 
 def codeword_weights(sys_: CipherSystem, p_X, mask=None):
-    """Plaintext mass grouped by codeword index, through tuple lookups."""
+    """Plaintext mass grouped by codeword index, through tuple lookups: each
+    word's sequence probabilities (`sequence_probs`, only where `mask` is
+    set) summed by `math.fsum`, so every entry is their rounded exact sum."""
     cb = sys_.codebook
     xs = all_vectors(sys_.plan.n, sys_.spec)
-    px = np.prod(np.asarray(p_X)[xs], axis=1)
-    weights = np.zeros(sys_.spec.q**sys_.plan.m)
+    px = sequence_probs(p_X, sys_.plan.n, sys_.spec)
+    masses = defaultdict(list)
     rows = range(xs.shape[0]) if mask is None else np.nonzero(mask)[0]
     for i in rows:
         rank = member_rank(cb).get(tuple(int(v) for v in xs[i]))
-        weights[0 if rank is None else rank + 1] += px[i]
+        masses[0 if rank is None else rank + 1].append(px[i])
+    weights = np.zeros(sys_.spec.q**sys_.plan.m)
+    for word, parts in masses.items():
+        weights[word] = math.fsum(parts)
     return weights
 
 

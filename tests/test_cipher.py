@@ -521,7 +521,7 @@ def test_decryption_check_matches_oracle_without_x0_and_explicit_m(q, n, R, m):
     plan = make_rate_plan(n, R, spec) if m is None else explicit_m_plan(n, m, spec)
     cb = build_codebook(plan)
     if m is None:  # every plaintext is a member: no codeword is x0
-        assert cb.member_count == q**n and (cb.rank_of >= 0).all()
+        assert cb.member_count == q**n and not cb.error_types
     sys_ = CipherSystem(codebook=cb, key_encoder=draw_encoder(plan, 7))
     assert check_decryption_condition(sys_) is oracles.check_decryption_condition(sys_)
     assert check_decryption_condition(sys_)
@@ -559,7 +559,9 @@ def test_decryption_check_is_skipped_past_its_work_cap(monkeypatch):
     # which is below the q^(2n) (key, plaintext) pairs
     spec = FieldSpec(2)
     sys_ = _system(5, 0.9, spec, seed=3)
-    work = 2**5 * len(np.unique(sys_.codebook.rank_of))
+    cb = sys_.codebook
+    work = 2**5 * (cb.member_count + bool(cb.error_types))
+    assert work == 2**5 * len(np.unique(oracles.rank_of(cb)))
     assert work < 2 ** (2 * 5)
     monkeypatch.setattr(cipher_mod, "CONDITION_CHECK_CAP", work)
     assert check_decryption_condition(sys_) is True

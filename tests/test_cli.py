@@ -446,7 +446,7 @@ def test_sweep_never_lists_members(tmp_path, monkeypatch):
     assert main(argv) == 0
     assert _read_csv(str(out))[0]["mi_flag"] == "estimate"
     (cb,) = built
-    assert "member_idx" not in vars(cb) and "rank_of" not in vars(cb)
+    assert "member_idx" not in vars(cb)
 
 
 @pytest.mark.parametrize(
@@ -555,6 +555,32 @@ def test_one_key_pass_per_report(monkeypatch, command, checks):
     m = make_rate_plan(4, 1.2, FieldSpec(3)).m
     passes = [m] * checks + [4]  # verify checks decryption before the laws
     assert calls == {"_key_blocks": passes, "_pad_table": 2 * len(passes), "_key_pads": 0}
+
+
+@pytest.mark.parametrize("command", ["verify", "exact-mi"])
+def test_plaintext_side_builds_no_sequence_law(monkeypatch, command):
+    # the plaintext side is read from the types, so the one law over q^n
+    # sequences a report builds is the key law of the pad
+    import importlib
+
+    from typecipher.code import Codebook
+    from typecipher.typeclasses import sequence_probs
+
+    calls = []
+
+    def spy(p, n, spec):
+        calls.append((tuple(p), n))
+        return sequence_probs(p, n, spec)
+
+    for name in ("typeclasses", "code", "cipher", "leakage", "cli"):
+        module = importlib.import_module(f"typecipher.{name}")
+        if hasattr(module, "sequence_probs"):
+            monkeypatch.setattr(module, "sequence_probs", spy)
+    argv = [command, "--q", "2", "--n", "7", "--rate", "0.9", "--px", "0.82,0.18",
+            "--pk", "0.62,0.38", "--seed", "42", "--out", os.devnull]
+    assert main(argv) == 0
+    assert calls == [((0.62, 0.38), 7)]
+    assert not hasattr(Codebook, "rank_of")
 
 
 def test_sweep_at_a_large_alphabet_names_the_explicit_m_remedy(capsys):

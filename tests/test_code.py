@@ -255,14 +255,15 @@ def test_index_arrays_mirror_members_and_ranks():
         spec = FieldSpec(q)
         cb = build_codebook(make_rate_plan(n, R, spec))
         # built on first use only: sampling paths never pay for them
-        assert "member_idx" not in vars(cb) and "rank_of" not in vars(cb)
+        assert "member_idx" not in vars(cb)
         want = vectors_to_indices(np.array(oracles.members(cb)).reshape(-1, n), spec)
         assert cb.member_idx.tolist() == want.tolist()
-        assert cb.rank_of.shape == (q**n,)
+        rank_of = oracles.rank_of(cb)
+        assert rank_of.shape == (q**n,)
         for i in range(q**n):
             rank = oracles.member_rank(cb).get(index_decode(i, n, spec), -1)
-            assert cb.rank_of[i] == rank
-        assert not cb.rank_of.flags.writeable and not cb.member_idx.flags.writeable
+            assert rank_of[i] == rank
+        assert not cb.member_idx.flags.writeable
 
 
 def test_ranks_match_member_rank_on_every_sequence():
@@ -276,13 +277,13 @@ def test_ranks_match_member_rank_on_every_sequence():
                 xs = all_vectors(n, spec)
                 got = cb.ranks(xs)
                 # ranked by arithmetic: no index array built yet
-                assert "member_idx" not in vars(cb) and "rank_of" not in vars(cb)
+                assert "member_idx" not in vars(cb)
                 rank = oracles.member_rank(cb)
                 want = [rank.get(x, -1) for x in map(tuple, xs.tolist())]
                 assert got.tolist() == want, (q, n, R)
                 assert cb.member_count == len(rank)
                 assert cb.ranks(xs[0]).tolist() == want[:1]
-                assert cb.rank_of.tolist() == want
+                assert oracles.rank_of(cb).tolist() == want
 
 
 @pytest.mark.parametrize("q, n, R", [(2, 14, 0.7), (3, 8, 1.0), (5, 5, 1.5), (7, 4, 1.8)])
@@ -323,24 +324,24 @@ def test_codebook_lists_members_on_demand():
     assert codebook_size_margins(cb)["holds"]
     assert codebook_to_json(cb)["member_count"] == cb.member_count
     assert type_entropy(type_of(cb.default_decode, spec)) >= cb.plan.R
-    assert "member_idx" not in vars(cb) and "rank_of" not in vars(cb)
+    assert "member_idx" not in vars(cb)
     assert cb.member_idx.size == cb.member_count
     head = indices_to_vectors(cb.member_idx[:50], 20, spec)
     assert cb.ranks(head).tolist() == list(range(50))
 
 
 def test_member_list_cap_sits_on_the_lazy_forms():
-    # the lazy index arrays: member_idx holds one entry per member, rank_of
-    # one per sequence; each refuses past MAX_ENUM entries and names the
-    # cap, while the codebook and its rank arithmetic work
+    # the lazy index arrays hold one entry per member (one more in the
+    # decode table), so a codebook over 2^23 sequences lists its two
+    # members; each refuses past MAX_ENUM entries and names the cap, while
+    # the codebook and its rank arithmetic work
     small = build_codebook(make_rate_plan(23, 0.1, FieldSpec(2)))  # 2 members
     assert small.member_idx.tolist() == [2**23 - 1, 0]
-    with pytest.raises(FieldError, match="MAX_ENUM"):
-        small.rank_of
+    assert small.decode_table.size == 3
     large = build_codebook(make_rate_plan(30, 0.9, FieldSpec(2)))
     assert large.member_count > MAX_ENUM
     assert large.ranks(np.zeros((1, 30), dtype=np.int64))[0] >= 0  # a member
-    for form in ("member_idx", "decode_table", "rank_of"):
+    for form in ("member_idx", "decode_table"):
         with pytest.raises(FieldError, match="MAX_ENUM"):
             getattr(large, form)
 

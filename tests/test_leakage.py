@@ -18,12 +18,14 @@ from typecipher.cipher import (
     draw_encoder,
     encrypt,
     make_encoder,
+    n_types,
     pad_law,
 )
 from typecipher.code import build_codebook, encode, explicit_m_plan, make_rate_plan
 from typecipher.fields import FieldError, FieldSpec, all_vectors, index_encode
 from typecipher.leakage import (
     _digit_transform,
+    _log2_sequence_prob,
     _row_reduce,
     check_birkhoff,
     converse_diagnostics,
@@ -38,6 +40,7 @@ from typecipher.leakage import (
     strong_converse_probe,
 )
 from typecipher.simplex import Distribution, entropy, uniform
+from typecipher.typeclasses import TypeComposition, enumerate_types
 
 import typecipher.cipher as cipher_mod
 import oracles
@@ -266,6 +269,84 @@ def test_coset_laws_match_the_dense_transform(case):
         assert close(d.h_cond_ciphertext, entropy(conditioned))
     assert d.passed
     assert security_certificate(laws).passed
+
+
+@st.composite
+def _plaintext_cases(draw):
+    q = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, {2: 8, 3: 5, 5: 3}[q]))
+    spec = FieldSpec(q)
+    kind = draw(st.sampled_from(["canonical", "explicit-m", "all-members"]))
+    if kind == "canonical":
+        plan = make_rate_plan(n, draw(st.floats(0.1, 1.0)) * math.log2(q), spec)
+    elif kind == "explicit-m":
+        m = draw(st.integers(1, n + 1))
+        plan = explicit_m_plan(n, m, spec, R=draw(st.floats(0.05, 1.0)) * m * math.log2(q) / n)
+    else:
+        plan = make_rate_plan(n, 1.1 * math.log2(q), spec)
+    shape = draw(st.sampled_from(["dense", "zeros", "point"]))
+    w = draw(st.lists(st.integers(1 if shape == "dense" else 0, 9), min_size=q, max_size=q))
+    top = draw(st.integers(0, q - 1))
+    if shape == "point":
+        w = [0] * q
+    w[top] += 1
+    return dict(
+        plan=plan,
+        kind=kind,
+        p_x=Distribution([v / sum(w) for v in w]),
+        seed=draw(st.integers(0, 1 << 30)),
+        gamma=draw(st.sampled_from([0.05, 0.2, 1.0])),
+        keep=draw(st.lists(st.booleans(), min_size=n_types(n, q), max_size=n_types(n, q))),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(_plaintext_cases())
+@example(dict(plan=make_rate_plan(6, 0.9, FieldSpec(2)), kind="canonical",
+              p_x=Distribution([1.0, 0.0]), seed=5, gamma=0.1, keep=[True] * 7))
+def test_plaintext_side_by_type_matches_the_sequence_oracles(case):
+    # codeword weights, nu_n, coverage and the retained set, read from the
+    # types, against the per-sequence laws: tuple lookups, the digit-array
+    # product and the inverse member table
+    plan, p_x = case["plan"], case["p_x"]
+    spec, q, n = plan.spec, plan.q, plan.n
+    try:
+        cb = build_codebook(plan)
+    except FieldError:
+        assume(False)  # an explicit m too short for the rate's members
+    if case["kind"] == "all-members":
+        assert not cb.error_types
+    sys_ = CipherSystem(codebook=cb, key_encoder=draw_encoder(plan, case["seed"]))
+    laws = exact_laws(sys_, p_x, uniform(q))
+    words = cb.member_count + 1
+
+    def close(got, want):
+        got, want = np.asarray(got), np.asarray(want)
+        return np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+
+    seqs = [tuple(x) for x in all_vectors(n, spec).tolist()]
+    types = [TypeComposition(tuple(x.count(a) for a in range(q))) for x in seqs]
+    chosen = {P for P, keep in zip(enumerate_types(n, spec), case["keep"]) if keep}
+    # with a type set, only the members of those types carry mass
+    in_chosen = [P in chosen and P in cb.member_types for P in types]
+    for subset, mask in ((None, None), (chosen, in_chosen)):
+        want = oracles.codeword_weights(sys_, p_x, mask)
+        assert close(laws.codeword_weights(subset), want[:words])
+        assert not want[words:].any()
+
+    gamma = case["gamma"]
+    px = oracles.sequence_probs(p_x, n, spec)
+    with np.errstate(divide="ignore"):
+        typical = -np.log2(px) / n >= entropy(p_x) - gamma - 1e-12
+    retained = typical & (oracles.rank_of(cb) >= 0)
+    d = converse_diagnostics(laws, gamma=gamma)
+    assert close(d.nu_n, math.fsum(px[~typical]))
+    assert close(d.coverage, math.fsum(px[retained]))
+    floor = entropy(p_x) - gamma - 1e-12
+    kept = {P for P in cb.member_types if -_log2_sequence_prob(P, p_x) / n >= floor}
+    assert {x for x, P in zip(seqs, types) if P in kept} == {
+        x for x, r in zip(seqs, retained) if r
+    }
 
 
 def _law(size, rng, zeros):
