@@ -34,7 +34,6 @@ import numpy as np
 
 from .code import Codebook, RatePlan, decode_indices, encode
 from .fields import (
-    MAX_ENUM,
     FieldError,
     FieldSpec,
     _check_enum,
@@ -51,8 +50,10 @@ from .fields import (
 from .simplex import Distribution
 from .typeclasses import (
     TypeComposition,
+    _check_types,
     class_size,
     enumerate_types,
+    n_types,
     sequence_probs,
     type_counts,
 )
@@ -471,11 +472,6 @@ def injective_on_members(sys: CipherSystem) -> bool:
     return np.array_equal(cb.ranks(members), np.arange(cb.member_count))
 
 
-def n_types(n: int, q: int) -> int:
-    """|P_n(X)| = C(n+q-1, q-1), the number of length-n types."""
-    return math.comb(n + q - 1, q - 1)
-
-
 # ----------------------------------------------------------------------
 # image laws of the key encoder
 # ----------------------------------------------------------------------
@@ -619,13 +615,6 @@ def _row_reduce(A: np.ndarray, q: int) -> tuple[np.ndarray, tuple[int, ...]]:
     return basis, tuple(pivots)
 
 
-def _check_types(n: int, spec: FieldSpec) -> None:
-    """Refuse as `fields._check_enum` does where neither the q**n sequences
-    of length n nor their types, q counts each, are within MAX_ENUM."""
-    if n_types(n, spec.q) * spec.q > MAX_ENUM:
-        _check_enum(n, spec)
-
-
 def _omega(enc: AffineEncoder, plan: RatePlan):
     """`omega_divergences` together with the row reduction of A it read.
 
@@ -646,7 +635,6 @@ def _omega(enc: AffineEncoder, plan: RatePlan):
     spec, n, q = plan.spec, plan.n, plan.q
     reduced = _row_reduce(enc.A, q)
     if len(reduced[1]) == n:
-        _check_types(n, spec)
         words = math.log2(q**plan.m)
         return [(P, words - math.log2(class_size(P))) for P in enumerate_types(n, spec)], reduced
     images = key_image_indices(enc, spec)

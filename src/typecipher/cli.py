@@ -158,7 +158,7 @@ def cmd_verify(args) -> int:
     plan = _plan(args, spec)
     p_x = _dist_or_uniform(args.px, args.q, "--px")
     p_k = _dist_or_uniform(args.pk, args.q, "--pk")
-    refusal = exact_refusal(plan)
+    refusal = exact_refusal(plan, p_k)
     if refusal is not None:
         raise refusal
     cb = build_codebook(plan)
@@ -223,7 +223,7 @@ def cmd_sweep(args) -> int:
         plan = make_rate_plan(n, R, spec)
         seed = _sub_seed(args.seed, n)
         cb = build_codebook(plan)
-        if exact_refusal(plan) is None:
+        if exact_refusal(plan, p_k) is None:
             search = derandomize(plan, max_attempts=1000, base_seed=seed)
             sys_ = CipherSystem(codebook=cb, key_encoder=search.encoder)
             mi_value, mi_flag = exact_laws(sys_, p_x, p_k, search).mi, "exact"
@@ -275,7 +275,7 @@ def cmd_exact_mi(args) -> int:
     plan = _plan(args, spec)
     p_x = _dist_or_uniform(args.px, args.q, "--px")
     p_k = _dist_or_uniform(args.pk, args.q, "--pk")
-    refusal = exact_refusal(plan)
+    refusal = exact_refusal(plan, p_k)
     if refusal is not None and args.samples <= 0:
         raise refusal
     seed = _sub_seed(args.seed, 1)

@@ -180,16 +180,24 @@ def _check_enum(length: int, spec: FieldSpec) -> int:
     return total
 
 
-def vectors_to_indices(arr: np.ndarray, spec: FieldSpec) -> np.ndarray:
-    """index_encode applied to every row of a digit array (of any integer
-    dtype), accumulated in int64, where it fits."""
-    length = arr.shape[-1]
-    if spec.q**length - 1 > np.iinfo(np.int64).max:
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _check_index_range(length: int, spec: FieldSpec) -> None:
+    """Refuse lengths whose largest index, q**length - 1, leaves int64."""
+    if spec.q**length - 1 > _INT64_MAX:
         raise FieldError(
             f"index range {spec.q}^{length} exceeds int64; use index_encode per "
             "vector, or on the command line give `verify` or `exact-mi` an "
             "explicit --m plan whose word space q^m fits"
         )
+
+
+def vectors_to_indices(arr: np.ndarray, spec: FieldSpec) -> np.ndarray:
+    """index_encode applied to every row of a digit array (of any integer
+    dtype), accumulated in int64, where it fits."""
+    length = arr.shape[-1]
+    _check_index_range(length, spec)
     weights = spec.q ** np.arange(length - 1, -1, -1, dtype=np.int64)
     # einsum casts digit rows to int64 through its buffer; a product `@`
     # would first copy every row to int64

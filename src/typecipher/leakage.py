@@ -18,7 +18,11 @@ transform along the r base-q digits (r rotated passes over contiguous rows:
 a butterfly for q = 2, one product with the q x q character table
 otherwise), and a coset holding a single codeword is the pad itself, scaled
 and moved, with no transform.  No array over the q**m words is built.
-Beyond the exact path's caps the leakage is estimated by sampling.
+Under a uniform key the pad is uniform on its coset, so every ciphertext
+coset law is uniform and I(C;X) = H(J), the entropy of the coset masses:
+each occupied coset is one such single, and neither a key pass nor a
+transform runs.  Beyond the exact path's caps the leakage is estimated by
+sampling.
 
 Every exact figure is a function of one system, the two source laws and,
 for an encoder found by `derandomize`, its search result.  `exact_laws`
@@ -26,10 +30,11 @@ gathers them into one `ExactLaws` handle, after checking that the search
 belongs to the system's encoder; `exact_mutual_info`,
 `security_certificate`, `check_birkhoff` and `converse_diagnostics` take
 only that handle, so each law is computed once per report however many
-figures read it.  Two caps bound the exact path, q**m words within
-`cipher.MAX_WORDS` and q**n keys within `fields.MAX_ENUM`, and
-`exact_refusal` reads both from the plan before anything is built: the one
-place that decides exact or sampled.
+figures read it.  Two caps bound the exact path, q**n keys within
+`fields.MAX_ENUM` and, for a key law that is not uniform, q**m words within
+`cipher.MAX_WORDS` (a uniform one needs only an int64 word index), and
+`exact_refusal` reads them from the plan and the key law before anything is
+built: the one place that decides exact or sampled.
 
 On top of the exact value sit the certified upper bounds, checked as a
 chain with explicit margins:
@@ -78,7 +83,14 @@ from .cipher import (
 )
 from .code import RatePlan, exact_error_prob, make_rate_plan
 from .exponents import exponent_F
-from .fields import FieldError, FieldSpec, _check_enum, indices_to_vectors, vectors_to_indices
+from .fields import (
+    FieldError,
+    FieldSpec,
+    _check_enum,
+    _check_index_range,
+    indices_to_vectors,
+    vectors_to_indices,
+)
 from .simplex import Distribution, entropy
 from .typeclasses import (
     TypeComposition,
@@ -154,13 +166,28 @@ def _digit_transform(
     return out.reshape(shape)
 
 
-def exact_refusal(plan: RatePlan) -> FieldError | None:
-    """None where `plan` is within the exact path's caps: q**m words within
-    `cipher.MAX_WORDS` and q**n keys within `fields.MAX_ENUM`.
-    Otherwise the FieldError naming the cap exceeded, the word space
-    checked first.  Reads the sizes only; builds nothing."""
+def _is_uniform(p: Distribution) -> bool:
+    """Whether every entry of p is the same number."""
+    return len(set(p)) == 1
+
+
+def exact_refusal(plan: RatePlan, p_K: Distribution) -> FieldError | None:
+    """None where `plan` and the key law p_K are within the exact path's
+    caps, otherwise the FieldError naming the cap exceeded, the words
+    checked first.  Reads the sizes only; builds nothing.
+
+    Every key law needs q**n keys within `fields.MAX_ENUM`: the pad over
+    Z_q^r (r <= n) and a rank-deficient `derandomize` draw's key pass are
+    that large at most.  A non-uniform p_K also needs q**m words within
+    `cipher.MAX_WORDS`, which bounds the coset rows of `ExactLaws.mixture`.
+    A uniform p_K builds no coset row, so its words need only an int64
+    index, q**m - 1 at most.
+    """
     try:
-        _check_word_space(plan.spec, plan.m)
+        if _is_uniform(p_K):
+            _check_index_range(plan.m, plan.spec)
+        else:
+            _check_word_space(plan.spec, plan.m)
         _check_enum(plan.n, plan.spec)
     except FieldError as exc:
         return exc
@@ -176,8 +203,9 @@ class CosetMixture:
     label is that plus the label of b).  A coset that holds a single
     codeword w is the pad scaled by w's weight and moved by w's coordinate:
     it is kept as (`single_labels`, `single_coords`, `single_weights`), with
-    no transform.  Every other word has mass 0, so `max` and `entropy` read
-    the rows and the singles only.
+    no transform; so is every occupied coset under a uniform pad, at
+    coordinate 0 with its total weight.  Every other word has mass 0, so
+    `max` and `entropy` read the rows and the singles only.
     """
 
     def __init__(
@@ -217,8 +245,16 @@ class ExactLaws:
     label and coordinate), so the ciphertext law, the row sums and the
     conditioned ciphertext law all reuse the one pad transform.  The
     plaintext side is read from the types (`codeword_weights`), so only the
-    pad visits the q**n sequences, as keys.  Build it with `exact_laws` and
-    pass it to `exact_mutual_info`,
+    pad visits the q**n sequences, as keys.
+
+    A uniform p_K (`uniform_key`) makes the cipher a one-time pad on each
+    coset: k -> k A[:, P] maps the uniform keys onto Z_q^r, so the pad is
+    the constant q**-r with no key pass, and a uniform pad moved by any
+    coordinate is itself, so each occupied coset of a mixture is the pad
+    scaled by the coset's mass, with no transform; I(C;X) is then H(J),
+    the entropy of the ciphertext's coset.
+
+    Build it with `exact_laws` and pass it to `exact_mutual_info`,
     `security_certificate`, `check_birkhoff` and `converse_diagnostics`.
     """
 
@@ -249,8 +285,16 @@ class ExactLaws:
         return len(self.reduced[1])
 
     @cached_property
+    def uniform_key(self) -> bool:
+        """Whether p_K is exactly uniform (all entries equal)."""
+        return _is_uniform(self.p_K)
+
+    @cached_property
     def pad(self) -> np.ndarray:
         """Law of the pad's coordinate k A[:, P] + b[P] over Z_q^r."""
+        if self.uniform_key:
+            size = self.spec.q**self.rank
+            return np.full(size, 1.0 / size)
         enc, pivots = self.sys.key_encoder, list(self.reduced[1])
         coordinate = AffineEncoder(A=enc.A[:, pivots], b=tuple(enc.b[c] for c in pivots))
         return pad_law(coordinate, self.p_K, self.spec)
@@ -278,6 +322,22 @@ class ExactLaws:
             return self.search.divergences
         return omega_divergences(self.sys.key_encoder, self.plan)
 
+    @cached_property
+    def cosets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The codewords in use grouped by label: their order in a stable
+        sort of the labels, where each label's run starts in that order,
+        and the run's label.  Sorted, not counted: the q**(m - r) labels
+        need not fit an array under a uniform key, and a cold `np.unique`
+        costs about twice the sort."""
+        labels = self.cells[0]
+        order = labels.argsort(kind="stable")
+        labels = labels[order]
+        first = np.empty(len(labels), dtype=bool)
+        first[:1] = True
+        np.not_equal(labels[1:], labels[:-1], out=first[1:])
+        starts = first.nonzero()[0]
+        return order, starts, labels[starts]
+
     def mixture(self, weights: np.ndarray) -> CosetMixture:
         """sum_w weights[w] pad((. - w) mod q) over the codewords w in use.
 
@@ -285,8 +345,17 @@ class ExactLaws:
         holding two or more is a row of their weights over the coordinates,
         and all rows go through one batched transform over Z_q^r, times the
         pad's.  Negative round-off of the inverse transform is clipped to 0.
+        Under a uniform key every occupied coset is a single instead: its
+        label, coordinate 0 and its total weight (`cosets`).
         """
         q, r = self.spec.q, self.rank
+        if self.uniform_key:
+            order, starts, labels = self.cosets
+            mass = np.add.reduceat(weights[order], starts)
+            held = mass > 0
+            labels = labels[held]
+            singles = labels, np.zeros(len(labels), dtype=np.int64), mass[held]
+            return CosetMixture(np.empty((0, q**r)), labels[:0], singles, self.pad, self.h_pad)
         keep = weights > 0
         labels, coords = (a[keep] for a in self.cells)
         weights = weights[keep]
@@ -340,7 +409,12 @@ class ExactLaws:
 
     @cached_property
     def mi(self) -> float:
-        """I(C; X) = H(C) - H(pad), clipped at 0 against round-off."""
+        """I(C; X) = H(C) - H(pad), clipped at 0 against round-off.  Under a
+        uniform key it is H(J), the entropy of the ciphertext's coset masses
+        (normalized, so a single coset reads exactly 0)."""
+        if self.uniform_key:
+            mass = self.ciphertext.single_weights
+            return entropy(mass / mass.sum())
         return max(0.0, self.h_ciphertext - self.h_pad)
 
 
@@ -836,20 +910,26 @@ def converse_diagnostics(
     h_x = entropy(laws.p_X)
     h_k = entropy(laws.p_K)
 
+    cb = laws.sys.codebook
     types = enumerate_types(n, laws.spec)
     floor = h_x - gamma - 1e-12
     typical = {P for P in types if -_log2_sequence_prob(P, laws.p_X) / n >= floor}
     nu_n = sum((class_prob(P, laws.p_X) for P in types if P not in typical), 0.0)
-    retained = [P for P in laws.sys.codebook.member_types if P in typical]
+    retained = [P for P in cb.member_types if P in typical]
     coverage = sum((class_prob(P, laws.p_X) for P in retained), 0.0)
     measured_eps = laws.p_e
 
     h_pad = laws.h_pad
     measured_delta = laws.mi
 
-    nu_tilde = nu_n + measured_eps
-    if nu_tilde < 1.0:
-        shrink = 1.0 - nu_tilde
+    # 1 - nu_n - eps, the typical members' mass less the atypical errors'
+    # (counted in both nu_n and eps), from the two sums of types: no
+    # difference of numbers near 1
+    atypical_errors = sum(
+        (class_prob(P, laws.p_X) for P in cb.error_types if P not in typical), 0.0
+    )
+    shrink = coverage - atypical_errors
+    if shrink > 0.0:
         leak_margin = (measured_eps / shrink + math.log2(1.0 / shrink)) / n
         leak_margin_delta = (measured_delta / shrink + math.log2(1.0 / shrink)) / n
     else:

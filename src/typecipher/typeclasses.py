@@ -26,13 +26,14 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .fields import FieldSpec, _check_enum
+from .fields import MAX_ENUM, FieldSpec, _check_enum
 from .simplex import Distribution
 
 __all__ = [
     "TypeComposition",
     "type_of",
     "enumerate_types",
+    "n_types",
     "class_size",
     "class_prob",
     "sequence_probs",
@@ -87,10 +88,24 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
         yield tuple(counts)
 
 
+def n_types(n: int, q: int) -> int:
+    """|P_n(X)| = C(n+q-1, q-1), the number of length-n types."""
+    return math.comb(n + q - 1, q - 1)
+
+
+def _check_types(n: int, spec: FieldSpec) -> None:
+    """Refuse as `fields._check_enum` does where neither the q**n sequences
+    of length n nor their types, q counts each, are within MAX_ENUM."""
+    if n_types(n, spec.q) * spec.q > MAX_ENUM:
+        _check_enum(n, spec)
+
+
 def enumerate_types(n: int, spec: FieldSpec) -> list[TypeComposition]:
-    """All of P_n(X) in lexicographic order of the count vector."""
+    """All of P_n(X) in lexicographic order of the count vector, refused
+    before listing where `_check_types` refuses."""
     if n < 1:
         raise ValueError(f"block length must be >= 1, got {n}")
+    _check_types(n, spec)
     return [TypeComposition(c) for c in _compositions(n, spec.q)]
 
 

@@ -5,8 +5,9 @@ over Z_q^m, that transform to rotated passes (`digit_transform` is the
 strided butterfly and per-digit `np.fft` it replaced), the full-size
 transform to the cosets of rowspace(A) (`transform_mixture`; `coset_words`,
 `dense_pad` and `dense_mixture` put each coset cell back on its word
-index), its decryption check to blocks of (pad, codeword) pairs and its
-Monte Carlo estimator to counted cells; keep them to small n.  The recursive type-class generator
+index, and `coset_masses` sums a law's weight per coset word by word), its
+decryption check to blocks of (pad, codeword) pairs and its Monte Carlo
+estimator to counted cells; keep them to small n.  The recursive type-class generator
 (`class_members`) is the oracle of the class order that the package now
 computes only by arithmetic (the rank walk and its inverse), and the
 recursive `compositions` that of the type order, which the package lists by
@@ -297,6 +298,18 @@ def _label(laws, word):
     free = [c for c in range(laws.plan.m) if c not in pivots]
     word = np.asarray(word, dtype=np.int64)
     return (word[free] - word[list(pivots)] @ basis[:, free]) % laws.spec.q
+
+
+def coset_masses(laws, weights):
+    """The weight on each coset of V = rowspace(A), word by word: each word
+    of positive weight (an array over all q**m word indices) adds it to its
+    label's (`_label` of its digits).  With a uniform key these are the
+    masses of the ciphertext's coset J, whose entropy is I(C;X)."""
+    masses = defaultdict(list)
+    for w in np.flatnonzero(weights):
+        digits = index_decode(int(w), laws.plan.m, laws.spec)
+        masses[tuple(_label(laws, digits).tolist())].append(weights[w])
+    return [math.fsum(parts) for parts in masses.values()]
 
 
 def dense_pad(laws):

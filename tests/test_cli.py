@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -15,16 +16,18 @@ from typecipher.cipher import MAX_WORDS, CipherSystem, derandomize
 from typecipher.cli import main
 from typecipher.code import build_codebook, make_rate_plan
 from typecipher.fields import MAX_ENUM, FieldSpec
-from typecipher.leakage import exact_laws, exact_mutual_info
-from typecipher.simplex import Distribution, uniform
+from typecipher.leakage import _log2_sequence_prob, exact_laws, exact_mutual_info
+from typecipher.simplex import Distribution, entropy, uniform
+from typecipher.typeclasses import enumerate_types
 
-from oracles import numpy_sub_seed
+from oracles import class_prob_fraction, numpy_sub_seed
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# Runs `verify` at q=2 and q=3, `exact-mi`, and `verify` on an explicit-m
-# plan with m < n (so A has fewer columns than rows) in one fresh
+# Runs `verify` at q=2 and q=3, `exact-mi`, `verify` on an explicit-m plan
+# with m < n (so A has fewer columns than rows) and `verify` with a uniform
+# key (coset masses grouped by sorting their labels) in one fresh
 # interpreter, then prints the numpy submodules that a cold run must not pay
 # to import.
 _COLD_VERIFY = """
@@ -36,6 +39,7 @@ for argv in (
      "--pk", "0.5,0.3,0.2"],
     ["exact-mi", "--q", "2", "--n", "7", "--rate", "0.9", "--px", "0.8,0.2", "--pk", "0.7,0.3"],
     ["verify", "--q", "2", "--n", "6", "--m", "4", "--px", "0.8,0.2", "--pk", "0.7,0.3"],
+    ["verify", "--q", "2", "--n", "5", "--rate", "0.9", "--px", "0.8,0.2"],
 ):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0
@@ -61,7 +65,7 @@ print("numpy.random" in sys.modules)
 _COLD_SAMPLED = """
 import contextlib, io, sys
 from typecipher.cli import main
-law = ["--q", "2", "--rate", "0.9", "--samples", "1000"]
+law = ["--q", "2", "--rate", "0.9", "--pk", "0.62,0.38", "--samples", "1000"]
 for argv in (["sweep", "--n", "16", *law], ["exact-mi", "--n", "13", *law]):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -218,6 +222,19 @@ def test_search_encoder_refuses_types_past_the_cap_before_listing(capsys, monkey
     assert capsys.readouterr().err == (
         "error: refusing to materialize 257^3 vectors (cap 4194304)\n"
     )
+
+
+def test_codebook_refuses_types_past_the_cap_at_once(capsys):
+    # the same two caps as the search: 2.86M types at q=257, n=3 would take
+    # gigabytes to list; below them (n <= 2) the codebook is built
+    start = time.perf_counter()
+    assert main(["codebook", "--q", "257", "--n", "3", "--rate", "4"]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == (
+        "error: refusing to materialize 257^3 vectors (cap 4194304)\n"
+    )
+    assert main(["codebook", "--q", "257", "--n", "1", "--rate", "4"]) == 0
+    assert json.loads(capsys.readouterr().out)["member_count"] == 257
 
 
 def test_verify_binary_n10_exact_within_budget(tmp_path):
@@ -686,7 +703,8 @@ def test_verify_past_the_word_space_cap_exits_2_before_checking(capsys, monkeypa
     monkeypatch.setattr(
         "typecipher.cli.check_decryption_condition", lambda sys_: checks.append(sys_)
     )
-    assert main(["verify", "--q", "2", "--n", "5", "--m", "21"]) == 2
+    # a uniform key needs no word cap, so the key law is not uniform
+    assert main(["verify", "--q", "2", "--n", "5", "--m", "21", "--pk", "0.62,0.38"]) == 2
     err = capsys.readouterr().err
     assert "materialization cap" in err and "exact-mi --samples N" in err
     assert checks == []
@@ -698,16 +716,18 @@ def test_exact_caps_cover_what_derandomize_checks():
     # the codebook's rank table (q^n entries, so within MAX_ENUM) and member
     # list, shorter than q^m <= MAX_WORDS <= MAX_ENUM; were MAX_WORDS above
     # MAX_ENUM, an admitted plan could be refused there and sweep would exit
-    # 2 where it used to sample.
+    # 2 where it used to sample.  A uniform key is admitted on q^n <=
+    # MAX_ENUM alone; its member list, at most q^n long, fits the same way.
     assert MAX_WORDS <= MAX_ENUM
 
 
 def test_each_command_on_both_sides_of_the_word_space_cap(tmp_path, capsys):
-    # binary R=0.9: n=12 has 2^20 words, at MAX_WORDS; n=13 has 2^21
+    # binary R=0.9: n=12 has 2^20 words, at MAX_WORDS; n=13 has 2^21.  The
+    # cap holds for key laws that are not uniform
     spec = FieldSpec(2)
     assert 2 ** make_rate_plan(12, 0.9, spec).m == MAX_WORDS
     assert 2 ** make_rate_plan(13, 0.9, spec).m == 2 * MAX_WORDS
-    law = ["--q", "2", "--rate", "0.9", "--seed", "1"]
+    law = ["--q", "2", "--rate", "0.9", "--pk", "0.62,0.38", "--seed", "1"]
     out = tmp_path / "out"
     assert main(["sweep", "--n", "12,13", "--samples", "1000", *law, "--out", str(out)]) == 0
     assert [r["mi_flag"] for r in _read_csv(out)] == ["exact", "estimate"]
@@ -746,7 +766,7 @@ def test_each_command_past_the_sequence_cap(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "plan, cap",
-    [(["--n", "13", "--rate", "0.9"], "materialization cap"),
+    [(["--n", "13", "--rate", "0.9", "--pk", "0.62,0.38"], "materialization cap"),
      (["--n", "23", "--m", "5"], "refusing to materialize")],
     ids=["words", "sequences"],
 )
@@ -757,6 +777,51 @@ def test_verify_past_either_cap_exits_2_before_building(capsys, monkeypatch, pla
     assert main(["verify", "--q", "2", *plan]) == 2
     assert cap in capsys.readouterr().err
     assert calls == []
+
+
+@pytest.mark.parametrize("q, rate, n_list", [(2, 0.9, "16,20"), (3, 1.2, "9")])
+def test_uniform_key_sweep_is_exact_past_the_word_space_cap(tmp_path, q, rate, n_list):
+    # q^m words past MAX_WORDS, but a uniform key builds no coset row, so
+    # each row is H(J), under its ceiling (m - rank A) log2 q
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--q", str(q), "--n", n_list, "--rate", str(rate), "--seed", "3"]
+    assert main(argv + ["--out", str(out)]) == 0
+    rows = _read_csv(out)
+    assert [r["n"] for r in rows] == n_list.split(",")
+    for row in rows:
+        plan = make_rate_plan(int(row["n"]), rate, FieldSpec(q))
+        assert q**plan.m > MAX_WORDS
+        search = derandomize(plan, base_seed=numpy_sub_seed(3, plan.n))
+        ceiling = (plan.m - len(search.reduced[1])) * math.log2(q)
+        assert row["mi_flag"] == "exact" and 0.0 < float(row["mi"]) <= ceiling
+
+
+def test_uniform_key_verify_at_binary_n16_within_budget(tmp_path):
+    # 2^24 words; every figure from coset masses
+    out = tmp_path / "verify.json"
+    start = time.perf_counter()
+    argv = ["verify", "--q", "2", "--n", "16", "--rate", "0.9", "--px", "0.82,0.18",
+            "--seed", "3", "--out", str(out)]
+    assert main(argv) == 0
+    elapsed = time.perf_counter() - start
+    payload = _read_json(out)
+    assert payload["passed"] and payload["certificate"]["report"]["provenance"] == "exact"
+    assert elapsed < 10.0, elapsed
+
+
+@pytest.mark.parametrize("command", ["verify", "exact-mi"])
+def test_uniform_key_reports_take_no_key_pass_and_no_transform(monkeypatch, command):
+    def refuse(*args, **kwargs):
+        raise AssertionError("called under a uniform key")
+
+    for name in ("pad_law", "_digit_transform"):
+        monkeypatch.setattr(f"typecipher.leakage.{name}", refuse)
+    argv = [command, "--q", "2", "--n", "7", "--rate", "0.9", "--px", "0.82,0.18",
+            "--out", os.devnull]
+    assert main(argv) == 0
+    # the spies are live: a key law that is not uniform reaches them
+    with pytest.raises(AssertionError, match="uniform key"):
+        main(argv + ["--pk", "0.62,0.38"])
 
 
 def test_sweep_reaches_word_length_63(tmp_path, capsys):
@@ -770,6 +835,33 @@ def test_sweep_reaches_word_length_63(tmp_path, capsys):
     assert [r["n"] for r in rows] == ["55"] and rows[0]["mi_flag"] == "estimate"
     assert main(argv + ["--n", "56"]) == 2
     assert "2^64 exceeds int64" in capsys.readouterr().err
+
+
+def test_verify_leak_margins_match_exact_type_sums(tmp_path):
+    # the typical set and the error set nearly cover the space here, so
+    # 1 - nu_n - eps is 1e-14: the margins divide by it, and take it as the
+    # typical members' mass less the atypical errors', with no difference of
+    # numbers near 1; the law's decimals as exact rationals sum to 1, so
+    # both forms agree there
+    out = tmp_path / "verify.json"
+    argv = ["verify", "--q", "2", "--n", "14", "--rate", "0.3", "--px", "0.9,0.1",
+            "--pk", "0.6,0.4", "--seed", "3", "--out", str(out)]
+    assert main(argv) == 0
+    d = _read_json(out)["converse"]
+    n, spec, p_x = 14, FieldSpec(2), Distribution([0.9, 0.1])
+    exact = [Fraction("0.9"), Fraction("0.1")]
+    cb = build_codebook(make_rate_plan(n, 0.3, spec))
+    floor = entropy(p_x) - d["gamma"] - 1e-12
+    mass = {P: class_prob_fraction(P, exact) for P in enumerate_types(n, spec)}
+    typical = {P for P in mass if -_log2_sequence_prob(P, p_x) / n >= floor}
+    nu = sum(v for P, v in mass.items() if P not in typical)
+    eps = sum(mass[P] for P in cb.error_types)
+    shrink = sum(mass[P] for P in cb.member_types if P in typical) - sum(
+        mass[P] for P in cb.error_types if P not in typical)
+    assert shrink == 1 - nu - eps and 0 < shrink < 1e-13
+    for key, numerator in (("leak_margin", eps), ("leak_margin_delta", d["measured_delta"])):
+        want = (float(Fraction(numerator) / shrink) + math.log2(1 / shrink)) / n
+        assert abs(d[key] - want) <= 1e-12 * want, key
 
 
 def test_converse_probe_csv(tmp_path):

@@ -55,15 +55,41 @@ def test_exact_refusal_reads_both_caps_from_the_plan(monkeypatch):
     monkeypatch.setattr("typecipher.fields.all_vectors", refuse)
     monkeypatch.setattr("typecipher.cipher._key_blocks", refuse)
     spec = FieldSpec(2)
-    assert exact_refusal(explicit_m_plan(22, 20, spec)) is None
-    words = exact_refusal(explicit_m_plan(4, 21, spec))
+    p_k = Distribution([0.62, 0.38])
+    assert exact_refusal(explicit_m_plan(22, 20, spec), p_k) is None
+    words = exact_refusal(explicit_m_plan(4, 21, spec), p_k)
     assert isinstance(words, FieldError)
     assert "materialization cap" in str(words) and "exact-mi --samples N" in str(words)
-    sequences = exact_refusal(explicit_m_plan(23, 5, spec))
+    sequences = exact_refusal(explicit_m_plan(23, 5, spec), p_k)
     assert isinstance(sequences, FieldError)
     assert "refusing to materialize 2^23 vectors" in str(sequences)
     # past both caps, the word space is named first
-    assert "materialization cap" in str(exact_refusal(explicit_m_plan(23, 21, spec)))
+    assert "materialization cap" in str(exact_refusal(explicit_m_plan(23, 21, spec), p_k))
+
+
+def test_exact_refusal_under_a_uniform_key_reads_no_word_cap(monkeypatch):
+    # a uniform key builds no coset row: its words need only an int64 index,
+    # while the keys keep their cap; again nothing is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("the gate built an array")
+
+    monkeypatch.setattr("typecipher.fields.all_vectors", refuse)
+    monkeypatch.setattr("typecipher.cipher._key_blocks", refuse)
+    spec = FieldSpec(2)
+    for p_k in (uniform(2), Distribution([0.5, 0.5])):
+        assert exact_refusal(explicit_m_plan(4, 21, spec), p_k) is None
+        assert exact_refusal(explicit_m_plan(22, 63, spec), p_k) is None
+        words = exact_refusal(explicit_m_plan(4, 64, spec), p_k)
+        assert isinstance(words, FieldError) and "2^64 exceeds int64" in str(words)
+        sequences = exact_refusal(explicit_m_plan(23, 21, spec), p_k)
+        assert "refusing to materialize 2^23 vectors" in str(sequences)
+        # past both, the word index is named first
+        assert "exceeds int64" in str(exact_refusal(explicit_m_plan(23, 64, spec), p_k))
+    # equal entries at q=3 are uniform too; a law off by one rounding is not
+    spec3 = FieldSpec(3)
+    assert exact_refusal(explicit_m_plan(4, 13, spec3), uniform(3)) is None
+    near = Distribution([0.3333333333333333, 0.3333333333333333, 0.3333333333333334])
+    assert "materialization cap" in str(exact_refusal(explicit_m_plan(4, 13, spec3), near))
 
 
 def _mi_oracle(sys_, p_X, p_K):
@@ -267,6 +293,99 @@ def test_coset_laws_match_the_dense_transform(case):
         conditioned = oracles.transform_mixture(pad, weights, q, m)
         assert close(d.max_conditional, conditioned.max())
         assert close(d.h_cond_ciphertext, entropy(conditioned))
+    assert d.passed
+    assert security_certificate(laws).passed
+
+
+@st.composite
+def _uniform_key_cases(draw):
+    q = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, {2: 6, 3: 4, 5: 3}[q]))
+    spec = FieldSpec(q)
+    kind = draw(st.sampled_from(["canonical", "m<n", "m>n"]))
+    if kind == "canonical" or (kind == "m<n" and n == 1):
+        plan = make_rate_plan(n, draw(st.floats(0.2, 1.0)) * math.log2(q), spec)
+    else:
+        m = draw(st.integers(1, n - 1) if kind == "m<n" else st.integers(n + 1, n + 3))
+        plan = explicit_m_plan(n, m, spec, R=draw(st.floats(0.05, 1.0)) * m * math.log2(q) / n)
+    w = draw(st.lists(st.integers(0, 9), min_size=q, max_size=q))
+    w[draw(st.integers(0, q - 1))] += 1
+    return dict(
+        plan=plan,
+        p_x=Distribution([v / sum(w) for v in w]),
+        encoder=draw(st.sampled_from(["drawn", "derandomized", "rank-deficient"])),
+        inner=draw(st.integers(0, min(plan.n, plan.m) - 1)),
+        seed=draw(st.integers(0, 1 << 30)),
+        gamma=draw(st.sampled_from([0.05, 0.2, 1.0])),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(_uniform_key_cases())
+@example(dict(plan=explicit_m_plan(4, 2, FieldSpec(3), R=0.4), p_x=Distribution([0.7, 0.2, 0.1]),
+              encoder="drawn", inner=0, seed=0, gamma=0.2))  # rank A = m: mi is 0
+@example(dict(plan=make_rate_plan(2, math.log2(5), FieldSpec(5)), p_x=Distribution([1.0, 0, 0, 0, 0]),
+              encoder="rank-deficient", inner=0, seed=0, gamma=0.2))  # A = 0: a point-mass pad
+def test_uniform_key_laws_are_coset_masses(case):
+    # under a uniform key every figure comes from coset masses, with no key
+    # pass and no transform: each mixture against the full-size transform of
+    # the key-by-key pad law, and I(C;X) against H(J), word by word
+    plan, p_x = case["plan"], case["p_x"]
+    spec, q, n, m = plan.spec, plan.q, plan.n, plan.m
+    try:
+        cb = build_codebook(plan)
+    except FieldError:
+        assume(False)  # an explicit m too short for the rate's members
+    search = None
+    if case["encoder"] == "derandomized":
+        search = derandomize(plan, base_seed=case["seed"] % 1000)
+        enc = search.encoder
+    elif case["encoder"] == "drawn":
+        enc = draw_encoder(plan, case["seed"])
+    else:
+        rng = np.random.default_rng(case["seed"])
+        inner = case["inner"]
+        A = rng.integers(0, q, (n, inner)) @ rng.integers(0, q, (inner, m)) % q
+        enc = make_encoder(A, rng.integers(0, q, m), spec)
+    sys_ = CipherSystem(codebook=cb, key_encoder=enc)
+    laws = exact_laws(sys_, p_x, uniform(q), search)
+    assert laws.uniform_key
+    if case["encoder"] == "rank-deficient":
+        assert laws.rank <= case["inner"]
+    pad = pad_law(enc, uniform(q), spec)
+
+    def dense_close(mix, weights):
+        want = oracles.transform_mixture(pad, weights, q, m)
+        assert len(mix.laws) == 0  # every occupied coset is a single
+        assert np.max(np.abs(oracles.dense_mixture(laws, mix) - want)) <= 1e-12
+        assert abs(mix.max - want.max(initial=0.0)) <= 1e-12
+        # the transform leaves round-off near 1e-17 on up to q**m empty
+        # words, which adds up to about 1e-11 bits of entropy
+        assert abs(mix.entropy - entropy(want)) <= 1e-10 * max(1.0, entropy(want))
+
+    weights = oracles.codeword_weights(sys_, p_x)
+    dense_close(laws.ciphertext, weights)
+    members = np.zeros(q**m)
+    members[1 : cb.member_count + 1] = 1.0
+    dense_close(laws.mixture(members[: cb.member_count + 1]), members)
+    assert check_birkhoff(laws) == (laws.mixture(members[: cb.member_count + 1]).max
+                                    if cb.member_count else 0.0)
+    floor = entropy(p_x) - case["gamma"] - 1e-12
+    typical = {P for P in enumerate_types(n, spec) if -_log2_sequence_prob(P, p_x) / n >= floor}
+    coverage = laws.codeword_weights(typical).sum()
+    if coverage > 0.0:
+        px = oracles.sequence_probs(p_x, n, spec)
+        with np.errstate(divide="ignore"):
+            mask = (-np.log2(px) / n >= floor) & (oracles.rank_of(cb) >= 0)
+        conditioned = oracles.codeword_weights(sys_, p_x, mask=mask) / coverage
+        dense_close(laws.mixture(laws.codeword_weights(typical) / coverage), conditioned)
+
+    h_j = entropy(oracles.coset_masses(laws, weights))
+    assert abs(laws.mi - h_j) <= 1e-12 * max(1.0, h_j)
+    assert laws.mi <= (m - laws.rank) * math.log2(q) + 1e-12
+    if laws.rank == m:
+        assert laws.mi == 0.0
+    d = converse_diagnostics(laws, gamma=case["gamma"])
     assert d.passed
     assert security_certificate(laws).passed
 

@@ -54,6 +54,20 @@ def test_enumerate_types_at_the_largest_alphabet():
         assert [P.counts for P in types] == sorted(P.counts for P in types)
 
 
+def test_enumerate_types_refuses_before_listing(monkeypatch):
+    # q = 257, n = 3: 2.86M types, q counts each, and 257^3 sequences, both
+    # past MAX_ENUM, so nothing is listed; binary n = 30 has few types and
+    # lists them past the sequence cap
+    def listing(*args):
+        raise AssertionError("types listed")
+
+    monkeypatch.setattr("typecipher.typeclasses._compositions", listing)
+    with pytest.raises(FieldError, match=r"refusing to materialize 257\^3 vectors"):
+        enumerate_types(3, FieldSpec(257))
+    monkeypatch.undo()
+    assert len(enumerate_types(30, FieldSpec(2))) == 31
+
+
 def test_type_of_counts_symbols():
     spec = FieldSpec(3)
     P = type_of((2, 0, 0, 1, 2), spec)
