@@ -11,14 +11,12 @@ when R > H(p); F is positive exactly when R < H(p).
 Both are solved over the exponential family P_s ∝ p**s.  The minimizer of
 D(P||p) under an entropy constraint lies in this family (Lagrange
 stationarity), so each regime of the objective reduces to bisections on
-H(P_s) = R.  Each call runs one stacked bisection: every rate, face and
-branch it needs is a column of one array, stepped together, and no column
-depends on what else is stacked.  `exponent_pair` solves E(R|p_X) and
-F(R|p_K) at every rate of a list at once; `positivity_region` (the
-`exponents` command's grid) and a `sweep` row (its one rate) both call it,
-and `exponent_E`/`exponent_F` are the one-law, one-rate case.  The tests
-hold this solver against a brute-force grid over the simplex and against
-the scalar bisection it replaced.
+H(P_s) = R, all stacked as the columns of one array per call.
+`exponent_pair` solves E(R|p_X) and F(R|p_K) at every rate of a list at
+once; `positivity_region` (the `exponents` command's grid) and a `sweep` row
+(its one rate) both call it, and `exponent_E`/`exponent_F` are the one-law,
+one-rate case.  The tests hold this solver against a brute-force grid over
+the simplex and against the scalar bisection it replaced.
 
 The family argument for F needs care.  With [·]^+ inactive, F minimizes D
 over {H(P) <= R}, which is not convex, so that regime collects every
@@ -51,7 +49,7 @@ __all__ = [
 
 POSITIVITY_THRESHOLD = 1e-9
 # The accuracy every result states, which `rounded_down` subtracts.  It sets
-# no work: every call runs STEPS bisection steps.
+# no work: a bisection runs until its brackets stop moving (at most STEPS).
 TOLERANCE = 1e-9
 
 
@@ -74,46 +72,40 @@ class ExponentResult:
 #
 # A call gathers every bisection its rates need -- E's [0, 1] branch, each
 # face of F's plain regime in both directions, F's active branch -- as the
-# columns of one stack as wide as its widest law, and runs the bisection
-# steps on all of them at once.  A column holds one face's log2 p (in face
-# order, packed to the top, the rest masked to -inf before the max-shift)
-# and its own bracket and target.  Each column gets the elementwise
-# arithmetic of a scalar bisection on that face, and its sums run in order
-# down the column, where the zero padding adds nothing: no rate, face or
-# branch depends on what else is stacked.
+# columns of one stack as wide as its widest law, and steps them together,
+# each until its bracket stops moving.  A column holds one face's log2 p (in
+# face order, packed to the top, the rest masked to -inf before the
+# max-shift) and its own bracket and target.  Each column gets the
+# elementwise arithmetic of a scalar bisection on that face, and its sums
+# run in order down the column, where the zero padding adds nothing: no
+# rate, face or branch depends on what else is stacked.
 
-STEPS = 80  # bisection steps, and doubling levels s = +-2^i searched
+STEPS = 80  # most bisection steps, and doubling levels s = +-2^i searched
 ROUND = 16  # doubling levels evaluated per round of F's table
 STACK_CELLS = 1 << 16  # entries per block of stacked columns
 
 
 def _in_order_sum(a: np.ndarray) -> np.ndarray:
-    """Sum down axis 0, first row to last.
-
-    `a.sum(axis=0)` keeps that order only on a row-major block of two or
-    more columns; one column, or a column-major block such as fancy
-    indexing returns, gets numpy's pairwise sum from 8 rows on, which the
-    zero padding would regroup.  Adding row by row keeps the order whatever
-    the layout.
-    """
+    """Sum down axis 0, first row to last, whatever the layout: `a.sum(axis=0)`
+    gives one column, or a column-major block such as fancy indexing returns,
+    numpy's pairwise sum from 8 rows on, which the zero padding would regroup."""
     return reduce(np.add, a)
 
 
-def _tilt(L: np.ndarray, live: np.ndarray, s: np.ndarray) -> np.ndarray:
+def _tilt(L: np.ndarray, dead: np.ndarray, s: np.ndarray, out=None) -> np.ndarray:
     """P_s proportional to p**s down each column of L, masked entries 0."""
-    w = np.where(live, s * L, -np.inf)
+    w = np.multiply(s, L, out=out)
+    np.copyto(w, -np.inf, where=dead)
     w -= w.max(axis=0)
-    P = np.exp2(w)
-    return P / _in_order_sum(P)
+    P = np.exp2(w, out=w)
+    return np.divide(P, _in_order_sum(P), out=P)
 
 
-def _xlog2x(v: np.ndarray) -> np.ndarray:
-    return v * np.log2(np.where(v > 0.0, v, 1.0))
-
-
-def _H(P: np.ndarray) -> np.ndarray:
-    """Entropy in bits down each column (0 log 0 = 0)."""
-    return -_in_order_sum(_xlog2x(P))
+def _H(P: np.ndarray, out=None) -> np.ndarray:
+    """Entropy in bits down each column (0 log 0 = 0).  A zero P adds -0.0
+    (0 * log2 5e-324): no sum changes, as a column's largest P adds < 0 or +0.0."""
+    v = np.maximum(P, 5e-324, out=out)
+    return -_in_order_sum(np.multiply(P, np.log2(v, out=v), out=v))
 
 
 def _D(P: np.ndarray, logp: np.ndarray) -> np.ndarray:
@@ -131,20 +123,32 @@ def _blocks(width: int, n: int):
     return (slice(i, i + step) for i in range(0, n, step))
 
 
-def _bisect(L, live, target, s_lo, s_hi) -> np.ndarray:
-    """P_s at the end of a bisection on H(P_s) = target in every column.
+def _bisect(L, dead, target, s_lo, s_hi) -> np.ndarray:
+    """The last s_lo of a bisection on H(P_s) = target in every column.
 
     Each [s_lo, s_hi] brackets its crossing on a monotone branch; a step
     keeps the half whose s_lo lies on the same side of target as the first
-    s_lo did, and the result is taken at the last s_lo.
-    """
-    lo_side = _H(_tilt(L, live, s_lo)) >= target
+    s_lo did.  A step is a fixed map of (s_lo, s_hi), so a column leaves the
+    stack once a step moves neither: every later step would repeat it."""
+    last = np.array(s_lo, dtype=np.float64)
+    P, T = np.empty((2, *L.shape))  # every step's buffers
+    lo_side = _H(_tilt(L, dead, last, P), T) >= target
+    run, lo, hi = np.arange(last.size), last.copy(), np.array(s_hi, dtype=np.float64)
     for _ in range(STEPS):
-        mid = 0.5 * (s_lo + s_hi)
-        keep = (_H(_tilt(L, live, mid)) >= target) == lo_side
-        s_lo = np.where(keep, mid, s_lo)
-        s_hi = np.where(keep, s_hi, mid)
-    return _tilt(L, live, s_lo)
+        mid = 0.5 * (lo + hi)
+        keep = (_H(_tilt(L, dead, mid, P), T) >= target) == lo_side
+        moved = mid != np.where(keep, lo, hi)
+        np.copyto(lo, mid, where=keep)
+        np.copyto(hi, mid, where=~keep)
+        if np.count_nonzero(moved) < moved.size:
+            last[run] = lo
+            run, lo, hi, target, lo_side = (a[moved] for a in (run, lo, hi, target, lo_side))
+            if not run.size:
+                break
+            L, dead = L[:, moved], dead[:, moved]
+            P, T = np.empty((2, *L.shape))
+    last[run] = lo
+    return last
 
 
 class _Law:
@@ -179,7 +183,7 @@ class _Stack:
         self.queued: list[tuple[np.ndarray, ...]] = []
         self.size = 0
         self.P = np.zeros((width, 0))
-        self._library = (np.zeros((width, 0)), np.zeros((width, 0), dtype=bool))
+        self._library = (np.zeros((width, 0)), np.ones((width, 0), dtype=bool))
 
     def face(self, flog: np.ndarray) -> int:
         self.faces.append(flog)
@@ -188,30 +192,26 @@ class _Stack:
     def _packed(self, faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The columns of `faces`, cut below the largest one: the rows under
         it are masked in every column and add nothing to any sum."""
-        L, live = self._library
+        L, dead = self._library
         if L.shape[1] != len(self.faces):
             L = np.zeros((self.width, len(self.faces)))
-            live = np.zeros(L.shape, dtype=bool)
+            dead = np.ones(L.shape, dtype=bool)
             for j, flog in enumerate(self.faces):
                 L[: flog.size, j] = flog
-                live[: flog.size, j] = True
-            self._library = L, live
+                dead[: flog.size, j] = False
+            self._library = L, dead
         rows = max(self.faces[j].size for j in faces.tolist())
-        return L[:rows, faces], live[:rows, faces]
+        return L[:rows, faces], dead[:rows, faces]
 
     def entropy(self, faces: np.ndarray, s: np.ndarray) -> np.ndarray:
         """H(P_s) of face faces[j] at s[j], for every j."""
-        out = np.empty(s.size)
-        for blk in _blocks(self.width, s.size):
-            out[blk] = _H(_tilt(*self._packed(faces[blk]), s[blk]))
-        return out
+        blocks = _blocks(self.width, s.size)
+        return np.concatenate([_H(_tilt(*self._packed(faces[b]), s[b])) for b in blocks])
 
     def add(self, face: int, target: np.ndarray, s_lo, s_hi) -> np.ndarray:
         """Queue one bisection on `face` per target; their column numbers."""
         n = target.size
-        self.queued.append(
-            (np.full(n, face), target, np.broadcast_to(s_lo, n), np.broadcast_to(s_hi, n))
-        )
+        self.queued.append((np.full(n, face), target, np.full(n, s_lo), np.full(n, s_hi)))
         self.size += n
         return np.arange(self.size - n, self.size)
 
@@ -222,8 +222,9 @@ class _Stack:
         face, target, s_lo, s_hi = (np.concatenate(part) for part in zip(*self.queued))
         self.P = np.zeros((self.width, self.size))
         for blk in _blocks(self.width, self.size):
-            L, live = self._packed(face[blk])
-            self.P[: len(L), blk] = _bisect(L, live, target[blk], s_lo[blk], s_hi[blk])
+            L, dead = self._packed(face[blk])
+            s = _bisect(L, dead, target[blk], s_lo[blk], s_hi[blk])
+            self.P[: len(L), blk] = _tilt(L, dead, s)
 
 
 class _TiltedE:
@@ -315,8 +316,7 @@ class _TiltedF:
         # On a face f, H(P_s) <= log2|f|: a rate above that has no plain
         # crossing there, and the face's own law (in its slot, which comes
         # first) is the least candidate of the face anyway.
-        need = [plain & (rates <= math.log2(face.size)) for face in self.faces[:-1]]
-        need.append(active)
+        need = [plain & (rates <= math.log2(f.size)) for f in self.faces[:-1]] + [active]
         if not (plain.any() or active.any()):
             return
         # One doubling table per branch: H(P_s) at s = +-2^i, shared by every
@@ -324,8 +324,10 @@ class _TiltedF:
         # Levels are evaluated ROUND at a time, and a branch gets a further
         # round only while its running minimum has not crossed its least
         # needed rate, the last one it crosses.  Levels it skips read -inf,
-        # which lies past every crossing it is asked for.
+        # past every crossing it is asked for.  A flat face (all log2 p equal)
+        # has one P_s at every s: its first round fills its row.
         fid = np.array([b[0] for b in branches])
+        flat = np.array([np.ptp(stack.faces[f]) == 0.0 for f in fid.tolist()])
         s = np.array([b[2] for b in branches])[:, None] * 2.0 ** np.arange(STEPS)
         H = np.full(s.shape, -np.inf)
         least = np.array([rates[nd].min(initial=np.inf) for nd in need])
@@ -337,17 +339,15 @@ class _TiltedF:
             H[todo, lo : lo + ROUND] = stack.entropy(
                 np.repeat(fid[todo], levels.shape[1]), levels.ravel()
             ).reshape(levels.shape)
-            todo = todo[H[todo, : lo + ROUND].min(axis=1) >= least[todo]]
+            todo = todo[~flat[todo] & (H[todo, : lo + ROUND].min(axis=1) >= least[todo])]
+        H[flat] = H[flat, :1]
         falling = -np.minimum.accumulate(H, axis=1)
         for b, (face_id, _, _) in enumerate(branches):
             first = np.searchsorted(falling[b], -rates, side="right")
             ok = need[b] & (first < STEPS)
             far = s[b, first[ok]]
-            if b < len(branches) - 1:
-                cols = stack.add(face_id, rates[ok], far, 0.0)
-            else:
-                cols = stack.add(face_id, rates[ok], 0.0, far)
-            self.col[b, ok] = cols - self.base
+            bracket = (far, 0.0) if b < len(branches) - 1 else (0.0, far)
+            self.col[b, ok] = stack.add(face_id, rates[ok], *bracket) - self.base
 
     def results(self, argmins: bool) -> list[ExponentResult]:
         law, R = self.law, self.rates

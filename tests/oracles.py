@@ -28,7 +28,9 @@ oracle calls the shipped `encrypt` and `decrypt` once per (key, plaintext)
 pair.  The tilted exponent solver is the scalar one that the stacked
 bisection replaced: one bisection per rate, per face and per branch, each
 on its own 1-D arrays, summed left to right as the stacked solver sums each
-column.  The grid exponent solver enumerates the simplex of a binary or
+column.  `stacked_bisect` is the stacked bisection as it ran before a
+column left the stack once settled: every column steps all 80 times, on
+fresh arrays.  The grid exponent solver enumerates the simplex of a binary or
 ternary alphabet and assumes nothing about where the minimizer lies: it is
 the arbiter of record for both tilted solvers.  numpy's own Generator and
 SeedSequence are the oracles of every seeded draw, which the package copies
@@ -41,7 +43,7 @@ sub-seeds, and the Monte Carlo estimator's symbol draws
 import math
 from collections import defaultdict
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
 from itertools import combinations
 
 import numpy as np
@@ -607,6 +609,32 @@ def tilted_F(R: float, p: Distribution) -> ExponentResult:
 
     value, P = min(candidates, key=lambda c: c[0])
     return ExponentResult(max(value, 0.0), _embed(P, idx, len(p)), TOLERANCE)
+
+
+def stacked_bisect(L, live, target, s_lo, s_hi, steps: int = 80):
+    """s_lo and P_s after `steps` bisection steps on H(P_s) = target in every
+    column of L (one face's log2 p per column, rows where `live` is False
+    masked), all columns stepped together however early they settle."""
+
+    def column_sum(a):  # first row to last, whatever the layout
+        return reduce(np.add, a)
+
+    def tilt(s):
+        w = np.where(live, s * L, -np.inf)
+        w -= w.max(axis=0)
+        P = np.exp2(w)
+        return P / column_sum(P)
+
+    def H(P):
+        return -column_sum(P * np.log2(np.where(P > 0.0, P, 1.0)))
+
+    lo_side = H(tilt(s_lo)) >= target
+    for _ in range(steps):
+        mid = 0.5 * (s_lo + s_hi)
+        keep = (H(tilt(mid)) >= target) == lo_side
+        s_lo = np.where(keep, mid, s_lo)
+        s_hi = np.where(keep, s_hi, mid)
+    return s_lo, tilt(s_lo)
 
 
 # ----------------------------------------------------------------------

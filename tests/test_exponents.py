@@ -378,6 +378,109 @@ def test_F_table_in_rounds_matches_one_full_table(monkeypatch, round_):
                 _assert_same(got, w)
 
 
+def _queued(laws, rates):
+    """The block of columns that E and F on every law queue at `rates`: their
+    log2 p, masked rows, targets and brackets; None when none is queued."""
+    stack = exponents._Stack(max(int(np.count_nonzero(np.asarray(p))) for p in laws))
+    for p in laws:
+        for kind in (exponents._TiltedE, exponents._TiltedF):
+            kind(exponents._Law(p), np.asarray(rates, dtype=np.float64), stack)
+    if not stack.size:
+        return None
+    face, target, s_lo, s_hi = (np.concatenate(part) for part in zip(*stack.queued))
+    return (*stack._packed(face), target, s_lo, s_hi)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from([2, 3, 5, 7]).flatmap(_laws), min_size=1, max_size=2),
+       st.lists(st.floats(0.0, 3.0), max_size=3))
+@example([Distribution([0.82, 0.18])], [1.0])  # E at R = log2 k: flat root at s = 0
+@example([Distribution([0.25, 0.25, 0.5])], [0.3, 1.2])  # an exactly tied face
+@example([uniform(7), Distribution([0.5, 0.0, 0.5])], [0.9, 2.0])  # flat faces, masked rows
+@example([Distribution([0.4, 0.3, 0.2, 0.1, 0.0]), Distribution([0.9, 0.1])], [0.05, 1.9])
+def test_settled_columns_leave_with_the_bits_of_every_step(laws, extra):
+    # the loop that retires settled columns ends with every column's last
+    # s_lo, and so its P_s, bit-equal to all 80 steps on the whole stack
+    rates = sorted({R for p in laws for R in _special_rates(p) + extra})
+    block = _queued(laws, rates)
+    if block is None:
+        return
+    L, dead, target, s_lo, s_hi = block
+    got = exponents._bisect(L, dead, target, s_lo, s_hi)
+    want_s, want_P = oracles.stacked_bisect(L, ~dead, target, s_lo, s_hi)
+    assert got.tobytes() == want_s.tobytes()
+    assert exponents._tilt(L, dead, got).tobytes() == want_P.tobytes()
+
+
+def test_single_rate_F_stops_bisecting_before_step_60(monkeypatch):
+    # its three columns last move at step 53 of STEPS = 80
+    evaluations, steps = [], []
+    bisect, H = exponents._bisect, exponents._H
+
+    def counting_H(P, out=None):
+        evaluations.append(P.shape)
+        return H(P, out)
+
+    def counting_bisect(*args):
+        before = len(evaluations)
+        s = bisect(*args)
+        steps.append(len(evaluations) - before - 1)  # one at the first s_lo
+        return s
+
+    monkeypatch.setattr(exponents, "_H", counting_H)
+    monkeypatch.setattr(exponents, "_bisect", counting_bisect)
+    p = Distribution([0.62, 0.38])
+    _assert_same(exponent_F(0.9, p), oracles.tilted_F(0.9, p))
+    assert len(steps) == 1 and steps[0] < 60
+
+
+@pytest.mark.parametrize("q", [2, 3, 7])
+def test_uniform_key_takes_one_table_call(monkeypatch, q):
+    # every face of a uniform law is flat, so its first table round stands
+    # for its whole row
+    calls = []
+    entropy_of = exponents._Stack.entropy
+
+    def counting(self, faces, s):
+        calls.append(s.size)
+        return entropy_of(self, faces, s)
+
+    monkeypatch.setattr(exponents._Stack, "entropy", counting)
+    _assert_same(exponent_F(0.9, uniform(q)), oracles.tilted_F(0.9, uniform(q)))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        (0.5 + 1e-13, 0.5 - 1e-13),  # nearly flat: crossings about 2^42 out
+        (0.3 + 1e-13, 0.3 - 1e-13, 0.4),
+        (0.25, 0.25, 0.5),  # the face {0, 1} is flat
+        tuple(np.full(7, 1.0 / 7.0)),  # every face is flat
+        (0.62, 0.38),
+    ],
+)
+def test_F_table_queues_the_scalar_brackets(p):
+    # every crossing F needs is queued on the bracket that the scalar
+    # doubling search finds, however flat or nearly flat its face
+    law = exponents._Law(Distribution(p))
+    rates = np.array([0.01, 0.3, 0.5, 0.9, 1.2, 1.5, 2.5])
+    stack = exponents._Stack(law.k)
+    F = exponents._TiltedF(law, rates, stack)
+    assert len(stack.queued) == len(F.faces)  # one entry per branch, in order
+    for b, (face, (_, targets, s_lo, s_hi)) in enumerate(zip(F.faces, stack.queued)):
+        active = b == len(F.faces) - 1
+        if active:
+            need, direction, far = (rates <= law.log_k) & (rates > F.log_ties), 1.0, s_hi
+        else:
+            need = (rates < law.H) & (rates <= math.log2(face.size))
+            direction, far = (1.0, -1.0)[b % 2], s_lo
+        want = {R: oracles._expand_until(law.logp[face], R, direction) for R in rates[need]}
+        assert dict(zip(targets.tolist(), far.tolist())) == {
+            R: s for R, s in want.items() if s is not None
+        }
+
+
 @st.composite
 def _region_cases(draw):
     q = draw(st.sampled_from([2, 3, 5, 7, 11]))
