@@ -77,11 +77,6 @@ __all__ = [
     "encoder_to_json",
 ]
 
-# Largest word space q**m that the exact figures cover (`pad_law` over all
-# words materializes it; the exact path builds q**r per occupied coset).
-MAX_WORDS = 1 << 20
-# Most (pad, codeword) pairs, q**n pads x codewords in use, the decryption check runs.
-CONDITION_CHECK_CAP = 1 << 20
 # Most keys whose pads a key pass holds at once (a block is a power of q).
 KEY_BLOCK = 1 << 15
 
@@ -379,14 +374,10 @@ class CipherSystem:
 
 
 def _fold(x: np.ndarray, q: int) -> np.ndarray:
-    """x mod q in place, for entries in [0, 2q).  In an unsigned dtype
-    x - q wraps past x exactly when x < q, so the smaller is the residue;
-    a signed row subtracts q where x reaches it."""
-    qd = x.dtype.type(q)
-    if x.dtype.kind == "u":
-        return np.minimum(x, x - qd, out=x)
-    x -= (x >= qd) * qd
-    return x
+    """x mod q in place, for entries in [0, 2q) of an unsigned (digit)
+    dtype: x - q wraps past x exactly when x < q, so the smaller is the
+    residue."""
+    return np.minimum(x, x - x.dtype.type(q), out=x)
 
 
 def _encrypt_words(sys: CipherSystem, pads: np.ndarray, words: np.ndarray) -> np.ndarray:
@@ -410,19 +401,19 @@ def _pad(sys: CipherSystem, k: Sequence[int]) -> np.ndarray:
 
 
 def encrypt(sys: CipherSystem, k: Sequence[int], x: Sequence[int]) -> tuple[int, ...]:
-    word = np.asarray(encode(sys.codebook, x), dtype=np.int64)
+    word = np.asarray(encode(sys.codebook, x), dtype=sys.spec.digit_dtype)
     return tuple(int(v) for v in _encrypt_words(sys, _pad(sys, k), word))
 
 
 def decrypt(sys: CipherSystem, k: Sequence[int], c: Sequence[int]) -> tuple[int, ...]:
-    cipher = field_row(c, sys.plan.m, sys.spec, "ciphertext")
+    cipher = field_row(c, sys.plan.m, sys.spec, "ciphertext").astype(sys.spec.digit_dtype)
     idx = _decrypt_words(sys, _pad(sys, k), cipher)
     return index_decode(int(idx), sys.plan.n, sys.spec)
 
 
 def check_decryption_condition(sys: CipherSystem) -> bool | None:
     """Exhaustive check that decrypt(k, encrypt(k, x)) = decode(encode(x)),
-    or None (not checked) past CONDITION_CHECK_CAP (pad, codeword) pairs.
+    or None (not checked) past `fields.MAX_ENUM` (pad, codeword) pairs.
 
     Covers all q**(2n) (key, plaintext) pairs through their (pad, codeword)
     classes: both sides depend on the plaintext only through its codeword,
@@ -437,7 +428,9 @@ def check_decryption_condition(sys: CipherSystem) -> bool | None:
     """
     spec, cb = sys.spec, sys.codebook
     used = np.arange(0 if cb.error_types else 1, cb.member_count + 1)
-    if spec.q**sys.plan.n * len(used) > CONDITION_CHECK_CAP:
+    try:
+        _check_enum(spec.q**sys.plan.n * len(used), "(pad, codeword) pairs")
+    except FieldError:
         return None
     words = indices_to_vectors(used, sys.plan.m, spec)
     expected = decode_indices(cb, words)
@@ -475,16 +468,6 @@ def injective_on_members(sys: CipherSystem) -> bool:
 # ----------------------------------------------------------------------
 # image laws of the key encoder
 # ----------------------------------------------------------------------
-
-
-def _check_word_space(spec: FieldSpec, m: int) -> int:
-    total = spec.q**m
-    if total > MAX_WORDS:
-        raise FieldError(
-            f"word space {spec.q}^{m} exceeds the materialization cap {MAX_WORDS}; "
-            "past it `exact-mi --samples N` and `sweep` estimate the leakage"
-        )
-    return total
 
 
 def _pad_table(A: np.ndarray, spec: FieldSpec, start=None) -> np.ndarray:
@@ -562,7 +545,7 @@ def _key_blocks(enc: AffineEncoder, spec: FieldSpec):
 
 def key_image_indices(enc: AffineEncoder, spec: FieldSpec) -> np.ndarray:
     """Word index of phi(k) for every key k in lexicographic order."""
-    images = np.empty(_check_enum(enc.n, spec), dtype=np.int64)
+    images = np.empty(_check_enum(spec.q**enc.n, f"{spec.q}^{enc.n} keys"), dtype=np.int64)
     for start, pads in _key_blocks(enc, spec):
         images[start : start + len(pads)] = vectors_to_indices(pads, spec)
     return images
@@ -571,7 +554,7 @@ def key_image_indices(enc: AffineEncoder, spec: FieldSpec) -> np.ndarray:
 def pad_law(enc: AffineEncoder, p_K: Distribution, spec: FieldSpec) -> np.ndarray:
     """Distribution of the pad phi(K) over word indices, K i.i.d. p_K; the
     pad's digits at some positions are the pad of A and b cut to them."""
-    total = _check_word_space(spec, enc.m)
+    total = _check_enum(spec.q**enc.m, f"word space {spec.q}^{enc.m}")
     key_probs = sequence_probs(p_K, enc.n, spec)
     return np.bincount(key_image_indices(enc, spec), weights=key_probs, minlength=total)
 

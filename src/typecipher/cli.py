@@ -103,14 +103,25 @@ def _sub_seed(seed: int, *key: int) -> int:
     return seed_state([seed, *key], 1)[0]
 
 
+def _one(values: list, flag: str, command: str, required: bool = False):
+    """The single value of a flag that `command` reads once, None if absent
+    (refused if `required`); a list is refused rather than cut to its first
+    value."""
+    if len(values) > 1:
+        raise FieldError(f"{command} takes one {flag} value, got {len(values)}")
+    if required and not values:
+        raise FieldError(f"{flag} is required for {command}")
+    return values[0] if values else None
+
+
 def _plan(args, spec: FieldSpec):
-    if args.n is None:
-        raise FieldError("--n is required")
+    n = _one(args.n_list, "--n", args.command, required=True)
+    rate = _one(args.rate_list, "--rate", args.command)
     if args.m is not None:
-        return explicit_m_plan(args.n, args.m, spec, R=args.rate_scalar)
-    if args.rate_scalar is None:
+        return explicit_m_plan(n, args.m, spec, R=rate)
+    if rate is None:
         raise FieldError("either --rate or --m is required")
-    return make_rate_plan(args.n, args.rate_scalar, spec)
+    return make_rate_plan(n, rate, spec)
 
 
 # ----------------------------------------------------------------------
@@ -211,11 +222,11 @@ def cmd_sweep(args) -> int:
     spec = FieldSpec(args.q)
     p_x = _dist_or_uniform(args.px, args.q, "--px")
     p_k = _dist_or_uniform(args.pk, args.q, "--pk")
-    if args.rate_scalar is None:
-        raise FieldError("--rate is required for sweep")
+    R = _one(args.rate_list, "--rate", "sweep", required=True)
     if not args.n_list:
         raise FieldError("--n (comma list allowed) is required for sweep")
-    R = args.rate_scalar
+    if args.m is not None:
+        raise FieldError("sweep takes no --m: each row uses the canonical plan of its n")
     (e_res,), (f_res,) = exponent_pair(p_x, p_k, [R])
     e_val, f_val = e_res.rounded_down(), f_res.rounded_down()
     rows = []
@@ -314,13 +325,12 @@ def cmd_converse_probe(args) -> int:
     if args.px is None:
         raise FieldError("--px is required for converse-probe")
     p_x = _parse_dist(args.px, args.q, "--px")
-    if args.rate_scalar is None:
-        raise FieldError("--rate is required for converse-probe")
+    rate = _one(args.rate_list, "--rate", "converse-probe", required=True)
     if not args.n_list:
         raise FieldError("--n (comma list allowed) is required for converse-probe")
     rows = [
         [r["n"], r["log2_size"], r["error"], "exact"]
-        for r in strong_converse_probe(p_x, args.rate_scalar, args.n_list)
+        for r in strong_converse_probe(p_x, rate, args.n_list)
     ]
     _write_text(_csv(["n", "log2_size", "error", "provenance"], rows), args.out)
     return 0
@@ -346,9 +356,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 def _normalize(args) -> None:
     args.n_list = _int_list(args.n) if args.n else []
-    args.n = args.n_list[0] if args.n_list else None
     args.rate_list = _float_list(args.rate) if args.rate else []
-    args.rate_scalar = args.rate_list[0] if args.rate_list else None
 
 
 _COMMANDS = {
@@ -376,8 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _normalize(args)
     try:
+        _normalize(args)
         return _COMMANDS[args.command](args)
     except (FieldError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

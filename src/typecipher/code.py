@@ -33,9 +33,9 @@ from functools import cached_property
 import numpy as np
 
 from .fields import (
-    MAX_ENUM,
     FieldError,
     FieldSpec,
+    _check_enum,
     field_row,
     index_decode,
     index_encode,
@@ -225,11 +225,10 @@ class Codebook:
         offset.
         """
         n = self.plan.n
-        if self.member_count > MAX_ENUM:
-            raise FieldError(
-                f"refusing to build a list of {self.member_count} members (MAX_ENUM = "
-                f"2^{MAX_ENUM.bit_length() - 1}); Codebook.ranks ranks members without a table"
-            )
+        _check_enum(
+            self.member_count, f"a list of {self.member_count} members",
+            "Codebook.ranks ranks members without a table",
+        )
         types = np.array([P.counts for P in self.member_types], dtype=np.int64)
         sizes = _class_sizes(types.tolist(), n)
         which = np.repeat(np.arange(len(sizes)), sizes)

@@ -38,9 +38,9 @@ __all__ = [
 # on a desk machine anyway.
 MAX_Q = 257
 
-# Most vectors (q**length) that all_vectors() lists or sequence_probs()
-# weighs (of length n: keys only).  all_vectors holds `length` one-byte digits
-# per row below q = 131: binary length 22, the most allowed, takes 92 MB.
+# The one size cap (`_check_enum`): the most q**n keys, q**m words (under a
+# key law that is not uniform), decryption pairs, members or types that the
+# exact path builds or lists.  all_vectors at binary length 22 takes 92 MB.
 MAX_ENUM = 1 << 22
 
 
@@ -167,16 +167,20 @@ def all_vectors(length: int, spec: FieldSpec) -> np.ndarray:
     Row i holds the digits of index i (big-endian), so lexicographic order on
     rows coincides with numeric order of index_encode.
     """
-    return indices_to_vectors(np.arange(_check_enum(length, spec)), length, spec)
+    total = _check_enum(spec.q**length, f"{spec.q}^{length} vectors")
+    return indices_to_vectors(np.arange(total), length, spec)
 
 
-def _check_enum(length: int, spec: FieldSpec) -> int:
-    """q**length, refused past MAX_ENUM."""
-    total = spec.q**length
+def _check_enum(total: int, space: str, way_out: str = "") -> int:
+    """`total`, the size of what `space` names, refused past MAX_ENUM.
+
+    Every size refusal comes here, and the cap is read at each call, so
+    setting `fields.MAX_ENUM` moves all of them; `way_out`, if given, ends
+    the message."""
     if total > MAX_ENUM:
-        raise FieldError(
-            f"refusing to materialize {spec.q}^{length} vectors (cap {MAX_ENUM})"
-        )
+        cap = f"2^{k}" if MAX_ENUM == 1 << (k := MAX_ENUM.bit_length() - 1) else MAX_ENUM
+        tail = f"; {way_out}" if way_out else ""
+        raise FieldError(f"refusing to materialize {space} (cap MAX_ENUM = {cap}){tail}")
     return total
 
 

@@ -30,11 +30,11 @@ gathers them into one `ExactLaws` handle, after checking that the search
 belongs to the system's encoder; `exact_mutual_info`,
 `security_certificate`, `check_birkhoff` and `converse_diagnostics` take
 only that handle, so each law is computed once per report however many
-figures read it.  Two caps bound the exact path, q**n keys within
-`fields.MAX_ENUM` and, for a key law that is not uniform, q**m words within
-`cipher.MAX_WORDS` (a uniform one needs only an int64 word index), and
-`exact_refusal` reads them from the plan and the key law before anything is
-built: the one place that decides exact or sampled.
+figures read it.  One cap, `fields.MAX_ENUM`, bounds the exact path: the
+q**n keys and, for a key law that is not uniform, the q**m words must be
+within it (a uniform one needs only an int64 word index), and
+`exact_refusal` reads both sizes from the plan and the key law before
+anything is built: the one place that decides exact or sampled.
 
 On top of the exact value sit the certified upper bounds, checked as a
 chain with explicit margins:
@@ -70,7 +70,6 @@ from .cipher import (
     CipherSystem,
     SearchResult,
     _bounded,
-    _check_word_space,
     _choice,
     _encrypt_words,
     _PCG64,
@@ -173,22 +172,24 @@ def _is_uniform(p: Distribution) -> bool:
 
 def exact_refusal(plan: RatePlan, p_K: Distribution) -> FieldError | None:
     """None where `plan` and the key law p_K are within the exact path's
-    caps, otherwise the FieldError naming the cap exceeded, the words
-    checked first.  Reads the sizes only; builds nothing.
+    cap, otherwise the FieldError naming the space past it, the cap and the
+    way out (sampling), the words checked first.  Reads the sizes only;
+    builds nothing.
 
     Every key law needs q**n keys within `fields.MAX_ENUM`: the pad over
     Z_q^r (r <= n) and a rank-deficient `derandomize` draw's key pass are
-    that large at most.  A non-uniform p_K also needs q**m words within
-    `cipher.MAX_WORDS`, which bounds the coset rows of `ExactLaws.mixture`.
-    A uniform p_K builds no coset row, so its words need only an int64
-    index, q**m - 1 at most.
+    that large at most.  A non-uniform p_K also needs its q**m words within
+    the same cap, which bounds the coset rows of `ExactLaws.mixture`.  A
+    uniform p_K builds no coset row, so its words need only an int64 index,
+    q**m - 1 at most.
     """
+    q, sampled = plan.q, "past it `exact-mi --samples N` and `sweep` estimate the leakage"
     try:
         if _is_uniform(p_K):
             _check_index_range(plan.m, plan.spec)
         else:
-            _check_word_space(plan.spec, plan.m)
-        _check_enum(plan.n, plan.spec)
+            _check_enum(q**plan.m, f"word space {q}^{plan.m}", sampled)
+        _check_enum(q**plan.n, f"{q}^{plan.n} keys", sampled)
     except FieldError as exc:
         return exc
     return None

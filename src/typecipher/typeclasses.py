@@ -26,7 +26,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .fields import MAX_ENUM, FieldSpec, _check_enum
+from .fields import FieldSpec, _check_enum
 from .simplex import Distribution
 
 __all__ = [
@@ -94,10 +94,10 @@ def n_types(n: int, q: int) -> int:
 
 
 def _check_types(n: int, spec: FieldSpec) -> None:
-    """Refuse as `fields._check_enum` does where neither the q**n sequences
-    of length n nor their types, q counts each, are within MAX_ENUM."""
-    if n_types(n, spec.q) * spec.q > MAX_ENUM:
-        _check_enum(n, spec)
+    """Refuse where neither the q**n sequences of length n nor their types,
+    q counts each, are within `fields.MAX_ENUM`, naming the sequences."""
+    q = spec.q
+    _check_enum(min(q**n, n_types(n, q) * q), f"{q}^{n} vectors")
 
 
 def enumerate_types(n: int, spec: FieldSpec) -> list[TypeComposition]:
@@ -146,7 +146,7 @@ def class_prob(P: TypeComposition, p: Distribution) -> float:
 def sequence_probs(p: Distribution, n: int, spec: FieldSpec) -> np.ndarray:
     """p^n(x) of every length-n sequence x, in sequence-index order: the
     n-fold outer product of p, p(x_1) p(x_2) ... p(x_n) left to right."""
-    _check_enum(n, spec)
+    _check_enum(spec.q**n, f"{spec.q}^{n} vectors")
     return reduce(np.multiply.outer, [np.asarray(p)] * n).ravel()
 
 

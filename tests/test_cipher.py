@@ -14,7 +14,6 @@ import typecipher.cipher as cipher_mod
 from typecipher.cipher import (
     AffineEncoder,
     CipherSystem,
-    MAX_WORDS,
     check_decryption_condition,
     decrypt,
     derandomize,
@@ -40,6 +39,7 @@ from typecipher.code import (
     make_rate_plan,
 )
 from typecipher.fields import (
+    MAX_ENUM,
     FieldError,
     FieldSpec,
     all_vectors,
@@ -235,9 +235,9 @@ def test_choice_matches_numpy_choice(q):
 @pytest.mark.parametrize("q", [2, 3, 5, 7, 127, 131, 257])
 def test_residue_helpers_match_mod_q(monkeypatch, q):
     # every residue pair, in both columns of a two-symbol word, as digit
-    # rows (one byte up to q=127, two from q=131) and as the scalar path's
-    # int64 rows: sums and differences mod q without wrapping, in the dtype
-    # they came in
+    # rows (one byte up to q=127, two from q=131), the one representation
+    # the scalar path shares: sums and differences mod q without wrapping,
+    # in the digit dtype
     spec = FieldSpec(q)
     sys_ = CipherSystem(
         codebook=build_codebook(explicit_m_plan(1, 2, spec)),
@@ -247,13 +247,12 @@ def test_residue_helpers_match_mod_q(monkeypatch, q):
     pads, words = np.stack([a, b], axis=1), np.stack([b, a], axis=1)
     # the decode step after the subtraction is checked elsewhere
     monkeypatch.setattr(cipher_mod, "decode_indices", lambda cb, diff: diff)
-    for dtype in (spec.digit_dtype, np.dtype(np.int64)):
-        p, w = pads.astype(dtype), words.astype(dtype)
-        encrypted = cipher_mod._encrypt_words(sys_, p, w)
-        decrypted = cipher_mod._decrypt_words(sys_, p, w)
-        assert encrypted.dtype == dtype and decrypted.dtype == dtype
-        assert np.array_equal(encrypted, (pads + words) % q)
-        assert np.array_equal(decrypted, (words - pads) % q)
+    p, w = pads.astype(spec.digit_dtype), words.astype(spec.digit_dtype)
+    encrypted = cipher_mod._encrypt_words(sys_, p, w)
+    decrypted = cipher_mod._decrypt_words(sys_, p, w)
+    assert encrypted.dtype == decrypted.dtype == spec.digit_dtype
+    assert np.array_equal(encrypted, (pads + words) % q)
+    assert np.array_equal(decrypted, (words - pads) % q)
 
 
 def _repeat_first_row(enc, spec):
@@ -356,7 +355,7 @@ def test_search_refuses_before_allocating():
     spec = FieldSpec(2)
     for n in (30, 54, 100):
         plan = explicit_m_plan(n, 5, spec)
-        cap = f"refusing to materialize 2\\^{n} vectors"
+        cap = f"refusing to materialize 2\\^{n} keys"
         with pytest.raises(FieldError, match=cap):
             omega_divergences(draw_encoder(plan, 0), plan)
         with pytest.raises(FieldError, match=cap):
@@ -369,7 +368,7 @@ def test_derandomize_passes_over_a_draw_it_cannot_count():
     spec = FieldSpec(2)
     plan = make_rate_plan(160, 0.9, spec)
     assert plan.m == 160
-    with pytest.raises(FieldError, match="refusing to materialize 2\\^160 vectors"):
+    with pytest.raises(FieldError, match="refusing to materialize 2\\^160 keys"):
         derandomize(plan, max_attempts=1)
     res = derandomize(plan)
     assert (res.seed, res.attempts, len(res.reduced[1])) == (1, 2, 160)
@@ -563,9 +562,9 @@ def test_decryption_check_is_skipped_past_its_work_cap(monkeypatch):
     work = 2**5 * (cb.member_count + bool(cb.error_types))
     assert work == 2**5 * len(np.unique(oracles.rank_of(cb)))
     assert work < 2 ** (2 * 5)
-    monkeypatch.setattr(cipher_mod, "CONDITION_CHECK_CAP", work)
+    monkeypatch.setattr("typecipher.fields.MAX_ENUM", work)
     assert check_decryption_condition(sys_) is True
-    monkeypatch.setattr(cipher_mod, "CONDITION_CHECK_CAP", work - 1)
+    monkeypatch.setattr("typecipher.fields.MAX_ENUM", work - 1)
     assert check_decryption_condition(sys_) is None
 
 
@@ -824,19 +823,19 @@ def test_derandomize_exhaustion():
 
 def test_word_space_guard():
     spec = FieldSpec(2)
-    plan = explicit_m_plan(4, 21, spec)  # 2**21 words exceeds the cap
-    assert spec.q**plan.m > MAX_WORDS
+    plan = explicit_m_plan(4, 23, spec)  # 2**23 words exceeds the cap
+    assert spec.q**plan.m > MAX_ENUM
     enc = draw_encoder(plan, 0)
-    with pytest.raises(FieldError):
+    with pytest.raises(FieldError, match="word space 2\\^23 \\(cap MAX_ENUM = 2\\^22\\)"):
         pad_law(enc, uniform(2), spec)
 
 
 def test_derandomize_runs_past_the_word_space_cap():
-    # the search builds arrays over the q^n keys only, so 2^21 words do not
+    # the search builds arrays over the q^n keys only, so 2^23 words do not
     # stop it; its divergences match the oracle's count over every word
     spec = FieldSpec(2)
-    plan = explicit_m_plan(4, 21, spec)
-    assert spec.q**plan.m > MAX_WORDS
+    plan = explicit_m_plan(4, 23, spec)
+    assert spec.q**plan.m > MAX_ENUM
     res = derandomize(plan)
     assert res.score <= n_types(4, 2)
     assert [P.counts for P, _ in res.divergences] == [

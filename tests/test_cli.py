@@ -12,11 +12,11 @@ from pathlib import Path
 
 import pytest
 
-from typecipher.cipher import MAX_WORDS, CipherSystem, derandomize
+from typecipher.cipher import CipherSystem, derandomize
 from typecipher.cli import main
-from typecipher.code import build_codebook, make_rate_plan
+from typecipher.code import build_codebook, explicit_m_plan, make_rate_plan
 from typecipher.fields import MAX_ENUM, FieldSpec
-from typecipher.leakage import _log2_sequence_prob, exact_laws, exact_mutual_info
+from typecipher.leakage import _log2_sequence_prob, exact_laws, exact_mutual_info, exact_refusal
 from typecipher.simplex import Distribution, entropy, uniform
 from typecipher.typeclasses import enumerate_types
 
@@ -66,7 +66,7 @@ _COLD_SAMPLED = """
 import contextlib, io, sys
 from typecipher.cli import main
 law = ["--q", "2", "--rate", "0.9", "--pk", "0.62,0.38", "--samples", "1000"]
-for argv in (["sweep", "--n", "16", *law], ["exact-mi", "--n", "13", *law]):
+for argv in (["sweep", "--n", "16", *law], ["exact-mi", "--n", "15", *law]):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert main(argv) == 0
@@ -220,7 +220,7 @@ def test_search_encoder_refuses_types_past_the_cap_before_listing(capsys, monkey
     monkeypatch.setattr("typecipher.cipher.enumerate_types", listing)
     assert main(["search-encoder", "--q", "257", "--n", "3", "--m", "6"]) == 2
     assert capsys.readouterr().err == (
-        "error: refusing to materialize 257^3 vectors (cap 4194304)\n"
+        "error: refusing to materialize 257^3 vectors (cap MAX_ENUM = 2^22)\n"
     )
 
 
@@ -231,7 +231,7 @@ def test_codebook_refuses_types_past_the_cap_at_once(capsys):
     assert main(["codebook", "--q", "257", "--n", "3", "--rate", "4"]) == 2
     assert time.perf_counter() - start < 1.0
     assert capsys.readouterr().err == (
-        "error: refusing to materialize 257^3 vectors (cap 4194304)\n"
+        "error: refusing to materialize 257^3 vectors (cap MAX_ENUM = 2^22)\n"
     )
     assert main(["codebook", "--q", "257", "--n", "1", "--rate", "4"]) == 0
     assert json.loads(capsys.readouterr().out)["member_count"] == 257
@@ -340,9 +340,9 @@ def test_sweep_rows_and_determinism(tmp_path):
              "--pk", "0.4,0.35,0.25", "--samples", "4000", "--seed", "2025"],
         ),
         (
-            # 2^21 words, past MAX_WORDS: exact-mi falls back to Monte Carlo
-            "exact_mi_q2_n13_mc.json",
-            ["exact-mi", "--q", "2", "--n", "13", "--rate", "0.9", "--px", "0.82,0.18",
+            # 2^23 words, past MAX_ENUM: exact-mi falls back to Monte Carlo
+            "exact_mi_q2_n15_mc.json",
+            ["exact-mi", "--q", "2", "--n", "15", "--rate", "0.9", "--px", "0.82,0.18",
              "--pk", "0.62,0.38", "--samples", "2000", "--seed", "2026"],
         ),
         (
@@ -471,7 +471,7 @@ def test_sweep_never_lists_members(tmp_path, monkeypatch):
     [
         ["sweep", "--q", "2", "--n", "16", "--rate", "0.9", "--px", "0.82,0.18",
          "--pk", "0.62,0.38", "--samples", "1000", "--seed", "6"],
-        ["exact-mi", "--q", "2", "--n", "13", "--rate", "0.9", "--px", "0.82,0.18",
+        ["exact-mi", "--q", "2", "--n", "15", "--rate", "0.9", "--px", "0.82,0.18",
          "--pk", "0.62,0.38", "--samples", "1000", "--seed", "6"],
     ],
     ids=["sweep", "exact-mi"],
@@ -704,34 +704,88 @@ def test_verify_past_the_word_space_cap_exits_2_before_checking(capsys, monkeypa
         "typecipher.cli.check_decryption_condition", lambda sys_: checks.append(sys_)
     )
     # a uniform key needs no word cap, so the key law is not uniform
-    assert main(["verify", "--q", "2", "--n", "5", "--m", "21", "--pk", "0.62,0.38"]) == 2
+    assert main(["verify", "--q", "2", "--n", "5", "--m", "23", "--pk", "0.62,0.38"]) == 2
     err = capsys.readouterr().err
-    assert "materialization cap" in err and "exact-mi --samples N" in err
+    assert "word space 2^23 (cap MAX_ENUM = 2^22)" in err and "exact-mi --samples N" in err
     assert checks == []
 
 
-def test_exact_caps_cover_what_derandomize_checks():
-    # sweep and exact-mi go exact exactly when `exact_refusal` admits the
-    # plan: q^m <= MAX_WORDS and q^n <= MAX_ENUM.  The exact path then builds
-    # the codebook's rank table (q^n entries, so within MAX_ENUM) and member
-    # list, shorter than q^m <= MAX_WORDS <= MAX_ENUM; were MAX_WORDS above
-    # MAX_ENUM, an admitted plan could be refused there and sweep would exit
-    # 2 where it used to sample.  A uniform key is admitted on q^n <=
-    # MAX_ENUM alone; its member list, at most q^n long, fits the same way.
-    assert MAX_WORDS <= MAX_ENUM
+def test_exact_caps_cover_what_derandomize_checks(monkeypatch, capsys):
+    # `verify` exits 2 exactly where `exact_refusal` refuses: whatever the
+    # exact path builds past the gate (the key pass, the pad and coset rows,
+    # the member list) fits the one cap, and a decryption check past it is
+    # skipped, not refused.  The cap is lowered to 2^10 so that every plan
+    # is small; a uniform key reads no word cap
+    monkeypatch.setattr("typecipher.fields.MAX_ENUM", 1 << 10)
+    spec = FieldSpec(2)
+    seen = []
+    for pk in (None, "0.62,0.38"):
+        p_k = uniform(2) if pk is None else Distribution.from_text(pk)
+        law = [] if pk is None else ["--pk", pk]
+        for n, m in ((6, 8), (6, 10), (6, 11), (10, 10), (10, 12), (11, 5)):
+            refused = exact_refusal(explicit_m_plan(n, m, spec, R=0.9), p_k) is not None
+            argv = ["verify", "--q", "2", "--n", str(n), "--m", str(m), "--rate", "0.9", *law]
+            assert (main(argv) == 2) is refused, (pk, n, m)
+            assert ("cap MAX_ENUM = 2^10" in capsys.readouterr().err) is refused
+            seen.append((pk, refused))
+    assert set(seen) == {(None, False), (None, True), (pk, False), (pk, True)}
+
+
+def test_explicit_m_plans_on_both_sides_of_the_word_space_cap(tmp_path, capsys):
+    # binary n=8: m=22 is at the cap, exact, and its 2^8 pads against 256
+    # codewords are checked exhaustively; m=23 exits 2 naming the word space,
+    # the cap and the way out
+    law = ["verify", "--q", "2", "--n", "8", "--px", "0.82,0.18", "--pk", "0.62,0.38",
+           "--seed", "3"]
+    out = tmp_path / "verify.json"
+    assert main(law + ["--m", "22", "--out", str(out)]) == 0
+    report = _read_json(out)
+    assert report["passed"] and report["certificate"]["report"]["provenance"] == "exact"
+    assert report["decryption_condition"] == {"holds": True, "checked": "exhaustive"}
+    assert main(law + ["--m", "23"]) == 2
+    assert capsys.readouterr().err == (
+        "error: refusing to materialize word space 2^23 (cap MAX_ENUM = 2^22); past it "
+        "`exact-mi --samples N` and `sweep` estimate the leakage\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["verify", "--n", "7,8", "--rate", "0.9"], "verify takes one --n value, got 2"),
+        (["exact-mi", "--n", "7,8", "--rate", "0.9"], "exact-mi takes one --n value"),
+        (["codebook", "--n", "7,8", "--rate", "0.9"], "codebook takes one --n value"),
+        (["search-encoder", "--n", "7,8", "--rate", "0.9"], "search-encoder takes one --n"),
+        (["verify", "--n", "7", "--rate", "0.9,0.5"], "verify takes one --rate value"),
+        (["sweep", "--n", "7", "--rate", "0.9,0.5"], "sweep takes one --rate value"),
+        (["converse-probe", "--n", "4", "--rate", "0.3,0.4", "--px", "0.7,0.3"],
+         "converse-probe takes one --rate value"),
+        (["sweep", "--n", "7", "--rate", "0.9", "--m", "3"], "sweep takes no --m"),
+        (["verify", "--n", "7x", "--rate", "0.9"], "invalid literal for int()"),
+    ],
+    ids=["verify-n", "exact-mi-n", "codebook-n", "search-encoder-n", "verify-rate",
+         "sweep-rate", "converse-probe-rate", "sweep-m", "malformed-n"],
+)
+def test_input_a_command_would_ignore_exits_2(capsys, argv, flag):
+    # a list where the command reads one value, or --m where sweep plans its
+    # own words, is refused rather than cut to its first value or dropped;
+    # so is a list entry that is not a number
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and flag in captured.err
 
 
 def test_each_command_on_both_sides_of_the_word_space_cap(tmp_path, capsys):
-    # binary R=0.9: n=12 has 2^20 words, at MAX_WORDS; n=13 has 2^21.  The
+    # binary R=0.9: n=14 has 2^22 words, at MAX_ENUM; n=15 has 2^23.  The
     # cap holds for key laws that are not uniform
     spec = FieldSpec(2)
-    assert 2 ** make_rate_plan(12, 0.9, spec).m == MAX_WORDS
-    assert 2 ** make_rate_plan(13, 0.9, spec).m == 2 * MAX_WORDS
+    assert 2 ** make_rate_plan(14, 0.9, spec).m == MAX_ENUM
+    assert 2 ** make_rate_plan(15, 0.9, spec).m == 2 * MAX_ENUM
     law = ["--q", "2", "--rate", "0.9", "--pk", "0.62,0.38", "--seed", "1"]
     out = tmp_path / "out"
-    assert main(["sweep", "--n", "12,13", "--samples", "1000", *law, "--out", str(out)]) == 0
+    assert main(["sweep", "--n", "14,15", "--samples", "1000", *law, "--out", str(out)]) == 0
     assert [r["mi_flag"] for r in _read_csv(out)] == ["exact", "estimate"]
-    for n, provenance in (("12", "exact"), ("13", "estimate")):
+    for n, provenance in (("14", "exact"), ("15", "estimate")):
         argv = ["exact-mi", "--n", n, "--samples", "1000", *law, "--out", str(out)]
         assert main(argv) == 0
         payload = _read_json(out)
@@ -740,11 +794,11 @@ def test_each_command_on_both_sides_of_the_word_space_cap(tmp_path, capsys):
         # the encoder search builds nothing over the words, so it runs on both sides
         assert main(["search-encoder", "--n", n, *law, "--out", str(out)]) == 0
         assert _read_json(out)["provenance"] == "exact"
-    assert main(["verify", "--n", "12", *law, "--out", str(out)]) == 0
+    assert main(["verify", "--n", "14", *law, "--out", str(out)]) == 0
     assert _read_json(out)["certificate"]["report"]["provenance"] == "exact"
-    for argv in (["verify", "--n", "13"], ["exact-mi", "--n", "13", "--samples", "0"]):
+    for argv in (["verify", "--n", "15"], ["exact-mi", "--n", "15", "--samples", "0"]):
         assert main(argv + law) == 2
-        assert "materialization cap" in capsys.readouterr().err
+        assert "word space 2^23 (cap MAX_ENUM = 2^22)" in capsys.readouterr().err
 
 
 def test_each_command_past_the_sequence_cap(tmp_path, capsys):
@@ -752,7 +806,7 @@ def test_each_command_past_the_sequence_cap(tmp_path, capsys):
     law = ["--q", "2", "--n", "23", "--seed", "1"]
     out = tmp_path / "out"
     argv = ["sweep", "--rate", "0.3", "--samples", "1000", *law, "--out", str(out)]
-    assert 2 ** make_rate_plan(23, 0.3, FieldSpec(2)).m <= MAX_WORDS
+    assert 2 ** make_rate_plan(23, 0.3, FieldSpec(2)).m <= MAX_ENUM
     assert main(argv) == 0
     assert [r["mi_flag"] for r in _read_csv(out)] == ["estimate"]
     argv = ["exact-mi", "--m", "5", "--samples", "1000", *law, "--out", str(out)]
@@ -761,13 +815,13 @@ def test_each_command_past_the_sequence_cap(tmp_path, capsys):
     assert payload["provenance"] == "estimate" and payload["encoder"]["derandomized"] is False
     for argv in (["verify"], ["exact-mi", "--samples", "0"], ["search-encoder"]):
         assert main(argv + ["--m", "5", *law]) == 2
-        assert "refusing to materialize 2^23 vectors" in capsys.readouterr().err
+        assert "refusing to materialize 2^23 keys" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
     "plan, cap",
-    [(["--n", "13", "--rate", "0.9", "--pk", "0.62,0.38"], "materialization cap"),
-     (["--n", "23", "--m", "5"], "refusing to materialize")],
+    [(["--n", "15", "--rate", "0.9", "--pk", "0.62,0.38"], "word space 2^23"),
+     (["--n", "23", "--m", "5"], "refusing to materialize 2^23 keys")],
     ids=["words", "sequences"],
 )
 def test_verify_past_either_cap_exits_2_before_building(capsys, monkeypatch, plan, cap):
@@ -781,7 +835,7 @@ def test_verify_past_either_cap_exits_2_before_building(capsys, monkeypatch, pla
 
 @pytest.mark.parametrize("q, rate, n_list", [(2, 0.9, "16,20"), (3, 1.2, "9")])
 def test_uniform_key_sweep_is_exact_past_the_word_space_cap(tmp_path, q, rate, n_list):
-    # q^m words past MAX_WORDS, but a uniform key builds no coset row, so
+    # q^m words past MAX_ENUM, but a uniform key builds no coset row, so
     # each row is H(J), under its ceiling (m - rank A) log2 q
     out = tmp_path / "sweep.csv"
     argv = ["sweep", "--q", str(q), "--n", n_list, "--rate", str(rate), "--seed", "3"]
@@ -790,7 +844,7 @@ def test_uniform_key_sweep_is_exact_past_the_word_space_cap(tmp_path, q, rate, n
     assert [r["n"] for r in rows] == n_list.split(",")
     for row in rows:
         plan = make_rate_plan(int(row["n"]), rate, FieldSpec(q))
-        assert q**plan.m > MAX_WORDS
+        assert q**plan.m > MAX_ENUM
         search = derandomize(plan, base_seed=numpy_sub_seed(3, plan.n))
         ceiling = (plan.m - len(search.reduced[1])) * math.log2(q)
         assert row["mi_flag"] == "exact" and 0.0 < float(row["mi"]) <= ceiling

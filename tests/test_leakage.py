@@ -56,15 +56,21 @@ def test_exact_refusal_reads_both_caps_from_the_plan(monkeypatch):
     monkeypatch.setattr("typecipher.cipher._key_blocks", refuse)
     spec = FieldSpec(2)
     p_k = Distribution([0.62, 0.38])
-    assert exact_refusal(explicit_m_plan(22, 20, spec), p_k) is None
-    words = exact_refusal(explicit_m_plan(4, 21, spec), p_k)
+    # one cap, 2^22, for the keys and the words alike; each refusal names
+    # its space, the cap and the way out
+    assert exact_refusal(explicit_m_plan(22, 22, spec), p_k) is None
+    words = exact_refusal(explicit_m_plan(4, 23, spec), p_k)
     assert isinstance(words, FieldError)
-    assert "materialization cap" in str(words) and "exact-mi --samples N" in str(words)
+    assert str(words) == (
+        "refusing to materialize word space 2^23 (cap MAX_ENUM = 2^22); past it "
+        "`exact-mi --samples N` and `sweep` estimate the leakage"
+    )
     sequences = exact_refusal(explicit_m_plan(23, 5, spec), p_k)
     assert isinstance(sequences, FieldError)
-    assert "refusing to materialize 2^23 vectors" in str(sequences)
-    # past both caps, the word space is named first
-    assert "materialization cap" in str(exact_refusal(explicit_m_plan(23, 21, spec), p_k))
+    assert str(sequences).startswith("refusing to materialize 2^23 keys (cap MAX_ENUM = 2^22)")
+    assert "exact-mi --samples N" in str(sequences)
+    # past both, the word space is named first
+    assert "word space 2^23" in str(exact_refusal(explicit_m_plan(23, 23, spec), p_k))
 
 
 def test_exact_refusal_under_a_uniform_key_reads_no_word_cap(monkeypatch):
@@ -77,19 +83,50 @@ def test_exact_refusal_under_a_uniform_key_reads_no_word_cap(monkeypatch):
     monkeypatch.setattr("typecipher.cipher._key_blocks", refuse)
     spec = FieldSpec(2)
     for p_k in (uniform(2), Distribution([0.5, 0.5])):
-        assert exact_refusal(explicit_m_plan(4, 21, spec), p_k) is None
+        assert exact_refusal(explicit_m_plan(4, 23, spec), p_k) is None
         assert exact_refusal(explicit_m_plan(22, 63, spec), p_k) is None
         words = exact_refusal(explicit_m_plan(4, 64, spec), p_k)
         assert isinstance(words, FieldError) and "2^64 exceeds int64" in str(words)
         sequences = exact_refusal(explicit_m_plan(23, 21, spec), p_k)
-        assert "refusing to materialize 2^23 vectors" in str(sequences)
+        assert "refusing to materialize 2^23 keys" in str(sequences)
         # past both, the word index is named first
         assert "exceeds int64" in str(exact_refusal(explicit_m_plan(23, 64, spec), p_k))
     # equal entries at q=3 are uniform too; a law off by one rounding is not
     spec3 = FieldSpec(3)
-    assert exact_refusal(explicit_m_plan(4, 13, spec3), uniform(3)) is None
+    assert exact_refusal(explicit_m_plan(4, 14, spec3), uniform(3)) is None
     near = Distribution([0.3333333333333333, 0.3333333333333333, 0.3333333333333334])
-    assert "materialization cap" in str(exact_refusal(explicit_m_plan(4, 13, spec3), near))
+    assert "word space 3^14" in str(exact_refusal(explicit_m_plan(4, 14, spec3), near))
+
+
+def test_every_size_refusal_moves_with_max_enum(monkeypatch):
+    # one setting, `fields.MAX_ENUM`, moves the refusals over keys, words,
+    # decryption pairs, member lists and type lists alike
+    from typecipher.cipher import check_decryption_condition, key_image_indices
+
+    spec, skewed = FieldSpec(2), Distribution([0.62, 0.38])
+    enc = draw_encoder(explicit_m_plan(13, 13, spec), 0)
+    plan10, plan13 = make_rate_plan(10, 0.9, spec), make_rate_plan(13, 0.9, spec)
+    sys_ = CipherSystem(build_codebook(plan10), draw_encoder(plan10, 0))
+    builds = [
+        lambda: key_image_indices(enc, spec),  # 2^13 keys
+        lambda: pad_law(enc, skewed, spec),  # 2^13 words
+        lambda: build_codebook(plan13).member_idx,  # 2186 members
+        lambda: enumerate_types(2, FieldSpec(257)),  # 257^2 vectors, more typed
+        lambda: all_vectors(13, spec),
+    ]
+    for cap, refused in ((1 << 22, False), (1 << 11, True)):
+        monkeypatch.setattr("typecipher.fields.MAX_ENUM", cap)
+        for build in builds:
+            if refused:
+                with pytest.raises(FieldError, match="cap MAX_ENUM = 2\\^11"):
+                    build()
+            else:
+                build()
+        # 2^10 pads against 353 codewords in use: checked, or skipped past the cap
+        assert check_decryption_condition(sys_) is (None if refused else True)
+        for plan, p_k in ((explicit_m_plan(13, 5, spec), uniform(2)),
+                          (explicit_m_plan(5, 13, spec), skewed)):
+            assert (exact_refusal(plan, p_k) is not None) is refused
 
 
 def _mi_oracle(sys_, p_X, p_K):

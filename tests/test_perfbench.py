@@ -2,7 +2,9 @@
 
 Runs parameter set 0 of each workload in `perfbench/workloads.py` through
 `typecipher.cli.main` and checks every output with `perfbench/checker.py`
-against the reference recorded for it, as a benchmark run does.  Reads
+against the reference recorded for it, as a benchmark run does.  Every
+parameter set is also checked without running a job: each exact or sampled
+leakage figure stays on its recorded side of the size cap.  Reads
 `perfbench/`; writes nothing there.
 """
 
@@ -15,7 +17,10 @@ from pathlib import Path
 
 import pytest
 
-from typecipher.cli import main
+from typecipher import fields
+from typecipher.cli import _dist_or_uniform, _normalize, _plan, build_parser, main
+from typecipher.code import build_codebook
+from typecipher.leakage import exact_refusal
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -35,14 +40,19 @@ def _load(name):
 checker = _load("checker")
 workloads = _load("workloads")
 
+
+def _reference(workload):
+    with open(PERFBENCH / "reference" / f"{workload}.json", encoding="utf-8") as fh:
+        return json.load(fh)["sets"]
+
+
 # share of leakage figures with provenance `exact`, by workload
 EXACT_FRAC = {"verify-exact": 1.0, "sweep-mc": 0.0}
 
 
 @pytest.mark.parametrize("workload", workloads.WORKLOADS)
 def test_param_set_0_passes_the_checker(workload):
-    with open(PERFBENCH / "reference" / f"{workload}.json", encoding="utf-8") as fh:
-        refs = json.load(fh)["sets"]["0"]
+    refs = _reference(workload)["0"]
     figures = []
     for job in workloads.jobs(workload, 0):
         out = io.StringIO()
@@ -53,3 +63,26 @@ def test_param_set_0_passes_the_checker(workload):
         figures += checker.figures(job.kind, checker.parse(job.kind, text))
     if workload in EXACT_FRAC:
         assert figures.count("exact") / len(figures) == EXACT_FRAC[workload]
+
+
+@pytest.mark.parametrize("workload", ["verify-exact", "sweep-mc"])
+def test_every_param_set_stays_on_its_side_of_the_cap(workload):
+    # runs no job: for every job of every parameter set, `exact_refusal`
+    # decides as the recorded figure's provenance says, and each `verify`
+    # job's decryption check, q^n pads against the codewords in use, stays
+    # within the cap, so a cap change that would flip a row fails here
+    refs = _reference(workload)
+    for param_set in range(workloads.PARAM_SETS):
+        for job in workloads.jobs(workload, param_set):
+            args = build_parser().parse_args(list(job.argv))
+            _normalize(args)
+            plan = _plan(args, fields.FieldSpec(args.q))
+            p_k = _dist_or_uniform(args.pk, args.q, "--pk")
+            output = refs[str(param_set)][job.id]["output"]
+            (provenance,) = set(checker.figures(job.kind, output))
+            assert (exact_refusal(plan, p_k) is None) == (provenance == "exact"), job.id
+            if job.kind == "verify":
+                cb = build_codebook(plan)
+                pairs = args.q**plan.n * (cb.member_count + bool(cb.error_types))
+                assert pairs <= fields.MAX_ENUM, job.id
+                assert output["decryption_condition"]["checked"] == "exhaustive"
