@@ -8,14 +8,18 @@ hashed to one 32-bit word by `cipher.seed_state`.  The encoder draw and the
 Monte Carlo samples then read numpy's PCG64 stream as `cipher._PCG64`
 computes it, so the output does not depend on the installed numpy's random
 module, which no command imports.
+
+Flags are read from one table, `_FLAGS`, with the commands that read each:
+a command given another flag exits 2, as does an abbreviated flag name, and
+`--help` prints the table.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import sys
+from types import SimpleNamespace
 
 from .cipher import (
     CipherSystem,
@@ -134,18 +138,10 @@ def cmd_exponents(args) -> int:
     p_x = _dist_or_uniform(args.px, q, "--px")
     p_k = _dist_or_uniform(args.pk, q, "--pk")
     grid = args.rate_list if args.rate_list else DEFAULT_RATE_GRID
-    rows = []
-    for entry in positivity_region(p_x, p_k, grid):
-        rows.append(
-            [
-                entry["R"],
-                entry["E"],
-                entry["F"],
-                int(entry["E_positive"]),
-                int(entry["F_positive"]),
-                "exact",
-            ]
-        )
+    rows = [
+        [r["R"], r["E"], r["F"], int(r["E_positive"]), int(r["F_positive"]), "exact"]
+        for r in positivity_region(p_x, p_k, grid)
+    ]
     _write_text(
         _csv(["R", "E", "F", "E_positive", "F_positive", "provenance"], rows),
         args.out,
@@ -225,8 +221,6 @@ def cmd_sweep(args) -> int:
     R = _one(args.rate_list, "--rate", "sweep", required=True)
     if not args.n_list:
         raise FieldError("--n (comma list allowed) is required for sweep")
-    if args.m is not None:
-        raise FieldError("sweep takes no --m: each row uses the canonical plan of its n")
     (e_res,), (f_res,) = exponent_pair(p_x, p_k, [R])
     e_val, f_val = e_res.rounded_down(), f_res.rounded_down()
     rows = []
@@ -337,26 +331,8 @@ def cmd_converse_probe(args) -> int:
 
 
 # ----------------------------------------------------------------------
-# argument plumbing
+# command line
 # ----------------------------------------------------------------------
-
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--n", type=str, default=None, help="block length (or comma list)")
-    parser.add_argument("--rate", type=str, default=None, help="target rate R in bits (or comma list)")
-    parser.add_argument("--m", type=int, default=None, help="explicit word length (non-canonical plan)")
-    parser.add_argument("--q", type=int, default=2, help="prime alphabet size")
-    parser.add_argument("--px", type=str, default=None, help="plaintext law, comma-separated decimals")
-    parser.add_argument("--pk", type=str, default=None, help="key law, comma-separated decimals")
-    parser.add_argument("--seed", type=int, default=0, help="master seed")
-    parser.add_argument("--samples", type=int, default=5000, help="Monte Carlo sample count")
-    parser.add_argument("--gamma", type=float, default=0.1, help="typicality slack for converse diagnostics")
-    parser.add_argument("--out", type=str, default=None, help="output path (default stdout)")
-
-
-def _normalize(args) -> None:
-    args.n_list = _int_list(args.n) if args.n else []
-    args.rate_list = _float_list(args.rate) if args.rate else []
 
 
 _COMMANDS = {
@@ -369,24 +345,77 @@ _COMMANDS = {
     "converse-probe": cmd_converse_probe,
 }
 
+_ALL = " ".join(_COMMANDS)
+_PLAN, _LAWS = "codebook verify exact-mi search-encoder", "exponents verify sweep exact-mi"
+_HELP = ("-h", "--help")
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="typecipher",
-        description="Type-class source coding with an affine one-time pad: "
-        "exponents, codebooks, leakage bounds, and converse probes.",
-    )
-    parser.add_argument("command", choices=list(_COMMANDS))
-    _add_common(parser)
-    return parser
+# flag -> (attribute, converter, default, help, the commands that read it)
+_FLAGS = {
+    "--n": ("n_list", _int_list, (), "block length (or comma list)", f"{_PLAN} sweep converse-probe"),
+    "--rate": ("rate_list", _float_list, (), "target rate R in bits (or comma list)", _ALL),
+    "--m": ("m", int, None, "explicit word length (non-canonical plan)", _PLAN),
+    "--q": ("q", int, 2, "prime alphabet size", _ALL),
+    "--px": ("px", str, None, "plaintext law, comma-separated decimals", f"{_LAWS} converse-probe"),
+    "--pk": ("pk", str, None, "key law, comma-separated decimals", _LAWS),
+    "--seed": ("seed", int, 0, "master seed", "verify sweep exact-mi search-encoder"),
+    "--samples": ("samples", int, 5000, "Monte Carlo sample count", "sweep exact-mi"),
+    "--gamma": ("gamma", float, 0.1, "typicality slack for converse diagnostics", "verify"),
+    "--out": ("out", str, None, "output path (default stdout)", _ALL),
+}
+
+
+def _read(argv):
+    """The namespace `main` reads from `argv`, None if it asks for help.  A
+    flag's value is the next word or follows `=`; flags may precede the
+    command, and the last of a repeated flag wins."""
+    given, commands, words = {}, [], iter(argv)
+    for word in words:
+        if word in _HELP:
+            return None
+        flag, eq, text = word.partition("=")
+        if not word.startswith("-"):
+            commands.append(word)
+        elif flag not in _FLAGS:
+            raise FieldError(f"unknown flag {flag} (see --help)")
+        else:
+            text = text if eq else next(words, None)
+            if text is None or text in _FLAGS or text in _HELP:
+                raise FieldError(f"{flag} expects a value")
+            given[flag] = text
+    if len(commands) != 1 or commands[0] not in _COMMANDS:
+        raise FieldError(f"expected one command of: {_ALL}; got {' '.join(commands) or 'none'}")
+    args = SimpleNamespace(command=commands[0])
+    for flag, (name, convert, default, _, readers) in _FLAGS.items():
+        if flag in given and args.command not in readers.split():
+            raise FieldError(f"{args.command} takes no {flag}")
+        try:
+            setattr(args, name, convert(given[flag]) if flag in given else default)
+        except ValueError as exc:
+            raise FieldError(f"{flag}: {exc}") from exc
+    return args
+
+
+def _help() -> int:
+    lines = ["usage: typecipher COMMAND [--flag VALUE | --flag=VALUE ...]",
+             "Type-class source coding with an affine one-time pad: exponents, codebooks,",
+             "leakage bounds and converse probes.", f"commands: {_ALL}",
+             "flags (full names only; a command refuses a flag it does not read):"]
+    for flag, (_, _, default, text, readers) in _FLAGS.items():
+        shown = "" if default in (None, ()) else f" (default {default})"
+        lines += [f"  {flag:<11}{text}{shown}", f"{'':13}read by: {readers}"]
+    sys.stdout.write("\n".join(lines) + "\n")
+    return 0
+
+
+def build_parser() -> SimpleNamespace:
+    """An object whose `parse_args(argv)` gives the namespace `main` reads."""
+    return SimpleNamespace(parse_args=_read)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        _normalize(args)
-        return _COMMANDS[args.command](args)
+        args = _read(sys.argv[1:] if argv is None else argv)
+        return _help() if args is None else _COMMANDS[args.command](args)
     except (FieldError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from typecipher.cipher import CipherSystem, derandomize
-from typecipher.cli import main
+from typecipher.cli import _FLAGS, main
 from typecipher.code import build_codebook, explicit_m_plan, make_rate_plan
 from typecipher.fields import MAX_ENUM, FieldSpec
 from typecipher.leakage import _log2_sequence_prob, exact_laws, exact_mutual_info, exact_refusal
@@ -47,14 +47,16 @@ print(sorted(name for name in ("numpy.fft", "numpy.ma") if name in sys.modules))
 """
 
 # Runs each exact command once in a fresh interpreter, then prints whether
-# numpy.random was imported: no command may load it.
+# numpy.random was imported: no command may load it.  The encoder search
+# reads no law, so it is given none.
 _COLD_EXACT = """
 import contextlib, io, sys
 from typecipher.cli import main
-law = ["--q", "2", "--n", "4", "--rate", "0.9", "--px", "0.8,0.2", "--pk", "0.7,0.3"]
-for command in ("verify", "exact-mi", "search-encoder"):
+plan = ["--q", "2", "--n", "4", "--rate", "0.9"]
+law = [*plan, "--px", "0.8,0.2", "--pk", "0.7,0.3"]
+for argv in (["verify", *law], ["exact-mi", *law], ["search-encoder", *plan]):
     with contextlib.redirect_stdout(io.StringIO()):
-        assert main([command, *law]) == 0
+        assert main(argv) == 0
 print("numpy.random" in sys.modules)
 """
 
@@ -76,7 +78,8 @@ print("numpy.random" in sys.modules, "numpy.ma" in sys.modules)
 
 
 # Imports the package, then runs a sampled sweep and an exact verify, and
-# prints which of the modules `Fraction` would bring in got loaded.
+# prints which of the modules `Fraction` would bring in got loaded, then
+# which of argparse and the gettext/locale pair it pulls in got loaded.
 _COLD_IMPORT = """
 import contextlib, io, sys
 import typecipher
@@ -86,7 +89,8 @@ law = ["--q", "2", "--rate", "0.9", "--px", "0.8,0.2", "--pk", "0.7,0.3"]
 for argv in (["sweep", "--n", "16", "--samples", "1000", *law], ["verify", "--n", "5", *law]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0
-print(loaded, [name for name in ("fractions", "decimal") if name in sys.modules])
+print(loaded, [name for name in ("fractions", "decimal") if name in sys.modules],
+      [name for name in ("argparse", "gettext", "locale") if name in sys.modules])
 """
 
 
@@ -761,18 +765,68 @@ def test_explicit_m_plans_on_both_sides_of_the_word_space_cap(tmp_path, capsys):
         (["converse-probe", "--n", "4", "--rate", "0.3,0.4", "--px", "0.7,0.3"],
          "converse-probe takes one --rate value"),
         (["sweep", "--n", "7", "--rate", "0.9", "--m", "3"], "sweep takes no --m"),
+        (["converse-probe", "--n", "4", "--rate", "0.3", "--px", "0.7,0.3", "--m", "5"],
+         "converse-probe takes no --m"),
+        (["converse-probe", "--n", "4", "--rate", "0.3", "--px", "0.7,0.3", "--pk", "0.5,0.5"],
+         "converse-probe takes no --pk"),
+        (["exponents", "--px", "0.8,0.2", "--n", "4"], "exponents takes no --n"),
+        (["exponents", "--px", "0.8,0.2", "--m", "3"], "exponents takes no --m"),
         (["verify", "--n", "7x", "--rate", "0.9"], "invalid literal for int()"),
     ],
     ids=["verify-n", "exact-mi-n", "codebook-n", "search-encoder-n", "verify-rate",
-         "sweep-rate", "converse-probe-rate", "sweep-m", "malformed-n"],
+         "sweep-rate", "converse-probe-rate", "sweep-m", "converse-probe-m",
+         "converse-probe-pk", "exponents-n", "exponents-m", "malformed-n"],
 )
 def test_input_a_command_would_ignore_exits_2(capsys, argv, flag):
-    # a list where the command reads one value, or --m where sweep plans its
-    # own words, is refused rather than cut to its first value or dropped;
-    # so is a list entry that is not a number
+    # a list where the command reads one value, or a flag the command never
+    # reads (--m where sweep plans its own words), is refused rather than cut
+    # to its first value or dropped; so is a list entry that is not a number
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and flag in captured.err
+
+
+_PROBE = ["--n", "4", "--rate", "0.3", "--px", "0.7,0.3"]
+_PROBE_ROWS = "n,log2_size,error,provenance\n4,1,0.6570000000000001,exact\n"
+
+
+@pytest.mark.parametrize(
+    "argv, code, shown",
+    [
+        (["converse-probe", "--n=4", "--rate=0.3", "--px=0.7,0.3"], 0, _PROBE_ROWS),
+        ([*_PROBE, "converse-probe"], 0, _PROBE_ROWS),
+        (["converse-probe", "--n", "9", *_PROBE], 0, _PROBE_ROWS),
+        (None, 0, _PROBE_ROWS),
+        (["converse-probe", *_PROBE, "--n"], 2, "--n expects a value"),
+        (["converse-probe", "--n", "--rate", "0.3", "--px", "0.7,0.3"], 2, "--n expects a value"),
+        (["converse-probe", *_PROBE, "--q", "3.0"], 2,
+         "--q: invalid literal for int() with base 10: '3.0'"),
+        (["verify", "--n", "4", "--rate", "0.9", "--gamma", "x"], 2,
+         "--gamma: could not convert string to float: 'x'"),
+        (["converse-probe", *_PROBE, "--bogus", "1"], 2, "unknown flag --bogus"),
+        (["sweep", "--n", "4", "--rate", "0.9", "--sam", "1000"], 2, "unknown flag --sam"),
+        (["probe", *_PROBE], 2, "expected one command of: exponents codebook"),
+        (_PROBE, 2, "got none"),
+        (["-h"], 0, None),
+        (["verify", "--n", "4", "--help"], 0, None),
+    ],
+    ids=["equals", "flags-first", "last-wins", "sys-argv", "missing-value", "flag-as-value",
+         "bad-int", "bad-float", "unknown-flag", "abbreviated-flag", "unknown-command",
+         "no-command", "h", "help"],
+)
+def test_command_line_reader(capsys, monkeypatch, argv, code, shown):
+    # main() with no argv reads sys.argv[1:], as the console script calls it
+    monkeypatch.setattr(sys, "argv", ["typecipher", "converse-probe", *_PROBE])
+    assert (main() if argv is None else main(argv)) == code
+    captured = capsys.readouterr()
+    if code == 2:
+        assert captured.out == "" and shown in captured.err
+    elif shown is None:
+        # the help page names every flag of the table
+        assert captured.out.startswith("usage: typecipher COMMAND")
+        assert all(f"  {flag} " in captured.out for flag in _FLAGS) and captured.err == ""
+    else:
+        assert (captured.out, captured.err) == (shown, "")
 
 
 def test_each_command_on_both_sides_of_the_word_space_cap(tmp_path, capsys):
@@ -781,7 +835,8 @@ def test_each_command_on_both_sides_of_the_word_space_cap(tmp_path, capsys):
     spec = FieldSpec(2)
     assert 2 ** make_rate_plan(14, 0.9, spec).m == MAX_ENUM
     assert 2 ** make_rate_plan(15, 0.9, spec).m == 2 * MAX_ENUM
-    law = ["--q", "2", "--rate", "0.9", "--pk", "0.62,0.38", "--seed", "1"]
+    plan = ["--q", "2", "--rate", "0.9", "--seed", "1"]
+    law = [*plan, "--pk", "0.62,0.38"]
     out = tmp_path / "out"
     assert main(["sweep", "--n", "14,15", "--samples", "1000", *law, "--out", str(out)]) == 0
     assert [r["mi_flag"] for r in _read_csv(out)] == ["exact", "estimate"]
@@ -791,8 +846,9 @@ def test_each_command_on_both_sides_of_the_word_space_cap(tmp_path, capsys):
         payload = _read_json(out)
         assert payload["provenance"] == provenance
         assert payload["encoder"]["derandomized"] is (provenance == "exact")
-        # the encoder search builds nothing over the words, so it runs on both sides
-        assert main(["search-encoder", "--n", n, *law, "--out", str(out)]) == 0
+        # the encoder search builds nothing over the words (and reads no
+        # law), so it runs on both sides
+        assert main(["search-encoder", "--n", n, *plan, "--out", str(out)]) == 0
         assert _read_json(out)["provenance"] == "exact"
     assert main(["verify", "--n", "14", *law, "--out", str(out)]) == 0
     assert _read_json(out)["certificate"]["report"]["provenance"] == "exact"
@@ -984,7 +1040,9 @@ def test_cold_sampled_commands_do_not_import_numpy_random():
 def test_cold_import_loads_neither_fractions_nor_decimal():
     # type laws divide their integer counts as floats, the same doubles a
     # Fraction converts to
-    assert _run_cold(_COLD_IMPORT) == "[] []"
+    # and the flags are read from a table, so no invocation builds an
+    # argparse parser or imports locale for its messages
+    assert _run_cold(_COLD_IMPORT) == "[] [] []"
 
 
 def test_sweep_solves_both_exponents_in_one_stack(monkeypatch):

@@ -4,8 +4,9 @@ Runs parameter set 0 of each workload in `perfbench/workloads.py` through
 `typecipher.cli.main` and checks every output with `perfbench/checker.py`
 against the reference recorded for it, as a benchmark run does.  Every
 parameter set is also checked without running a job: each exact or sampled
-leakage figure stays on its recorded side of the size cap.  Reads
-`perfbench/`; writes nothing there.
+leakage figure stays on its recorded side of the size cap.  The run's
+set-up probe (`run.setup_probe`) is run once, so an entry point it calls
+that goes missing fails here.  Reads `perfbench/`; writes nothing there.
 """
 
 import contextlib
@@ -18,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from typecipher import fields
-from typecipher.cli import _dist_or_uniform, _normalize, _plan, build_parser, main
+from typecipher.cli import _dist_or_uniform, _plan, build_parser, main
 from typecipher.code import build_codebook
 from typecipher.leakage import exact_refusal
 
@@ -75,7 +76,6 @@ def test_every_param_set_stays_on_its_side_of_the_cap(workload):
     for param_set in range(workloads.PARAM_SETS):
         for job in workloads.jobs(workload, param_set):
             args = build_parser().parse_args(list(job.argv))
-            _normalize(args)
             plan = _plan(args, fields.FieldSpec(args.q))
             p_k = _dist_or_uniform(args.pk, args.q, "--pk")
             output = refs[str(param_set)][job.id]["output"]
@@ -86,3 +86,17 @@ def test_every_param_set_stays_on_its_side_of_the_cap(workload):
                 pairs = args.q**plan.n * (cb.member_count + bool(cb.error_types))
                 assert pairs <= fields.MAX_ENUM, job.id
                 assert output["decryption_condition"]["checked"] == "exhaustive"
+
+
+def test_setup_probe_reaches_ready(monkeypatch):
+    # a fresh interpreter imports typecipher.cli and calls build_parser(); a
+    # rename there would otherwise fail only a benchmark run.  run.py imports
+    # its sibling modules by name, so they load for it and are dropped after
+    before = set(sys.modules)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    try:
+        assert _load("run").setup_probe() > 0
+    finally:
+        for name in set(sys.modules) - before:
+            if Path(getattr(sys.modules[name], "__file__", None) or "/").parent == PERFBENCH:
+                del sys.modules[name]
