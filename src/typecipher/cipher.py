@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -36,8 +35,10 @@ from .code import Codebook, RatePlan, decode_indices, encode
 from .fields import (
     FieldError,
     FieldSpec,
+    Record,
     _check_enum,
     _digit_dtype,
+    _power,
     all_vectors,
     field_matrix,
     field_row,
@@ -81,14 +82,16 @@ __all__ = [
 KEY_BLOCK = 1 << 15
 
 
-@dataclass(frozen=True, eq=False)
-class AffineEncoder:
+class AffineEncoder(Record):
     """The key-whitening map k -> kA + b; seed records the draw (None if
-    hand-built)."""
+    hand-built).  Equal only to itself: A is an array."""
 
     A: np.ndarray
     b: tuple[int, ...]
     seed: int | None = None
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     @property
     def n(self) -> int:
@@ -349,20 +352,19 @@ def make_encoder(A, b, spec: FieldSpec, seed: int | None = None) -> AffineEncode
     return AffineEncoder(A=field_matrix(A, spec), b=field_vector(b, spec), seed=seed)
 
 
-@dataclass(frozen=True)
-class CipherSystem:
+class CipherSystem(Record):
     codebook: Codebook
     key_encoder: AffineEncoder
 
-    def __post_init__(self) -> None:
-        plan = self.codebook.plan
-        enc = self.key_encoder
-        if enc.A.shape != (plan.n, plan.m):
+    def __init__(self, codebook: Codebook, key_encoder: AffineEncoder) -> None:
+        plan = codebook.plan
+        if key_encoder.A.shape != (plan.n, plan.m):
             raise FieldError(
-                f"encoder shape {enc.A.shape} does not match plan ({plan.n}, {plan.m})"
+                f"encoder shape {key_encoder.A.shape} does not match plan ({plan.n}, {plan.m})"
             )
-        if len(enc.b) != plan.m:
-            raise FieldError(f"offset length {len(enc.b)} does not match m={plan.m}")
+        if len(key_encoder.b) != plan.m:
+            raise FieldError(f"offset length {len(key_encoder.b)} does not match m={plan.m}")
+        self.__dict__.update(codebook=codebook, key_encoder=key_encoder)
 
     @property
     def plan(self) -> RatePlan:
@@ -429,7 +431,7 @@ def check_decryption_condition(sys: CipherSystem) -> bool | None:
     spec, cb = sys.spec, sys.codebook
     used = np.arange(0 if cb.error_types else 1, cb.member_count + 1)
     try:
-        _check_enum(spec.q**sys.plan.n * len(used), "(pad, codeword) pairs")
+        _check_enum(_power(spec.q, sys.plan.n) * len(used), "(pad, codeword) pairs")
     except FieldError:
         return None
     words = indices_to_vectors(used, sys.plan.m, spec)
@@ -545,7 +547,7 @@ def _key_blocks(enc: AffineEncoder, spec: FieldSpec):
 
 def key_image_indices(enc: AffineEncoder, spec: FieldSpec) -> np.ndarray:
     """Word index of phi(k) for every key k in lexicographic order."""
-    images = np.empty(_check_enum(spec.q**enc.n, f"{spec.q}^{enc.n} keys"), dtype=np.int64)
+    images = np.empty(_check_enum(_power(spec.q, enc.n), f"{spec.q}^{enc.n} keys"), dtype=np.int64)
     for start, pads in _key_blocks(enc, spec):
         images[start : start + len(pads)] = vectors_to_indices(pads, spec)
     return images
@@ -554,7 +556,7 @@ def key_image_indices(enc: AffineEncoder, spec: FieldSpec) -> np.ndarray:
 def pad_law(enc: AffineEncoder, p_K: Distribution, spec: FieldSpec) -> np.ndarray:
     """Distribution of the pad phi(K) over word indices, K i.i.d. p_K; the
     pad's digits at some positions are the pad of A and b cut to them."""
-    total = _check_enum(spec.q**enc.m, f"word space {spec.q}^{enc.m}")
+    total = _check_enum(_power(spec.q, enc.m), f"word space {spec.q}^{enc.m}")
     key_probs = sequence_probs(p_K, enc.n, spec)
     return np.bincount(key_image_indices(enc, spec), weights=key_probs, minlength=total)
 
@@ -653,8 +655,7 @@ def search_score(enc: AffineEncoder, plan: RatePlan) -> float:
     return _score(omega_divergences(enc, plan), plan)
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(Record, hidden=("reduced",)):
     """The certified encoder of `derandomize`, with the per-type divergences
     D(Omega_P || uniform) its score was computed from and the row reduction
     of its A (`_row_reduce`) that chose how they were computed."""
@@ -665,7 +666,7 @@ class SearchResult:
     attempts: int
     type_count: int
     divergences: tuple[tuple[TypeComposition, float], ...]
-    reduced: tuple[np.ndarray, tuple[int, ...]] = field(repr=False, compare=False)
+    reduced: tuple[np.ndarray, tuple[int, ...]]
 
 
 def derandomize(

@@ -38,7 +38,7 @@ from .code import (
     make_rate_plan,
 )
 from .exponents import exponent_pair, positivity_region
-from .fields import FieldError, FieldSpec
+from .fields import FieldError, FieldSpec, _check_index_range
 from .leakage import (
     check_birkhoff,
     converse_diagnostics,
@@ -134,7 +134,7 @@ def _plan(args, spec: FieldSpec):
 
 
 def cmd_exponents(args) -> int:
-    q = args.q
+    q = FieldSpec(args.q).q
     p_x = _dist_or_uniform(args.px, q, "--px")
     p_k = _dist_or_uniform(args.pk, q, "--pk")
     grid = args.rate_list if args.rate_list else DEFAULT_RATE_GRID
@@ -227,8 +227,11 @@ def cmd_sweep(args) -> int:
     for n in args.n_list:
         plan = make_rate_plan(n, R, spec)
         seed = _sub_seed(args.seed, n)
+        exact = exact_refusal(plan, p_k) is None
+        if not exact:  # the samples index words in int64
+            _check_index_range(plan.m, spec)
         cb = build_codebook(plan)
-        if exact_refusal(plan, p_k) is None:
+        if exact:
             search = derandomize(plan, max_attempts=1000, base_seed=seed)
             sys_ = CipherSystem(codebook=cb, key_encoder=search.encoder)
             mi_value, mi_flag = exact_laws(sys_, p_x, p_k, search).mi, "exact"
@@ -281,8 +284,10 @@ def cmd_exact_mi(args) -> int:
     p_x = _dist_or_uniform(args.px, args.q, "--px")
     p_k = _dist_or_uniform(args.pk, args.q, "--pk")
     refusal = exact_refusal(plan, p_k)
-    if refusal is not None and args.samples <= 0:
-        raise refusal
+    if refusal is not None:
+        if args.samples <= 0:
+            raise refusal
+        _check_index_range(plan.m, spec)  # the samples index words in int64
     seed = _sub_seed(args.seed, 1)
     cb = build_codebook(plan)
     if refusal is None:

@@ -27,7 +27,6 @@ bound checks that assume the canonical m.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -35,6 +34,7 @@ import numpy as np
 from .fields import (
     FieldError,
     FieldSpec,
+    Record,
     _check_enum,
     field_row,
     index_decode,
@@ -71,8 +71,7 @@ __all__ = [
     "codebook_size_margins",
 ]
 
-@dataclass(frozen=True)
-class RatePlan:
+class RatePlan(Record):
     """Block length, target rate, and the derived slack / word length.
 
     canonical is True when m came from the floor rule above; explicit-m plans
@@ -93,16 +92,23 @@ class RatePlan:
         return self.spec.q
 
 
+def _check_rate(R: float) -> None:
+    if not 0 < R < math.inf:
+        raise ValueError(f"target rate must be positive and finite, got {R}")
+
+
 def make_rate_plan(n: int, R: float, spec: FieldSpec) -> RatePlan:
     """Canonical rate plan: the slack gamma_n and word length m at rate R."""
     if n < 1:
         raise ValueError(f"block length must be >= 1, got {n}")
-    if R <= 0:
-        raise ValueError(f"target rate must be positive, got {R}")
+    _check_rate(R)
     q = spec.q
     log_q = math.log2(q)
     gamma_n = (q * math.log2(n + 1) + log_q + 1.0) / n
     R_n = R + gamma_n
+    # the float sandwich below tells m from m + 1 only under 2^53
+    if not n * R_n / log_q < 2**53:
+        raise ValueError(f"target rate {R} at n={n} asks a word length past 2^53")
     # Nudge before flooring so an exact-integer quotient is not lost to
     # rounding, then repair against the float-evaluated sandwich.
     m = math.floor(n * R_n / log_q + 1e-12)
@@ -123,13 +129,12 @@ def explicit_m_plan(n: int, m: int, spec: FieldSpec, R: float | None = None) -> 
     """
     if n < 1:
         raise ValueError(f"block length must be >= 1, got {n}")
-    if m < 1:
-        raise ValueError(f"word length must be >= 1, got {m}")
+    if not 1 <= m < 2**53:  # the bound make_rate_plan puts on m
+        raise ValueError(f"word length must be in [1, 2^53), got {m}")
     R_n = m * math.log2(spec.q) / n
     if R is None:
         R = R_n
-    if R <= 0:
-        raise ValueError(f"target rate must be positive, got {R}")
+    _check_rate(R)
     return RatePlan(
         spec=spec, n=n, R=R, gamma_n=R_n - R, R_n=R_n, m=m, canonical=False
     )
@@ -168,7 +173,8 @@ class Codebook:
         for P in member_types:
             type_offset[P.counts] = count
             count += class_size(P)
-        if count > q**m - 1:
+        # where m log2 q passes count's bit length, q**m > count unbuilt
+        if m * math.log2(q) <= count.bit_length() + 1 and count > q**m - 1:
             # The size bound rules this out for canonical plans only.
             raise FieldError(
                 f"{count} members at rate {plan.R} exceed the {q}^{m} - 1 "
@@ -181,8 +187,12 @@ class Codebook:
         self.error_types = tuple(error_types)
         self.member_count = count
         self.type_offset = type_offset
-        self.x0 = (0,) * m
         self.default_decode = self._smallest_non_member()
+
+    @property
+    def x0(self) -> tuple[int, ...]:
+        """The all-zero word, reserved for the error report."""
+        return (0,) * self.plan.m
 
     def _smallest_non_member(self) -> tuple[int, ...]:
         # Sequence indices run in lexicographic order, and the smallest

@@ -30,12 +30,12 @@ the aligned branch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
 
 import numpy as np
 
+from .fields import Record
 from .simplex import Distribution, entropy
 
 __all__ = [
@@ -53,11 +53,13 @@ POSITIVITY_THRESHOLD = 1e-9
 TOLERANCE = 1e-9
 
 
-@dataclass(frozen=True)
-class ExponentResult:
+class ExponentResult(Record):
     value: float
     argmin: Distribution | None
     tolerance: float
+
+    def __init__(self, value: float, argmin: Distribution | None, tolerance: float) -> None:
+        self.__dict__.update(value=value, argmin=argmin, tolerance=tolerance)
 
     def rounded_down(self) -> float:
         """Conservative value for use inside upper bounds."""

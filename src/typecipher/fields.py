@@ -9,12 +9,14 @@ its big-endian base-q value (`vectors_to_indices`, `indices_to_vectors`),
 so a law over vectors is one array over indices.  Bulk digit rows are held
 in the field's digit dtype (`FieldSpec.digit_dtype`, one byte a digit for
 q <= 127), indices in int64.  Tuples appear only at the scalar API and in
-text.  Nothing in this module touches floating point.
+text.  Nothing in this module touches floating point, except the log2 by
+which a size check refuses a vast power before building it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -48,6 +50,70 @@ class FieldError(ValueError):
     """Invalid field element, dimension mismatch, or unusable modulus."""
 
 
+class Record:
+    """A read-only value: the fields a subclass annotates, in order.
+
+    The constructor takes them by position or keyword; a field with a
+    class-level value defaults to it.  Records compare, hash and print by
+    their fields, except those the subclass names with `hidden=(...)` in its
+    class statement, and `_replace` copies one through its constructor.
+    Nothing is generated at import.  A subclass that validates its fields,
+    or is built in a loop, writes its own `__init__`, storing each field
+    into `__dict__`.
+    """
+
+    _fields: tuple[str, ...] = ()
+    _shown: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, hidden: tuple[str, ...] = (), **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        own = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._fields = cls._fields + own
+        cls._shown = tuple(f for f in cls._fields if f not in hidden)
+        # the compared values; a plain callable attribute, so called with self
+        cls._key = attrgetter(*cls._shown)
+
+    def __init__(self, *args, **kwargs) -> None:
+        name, fields = type(self).__name__, self._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{name} takes {len(fields)} fields, got {len(args)}")
+        values = dict(zip(fields, args))
+        for field, value in kwargs.items():
+            if field not in fields or field in values:
+                raise TypeError(f"{name} got an unexpected or repeated field {field!r}")
+            values[field] = value
+        for field in fields[len(args):]:
+            if field not in values:
+                if not hasattr(type(self), field):
+                    raise TypeError(f"{name} is missing field {field!r}")
+                values[field] = getattr(type(self), field)
+        self.__dict__.update(values)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        key = self._key
+        return key(self) == key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._shown)
+        return f"{type(self).__qualname__}({shown})"
+
+    def _replace(self, **changes):
+        """A copy with `changes` to some fields, built (and so validated)
+        by the record's constructor."""
+        return type(self)(**{f: getattr(self, f) for f in self._fields} | changes)
+
+
 def _digit_dtype(q: int) -> np.dtype:
     """The narrowest unsigned dtype that holds 2(q - 1), the sum of two
     residues: uint8 up to q = 127, uint16 from q = 131 to MAX_Q."""
@@ -65,19 +131,19 @@ def _is_prime(q: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class FieldSpec(Record):
     """The alphabet: the prime field Z_q with q symbols 0..q-1."""
 
     q: int
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.q, int):
-            raise FieldError(f"modulus must be an integer, got {self.q!r}")
-        if not _is_prime(self.q):
-            raise FieldError(f"modulus {self.q} is not prime")
-        if self.q > MAX_Q:
-            raise FieldError(f"modulus {self.q} exceeds the desk-scale cap {MAX_Q}")
+    def __init__(self, q: int) -> None:
+        if not isinstance(q, int):
+            raise FieldError(f"modulus must be an integer, got {q!r}")
+        if not _is_prime(q):
+            raise FieldError(f"modulus {q} is not prime")
+        if q > MAX_Q:
+            raise FieldError(f"modulus {q} exceeds the desk-scale cap {MAX_Q}")
+        self.__dict__["q"] = q
 
     @property
     def digit_dtype(self) -> np.dtype:
@@ -167,11 +233,17 @@ def all_vectors(length: int, spec: FieldSpec) -> np.ndarray:
     Row i holds the digits of index i (big-endian), so lexicographic order on
     rows coincides with numeric order of index_encode.
     """
-    total = _check_enum(spec.q**length, f"{spec.q}^{length} vectors")
+    total = _check_enum(_power(spec.q, length), f"{spec.q}^{length} vectors")
     return indices_to_vectors(np.arange(total), length, spec)
 
 
-def _check_enum(total: int, space: str, way_out: str = "") -> int:
+def _power(q: int, k: int) -> int | float:
+    """q**k, or inf where k log2 q is past the bit length of MAX_ENUM: past
+    the cap either way, and a vast k builds no power."""
+    return q**k if k * math.log2(q) <= MAX_ENUM.bit_length() else math.inf
+
+
+def _check_enum(total: int | float, space: str, way_out: str = "") -> int:
     """`total`, the size of what `space` names, refused past MAX_ENUM.
 
     Every size refusal comes here, and the cap is read at each call, so
@@ -188,8 +260,9 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def _check_index_range(length: int, spec: FieldSpec) -> None:
-    """Refuse lengths whose largest index, q**length - 1, leaves int64."""
-    if spec.q**length - 1 > _INT64_MAX:
+    """Refuse lengths whose largest index, q**length - 1, leaves int64
+    (decided from length log2 q where that is past 64 bits)."""
+    if length * math.log2(spec.q) > 64 or spec.q**length - 1 > _INT64_MAX:
         raise FieldError(
             f"index range {spec.q}^{length} exceeds int64; use index_encode per "
             "vector, or on the command line give `verify` or `exact-mi` an "

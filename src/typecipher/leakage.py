@@ -58,7 +58,6 @@ size to show rates below H(X) are hopeless.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from sys import float_info
 from typing import Sequence
@@ -85,8 +84,10 @@ from .exponents import exponent_F
 from .fields import (
     FieldError,
     FieldSpec,
+    Record,
     _check_enum,
     _check_index_range,
+    _power,
     indices_to_vectors,
     vectors_to_indices,
 )
@@ -188,8 +189,8 @@ def exact_refusal(plan: RatePlan, p_K: Distribution) -> FieldError | None:
         if _is_uniform(p_K):
             _check_index_range(plan.m, plan.spec)
         else:
-            _check_enum(q**plan.m, f"word space {q}^{plan.m}", sampled)
-        _check_enum(q**plan.n, f"{q}^{plan.n} keys", sampled)
+            _check_enum(_power(q, plan.m), f"word space {q}^{plan.m}", sampled)
+        _check_enum(_power(q, plan.n), f"{q}^{plan.n} keys", sampled)
     except FieldError as exc:
         return exc
     return None
@@ -232,8 +233,7 @@ class CosetMixture:
         return entropy(self.laws) + float(np.sum(s * (self.h_pad - np.log2(s))))
 
 
-@dataclass(frozen=True, eq=False)
-class ExactLaws:
+class ExactLaws(Record):
     """One system and its two source laws: the handle of every exact figure.
 
     Holds the system, p_X, p_K and, when the system's encoder came from
@@ -263,6 +263,10 @@ class ExactLaws:
     p_X: Distribution
     p_K: Distribution
     search: SearchResult | None
+
+    # equal only to itself: a handle on the figures it caches
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     @property
     def plan(self) -> RatePlan:
@@ -437,12 +441,11 @@ def exact_laws(
 
 
 def _fields_json(report, **extra) -> dict:
-    """A report dataclass's fields by name, plus the `extra` keys."""
-    return {k: getattr(report, k) for k in report.__dataclass_fields__} | extra
+    """A report record's fields by name, plus the `extra` keys."""
+    return {k: getattr(report, k) for k in report._fields} | extra
 
 
-@dataclass(frozen=True)
-class LeakageReport:
+class LeakageReport(Record):
     """Exact leakage of one system together with its certified upper bounds.
 
     `security_bound` and `f_exponent` are None when the rate plan does not
@@ -513,8 +516,7 @@ def exact_mutual_info(laws: ExactLaws) -> LeakageReport:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MonteCarloMI:
+class MonteCarloMI(Record):
     estimate: float
     std_error: float | None
     samples: int
@@ -655,12 +657,14 @@ def check_birkhoff(laws: ExactLaws) -> float:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundCheck:
+class BoundCheck(Record):
     name: str
     lhs: float
     rhs: float
     holds: bool
+
+    def __init__(self, name: str, lhs: float, rhs: float, holds: bool) -> None:
+        self.__dict__.update(name=name, lhs=lhs, rhs=rhs, holds=holds)
 
     @property
     def margin(self) -> float:
@@ -678,8 +682,7 @@ EXPONENT_STEPS = (
 )
 
 
-@dataclass(frozen=True)
-class SecurityCertificate:
+class SecurityCertificate(Record):
     """The bound chain checked on one system; `skipped` in the JSON names
     the exponent steps a non-canonical plan leaves out."""
 
@@ -820,8 +823,7 @@ def security_bound_curve(
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConverseDiagnostics:
+class ConverseDiagnostics(Record):
     """Measured quantities behind the key-rate converse, on one system.
 
     Conditioning is on B = {x : information density >= H(X) - gamma and x
@@ -905,7 +907,7 @@ def converse_diagnostics(
     demands more than the finite-n inequalities provide) and in the proof's
     form H(K) >= H(X) - gamma - margin_delta.
     """
-    if gamma <= 0:
+    if not gamma > 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     n = laws.plan.n
     h_x = entropy(laws.p_X)

@@ -25,10 +25,12 @@ class Distribution:
         p = np.asarray(tuple(probs), dtype=np.float64)
         if p.ndim != 1 or p.size == 0:
             raise ValueError("distribution must be a non-empty 1-D sequence")
+        if not np.isfinite(p).all():
+            raise ValueError(f"probabilities must be finite, got {p.tolist()}")
         if p.min() < 0.0:
             raise ValueError(f"negative probability in {p.tolist()}")
         if abs(p.sum() - 1.0) > SIMPLEX_TOL:
-            raise ValueError(f"probabilities sum to {p.sum()!r}, not 1")
+            raise ValueError(f"probabilities sum to {float(p.sum())!r}, not 1")
         p.flags.writeable = False
         object.__setattr__(self, "probs", p)
 
@@ -56,9 +58,10 @@ class Distribution:
     @classmethod
     def from_text(cls, s: str) -> "Distribution":
         try:
-            return cls(float(part) for part in s.split(","))
+            probs = [float(part) for part in s.split(",")]
         except ValueError as exc:
             raise ValueError(f"cannot parse {s!r} as a distribution") from exc
+        return cls(probs)
 
 
 def uniform(q: int) -> Distribution:

@@ -19,14 +19,13 @@ which the test suite verifies by enumeration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations_with_replacement
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .fields import FieldSpec, _check_enum
+from .fields import FieldSpec, Record, _check_enum, _power
 from .simplex import Distribution
 
 __all__ = [
@@ -43,15 +42,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TypeComposition:
+class TypeComposition(Record):
     """Symbol counts of a length-n string over an alphabet of size q."""
 
     counts: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if min(self.counts, default=0) < 0:
-            raise ValueError(f"negative count in {self.counts}")
+    def __init__(self, counts: tuple[int, ...]) -> None:
+        if min(counts, default=0) < 0:
+            raise ValueError(f"negative count in {counts}")
+        self.__dict__["counts"] = counts
 
     @property
     def n(self) -> int:
@@ -97,7 +96,7 @@ def _check_types(n: int, spec: FieldSpec) -> None:
     """Refuse where neither the q**n sequences of length n nor their types,
     q counts each, are within `fields.MAX_ENUM`, naming the sequences."""
     q = spec.q
-    _check_enum(min(q**n, n_types(n, q) * q), f"{q}^{n} vectors")
+    _check_enum(min(_power(q, n), n_types(n, q) * q), f"{q}^{n} vectors")
 
 
 def enumerate_types(n: int, spec: FieldSpec) -> list[TypeComposition]:
@@ -146,7 +145,7 @@ def class_prob(P: TypeComposition, p: Distribution) -> float:
 def sequence_probs(p: Distribution, n: int, spec: FieldSpec) -> np.ndarray:
     """p^n(x) of every length-n sequence x, in sequence-index order: the
     n-fold outer product of p, p(x_1) p(x_2) ... p(x_n) left to right."""
-    _check_enum(spec.q**n, f"{spec.q}^{n} vectors")
+    _check_enum(_power(spec.q, n), f"{spec.q}^{n} vectors")
     return reduce(np.multiply.outer, [np.asarray(p)] * n).ravel()
 
 

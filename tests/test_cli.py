@@ -79,7 +79,8 @@ print("numpy.random" in sys.modules, "numpy.ma" in sys.modules)
 
 # Imports the package, then runs a sampled sweep and an exact verify, and
 # prints which of the modules `Fraction` would bring in got loaded, then
-# which of argparse and the gettext/locale pair it pulls in got loaded.
+# which of argparse, the gettext/locale pair it pulls in and dataclasses got
+# loaded.
 _COLD_IMPORT = """
 import contextlib, io, sys
 import typecipher
@@ -90,7 +91,7 @@ for argv in (["sweep", "--n", "16", "--samples", "1000", *law], ["verify", "--n"
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0
 print(loaded, [name for name in ("fractions", "decimal") if name in sys.modules],
-      [name for name in ("argparse", "gettext", "locale") if name in sys.modules])
+      [name for name in ("argparse", "gettext", "locale", "dataclasses") if name in sys.modules])
 """
 
 
@@ -786,6 +787,55 @@ def test_input_a_command_would_ignore_exits_2(capsys, argv, flag):
     assert captured.out == "" and flag in captured.err
 
 
+_FINITE_RATE = "target rate must be positive and finite, got inf"
+_PAST_2_53 = "at n=4 asks a word length past 2^53"
+_INT64 = "exceeds int64"
+
+
+@pytest.mark.parametrize(
+    "argv, shown",
+    [
+        (["verify", "--rate", "inf"], _FINITE_RATE),
+        (["sweep", "--rate", "inf"], _FINITE_RATE),
+        (["codebook", "--rate", "inf"], _FINITE_RATE),
+        (["verify", "--rate", "1e308"], _PAST_2_53),
+        (["sweep", "--rate", "1e308"], _PAST_2_53),
+        (["codebook", "--rate", "1e308"], _PAST_2_53),
+        (["verify", "--rate", "1e300"], _PAST_2_53),
+        (["verify", "--rate", "1e300", "--pk", "0.7,0.3"], _PAST_2_53),
+        (["verify", "--m", "3000000000"], f"index range 2^3000000000 {_INT64}"),
+        (["exact-mi", "--m", "3000000000"], f"index range 2^3000000000 {_INT64}"),
+        (["exact-mi", "--m", "1" + "0" * 400], "word length must be in [1, 2^53)"),
+        (["sweep", "--rate", "1e6"], f"index range 2^4000006 {_INT64}"),
+        (["exponents", "--px", "0.5,nan"], "probabilities must be finite, got [0.5, nan]"),
+        (["exponents", "--px", "nan,nan"], "probabilities must be finite, got [nan, nan]"),
+        (["verify", "--rate", "0.9", "--gamma", "nan"], "gamma must be positive, got nan"),
+        (["exponents", "--q", "0"], "modulus 0 is not prime"),
+        (["exponents", "--q", "-1"], "modulus -1 is not prime"),
+        (["exponents", "--q", "4"], "modulus 4 is not prime"),
+    ],
+    ids=["verify-inf", "sweep-inf", "codebook-inf", "verify-1e308", "sweep-1e308",
+         "codebook-1e308", "verify-1e300", "verify-1e300-pk", "verify-m", "exact-mi-m", "exact-mi-m-10^400",
+         "sweep-1e6", "exponents-nan", "exponents-nan-nan", "verify-gamma-nan",
+         "exponents-q0", "exponents-q-1", "exponents-q4"],
+)
+def test_input_that_crashed_or_hung_exits_2_at_once(argv, shown):
+    # a rate past 2^53 words loops in the float sandwich, a vast word length
+    # builds q**m or leaves the floats, and sampled words need an int64
+    # index: each is refused before any of that, as are NaN laws and a
+    # modulus that is not prime
+    if argv[0] != "exponents":
+        argv = [*argv, "--n", "4"]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "typecipher.cli", *argv], capture_output=True,
+        text=True, env=env, timeout=5,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: ") and shown in proc.stderr
+
+
 _PROBE = ["--n", "4", "--rate", "0.3", "--px", "0.7,0.3"]
 _PROBE_ROWS = "n,log2_size,error,provenance\n4,1,0.6570000000000001,exact\n"
 
@@ -1041,7 +1091,8 @@ def test_cold_import_loads_neither_fractions_nor_decimal():
     # type laws divide their integer counts as floats, the same doubles a
     # Fraction converts to
     # and the flags are read from a table, so no invocation builds an
-    # argparse parser or imports locale for its messages
+    # argparse parser or imports locale for its messages; the records are
+    # plain classes, so no import generates dataclass methods
     assert _run_cold(_COLD_IMPORT) == "[] [] []"
 
 
