@@ -339,7 +339,9 @@ def _choice(rng: _PCG64, p, shape: tuple[int, ...]) -> np.ndarray:
 def draw_encoder(plan: RatePlan, seed: int) -> AffineEncoder:
     """Entrywise-uniform A then b, the values numpy's
     `default_rng(seed).integers(0, q, ...)` gives for the two shapes in
-    turn; a negative seed raises ValueError."""
+    turn; a negative seed raises ValueError, and more than MAX_ENUM digits
+    of A a FieldError."""
+    _check_enum(plan.n * plan.m, f"{plan.n}x{plan.m} encoder digits")
     words = _PCG64(seed).uint32s
     A = _bounded(words, plan.q, plan.n * plan.m).reshape(plan.n, plan.m)
     b = _bounded(words, plan.q, plan.m)

@@ -36,6 +36,7 @@ from .fields import (
     FieldSpec,
     Record,
     _check_enum,
+    _power,
     field_row,
     index_decode,
     index_encode,
@@ -173,8 +174,7 @@ class Codebook:
         for P in member_types:
             type_offset[P.counts] = count
             count += class_size(P)
-        # where m log2 q passes count's bit length, q**m > count unbuilt
-        if m * math.log2(q) <= count.bit_length() + 1 and count > q**m - 1:
+        if count > _power(q, m, count.bit_length() + 1) - 1:
             # The size bound rules this out for canonical plans only.
             raise FieldError(
                 f"{count} members at rate {plan.R} exceed the {q}^{m} - 1 "

@@ -237,10 +237,14 @@ def all_vectors(length: int, spec: FieldSpec) -> np.ndarray:
     return indices_to_vectors(np.arange(total), length, spec)
 
 
-def _power(q: int, k: int) -> int | float:
-    """q**k, or inf where k log2 q is past the bit length of MAX_ENUM: past
-    the cap either way, and a vast k builds no power."""
-    return q**k if k * math.log2(q) <= MAX_ENUM.bit_length() else math.inf
+def _power(q: int, k: int, bits: int | None = None) -> int | float:
+    """q**k, or inf where k log2 q is past `bits` (default: the bit length
+    of MAX_ENUM), so a vast k builds no power.  The float log2 errs by far
+    less than a bit, so inf means q**k > 2**(bits - 1): above any value of
+    bit length below `bits`, which is what each caller compares it with."""
+    if bits is None:
+        bits = MAX_ENUM.bit_length()
+    return q**k if k * math.log2(q) <= bits else math.inf
 
 
 def _check_enum(total: int | float, space: str, way_out: str = "") -> int:
@@ -260,9 +264,8 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def _check_index_range(length: int, spec: FieldSpec) -> None:
-    """Refuse lengths whose largest index, q**length - 1, leaves int64
-    (decided from length log2 q where that is past 64 bits)."""
-    if length * math.log2(spec.q) > 64 or spec.q**length - 1 > _INT64_MAX:
+    """Refuse lengths whose largest index, q**length - 1, leaves int64."""
+    if _power(spec.q, length, 64) - 1 > _INT64_MAX:
         raise FieldError(
             f"index range {spec.q}^{length} exceeds int64; use index_encode per "
             "vector, or on the command line give `verify` or `exact-mi` an "

@@ -663,9 +663,6 @@ class BoundCheck(Record):
     rhs: float
     holds: bool
 
-    def __init__(self, name: str, lhs: float, rhs: float, holds: bool) -> None:
-        self.__dict__.update(name=name, lhs=lhs, rhs=rhs, holds=holds)
-
     @property
     def margin(self) -> float:
         return self.rhs - self.lhs
@@ -907,8 +904,8 @@ def converse_diagnostics(
     demands more than the finite-n inequalities provide) and in the proof's
     form H(K) >= H(X) - gamma - margin_delta.
     """
-    if not gamma > 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    if not 0 < gamma < math.inf:
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
     n = laws.plan.n
     h_x = entropy(laws.p_X)
     h_k = entropy(laws.p_K)

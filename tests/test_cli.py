@@ -809,21 +809,26 @@ _INT64 = "exceeds int64"
         (["sweep", "--rate", "1e6"], f"index range 2^4000006 {_INT64}"),
         (["exponents", "--px", "0.5,nan"], "probabilities must be finite, got [0.5, nan]"),
         (["exponents", "--px", "nan,nan"], "probabilities must be finite, got [nan, nan]"),
-        (["verify", "--rate", "0.9", "--gamma", "nan"], "gamma must be positive, got nan"),
+        (["verify", "--rate", "0.9", "--gamma", "nan"], "gamma must be positive and finite, got nan"),
+        (["verify", "--rate", "0.9", "--gamma", "inf"], "gamma must be positive and finite, got inf"),
+        (["search-encoder", "--rate", "1e12"], "encoder digits (cap MAX_ENUM = 2^22)"),
+        (["search-encoder", "--m", "100000000000"],
+         "refusing to materialize 4x100000000000 encoder digits (cap MAX_ENUM = 2^22)"),
         (["exponents", "--q", "0"], "modulus 0 is not prime"),
         (["exponents", "--q", "-1"], "modulus -1 is not prime"),
         (["exponents", "--q", "4"], "modulus 4 is not prime"),
     ],
     ids=["verify-inf", "sweep-inf", "codebook-inf", "verify-1e308", "sweep-1e308",
          "codebook-1e308", "verify-1e300", "verify-1e300-pk", "verify-m", "exact-mi-m", "exact-mi-m-10^400",
-         "sweep-1e6", "exponents-nan", "exponents-nan-nan", "verify-gamma-nan",
+         "sweep-1e6", "exponents-nan", "exponents-nan-nan", "verify-gamma-nan", "verify-gamma-inf",
+         "search-encoder-1e12", "search-encoder-m",
          "exponents-q0", "exponents-q-1", "exponents-q4"],
 )
 def test_input_that_crashed_or_hung_exits_2_at_once(argv, shown):
     # a rate past 2^53 words loops in the float sandwich, a vast word length
-    # builds q**m or leaves the floats, and sampled words need an int64
-    # index: each is refused before any of that, as are NaN laws and a
-    # modulus that is not prime
+    # builds q**m, leaves the floats or draws a vast encoder, and sampled
+    # words need an int64 index: each is refused before any of that, as are
+    # NaN laws, a gamma that is not finite and a modulus that is not prime
     if argv[0] != "exponents":
         argv = [*argv, "--n", "4"]
     env = dict(os.environ)
