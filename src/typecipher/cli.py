@@ -75,8 +75,17 @@ def _csv(header: list[str], rows: list[list]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _finite(obj):
+    """`obj` with each float that is not finite as None, which JSON writes null."""
+    if isinstance(obj, dict):
+        return {key: _finite(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(value) for value in obj]
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
+
+
 def _json_text(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    return json.dumps(_finite(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _parse_dist(text: str, q: int, name: str) -> Distribution:

@@ -19,12 +19,14 @@ one-rate case.  The tests hold this solver against a brute-force grid over
 the simplex and against the scalar bisection it replaced.
 
 The family argument for F needs care.  With [·]^+ inactive, F minimizes D
-over {H(P) <= R}, which is not convex, so that regime collects every
-stationary candidate — both crossings of H = R along the family (s > 0
-and s < 0 branches), restrictions to sub-alphabets, and point masses — and
-takes the minimum.  The regime with [·]^+ active minimizes the linear
-cross-entropy functional over the convex set {H(P) >= R} and needs only
-the aligned branch.
+over {H(P) <= R}, which is not convex, so that regime takes the least of
+its stationary candidates: on each sub-alphabet (face), its point mass or
+its own law and the crossing of H = R on the s > 0 branch.  An s < 0 P_s
+is ordered against p, and rearranged onto p's order it keeps its entropy
+and lowers its cross-entropy (the rearrangement inequality), so it is never
+the least; on a flat face every P_s is the face's own law.  The regime
+with [·]^+ active minimizes the linear cross-entropy functional over the
+convex set {H(P) >= R} and needs only the aligned branch.
 """
 
 from __future__ import annotations
@@ -72,8 +74,8 @@ class ExponentResult(Record):
 # tilted solver: one stacked bisection per call
 # ----------------------------------------------------------------------
 #
-# A call gathers every bisection its rates need -- E's [0, 1] branch, each
-# face of F's plain regime in both directions, F's active branch -- as the
+# A call gathers every bisection its rates need -- E's [0, 1] branch, the
+# s > 0 branch of each face of F's plain regime, F's active branch -- as the
 # columns of one stack as wide as its widest law, and steps them together,
 # each until its bracket stops moving.  A column holds one face's log2 p (in
 # face order, packed to the top, the rest masked to -inf before the
@@ -82,8 +84,7 @@ class ExponentResult(Record):
 # run in order down the column, where the zero padding adds nothing: no
 # rate, face or branch depends on what else is stacked.
 
-STEPS = 80  # most bisection steps, and doubling levels s = +-2^i searched
-ROUND = 16  # doubling levels evaluated per round of F's table
+STEPS = 80  # most bisection steps, and doubling levels s = 2^i searched
 STACK_CELLS = 1 << 16  # entries per block of stacked columns
 
 
@@ -271,11 +272,13 @@ class _TiltedF:
     [.]^+ inactive: minimize D over {H(P) <= R}.  When H(p) <= R that is p
     itself.  Otherwise the candidates run face by face: the point mass of a
     one-symbol face; else the face's own law if its entropy is at most R,
-    then the crossings of H = R on the family's two monotone branches
-    (s > 0, then s < 0).  [.]^+ active (R <= log2 k): minimize
-    cross-entropy - R over the convex set {H(P) >= R}, which needs only the
-    aligned branch: the uniform law on the tied maxima when their log-count
-    reaches R, else the s > 0 crossing.  The first least candidate wins.
+    then the crossing of H = R on the family's s > 0 branch (an s < 0 P_s,
+    rearranged onto p's order, keeps its entropy and nears p; on a flat
+    face every P_s is the face's own law).  [.]^+ active (R <= log2 k):
+    minimize cross-entropy - R over the convex set {H(P) >= R}, which needs
+    only the aligned branch: the uniform law on the tied maxima when their
+    log-count reaches R, else the s > 0 crossing.  The first least
+    candidate wins.
     """
 
     def __init__(self, law: _Law, rates: np.ndarray, stack: _Stack):
@@ -288,11 +291,11 @@ class _TiltedF:
 
         # Rate-independent candidates, one column each: p, the point masses
         # and face laws in face order, the uniform law on the tied maxima.
-        # Each face gives a slot (column, its law's entropy, its first branch);
-        # a point mass, entropy -inf here, is a candidate at every rate.
+        # Each face gives a slot (column, its law's entropy, its branch); a
+        # point mass, entropy -inf here, is a candidate at every rate.
         fixed = [sub]
         self.slots: list[tuple[int, float, int | None]] = []
-        branches = []  # (face id, face, direction); the active branch last
+        self.faces = []  # the face of each s > 0 branch; the active branch last
         for face in _faces(sub):
             P = np.zeros(k)
             if face.size == 1:
@@ -301,54 +304,37 @@ class _TiltedF:
             else:
                 interior = sub[face] / sub[face].sum()
                 P[face] = interior
-                self.slots.append((len(fixed), float(_H(interior)), len(branches)))
-                fid = stack.face(logp[face])
-                branches += [(fid, face, 1.0), (fid, face, -1.0)]
+                self.slots.append((len(fixed), float(_H(interior)), len(self.faces)))
+                self.faces.append(face)
             fixed.append(P)
         self.ties_col = len(fixed)
         fixed.append(np.where(tied, 1.0, 0.0) / tied.sum())
         self.fixed = np.stack(fixed, axis=1)
-        branches.append((stack.face(logp), np.arange(k), 1.0))
-        self.faces = [face for _, face, _ in branches]
+        self.faces.append(np.arange(k))
 
         # Column of each (branch, rate) crossing, counted from self.base; -1
         # where the branch is not needed or never crosses the rate.
-        self.col = np.full((len(branches), rates.size), -1)
+        self.col = np.full((len(self.faces), rates.size), -1)
         self.base = stack.size
         # On a face f, H(P_s) <= log2|f|: a rate above that has no plain
         # crossing there, and the face's own law (in its slot, which comes
-        # first) is the least candidate of the face anyway.
+        # first) is the least candidate of the face anyway, up to rounding.
         need = [plain & (rates <= math.log2(f.size)) for f in self.faces[:-1]] + [active]
-        if not (plain.any() or active.any()):
+        run = [b for b, nd in enumerate(need) if nd.any()]
+        if not run:
             return
-        # One doubling table per branch: H(P_s) at s = +-2^i, shared by every
-        # rate; the first i with H below R is where its running minimum is.
-        # Levels are evaluated ROUND at a time, and a branch gets a further
-        # round only while its running minimum has not crossed its least
-        # needed rate, the last one it crosses.  Levels it skips read -inf,
-        # past every crossing it is asked for.  A flat face (all log2 p equal)
-        # has one P_s at every s: its first round fills its row.
-        fid = np.array([b[0] for b in branches])
-        flat = np.array([np.ptp(stack.faces[f]) == 0.0 for f in fid.tolist()])
-        s = np.array([b[2] for b in branches])[:, None] * 2.0 ** np.arange(STEPS)
-        H = np.full(s.shape, -np.inf)
-        least = np.array([rates[nd].min(initial=np.inf) for nd in need])
-        todo = np.flatnonzero(least < np.inf)
-        for lo in range(0, STEPS, ROUND):
-            if not todo.size:
-                break
-            levels = s[todo, lo : lo + ROUND]
-            H[todo, lo : lo + ROUND] = stack.entropy(
-                np.repeat(fid[todo], levels.shape[1]), levels.ravel()
-            ).reshape(levels.shape)
-            todo = todo[~flat[todo] & (H[todo, : lo + ROUND].min(axis=1) >= least[todo])]
-        H[flat] = H[flat, :1]
-        falling = -np.minimum.accumulate(H, axis=1)
-        for b, (face_id, _, _) in enumerate(branches):
-            first = np.searchsorted(falling[b], -rates, side="right")
+        # One doubling table per branch some rate needs: H(P_s) at s = 2^i,
+        # shared by every rate, all in one call; the first i with H below R
+        # is where its running minimum is.
+        s = 2.0 ** np.arange(STEPS)
+        fid = [stack.face(logp[self.faces[b]]) for b in run]
+        H = stack.entropy(np.repeat(fid, STEPS), np.tile(s, len(run)))
+        falling = -np.minimum.accumulate(H.reshape(len(run), STEPS), axis=1)
+        for b, face_id, row in zip(run, fid, falling):
+            first = np.searchsorted(row, -rates, side="right")
             ok = need[b] & (first < STEPS)
-            far = s[b, first[ok]]
-            bracket = (far, 0.0) if b < len(branches) - 1 else (0.0, far)
+            far = s[first[ok]]
+            bracket = (far, 0.0) if b < len(self.faces) - 1 else (0.0, far)
             self.col[b, ok] = stack.add(face_id, rates[ok], *bracket) - self.base
 
     def results(self, argmins: bool) -> list[ExponentResult]:
@@ -380,9 +366,9 @@ class _TiltedF:
             values.append(np.where(plain & (h_face <= R), D[j], np.inf))
             refs.append(np.full(R.size, j))
             if b is not None:
-                for col in self.col[b : b + 2]:
-                    values.append(np.where(col >= 0, D[off + col], np.inf))
-                    refs.append(off + col)
+                col = self.col[b]
+                values.append(np.where(col >= 0, D[off + col], np.inf))
+                refs.append(off + col)
         col = self.col[-1]
         ties = self.log_ties >= R
         crossing = np.where(col >= 0, CE[off + col] - R, np.inf)

@@ -79,7 +79,7 @@ from .cipher import (
     pad_law,
     theta_n,
 )
-from .code import RatePlan, exact_error_prob, make_rate_plan
+from .code import RatePlan, _check_rate, exact_error_prob, make_rate_plan
 from .exponents import exponent_F
 from .fields import (
     FieldError,
@@ -909,6 +909,8 @@ def converse_diagnostics(
     n = laws.plan.n
     h_x = entropy(laws.p_X)
     h_k = entropy(laws.p_K)
+    if not n * (gamma - h_x) < float_info.max_exp:
+        raise ValueError(f"gamma {gamma} at n={n}: the peak cap 2^(n(gamma - H(X))) overflows")
 
     cb = laws.sys.codebook
     types = enumerate_types(n, laws.spec)
@@ -1025,6 +1027,7 @@ def strong_converse_probe(
     normal double (class sizes then no longer fit a float either; binary
     n past about 1030).
     """
+    _check_rate(R)
     h = entropy(p_X)
     if R >= h:
         raise ValueError(f"rate {R} is not below the source entropy {h:.6f}")

@@ -811,6 +811,16 @@ _INT64 = "exceeds int64"
         (["exponents", "--px", "nan,nan"], "probabilities must be finite, got [nan, nan]"),
         (["verify", "--rate", "0.9", "--gamma", "nan"], "gamma must be positive and finite, got nan"),
         (["verify", "--rate", "0.9", "--gamma", "inf"], "gamma must be positive and finite, got inf"),
+        (["verify", "--rate", "0.9", "--px", "0.8,0.2", "--gamma", "300"],
+         "gamma 300.0 at n=4: the peak cap 2^(n(gamma - H(X))) overflows"),
+        (["verify", "--rate", "0.9", "--px", "0.8,0.2", "--gamma", "1e308"],
+         "gamma 1e+308 at n=4: the peak cap"),
+        (["converse-probe", "--rate", "-inf", "--px", "0.9,0.1"],
+         "target rate must be positive and finite, got -inf"),
+        (["converse-probe", "--rate", "-1", "--px", "0.9,0.1"],
+         "target rate must be positive and finite, got -1.0"),
+        (["converse-probe", "--rate", "nan", "--px", "0.9,0.1"],
+         "target rate must be positive and finite, got nan"),
         (["search-encoder", "--rate", "1e12"], "encoder digits (cap MAX_ENUM = 2^22)"),
         (["search-encoder", "--m", "100000000000"],
          "refusing to materialize 4x100000000000 encoder digits (cap MAX_ENUM = 2^22)"),
@@ -821,6 +831,8 @@ _INT64 = "exceeds int64"
     ids=["verify-inf", "sweep-inf", "codebook-inf", "verify-1e308", "sweep-1e308",
          "codebook-1e308", "verify-1e300", "verify-1e300-pk", "verify-m", "exact-mi-m", "exact-mi-m-10^400",
          "sweep-1e6", "exponents-nan", "exponents-nan-nan", "verify-gamma-nan", "verify-gamma-inf",
+         "verify-gamma-300", "verify-gamma-1e308", "probe-rate-minus-inf", "probe-rate-minus-1",
+         "probe-rate-nan",
          "search-encoder-1e12", "search-encoder-m",
          "exponents-q0", "exponents-q-1", "exponents-q4"],
 )
@@ -828,7 +840,9 @@ def test_input_that_crashed_or_hung_exits_2_at_once(argv, shown):
     # a rate past 2^53 words loops in the float sandwich, a vast word length
     # builds q**m, leaves the floats or draws a vast encoder, and sampled
     # words need an int64 index: each is refused before any of that, as are
-    # NaN laws, a gamma that is not finite and a modulus that is not prime
+    # NaN laws, a gamma that is not finite or overflows the converse's peak
+    # cap, a probe rate that is not positive and finite, and a modulus that
+    # is not prime
     if argv[0] != "exponents":
         argv = [*argv, "--n", "4"]
     env = dict(os.environ)
@@ -1027,6 +1041,22 @@ def test_verify_leak_margins_match_exact_type_sums(tmp_path):
     for key, numerator in (("leak_margin", eps), ("leak_margin_delta", d["measured_delta"])):
         want = (float(Fraction(numerator) / shrink) + math.log2(1 / shrink)) / n
         assert abs(d[key] - want) <= 1e-12 * want, key
+
+
+def test_degenerate_converse_writes_null_not_infinity(tmp_path):
+    # shrink <= 0 makes the margins infinite; the report stays strict JSON
+    out = tmp_path / "verify.json"
+    argv = ["verify", "--q", "2", "--n", "3", "--rate", "0.9", "--px", "0.6,0.4",
+            "--gamma", "0.01", "--out", str(out)]
+    assert main(argv) == 0
+    text = out.read_text(encoding="utf-8")
+
+    def refuse(constant):
+        raise AssertionError(f"{constant} in the report")
+
+    d = json.loads(text, parse_constant=refuse)["converse"]
+    for key in ("leak_margin", "leak_margin_delta", "key_rate_display_rhs", "key_rate_proof_rhs"):
+        assert d[key] is None, key
 
 
 def test_converse_probe_csv(tmp_path):

@@ -1,12 +1,13 @@
 """The benchmark's jobs pass its own output checker, in process.
 
-Runs parameter set 0 of each workload in `perfbench/workloads.py` through
-`typecipher.cli.main` and checks every output with `perfbench/checker.py`
-against the reference recorded for it, as a benchmark run does.  Every
-parameter set is also checked without running a job: each exact or sampled
-leakage figure stays on its recorded side of the size cap.  The run's
-set-up probe (`run.setup_probe`) is run once, so an entry point it calls
-that goes missing fails here.  Reads `perfbench/`; writes nothing there.
+Runs every parameter set of each workload in `perfbench/workloads.py`, all
+208 command lines, through `typecipher.cli.main` and checks every output
+with `perfbench/checker.py` against the reference recorded for it, as a
+benchmark run does.  Every parameter set is also checked without running a
+job: each exact or sampled leakage figure stays on its recorded side of the
+size cap.  The run's set-up probe (`run.setup_probe`) is run once, so an
+entry point it calls that goes missing fails here.  Reads `perfbench/`;
+writes nothing there.
 """
 
 import contextlib
@@ -51,19 +52,30 @@ def _reference(workload):
 EXACT_FRAC = {"verify-exact": 1.0, "sweep-mc": 0.0}
 
 
-@pytest.mark.parametrize("workload", workloads.WORKLOADS)
-def test_param_set_0_passes_the_checker(workload):
-    refs = _reference(workload)["0"]
+def _passes_the_checker(workload, param_set):
+    refs = _reference(workload)[str(param_set)]
     figures = []
-    for job in workloads.jobs(workload, 0):
+    for job in workloads.jobs(workload, param_set):
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             code = main(list(job.argv))
         text = out.getvalue()
-        assert checker.check(job.kind, list(job.argv), code, text, refs.get(job.id)) == [], job.id
+        problems = checker.check(job.kind, list(job.argv), code, text, refs.get(job.id))
+        assert problems == [], (param_set, job.id)
         figures += checker.figures(job.kind, checker.parse(job.kind, text))
     if workload in EXACT_FRAC:
         assert figures.count("exact") / len(figures) == EXACT_FRAC[workload]
+
+
+@pytest.mark.parametrize("workload", workloads.WORKLOADS)
+def test_param_set_0_passes_the_checker(workload):
+    _passes_the_checker(workload, 0)
+
+
+@pytest.mark.parametrize("workload", workloads.WORKLOADS)
+def test_every_other_param_set_passes_the_checker(workload):
+    for param_set in range(1, workloads.PARAM_SETS):
+        _passes_the_checker(workload, param_set)
 
 
 @pytest.mark.parametrize("workload", ["verify-exact", "sweep-mc"])
