@@ -3,9 +3,10 @@
 A key k in X^n is whitened to a length-m pad through phi(k) = kA + b over
 Z_q, with A and b drawn entrywise uniform from a seeded generator.  The
 ciphertext is the pad plus the codeword of the plaintext; the receiver
-subtracts its own pad and decodes.  Decryption therefore recovers
-decode(encode(x)) for every key — the correctness condition of the cipher —
-and is exact on codebook members.
+subtracts its own pad and decodes.  Both steps act digit by digit, so
+decryption recovers decode(encode(x)) for every key — the correctness
+condition of the cipher, which `check_decryption_condition` settles on the
+q**2 digit pairs — and is exact on codebook members.
 
 Security accounting happens per type class of the key: for each type P the
 image law
@@ -390,13 +391,19 @@ def _encrypt_words(sys: CipherSystem, pads: np.ndarray, words: np.ndarray) -> np
     return _fold(pads + words, sys.spec.q)
 
 
+def _recover_words(sys: CipherSystem, pads: np.ndarray, cipher: np.ndarray) -> np.ndarray:
+    """Codeword rows c - p over Z_q (rows broadcast), from residues: the
+    difference is taken as c + (q - p), which lies in [1, 2q) and so never
+    wraps an unsigned row."""
+    q = sys.spec.q
+    return _fold(cipher + (pads.dtype.type(q) - pads), q)
+
+
 def _decrypt_words(sys: CipherSystem, pads: np.ndarray, cipher: np.ndarray) -> np.ndarray:
     """Sequence index that decryption returns for each ciphertext row of
-    residues: the difference c - p is taken as c + (q - p), which lies in
-    [1, 2q) and so never wraps an unsigned row, and decoded through the
+    residues: the recovered codeword (`_recover_words`), decoded through the
     codebook."""
-    q = sys.spec.q
-    return decode_indices(sys.codebook, _fold(cipher + (pads.dtype.type(q) - pads), q))
+    return decode_indices(sys.codebook, _recover_words(sys, pads, cipher))
 
 
 def _pad(sys: CipherSystem, k: Sequence[int]) -> np.ndarray:
@@ -415,42 +422,25 @@ def decrypt(sys: CipherSystem, k: Sequence[int], c: Sequence[int]) -> tuple[int,
     return index_decode(int(idx), sys.plan.n, sys.spec)
 
 
-def check_decryption_condition(sys: CipherSystem) -> bool | None:
-    """Exhaustive check that decrypt(k, encrypt(k, x)) = decode(encode(x)),
-    or None (not checked) past `fields.MAX_ENUM` (pad, codeword) pairs.
+def check_decryption_condition(sys: CipherSystem) -> bool:
+    """Whether decrypt(k, encrypt(k, x)) = decode(encode(x)) for every key k
+    and plaintext x, at any n, from the q**2 (pad digit, word digit) pairs.
 
-    Covers all q**(2n) (key, plaintext) pairs through their (pad, codeword)
-    classes: both sides depend on the plaintext only through its codeword,
-    so every key's pad is checked against each codeword in use, which
-    includes every input that any pair produces.  The codewords in use are
-    the members' word values 1..member_count, and x0 when some type is not a
-    member; the expected outputs come from the decode table
-    (`decode_indices`).  Blocks of pads are then pushed through the same
-    array helpers that `encrypt` and `decrypt` wrap, so the check exercises
-    the shipped cipher rather than an identity.  This certifies that the
-    correctly-decodable set is the same for every key.
+    - `_encrypt_words` and `_recover_words` act digit by digit (`_fold` of
+      a digitwise sum), so a pad and codeword come back whole exactly when
+      each digit pair does;
+    - every pad digit is a residue, as `_pad_table` folds every row of
+      every pad;
+    - every codeword digit is a residue;
+    - decrypt reads `decode_indices` of the recovered codeword, which is
+      decode(encode(x)) by definition once that codeword is encode(x).
+
+    So the table of all q**2 residue pairs, pushed through the shipped
+    helpers, settles the condition with no key visited and no cap read.
     """
-    spec, cb = sys.spec, sys.codebook
-    used = np.arange(0 if cb.error_types else 1, cb.member_count + 1)
-    try:
-        _check_enum(_power(spec.q, sys.plan.n) * len(used), "(pad, codeword) pairs")
-    except FieldError:
-        return None
-    words = indices_to_vectors(used, sys.plan.m, spec)
-    expected = decode_indices(cb, words)
-    # about 2**13 (pad, codeword) pairs per block: at binary n=11, R=0.9
-    # (465 codewords in use) a check took 50, 41, 36 and 33 ms at 2**10 to
-    # 2**13 pairs and no less at 2**14 or 2**15, so this is the smallest
-    # block of the fastest; in byte rows its arrays hold about the bytes
-    # that 2**10 pairs of int64 rows did, so peak memory stays flat
-    block = max(1, (1 << 13) // len(used))
-    for _, pads in _key_blocks(sys.key_encoder, spec):
-        for start in range(0, len(pads), block):
-            chunk = pads[start : start + block, None, :]
-            decoded = _decrypt_words(sys, chunk, _encrypt_words(sys, chunk, words))
-            if not (decoded == expected).all():
-                return False
-    return True
+    q, dtype = sys.spec.q, sys.spec.digit_dtype
+    pads, words = (a.astype(dtype) for a in np.divmod(np.arange(q * q), q))
+    return np.array_equal(_recover_words(sys, pads, _encrypt_words(sys, pads, words)), words)
 
 
 def injective_on_members(sys: CipherSystem) -> bool:

@@ -85,21 +85,25 @@ class ExponentResult(Record):
 # rate, face or branch depends on what else is stacked.
 
 STEPS = 80  # most bisection steps, and doubling levels s = 2^i searched
+RETIRE = 4  # bisection steps between tests for columns that stopped moving
 STACK_CELLS = 1 << 16  # entries per block of stacked columns
 
 
 def _in_order_sum(a: np.ndarray) -> np.ndarray:
-    """Sum down axis 0, first row to last, whatever the layout: `a.sum(axis=0)`
-    gives one column, or a column-major block such as fancy indexing returns,
-    numpy's pairwise sum from 8 rows on, which the zero padding would regroup."""
-    return reduce(np.add, a)
+    """Sum down axis 0, first row to last, whatever the layout.  Below 8 rows
+    numpy's own reduction adds in that order; from 8 on it sums one column,
+    or a column-major block such as fancy indexing returns, pairwise, which
+    the zero padding would regroup, so the rows are added one by one."""
+    return np.add.reduce(a, axis=0) if len(a) < 8 else reduce(np.add, a)
 
 
-def _tilt(L: np.ndarray, dead: np.ndarray, s: np.ndarray, out=None) -> np.ndarray:
-    """P_s proportional to p**s down each column of L, masked entries 0."""
+def _tilt(L: np.ndarray, dead: np.ndarray | None, s: np.ndarray, out=None) -> np.ndarray:
+    """P_s proportional to p**s down each column of L, masked entries 0
+    (`dead` None: none masked)."""
     w = np.multiply(s, L, out=out)
-    np.copyto(w, -np.inf, where=dead)
-    w -= w.max(axis=0)
+    if dead is not None:
+        np.copyto(w, -np.inf, where=dead)
+    w -= np.maximum.reduce(w, axis=0)
     P = np.exp2(w, out=w)
     return np.divide(P, _in_order_sum(P), out=P)
 
@@ -131,24 +135,30 @@ def _bisect(L, dead, target, s_lo, s_hi) -> np.ndarray:
 
     Each [s_lo, s_hi] brackets its crossing on a monotone branch; a step
     keeps the half whose s_lo lies on the same side of target as the first
-    s_lo did.  A step is a fixed map of (s_lo, s_hi), so a column leaves the
-    stack once a step moves neither: every later step would repeat it."""
+    s_lo did.  A step is a fixed map of (s_lo, s_hi), so a column that a
+    step moves neither repeats that step ever after: every RETIRE steps the
+    columns the last step left in place leave the stack, which changes no
+    bit of the result."""
     last = np.array(s_lo, dtype=np.float64)
+    dead = dead if dead.any() else None
     P, T = np.empty((2, *L.shape))  # every step's buffers
     lo_side = _H(_tilt(L, dead, last, P), T) >= target
     run, lo, hi = np.arange(last.size), last.copy(), np.array(s_hi, dtype=np.float64)
-    for _ in range(STEPS):
-        mid = 0.5 * (lo + hi)
+    mid = np.empty_like(lo)
+    for step in range(1, STEPS + 1):
+        np.multiply(np.add(lo, hi, out=mid), 0.5, out=mid)
         keep = (_H(_tilt(L, dead, mid, P), T) >= target) == lo_side
-        moved = mid != np.where(keep, lo, hi)
+        moved = None if step % RETIRE else mid != np.where(keep, lo, hi)
         np.copyto(lo, mid, where=keep)
         np.copyto(hi, mid, where=~keep)
-        if np.count_nonzero(moved) < moved.size:
+        if moved is not None and np.count_nonzero(moved) < moved.size:
             last[run] = lo
-            run, lo, hi, target, lo_side = (a[moved] for a in (run, lo, hi, target, lo_side))
+            run, lo, hi, mid, target, lo_side = (
+                a[moved] for a in (run, lo, hi, mid, target, lo_side))
             if not run.size:
                 break
-            L, dead = L[:, moved], dead[:, moved]
+            L = L[:, moved]
+            dead = None if dead is None else dead[:, moved]
             P, T = np.empty((2, *L.shape))
     last[run] = lo
     return last

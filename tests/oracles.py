@@ -6,7 +6,7 @@ strided butterfly and per-digit `np.fft` it replaced), the full-size
 transform to the cosets of rowspace(A) (`transform_mixture`; `coset_words`,
 `dense_pad` and `dense_mixture` put each coset cell back on its word
 index, and `coset_masses` sums a law's weight per coset word by word), its
-decryption check to blocks of (pad, codeword) pairs and its Monte Carlo
+decryption check to the q**2 (pad digit, word digit) table and its Monte Carlo
 estimator to counted cells; keep them to small n.  The recursive type-class generator
 (`class_members`) is the oracle of the class order that the package now
 computes only by arithmetic (the rank walk and its inverse), and the

@@ -63,8 +63,10 @@ def test_a01_decryption_condition_exhaustive():
     failures = []
     for q, n_range in ((2, range(2, 7)), (3, range(2, 4))):
         for n in n_range:
+            # the q^2 digit table, and every key/message pair through the
+            # tuple oracle
             sys_ = _system(n, 0.9, q=q, seed=1)
-            if not check_decryption_condition(sys_):
+            if not (check_decryption_condition(sys_) and oracles.check_decryption_condition(sys_)):
                 failures.append((q, n))
     _verdict("criterion 01 decryption-condition", not failures, t0, 5.0)
     assert not failures, failures

@@ -33,7 +33,6 @@ from typecipher.cipher import (
 from typecipher.code import (
     build_codebook,
     decode,
-    decode_indices,
     encode,
     explicit_m_plan,
     make_rate_plan,
@@ -233,7 +232,7 @@ def test_choice_matches_numpy_choice(q):
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 7, 127, 131, 257])
-def test_residue_helpers_match_mod_q(monkeypatch, q):
+def test_residue_helpers_match_mod_q(q):
     # every residue pair, in both columns of a two-symbol word, as digit
     # rows (one byte up to q=127, two from q=131), the one representation
     # the scalar path shares: sums and differences mod q without wrapping,
@@ -245,11 +244,9 @@ def test_residue_helpers_match_mod_q(monkeypatch, q):
     )
     a, b = np.divmod(np.arange(q * q), q)
     pads, words = np.stack([a, b], axis=1), np.stack([b, a], axis=1)
-    # the decode step after the subtraction is checked elsewhere
-    monkeypatch.setattr(cipher_mod, "decode_indices", lambda cb, diff: diff)
     p, w = pads.astype(spec.digit_dtype), words.astype(spec.digit_dtype)
     encrypted = cipher_mod._encrypt_words(sys_, p, w)
-    decrypted = cipher_mod._decrypt_words(sys_, p, w)
+    decrypted = cipher_mod._recover_words(sys_, p, w)
     assert encrypted.dtype == decrypted.dtype == spec.digit_dtype
     assert np.array_equal(encrypted, (pads + words) % q)
     assert np.array_equal(decrypted, (words - pads) % q)
@@ -495,6 +492,7 @@ def test_condition_and_injectivity_random_sweep():
             n = int(rng.integers(2, 5 if q == 2 else 4))
             R = float(rng.uniform(0.2, 1.2))
             sys_ = _system(n, R, spec, seed=int(rng.integers(0, 2**31)))
+            assert check_decryption_condition(sys_) is oracles.check_decryption_condition(sys_)
             assert check_decryption_condition(sys_)
             assert injective_on_members(sys_)
 
@@ -527,13 +525,15 @@ def test_decryption_check_matches_oracle_without_x0_and_explicit_m(q, n, R, m):
 
 
 def test_decryption_check_catches_one_broken_pad_codeword_pair(monkeypatch):
-    # binary n=7: 128 pads against 59 codewords in use, so more than one
-    # block of pads; only the last pad meeting the last member codeword breaks
+    # only the last pad meeting the last member codeword breaks.  The mutant
+    # keys on whole pad and ciphertext rows, outside the digitwise helpers
+    # that the q^2 digit table certifies, so the oracle that tries every
+    # (key, plaintext) pair through encrypt and decrypt must catch it
     spec = FieldSpec(2)
-    sys_ = _system(7, 0.9, spec, seed=11)
+    sys_ = _system(5, 0.9, spec, seed=11)
     cb, m = sys_.codebook, sys_.plan.m
-    assert check_decryption_condition(sys_)
-    last_pad = cipher_mod._key_pads(sys_.key_encoder, all_vectors(7, spec)[-1], spec)
+    assert check_decryption_condition(sys_) and oracles.check_decryption_condition(sys_)
+    last_pad = cipher_mod._key_pads(sys_.key_encoder, all_vectors(5, spec)[-1], spec)
     last_word = indices_to_vectors(np.int64(cb.member_count), m, spec)
     hit = (last_pad + last_word) % 2
     shipped = cipher_mod._decrypt_words
@@ -542,41 +542,70 @@ def test_decryption_check_catches_one_broken_pad_codeword_pair(monkeypatch):
         out = shipped(s, pads, cipher)
         mask = (np.broadcast_to(pads, cipher.shape) == last_pad).all(axis=-1)
         mask &= (cipher == hit).all(axis=-1)
-        return np.where(mask, (out + 1) % 2**7, out)
+        return np.where(mask, (out + 1) % 2**5, out)
 
     monkeypatch.setattr(cipher_mod, "_decrypt_words", broken)
-    assert not check_decryption_condition(sys_)
+    assert not oracles.check_decryption_condition(sys_)
     # the scalar round trip breaks for that key and member alone
-    x = tuple(int(v) for v in indices_to_vectors(cb.member_idx[-1], 7, spec))
-    first, last = all_vectors(7, spec)[[0, -1]]
+    x = tuple(int(v) for v in indices_to_vectors(cb.member_idx[-1], 5, spec))
+    first, last = all_vectors(5, spec)[[0, -1]]
     assert decrypt(sys_, last, encrypt(sys_, last, x)) != x
     assert decrypt(sys_, first, encrypt(sys_, first, x)) == x
 
 
-def test_decryption_check_is_skipped_past_its_work_cap(monkeypatch):
-    # the cap counts the work done, q^n pads times the codewords in use,
-    # which is below the q^(2n) (key, plaintext) pairs
-    spec = FieldSpec(2)
-    sys_ = _system(5, 0.9, spec, seed=3)
-    cb = sys_.codebook
-    work = 2**5 * (cb.member_count + bool(cb.error_types))
-    assert work == 2**5 * len(np.unique(oracles.rank_of(cb)))
-    assert work < 2 ** (2 * 5)
-    monkeypatch.setattr("typecipher.fields.MAX_ENUM", work)
+def test_decryption_check_reads_no_cap(monkeypatch):
+    # binary n=200, 2^200 keys: the q^2 digit table is the whole check, so
+    # it holds under a cap of 1 and calls nothing that lists, decodes or
+    # caps keys
+    plan = make_rate_plan(200, 0.9, FieldSpec(2))
+    sys_ = CipherSystem(build_codebook(plan), draw_encoder(plan, 0))
+
+    def refuse(*args):
+        raise AssertionError("the decryption check visited a key")
+
+    monkeypatch.setattr("typecipher.fields.MAX_ENUM", 1)
+    for name in ("_key_blocks", "_key_pads", "decode_indices", "_check_enum"):
+        monkeypatch.setattr(cipher_mod, name, refuse)
     assert check_decryption_condition(sys_) is True
-    monkeypatch.setattr("typecipher.fields.MAX_ENUM", work - 1)
-    assert check_decryption_condition(sys_) is None
+
+
+@pytest.mark.parametrize("q", [2, 3, 131, 257])
+def test_decryption_check_catches_a_broken_fold(monkeypatch, q):
+    # a fold that leaves x = q unreduced: p + (q - p) comes back as q, not
+    # 0, for every pad digit p > 0 against word digit 0; one byte per digit
+    # up to q=127, two from q=131
+    spec = FieldSpec(q)
+    sys_ = CipherSystem(
+        codebook=build_codebook(explicit_m_plan(1, 2, spec)),
+        key_encoder=make_encoder([[1, 0]], (0, 0), spec),
+    )
+    assert check_decryption_condition(sys_)
+    monkeypatch.setattr(
+        cipher_mod, "_fold", lambda x, q: np.where(x > q, x - x.dtype.type(q), x)
+    )
+    assert not check_decryption_condition(sys_)
+
+
+@pytest.mark.parametrize("q, n, m", [(2, 5, 7), (3, 3, 4), (5, 2, 3), (131, 2, 3)])
+def test_every_key_pad_is_a_residue(monkeypatch, q, n, m):
+    # the digit table's premise: every pad digit lies in [0, q), in the
+    # digit dtype, from blocks of q keys (each with its own leading pad)
+    # and from the per-key groups alike
+    spec = FieldSpec(q)
+    enc = draw_encoder(explicit_m_plan(n, m, spec), 2)
+    monkeypatch.setattr(cipher_mod, "KEY_BLOCK", q)
+    blocks = [pads for _, pads in cipher_mod._key_blocks(enc, spec)]
+    assert len(blocks) == q ** (n - 1)
+    for pads in (np.concatenate(blocks), cipher_mod._key_pads(enc, all_vectors(n, spec), spec)):
+        assert pads.shape == (q**n, m) and pads.dtype == spec.digit_dtype
+        assert int(pads.max()) < q
 
 
 def test_decryption_checks_catch_broken_subtraction(monkeypatch):
     # over Z_3 adding the pad again instead of subtracting it does not undo it
     sys_ = _system(3, 0.9, FieldSpec(3), seed=5)
     assert check_decryption_condition(sys_)
-    monkeypatch.setattr(
-        cipher_mod,
-        "_decrypt_words",
-        lambda s, pads, c: decode_indices(s.codebook, (c + pads) % s.spec.q),
-    )
+    monkeypatch.setattr(cipher_mod, "_recover_words", lambda s, pads, c: (c + pads) % s.spec.q)
     assert not check_decryption_condition(sys_)
     assert not oracles.check_decryption_condition(sys_)
 

@@ -545,14 +545,14 @@ def test_verify_computes_the_pad_law_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("command, checks", [("verify", 1), ("exact-mi", 0)])
-def test_one_key_pass_per_report(monkeypatch, command, checks):
+@pytest.mark.parametrize("command", ["verify", "exact-mi"])
+def test_one_key_pass_per_report(monkeypatch, command):
     # the search's encoder has full rank, so it is scored in closed form with
     # no pass over the keys; the one key pass of the report is the pad law's,
-    # over the r = n pivot columns of A; only verify's decryption check runs
-    # one more pass, over all m columns.  Each pass is one block of 81 keys,
-    # so one table over the low digits and one over the blocks' leading
-    # digits, and no pad comes from the sampled keys' kernel
+    # over the r = n pivot columns of A; verify's decryption check reads the
+    # q^2 digit table and no key.  The pass is one block of 81 keys, so one
+    # table over the low digits and one over the blocks' leading digits, and
+    # no pad comes from the sampled keys' kernel
     import typecipher.cipher as cipher_mod
 
     calls = {"_key_blocks": [], "_pad_table": 0, "_key_pads": 0, "_omega": 0}
@@ -574,9 +574,7 @@ def test_one_key_pass_per_report(monkeypatch, command, checks):
             "--pk", "0.5,0.3,0.2", "--seed", "5", "--out", os.devnull]
     assert main(argv) == 0
     assert calls.pop("_omega") == 1
-    m = make_rate_plan(4, 1.2, FieldSpec(3)).m
-    passes = [m] * checks + [4]  # verify checks decryption before the laws
-    assert calls == {"_key_blocks": passes, "_pad_table": 2 * len(passes), "_key_pads": 0}
+    assert calls == {"_key_blocks": [4], "_pad_table": 2, "_key_pads": 0}
 
 
 @pytest.mark.parametrize("command", ["verify", "exact-mi"])
@@ -676,10 +674,20 @@ def test_verify_past_q_to_the_2n_pairs_is_exact(tmp_path):
     assert main(["verify", "--q", "2", "--n", "13", "--rate", "0.5", "--out", str(out)]) == 0
     report = _read_json(str(out))
     assert report["passed"] is True
-    # 2^13 pads against 29 codewords in use fit the check's work cap
     assert report["decryption_condition"] == {"holds": True, "checked": "exhaustive"}
     assert report["injective_on_members"] is True
     assert report["certificate"]["report"]["provenance"] == "exact"
+
+
+def test_verify_checks_decryption_exhaustively_past_q_to_the_2n_pairs(tmp_path):
+    # binary n=16, R=0.9: 2^32 (key, plaintext) pairs, settled by the 4
+    # (pad digit, word digit) pairs
+    out = tmp_path / "verify16.json"
+    argv = ["verify", "--q", "2", "--n", "16", "--rate", "0.9", "--px", "0.9,0.1"]
+    assert main(argv + ["--out", str(out)]) == 0
+    report = _read_json(str(out))
+    assert report["decryption_condition"] == {"holds": True, "checked": "exhaustive"}
+    assert report["passed"] is True
 
 
 @pytest.mark.parametrize(
@@ -718,9 +726,9 @@ def test_verify_past_the_word_space_cap_exits_2_before_checking(capsys, monkeypa
 def test_exact_caps_cover_what_derandomize_checks(monkeypatch, capsys):
     # `verify` exits 2 exactly where `exact_refusal` refuses: whatever the
     # exact path builds past the gate (the key pass, the pad and coset rows,
-    # the member list) fits the one cap, and a decryption check past it is
-    # skipped, not refused.  The cap is lowered to 2^10 so that every plan
-    # is small; a uniform key reads no word cap
+    # the member list) fits the one cap, and the decryption check reads no
+    # cap.  The cap is lowered to 2^10 so that every plan is small; a
+    # uniform key reads no word cap
     monkeypatch.setattr("typecipher.fields.MAX_ENUM", 1 << 10)
     spec = FieldSpec(2)
     seen = []
@@ -737,9 +745,9 @@ def test_exact_caps_cover_what_derandomize_checks(monkeypatch, capsys):
 
 
 def test_explicit_m_plans_on_both_sides_of_the_word_space_cap(tmp_path, capsys):
-    # binary n=8: m=22 is at the cap, exact, and its 2^8 pads against 256
-    # codewords are checked exhaustively; m=23 exits 2 naming the word space,
-    # the cap and the way out
+    # binary n=8: m=22 is at the cap, exact, and its decryption condition is
+    # checked exhaustively; m=23 exits 2 naming the word space, the cap and
+    # the way out
     law = ["verify", "--q", "2", "--n", "8", "--px", "0.82,0.18", "--pk", "0.62,0.38",
            "--seed", "3"]
     out = tmp_path / "verify.json"
