@@ -142,6 +142,26 @@ def _plan(args, spec: FieldSpec):
 # ----------------------------------------------------------------------
 
 
+def _system(plan, p_x: Distribution, p_k: Distribution, seed: int, sampled: bool):
+    """The cipher system of `plan` and its `ExactLaws`, None past the exact
+    path's caps: the one gate of `verify`, `sweep` and `exact-mi`.  First
+    the q**m words must have an int64 index, which both paths need whatever
+    the key law; then `exact_refusal`'s refusal is raised unless `sampled`;
+    nothing is built before either.  Within the caps the encoder is the one
+    `derandomize` finds from `seed`; past them it is drawn at `seed`.
+    """
+    _check_index_range(plan.m, plan.spec)
+    refusal = exact_refusal(plan, p_k)
+    if refusal is not None and not sampled:
+        raise refusal
+    cb = build_codebook(plan)
+    if refusal is not None:
+        return CipherSystem(codebook=cb, key_encoder=draw_encoder(plan, seed)), None
+    search = derandomize(plan, base_seed=seed)
+    sys_ = CipherSystem(codebook=cb, key_encoder=search.encoder)
+    return sys_, exact_laws(sys_, p_x, p_k, search)
+
+
 def cmd_exponents(args) -> int:
     q = FieldSpec(args.q).q
     p_x = _dist_or_uniform(args.px, q, "--px")
@@ -174,12 +194,8 @@ def cmd_verify(args) -> int:
     plan = _plan(args, spec)
     p_x = _dist_or_uniform(args.px, args.q, "--px")
     p_k = _dist_or_uniform(args.pk, args.q, "--pk")
-    refusal = exact_refusal(plan, p_k)
-    if refusal is not None:
-        raise refusal
-    cb = build_codebook(plan)
-    search = derandomize(plan, max_attempts=1000, base_seed=_sub_seed(args.seed, 1))
-    sys_ = CipherSystem(codebook=cb, key_encoder=search.encoder)
+    sys_, laws = _system(plan, p_x, p_k, _sub_seed(args.seed, 1), sampled=False)
+    search = laws.search
 
     report: dict = {
         "config": {
@@ -207,7 +223,6 @@ def cmd_verify(args) -> int:
     report["decryption_condition"] = {"holds": ok, "checked": "exhaustive"}
     gating = [inj, ok]
 
-    laws = exact_laws(sys_, p_x, p_k, search)
     cert = security_certificate(laws)
     report["certificate"] = cert.to_json()
     max_row = check_birkhoff(laws)
@@ -235,20 +250,14 @@ def cmd_sweep(args) -> int:
     for n in args.n_list:
         plan = make_rate_plan(n, R, spec)
         seed = _sub_seed(args.seed, n)
-        exact = exact_refusal(plan, p_k) is None
-        if not exact:  # the samples index words in int64
-            _check_index_range(plan.m, spec)
-        cb = build_codebook(plan)
-        if exact:
-            search = derandomize(plan, max_attempts=1000, base_seed=seed)
-            sys_ = CipherSystem(codebook=cb, key_encoder=search.encoder)
-            mi_value, mi_flag = exact_laws(sys_, p_x, p_k, search).mi, "exact"
+        sys_, laws = _system(plan, p_x, p_k, seed, sampled=True)
+        if laws is not None:
+            mi_value, mi_flag = laws.mi, "exact"
         else:
-            sys_ = CipherSystem(codebook=cb, key_encoder=draw_encoder(plan, seed))
             # the row prints no standard error, so no bootstrap replicate is drawn
             est = monte_carlo_mi(sys_, p_x, p_k, max(args.samples, 1000), seed, bootstrap=0)
             mi_value, mi_flag = est.estimate, "estimate"
-        p_e = exact_error_prob(cb, p_x)
+        p_e = exact_error_prob(sys_.codebook, p_x)
         err_bound = scaled_power(1.0, n + 1, spec.q, -n * e_val)
         sec_bound = security_bound(plan, f_val)
         rows.append(
@@ -291,23 +300,14 @@ def cmd_exact_mi(args) -> int:
     plan = _plan(args, spec)
     p_x = _dist_or_uniform(args.px, args.q, "--px")
     p_k = _dist_or_uniform(args.pk, args.q, "--pk")
-    refusal = exact_refusal(plan, p_k)
-    if refusal is not None:
-        if args.samples <= 0:
-            raise refusal
-        _check_index_range(plan.m, spec)  # the samples index words in int64
-    seed = _sub_seed(args.seed, 1)
-    cb = build_codebook(plan)
-    if refusal is None:
-        search = derandomize(plan, max_attempts=1000, base_seed=seed)
-        sys_ = CipherSystem(codebook=cb, key_encoder=search.encoder)
-        payload = exact_mutual_info(exact_laws(sys_, p_x, p_k, search)).to_json()
+    sys_, laws = _system(plan, p_x, p_k, _sub_seed(args.seed, 1), sampled=args.samples > 0)
+    if laws is not None:
+        payload = exact_mutual_info(laws).to_json()
     else:
-        sys_ = CipherSystem(codebook=cb, key_encoder=draw_encoder(plan, seed))
         samples = max(args.samples, 1000)
         payload = monte_carlo_mi(sys_, p_x, p_k, samples, _sub_seed(args.seed, 2)).to_json()
     payload["encoder"] = encoder_to_json(sys_.key_encoder, spec)
-    payload["encoder"]["derandomized"] = refusal is None
+    payload["encoder"]["derandomized"] = laws is not None
     _write_text(_json_text(payload), args.out)
     return 0
 
@@ -315,7 +315,7 @@ def cmd_exact_mi(args) -> int:
 def cmd_search_encoder(args) -> int:
     spec = FieldSpec(args.q)
     plan = _plan(args, spec)
-    result = derandomize(plan, max_attempts=1000, base_seed=args.seed)
+    result = derandomize(plan, base_seed=args.seed)
     payload = {
         "seed": result.seed,
         "score": result.score,

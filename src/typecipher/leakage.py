@@ -32,9 +32,10 @@ belongs to the system's encoder; `exact_mutual_info`,
 only that handle, so each law is computed once per report however many
 figures read it.  One cap, `fields.MAX_ENUM`, bounds the exact path: the
 q**n keys and, for a key law that is not uniform, the q**m words must be
-within it (a uniform one needs only an int64 word index), and
-`exact_refusal` reads both sizes from the plan and the key law before
-anything is built: the one place that decides exact or sampled.
+within it, and `exact_refusal` reads both sizes from the plan and the key
+law before anything is built.  The command line's one exact-or-sampled
+gate, `cli._system`, first checks that the words have an int64 index,
+which both paths need whatever the key law, then asks `exact_refusal`.
 
 On top of the exact value sit the certified upper bounds, checked as a
 chain with explicit margins:
@@ -86,7 +87,6 @@ from .fields import (
     FieldSpec,
     Record,
     _check_enum,
-    _check_index_range,
     _power,
     indices_to_vectors,
     vectors_to_indices,
@@ -180,15 +180,14 @@ def exact_refusal(plan: RatePlan, p_K: Distribution) -> FieldError | None:
     Every key law needs q**n keys within `fields.MAX_ENUM`: the pad over
     Z_q^r (r <= n) and a rank-deficient `derandomize` draw's key pass are
     that large at most.  A non-uniform p_K also needs its q**m words within
-    the same cap, which bounds the coset rows of `ExactLaws.mixture`.  A
-    uniform p_K builds no coset row, so its words need only an int64 index,
-    q**m - 1 at most.
+    the same cap, which bounds the coset rows of `ExactLaws.mixture`; a
+    uniform p_K builds no coset row and reads no word cap.  That the words
+    have an int64 index, which the sampled path needs as well, is checked
+    before this gate (`cli._system`), not by it.
     """
     q, sampled = plan.q, "past it `exact-mi --samples N` and `sweep` estimate the leakage"
     try:
-        if _is_uniform(p_K):
-            _check_index_range(plan.m, plan.spec)
-        else:
+        if not _is_uniform(p_K):
             _check_enum(_power(q, plan.m), f"word space {q}^{plan.m}", sampled)
         _check_enum(_power(q, plan.n), f"{q}^{plan.n} keys", sampled)
     except FieldError as exc:

@@ -24,8 +24,8 @@ exact-rational pad and image laws (`pad_law_fraction`, `omega_counts`, `omega_di
 (`omega_divergence`) and the scalar affine map `vec_affine` are here
 because only tests use them, as is the digit-array form of the sequence
 law (`sequence_probs`) that the outer product replaced.  The decryption
-oracle calls the shipped `encrypt` and `decrypt` once per (key, plaintext)
-pair.  The tilted exponent solver is the scalar one that the stacked
+oracle runs the shipped `encrypt` and `decrypt` steps once per (key,
+plaintext) pair, from one pad per key and one codeword per plaintext.  The tilted exponent solver is the scalar one that the stacked
 bisection replaced: one bisection per rate, per face and per branch, each
 on its own 1-D arrays, summed left to right as the stacked solver sums each
 column.  `stacked_bisect` is the stacked bisection as it ran before a
@@ -48,7 +48,8 @@ from itertools import combinations
 
 import numpy as np
 
-from typecipher.cipher import CipherSystem, decrypt, encrypt, pad_law
+import typecipher.cipher as cipher
+from typecipher.cipher import CipherSystem, pad_law
 from typecipher.code import decode, encode
 from typecipher.exponents import TOLERANCE, ExponentResult
 from typecipher.fields import (
@@ -346,13 +347,20 @@ def dense_mixture(laws, mix):
 
 
 def check_decryption_condition(sys_: CipherSystem) -> bool:
-    """decrypt(k, encrypt(k, x)) == decode(encode(x)) pair by pair, on tuples."""
-    keys = [tuple(int(v) for v in row) for row in all_vectors(sys_.plan.n, sys_.spec)]
+    """decrypt(k, encrypt(k, x)) == decode(encode(x)) pair by pair: the
+    steps of the shipped `encrypt` and `decrypt`, with each key's pad
+    (`_pad`) and each plaintext's codeword built once, and every (key,
+    plaintext) pair sent through `_encrypt_words` then `_decrypt_words`."""
+    spec = sys_.spec
+    keys = [tuple(int(v) for v in row) for row in all_vectors(sys_.plan.n, spec)]
     cb = sys_.codebook
-    expected = {x: decode(cb, encode(cb, x)) for x in keys}
+    words = [np.asarray(encode(cb, x), dtype=spec.digit_dtype) for x in keys]
+    expected = [index_encode(decode(cb, encode(cb, x)), spec) for x in keys]
     for k in keys:
-        for x in keys:
-            if decrypt(sys_, k, encrypt(sys_, k, x)) != expected[x]:
+        pad = cipher._pad(sys_, k)
+        for word, want in zip(words, expected):
+            got = cipher._decrypt_words(sys_, pad, cipher._encrypt_words(sys_, pad, word))
+            if int(got) != want:
                 return False
     return True
 

@@ -813,6 +813,8 @@ _INT64 = "exceeds int64"
         (["verify", "--rate", "1e300", "--pk", "0.7,0.3"], _PAST_2_53),
         (["verify", "--m", "3000000000"], f"index range 2^3000000000 {_INT64}"),
         (["exact-mi", "--m", "3000000000"], f"index range 2^3000000000 {_INT64}"),
+        (["verify", "--m", "64", "--pk", "0.7,0.3"], _INT64),
+        (["exact-mi", "--m", "64", "--pk", "0.7,0.3", "--samples", "0"], _INT64),
         (["exact-mi", "--m", "1" + "0" * 400], "word length must be in [1, 2^53)"),
         (["sweep", "--rate", "1e6"], f"index range 2^4000006 {_INT64}"),
         (["exponents", "--px", "0.5,nan"], "probabilities must be finite, got [0.5, nan]"),
@@ -837,7 +839,8 @@ _INT64 = "exceeds int64"
         (["exponents", "--q", "4"], "modulus 4 is not prime"),
     ],
     ids=["verify-inf", "sweep-inf", "codebook-inf", "verify-1e308", "sweep-1e308",
-         "codebook-1e308", "verify-1e300", "verify-1e300-pk", "verify-m", "exact-mi-m", "exact-mi-m-10^400",
+         "codebook-1e308", "verify-1e300", "verify-1e300-pk", "verify-m", "exact-mi-m", "verify-m64-pk",
+         "exact-mi-m64-pk-samples0", "exact-mi-m-10^400",
          "sweep-1e6", "exponents-nan", "exponents-nan-nan", "verify-gamma-nan", "verify-gamma-inf",
          "verify-gamma-300", "verify-gamma-1e308", "probe-rate-minus-inf", "probe-rate-minus-1",
          "probe-rate-nan",
@@ -861,6 +864,22 @@ def test_input_that_crashed_or_hung_exits_2_at_once(argv, shown):
     )
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith("error: ") and shown in proc.stderr
+
+
+@pytest.mark.parametrize("law", [[], ["--pk", "0.7,0.3"]], ids=["uniform", "skewed"])
+def test_every_exact_or_sampled_command_checks_the_word_index_first(monkeypatch, capsys, law):
+    # exact and sampled paths alike index the q^m words in int64, so under
+    # either key law each command refuses m >= 64 with that reason, not a
+    # cap's, before it builds the codebook or searches or draws an encoder
+    def refuse(*args, **kwargs):
+        raise AssertionError("built before the word index was checked")
+
+    for name in ("build_codebook", "derandomize", "draw_encoder"):
+        monkeypatch.setattr(f"typecipher.cli.{name}", refuse)
+    for argv in (["verify", "--m", "64"], ["exact-mi", "--m", "64", "--samples", "0"],
+                 ["exact-mi", "--m", "64", "--samples", "2000"], ["sweep", "--rate", "16"]):
+        assert main([*argv, "--n", "4", *law]) == 2, argv
+        assert _INT64 in capsys.readouterr().err, argv
 
 
 _PROBE = ["--n", "4", "--rate", "0.3", "--px", "0.7,0.3"]

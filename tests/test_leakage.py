@@ -42,6 +42,7 @@ from typecipher.simplex import Distribution, entropy, uniform
 from typecipher.typeclasses import TypeComposition, enumerate_types
 
 import typecipher.cipher as cipher_mod
+import typecipher.cli as cli
 import oracles
 from oracles import numpy_bootstrap_indices, numpy_choice_draw, pad_law_fraction
 
@@ -73,23 +74,32 @@ def test_exact_refusal_reads_both_caps_from_the_plan(monkeypatch):
 
 
 def test_exact_refusal_under_a_uniform_key_reads_no_word_cap(monkeypatch):
-    # a uniform key builds no coset row: its words need only an int64 index,
-    # while the keys keep their cap; again nothing is built
+    # a uniform key builds no coset row: its words read no cap, while the
+    # keys keep theirs; the int64 word index, which the sampled path needs
+    # too, is checked by the command line's gate before it, for every key
+    # law.  Again nothing is built, nor an encoder searched or drawn
     def refuse(*args, **kwargs):
         raise AssertionError("the gate built an array")
 
     monkeypatch.setattr("typecipher.fields.all_vectors", refuse)
     monkeypatch.setattr("typecipher.cipher._key_blocks", refuse)
+    for name in ("build_codebook", "derandomize", "draw_encoder"):
+        monkeypatch.setattr(f"typecipher.cli.{name}", refuse)
     spec = FieldSpec(2)
     for p_k in (uniform(2), Distribution([0.5, 0.5])):
         assert exact_refusal(explicit_m_plan(4, 23, spec), p_k) is None
         assert exact_refusal(explicit_m_plan(22, 63, spec), p_k) is None
-        words = exact_refusal(explicit_m_plan(4, 64, spec), p_k)
-        assert isinstance(words, FieldError) and "2^64 exceeds int64" in str(words)
+        assert exact_refusal(explicit_m_plan(4, 64, spec), p_k) is None
         sequences = exact_refusal(explicit_m_plan(23, 21, spec), p_k)
         assert "refusing to materialize 2^23 keys" in str(sequences)
-        # past both, the word index is named first
-        assert "exceeds int64" in str(exact_refusal(explicit_m_plan(23, 64, spec), p_k))
+        assert "refusing to materialize 2^23 keys" in str(
+            exact_refusal(explicit_m_plan(23, 64, spec), p_k))
+    # the gate refuses m=64 under both key laws, exact or sampled, and names
+    # the word index before the caps
+    for p_k in (uniform(2), Distribution([0.62, 0.38])):
+        for n, sampled in itertools.product((4, 23), (False, True)):
+            with pytest.raises(FieldError, match="index range 2\\^64 exceeds int64"):
+                cli._system(explicit_m_plan(n, 64, spec), uniform(2), p_k, 0, sampled)
     # equal entries at q=3 are uniform too; a law off by one rounding is not
     spec3 = FieldSpec(3)
     assert exact_refusal(explicit_m_plan(4, 14, spec3), uniform(3)) is None
