@@ -142,15 +142,21 @@ def _plan(args, spec: FieldSpec):
 # ----------------------------------------------------------------------
 
 
-def _system(plan, p_x: Distribution, p_k: Distribution, seed: int, sampled: bool):
+# The way out `verify` and `exact-mi` name when their q**m words leave an
+# int64 index; `sweep`, which plans its own words, names its own.
+_EXPLICIT_M = "give an explicit --m whose word space q^m fits"
+
+
+def _system(plan, p_x: Distribution, p_k: Distribution, seed: int, sampled: bool, way_out: str):
     """The cipher system of `plan` and its `ExactLaws`, None past the exact
     path's caps: the one gate of `verify`, `sweep` and `exact-mi`.  First
     the q**m words must have an int64 index, which both paths need whatever
-    the key law; then `exact_refusal`'s refusal is raised unless `sampled`;
-    nothing is built before either.  Within the caps the encoder is the one
-    `derandomize` finds from `seed`; past them it is drawn at `seed`.
+    the key law (else the command's `way_out` ends the refusal); then
+    `exact_refusal`'s refusal is raised unless `sampled`; nothing is built
+    before either.  Within the caps the encoder is the one `derandomize`
+    finds from `seed`; past them it is drawn at `seed`.
     """
-    _check_index_range(plan.m, plan.spec)
+    _check_index_range(plan.m, plan.spec, way_out)
     refusal = exact_refusal(plan, p_k)
     if refusal is not None and not sampled:
         raise refusal
@@ -194,7 +200,7 @@ def cmd_verify(args) -> int:
     plan = _plan(args, spec)
     p_x = _dist_or_uniform(args.px, args.q, "--px")
     p_k = _dist_or_uniform(args.pk, args.q, "--pk")
-    sys_, laws = _system(plan, p_x, p_k, _sub_seed(args.seed, 1), sampled=False)
+    sys_, laws = _system(plan, p_x, p_k, _sub_seed(args.seed, 1), False, _EXPLICIT_M)
     search = laws.search
 
     report: dict = {
@@ -250,7 +256,7 @@ def cmd_sweep(args) -> int:
     for n in args.n_list:
         plan = make_rate_plan(n, R, spec)
         seed = _sub_seed(args.seed, n)
-        sys_, laws = _system(plan, p_x, p_k, seed, sampled=True)
+        sys_, laws = _system(plan, p_x, p_k, seed, True, "give a lower --rate or a smaller --n")
         if laws is not None:
             mi_value, mi_flag = laws.mi, "exact"
         else:
@@ -300,7 +306,7 @@ def cmd_exact_mi(args) -> int:
     plan = _plan(args, spec)
     p_x = _dist_or_uniform(args.px, args.q, "--px")
     p_k = _dist_or_uniform(args.pk, args.q, "--pk")
-    sys_, laws = _system(plan, p_x, p_k, _sub_seed(args.seed, 1), sampled=args.samples > 0)
+    sys_, laws = _system(plan, p_x, p_k, _sub_seed(args.seed, 1), args.samples > 0, _EXPLICIT_M)
     if laws is not None:
         payload = exact_mutual_info(laws).to_json()
     else:

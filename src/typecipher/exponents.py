@@ -83,6 +83,13 @@ class ExponentResult(Record):
 # elementwise arithmetic of a scalar bisection on that face, and its sums
 # run in order down the column, where the zero padding adds nothing: no
 # rate, face or branch depends on what else is stacked.
+#
+# The solver calls ufuncs (and their .reduce/.accumulate), C array methods
+# and constructors only, never a numpy function written in Python (np.stack,
+# np.full, np.tile, np.searchsorted, ndarray.sum, ...): a job runs in a fresh
+# process, where such a wrapper's first call costs up to a few hundred
+# microseconds more than its C-level form.  Each replacement reduces in the
+# same order.
 
 STEPS = 80  # most bisection steps, and doubling levels s = 2^i searched
 RETIRE = 4  # bisection steps between tests for columns that stopped moving
@@ -140,7 +147,7 @@ def _bisect(L, dead, target, s_lo, s_hi) -> np.ndarray:
     columns the last step left in place leave the stack, which changes no
     bit of the result."""
     last = np.array(s_lo, dtype=np.float64)
-    dead = dead if dead.any() else None
+    dead = dead if np.logical_or.reduce(dead, axis=None) else None
     P, T = np.empty((2, *L.shape))  # every step's buffers
     lo_side = _H(_tilt(L, dead, last, P), T) >= target
     run, lo, hi = np.arange(last.size), last.copy(), np.array(s_hi, dtype=np.float64)
@@ -151,7 +158,7 @@ def _bisect(L, dead, target, s_lo, s_hi) -> np.ndarray:
         moved = None if step % RETIRE else mid != np.where(keep, lo, hi)
         np.copyto(lo, mid, where=keep)
         np.copyto(hi, mid, where=~keep)
-        if moved is not None and np.count_nonzero(moved) < moved.size:
+        if moved is not None and not np.logical_and.reduce(moved):
             last[run] = lo
             run, lo, hi, mid, target, lo_side = (
                 a[moved] for a in (run, lo, hi, mid, target, lo_side))
@@ -169,7 +176,7 @@ class _Law:
 
     def __init__(self, p: Distribution):
         self.full = np.asarray(p, dtype=np.float64)
-        self.idx = np.flatnonzero(self.full > 0.0)
+        self.idx = (self.full > 0.0).nonzero()[0]
         self.sub = self.full[self.idx]
         self.k = self.idx.size
         self.logp = np.log2(self.sub)
@@ -180,8 +187,8 @@ class _Law:
         full = np.zeros(self.full.size)
         full[self.idx] = P
         # Clean tiny negative round-off before handing to the validator.
-        full = np.clip(full, 0.0, None)
-        return Distribution(full / full.sum())
+        np.maximum(full, 0.0, out=full)
+        return Distribution(full / np.add.reduce(full))
 
 
 class _Stack:
@@ -196,7 +203,7 @@ class _Stack:
         self.queued: list[tuple[np.ndarray, ...]] = []
         self.size = 0
         self.P = np.zeros((width, 0))
-        self._library = (np.zeros((width, 0)), np.ones((width, 0), dtype=bool))
+        self._library = (np.zeros((width, 0)), np.zeros((width, 0), dtype=bool))
 
     def face(self, flog: np.ndarray) -> int:
         self.faces.append(flog)
@@ -208,10 +215,10 @@ class _Stack:
         L, dead = self._library
         if L.shape[1] != len(self.faces):
             L = np.zeros((self.width, len(self.faces)))
-            dead = np.ones(L.shape, dtype=bool)
             for j, flog in enumerate(self.faces):
                 L[: flog.size, j] = flog
-                dead[: flog.size, j] = False
+            sizes = np.array([flog.size for flog in self.faces])
+            dead = np.arange(self.width)[:, None] >= sizes
             self._library = L, dead
         rows = max(self.faces[j].size for j in faces.tolist())
         return L[:rows, faces], dead[:rows, faces]
@@ -224,7 +231,9 @@ class _Stack:
     def add(self, face: int, target: np.ndarray, s_lo, s_hi) -> np.ndarray:
         """Queue one bisection on `face` per target; their column numbers."""
         n = target.size
-        self.queued.append((np.full(n, face), target, np.full(n, s_lo), np.full(n, s_hi)))
+        lo, hi = np.empty((2, n))
+        lo[:], hi[:] = s_lo, s_hi
+        self.queued.append((np.array(face).repeat(n), target, lo, hi))
         self.size += n
         return np.arange(self.size - n, self.size)
 
@@ -272,7 +281,7 @@ def _faces(sub: np.ndarray) -> list[np.ndarray]:
     k = sub.size
     if k <= 4:
         return [np.array(c) for r in range(1, k + 1) for c in combinations(range(k), r)]
-    order = np.argsort(-sub)
+    order = (-sub).argsort()
     return [order[:j] for j in range(1, k + 1)]
 
 
@@ -294,8 +303,9 @@ class _TiltedF:
     def __init__(self, law: _Law, rates: np.ndarray, stack: _Stack):
         self.law, self.rates, self.stack = law, rates, stack
         sub, logp, k = law.sub, law.logp, law.k
-        tied = sub >= sub.max() * (1.0 - 1e-12)
-        self.log_ties = math.log2(int(tied.sum()))
+        tied = sub >= np.maximum.reduce(sub) * (1.0 - 1e-12)
+        ties = int(np.add.reduce(tied))
+        self.log_ties = math.log2(ties)
         plain = rates < law.H
         active = (rates <= law.log_k) & (rates > self.log_ties)
 
@@ -303,34 +313,33 @@ class _TiltedF:
         # and face laws in face order, the uniform law on the tied maxima.
         # Each face gives a slot (column, its law's entropy, its branch); a
         # point mass, entropy -inf here, is a candidate at every rate.
-        fixed = [sub]
+        faces = _faces(sub)
+        self.fixed = np.zeros((k, len(faces) + 2))
+        self.fixed[:, 0] = sub
         self.slots: list[tuple[int, float, int | None]] = []
         self.faces = []  # the face of each s > 0 branch; the active branch last
-        for face in _faces(sub):
-            P = np.zeros(k)
+        for j, face in enumerate(faces, 1):
             if face.size == 1:
-                P[face] = 1.0
-                self.slots.append((len(fixed), -math.inf, None))
+                self.fixed[face, j] = 1.0
+                self.slots.append((j, -math.inf, None))
             else:
-                interior = sub[face] / sub[face].sum()
-                P[face] = interior
-                self.slots.append((len(fixed), float(_H(interior)), len(self.faces)))
+                interior = sub[face] / np.add.reduce(sub[face])
+                self.fixed[face, j] = interior
+                self.slots.append((j, float(_H(interior)), len(self.faces)))
                 self.faces.append(face)
-            fixed.append(P)
-        self.ties_col = len(fixed)
-        fixed.append(np.where(tied, 1.0, 0.0) / tied.sum())
-        self.fixed = np.stack(fixed, axis=1)
+        self.ties_col = len(faces) + 1
+        self.fixed[:, -1] = np.where(tied, 1.0, 0.0) / ties
         self.faces.append(np.arange(k))
 
         # Column of each (branch, rate) crossing, counted from self.base; -1
         # where the branch is not needed or never crosses the rate.
-        self.col = np.full((len(self.faces), rates.size), -1)
+        self.col = np.zeros((len(self.faces), rates.size), dtype=np.int64) - 1
         self.base = stack.size
         # On a face f, H(P_s) <= log2|f|: a rate above that has no plain
         # crossing there, and the face's own law (in its slot, which comes
         # first) is the least candidate of the face anyway, up to rounding.
         need = [plain & (rates <= math.log2(f.size)) for f in self.faces[:-1]] + [active]
-        run = [b for b, nd in enumerate(need) if nd.any()]
+        run = [b for b, nd in enumerate(need) if np.logical_or.reduce(nd)]
         if not run:
             return
         # One doubling table per branch some rate needs: H(P_s) at s = 2^i,
@@ -338,10 +347,10 @@ class _TiltedF:
         # is where its running minimum is.
         s = 2.0 ** np.arange(STEPS)
         fid = [stack.face(logp[self.faces[b]]) for b in run]
-        H = stack.entropy(np.repeat(fid, STEPS), np.tile(s, len(run)))
+        H = stack.entropy(np.array(fid).repeat(STEPS), np.concatenate([s] * len(run)))
         falling = -np.minimum.accumulate(H.reshape(len(run), STEPS), axis=1)
         for b, face_id, row in zip(run, fid, falling):
-            first = np.searchsorted(row, -rates, side="right")
+            first = row.searchsorted(-rates, side="right")
             ok = need[b] & (first < STEPS)
             far = s[first[ok]]
             bracket = (far, 0.0) if b < len(self.faces) - 1 else (0.0, far)
@@ -350,15 +359,13 @@ class _TiltedF:
     def results(self, argmins: bool) -> list[ExponentResult]:
         law, R = self.law, self.rates
         k = law.k
-        # The solved crossings, scattered from face order into support order.
+        # The solved crossings, scattered from face order into support order
+        # (a column's rows past its face are 0).
         n = self.stack.size - self.base
-        solved = np.zeros((k + 1, n))
+        solved = np.zeros((k, n))
         for face, col in zip(self.faces, self.col):
             col = col[col >= 0]
-            rows = np.full(self.stack.width, k)
-            rows[: face.size] = face
-            solved[rows[:, None], col] = self.stack.P[:, self.base + col]
-        solved = solved[:k]
+            solved[face[:, None], col] = self.stack.P[: face.size, self.base + col]
         off = self.fixed.shape[1]
 
         def over_candidates(f):
@@ -370,11 +377,12 @@ class _TiltedF:
         D, CE = over_candidates(_D), over_candidates(_cross_entropy)
 
         plain = R < law.H
+        zero = np.zeros(R.size, dtype=np.int64)
         values = [np.where(plain, np.inf, 0.0)]
-        refs = [np.zeros(R.size, dtype=np.int64)]
+        refs = [zero]
         for j, h_face, b in self.slots:
             values.append(np.where(plain & (h_face <= R), D[j], np.inf))
-            refs.append(np.full(R.size, j))
+            refs.append(zero + j)
             if b is not None:
                 col = self.col[b]
                 values.append(np.where(col >= 0, D[off + col], np.inf))
@@ -385,12 +393,13 @@ class _TiltedF:
         active = np.where(ties, CE[self.ties_col] - R, crossing)
         values.append(np.where(R <= law.log_k, active, np.inf))
         refs.append(np.where(ties, self.ties_col, off + col))
-        values = np.stack(values, axis=1)
-        best = values.argmin(axis=1)
+        # one row per candidate; the first least row wins at each rate
+        values = np.array(values)
+        best = values.argmin(axis=0)
         at = np.arange(R.size)
         out = []
-        picked = np.stack(refs, axis=1)[at, best]
-        for value, ref in zip(values[at, best].tolist(), picked.tolist()):
+        picked = np.array(refs)[best, at]
+        for value, ref in zip(values[best, at].tolist(), picked.tolist()):
             P = self.fixed[:, ref] if ref < off else solved[:, ref - off]
             argmin = law.embed(P) if argmins else None
             out.append(ExponentResult(max(value, 0.0), argmin, TOLERANCE))

@@ -263,14 +263,13 @@ def _check_enum(total: int | float, space: str, way_out: str = "") -> int:
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
-def _check_index_range(length: int, spec: FieldSpec) -> None:
-    """Refuse lengths whose largest index, q**length - 1, leaves int64."""
+def _check_index_range(
+    length: int, spec: FieldSpec, way_out: str = "use index_encode per vector"
+) -> None:
+    """Refuse lengths whose largest index, q**length - 1, leaves int64;
+    `way_out` ends the message."""
     if _power(spec.q, length, 64) - 1 > _INT64_MAX:
-        raise FieldError(
-            f"index range {spec.q}^{length} exceeds int64; use index_encode per "
-            "vector, or on the command line give `verify` or `exact-mi` an "
-            "explicit --m plan whose word space q^m fits"
-        )
+        raise FieldError(f"index range {spec.q}^{length} exceeds int64; {way_out}")
 
 
 def vectors_to_indices(arr: np.ndarray, spec: FieldSpec) -> np.ndarray:

@@ -1032,7 +1032,7 @@ def strong_converse_probe(
         raise ValueError(f"rate {R} is not below the source entropy {h:.6f}")
     q = len(p_X)
     spec = FieldSpec(q)
-    p = np.asarray(p_X)
+    p = p_X.probs.tolist()  # Python floats: math.log2 reads the same doubles
     out = []
     for n in n_list:
         n = int(n)

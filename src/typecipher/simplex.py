@@ -25,12 +25,15 @@ class Distribution:
         p = np.asarray(tuple(probs), dtype=np.float64)
         if p.ndim != 1 or p.size == 0:
             raise ValueError("distribution must be a non-empty 1-D sequence")
-        if not np.isfinite(p).all():
+        # ufunc reductions, not ndarray.all/min/sum, whose Python wrappers
+        # cost a cold process more than the checks themselves
+        if not np.logical_and.reduce(np.isfinite(p)):
             raise ValueError(f"probabilities must be finite, got {p.tolist()}")
-        if p.min() < 0.0:
+        if np.minimum.reduce(p) < 0.0:
             raise ValueError(f"negative probability in {p.tolist()}")
-        if abs(p.sum() - 1.0) > SIMPLEX_TOL:
-            raise ValueError(f"probabilities sum to {float(p.sum())!r}, not 1")
+        total = float(np.add.reduce(p))
+        if abs(total - 1.0) > SIMPLEX_TOL:
+            raise ValueError(f"probabilities sum to {total!r}, not 1")
         p.flags.writeable = False
         object.__setattr__(self, "probs", p)
 
@@ -65,7 +68,7 @@ class Distribution:
 
 
 def uniform(q: int) -> Distribution:
-    return Distribution(np.full(q, 1.0 / q))
+    return Distribution([1.0 / q] * q)
 
 
 def entropy(P: DistLike) -> float:
@@ -73,7 +76,7 @@ def entropy(P: DistLike) -> float:
     p = np.asarray(P, dtype=np.float64)
     pos = p > 0.0
     # 0.0 - s, not -s: a point mass sums to +0.0, which must not print as -0.0
-    return float(0.0 - np.sum(p[pos] * np.log2(p[pos])))
+    return float(0.0 - np.add.reduce(p[pos] * np.log2(p[pos])))
 
 
 def kl_divergence(P: DistLike, Q: DistLike) -> float:
@@ -83,6 +86,6 @@ def kl_divergence(P: DistLike, Q: DistLike) -> float:
     if p.shape != q.shape:
         raise ValueError(f"alphabet mismatch: {p.shape} vs {q.shape}")
     pos = p > 0.0
-    if np.any(q[pos] == 0.0):
+    if np.logical_or.reduce(q[pos] == 0.0):
         return float("inf")
-    return float(np.sum(p[pos] * np.log2(p[pos] / q[pos])))
+    return float(np.add.reduce(p[pos] * np.log2(p[pos] / q[pos])))

@@ -414,6 +414,55 @@ def test_exponents_match_golden(tmp_path, q):
     assert out.read_bytes() == (GOLDEN / f"exponents_q{q}.csv").read_bytes()
 
 
+_PROBE_LINES = {  # the benchmark's converse-probe lines of parameter set 0
+    2: ["--n", "4,8,12,16,20,24", "--rate", "0.529", "--px", "0.818,0.182"],
+    3: ["--n", "3,6,9,12,15", "--rate", "0.9", "--px", "0.651,0.212,0.137"],
+}
+
+
+@pytest.mark.parametrize("q", sorted(_PROBE_LINES))
+def test_converse_probe_matches_golden(tmp_path, q):
+    # byte for byte as the probe that read p_X as numpy scalars wrote it
+    out = tmp_path / "probe.csv"
+    assert main(["converse-probe", "--q", str(q), *_PROBE_LINES[q], "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / f"converse_probe_q{q}.csv").read_bytes()
+
+
+def test_exponents_and_probe_enter_no_numpy_python_wrapper():
+    # A cold process pays more for the first call of a numpy function
+    # written in Python (np.stack, np.full, ndarray.sum, ...) than for its
+    # C-level form, so
+    # the solver, the law checks and the probe keep to ufuncs, C methods and
+    # constructors.  The dispatchers of C functions in _core/multiarray.py
+    # (np.concatenate, np.where, np.copyto, np.empty_like) stay allowed.
+    import numpy as np
+
+    root = Path(np.__file__).parent
+    wrappers = tuple(
+        [str(root / "_core" / name) for name in
+         ("_methods.py", "fromnumeric.py", "numeric.py", "shape_base.py")]
+        + [str(root / "lib") + os.sep]
+    )
+    entered = set()
+
+    def watch(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_filename.startswith(wrappers):
+            entered.add(f"{code.co_filename}:{code.co_name}")
+
+    lines = [["exponents", "--q", str(q), "--px", px, "--pk", pk]
+             for q, (px, pk) in sorted(_EXPONENT_LAWS.items())]
+    lines += [["converse-probe", "--q", str(q), *rest] for q, rest in sorted(_PROBE_LINES.items())]
+    previous = sys.getprofile()
+    sys.setprofile(watch)
+    try:
+        codes = [main([*argv, "--out", os.devnull]) for argv in lines]
+    finally:
+        sys.setprofile(previous)
+    assert codes == [0] * len(lines)
+    assert sorted(entered) == []
+
+
 def test_exponents_q11_match_golden_to_round_off(tmp_path):
     # eleven symbols: the columns are summed in order, where the golden's
     # solver used numpy's pairwise order, so the last digits may move
@@ -603,15 +652,14 @@ def test_plaintext_side_builds_no_sequence_law(monkeypatch, command):
     assert not hasattr(Codebook, "rank_of")
 
 
-def test_sweep_at_a_large_alphabet_names_the_explicit_m_remedy(capsys):
+def test_sweep_at_a_large_alphabet_refuses_its_word_index(capsys):
     # (n+1)^(4q) no longer converts to a float at q=257, so the bounds come
     # from their log2; the canonical word then leaves int64 (before any
-    # two-byte digit row is built), and the message names the plan that fits
+    # two-byte digit row is built), and the message names sweep's own knobs,
+    # not the --m that only verify and exact-mi read, which does fit there
     assert main(["sweep", "--q", "257", "--n", "1", "--rate", "4"]) == 2
     assert capsys.readouterr().err == (
-        "error: index range 257^33 exceeds int64; use index_encode per vector, "
-        "or on the command line give `verify` or `exact-mi` an explicit --m "
-        "plan whose word space q^m fits\n"
+        "error: index range 257^33 exceeds int64; give a lower --rate or a smaller --n\n"
     )
     assert main(["verify", "--q", "257", "--n", "1", "--m", "2"]) == 0
     assert json.loads(capsys.readouterr().out)["passed"]
@@ -817,6 +865,10 @@ _INT64 = "exceeds int64"
         (["exact-mi", "--m", "64", "--pk", "0.7,0.3", "--samples", "0"], _INT64),
         (["exact-mi", "--m", "1" + "0" * 400], "word length must be in [1, 2^53)"),
         (["sweep", "--rate", "1e6"], f"index range 2^4000006 {_INT64}"),
+        (["sweep", "--q", "2", "--rate", "16"],
+         f"index range 2^70 {_INT64}; give a lower --rate or a smaller --n\n"),
+        (["verify", "--m", "70"],
+         f"index range 2^70 {_INT64}; give an explicit --m whose word space q^m fits\n"),
         (["exponents", "--px", "0.5,nan"], "probabilities must be finite, got [0.5, nan]"),
         (["exponents", "--px", "nan,nan"], "probabilities must be finite, got [nan, nan]"),
         (["verify", "--rate", "0.9", "--gamma", "nan"], "gamma must be positive and finite, got nan"),
@@ -841,7 +893,7 @@ _INT64 = "exceeds int64"
     ids=["verify-inf", "sweep-inf", "codebook-inf", "verify-1e308", "sweep-1e308",
          "codebook-1e308", "verify-1e300", "verify-1e300-pk", "verify-m", "exact-mi-m", "verify-m64-pk",
          "exact-mi-m64-pk-samples0", "exact-mi-m-10^400",
-         "sweep-1e6", "exponents-nan", "exponents-nan-nan", "verify-gamma-nan", "verify-gamma-inf",
+         "sweep-1e6", "sweep-rate-16", "verify-m70", "exponents-nan", "exponents-nan-nan", "verify-gamma-nan", "verify-gamma-inf",
          "verify-gamma-300", "verify-gamma-1e308", "probe-rate-minus-inf", "probe-rate-minus-1",
          "probe-rate-nan",
          "search-encoder-1e12", "search-encoder-m",

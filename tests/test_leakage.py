@@ -98,8 +98,9 @@ def test_exact_refusal_under_a_uniform_key_reads_no_word_cap(monkeypatch):
     # the word index before the caps
     for p_k in (uniform(2), Distribution([0.62, 0.38])):
         for n, sampled in itertools.product((4, 23), (False, True)):
-            with pytest.raises(FieldError, match="index range 2\\^64 exceeds int64"):
-                cli._system(explicit_m_plan(n, 64, spec), uniform(2), p_k, 0, sampled)
+            plan = explicit_m_plan(n, 64, spec)
+            with pytest.raises(FieldError, match="2\\^64 exceeds int64; give an explicit --m"):
+                cli._system(plan, uniform(2), p_k, 0, sampled, cli._EXPLICIT_M)
     # equal entries at q=3 are uniform too; a law off by one rounding is not
     spec3 = FieldSpec(3)
     assert exact_refusal(explicit_m_plan(4, 14, spec3), uniform(3)) is None
