@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .code import Codebook, RatePlan, decode_indices, encode
+from .code import Codebook, RatePlan, _member_list, decode_indices, encode
 from .fields import (
     FieldError,
     FieldSpec,
@@ -45,7 +45,6 @@ from .fields import (
     field_row,
     field_vector,
     index_decode,
-    indices_to_vectors,
     vector_to_text,
     vectors_to_indices,
 )
@@ -448,15 +447,14 @@ def injective_on_members(sys: CipherSystem) -> bool:
 
     Adding a fixed pad is a bijection of Z_q^m, so this holds for every key
     exactly when the members' codewords are distinct.  Checked as the round
-    trip of the two class walks: the decode table (`member_idx`, the walk
-    from rank to sequence) must go back through the encoder's walk
-    (`Codebook.ranks`, from sequence to rank) to its own positions, so no
-    two members share a rank, and hence a codeword.  It costs O(members),
-    so `verify` runs it at every size it reaches.
+    trip of the two class walks: every rank, unranked by the decoder's walk
+    (`Codebook.members`), must come back through the encoder's walk
+    (`Codebook.ranks`) to itself, so no two members share a rank, and hence
+    a codeword.  It lists every member (up to MAX_ENUM), so it costs
+    O(members), and `verify` runs it at every size it reaches.
     """
-    cb = sys.codebook
-    members = indices_to_vectors(cb.member_idx, sys.plan.n, sys.spec)
-    return np.array_equal(cb.ranks(members), np.arange(cb.member_count))
+    members = _member_list(sys.codebook)
+    return np.array_equal(sys.codebook.ranks(members), np.arange(len(members)))
 
 
 # ----------------------------------------------------------------------

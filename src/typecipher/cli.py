@@ -38,7 +38,7 @@ from .code import (
     make_rate_plan,
 )
 from .exponents import exponent_pair, positivity_region
-from .fields import FieldError, FieldSpec, _check_index_range
+from .fields import FieldError, FieldSpec, _check_index_range, _power
 from .leakage import (
     check_birkhoff,
     converse_diagnostics,
@@ -252,11 +252,17 @@ def cmd_sweep(args) -> int:
         raise FieldError("--n (comma list allowed) is required for sweep")
     (e_res,), (f_res,) = exponent_pair(p_x, p_k, [R])
     e_val, f_val = e_res.rounded_down(), f_res.rounded_down()
+    # the slack gamma_n alone carries q log2(n+1) bits: from q=59 on even n=1
+    # at the least rate has words past int64, so no --rate or --n fits
+    least = make_rate_plan(1, sys.float_info.min, spec).m
+    way_out = "give a lower --rate or a smaller --n"
+    if _power(spec.q, least, 64) > 2**63:
+        way_out = f"sweep fits no --rate or --n at q={spec.q}; verify and exact-mi: {_EXPLICIT_M}"
     rows = []
     for n in args.n_list:
         plan = make_rate_plan(n, R, spec)
         seed = _sub_seed(args.seed, n)
-        sys_, laws = _system(plan, p_x, p_k, seed, True, "give a lower --rate or a smaller --n")
+        sys_, laws = _system(plan, p_x, p_k, seed, True, way_out)
         if laws is not None:
             mi_value, mi_flag = laws.mi, "exact"
         else:

@@ -14,8 +14,8 @@ encoder maps the i-th member (in type order, then lexicographic order) to
 the word with positional value i+1; the decoder inverts that and maps x0 and
 any out-of-image word to a fixed default sequence.  So a member's rank is its
 type's offset (the sizes of the member types before it) plus its rank within
-its type class: `Codebook` encodes by that arithmetic and builds the decode
-table (the members' sequence indices) only when a caller asks for it.
+its type class: `Codebook` keeps only the offsets, and encodes and decodes
+by that arithmetic (Cover's enumerative coding), with no table.
 
 At desk scale gamma_n is large (over a bit per symbol for n <= 8), so m
 routinely exceeds n; that is what the formulas give, and every finite-n bound
@@ -27,20 +27,20 @@ bound checks that assume the canonical m.
 from __future__ import annotations
 
 import math
-from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
 from .fields import (
     FieldError,
     FieldSpec,
+    _INT64_MAX,
     Record,
     _check_enum,
     _power,
     field_row,
     index_decode,
     index_encode,
-    indices_to_vectors,
     vector_to_text,
     vectors_to_indices,
 )
@@ -142,20 +142,16 @@ def explicit_m_plan(n: int, m: int, spec: FieldSpec, R: float | None = None) -> 
 
 
 class Codebook:
-    """The codebook as type offsets, with its index arrays built on demand.
+    """The codebook as type offsets, both ways by rank arithmetic.
 
     Members are listed type by type (in `enumerate_types` order), each type
     in lexicographic order, so a member's rank is its type's offset plus its
-    rank within the class: `ranks` computes that by arithmetic (the
-    `class_ranks` walk), and that is the encoder.  The int64 arrays
-    `member_idx` (each member's sequence index in rank order, from the same
-    walk run backwards) and `decode_table` (the decoder's: `member_idx`
-    after the default sequence) are built on first use, so codebooks that
-    only sample never pay for them; each refuses to hold more than
-    `fields.MAX_ENUM` entries.  A type's members hold consecutive ranks, so
-    the exact path weighs codewords by type, with no table over the q**n
-    sequences.  The offsets and `ranks` work at any n whose class sizes
-    times n fit in int64.
+    rank within the class.  `ranks` adds the class-rank walk to the offset
+    (the encoder); `members` finds each rank's type among the offsets and
+    runs the walk backwards (the decoder).  No table over the members or the
+    q**n sequences is kept.  `offsets` (int64) holds the offset of each
+    member type whose ranks fit int64, then the end of the last; later types
+    refuse, as do classes whose size times n leaves int64.
     """
 
     def __init__(self, plan: RatePlan):
@@ -169,11 +165,8 @@ class Codebook:
             else:
                 error_types.append(P)
 
-        type_offset: dict[tuple[int, ...], int] = {}
-        count = 0
-        for P in member_types:
-            type_offset[P.counts] = count
-            count += class_size(P)
+        ends = list(accumulate((class_size(P) for P in member_types), initial=0))
+        count = ends[-1]
         if count > _power(q, m, count.bit_length() + 1) - 1:
             # The size bound rules this out for canonical plans only.
             raise FieldError(
@@ -186,7 +179,8 @@ class Codebook:
         self.member_types = tuple(member_types)
         self.error_types = tuple(error_types)
         self.member_count = count
-        self.type_offset = type_offset
+        self.type_index = {P.counts: i for i, P in enumerate(member_types)}
+        self.offsets = np.array([end for end in ends if end <= _INT64_MAX], dtype=np.int64)
         self.default_decode = self._smallest_non_member()
 
     @property
@@ -209,49 +203,46 @@ class Codebook:
 
         The rows are counted and grouped by type once; each member row then
         gets its type's offset plus its rank within the class, from the
-        class-rank walk (`class_ranks` without its own grouping) on its
-        counts and class size.
+        class-rank walk on its counts and class size.  A member type past
+        `offsets` raises ValueError.
         """
         n, q = self.plan.n, self.plan.q
         xs = np.asarray(xs).reshape(-1, n)
         counts = type_counts(xs, q)
         types, inverse = _group_types(counts)
         types = types.tolist()
-        offset = np.array([self.type_offset.get(tuple(t), -1) for t in types], dtype=np.int64)
+        index = np.array([self.type_index.get(tuple(t), -1) for t in types], dtype=np.int64)
+        if index.max(initial=-1) >= len(self.offsets) - 1:
+            raise ValueError(f"member ranks at n={n} pass int64 ({self.member_count} members)")
         sizes = np.zeros(len(types), dtype=np.int64)
-        kept = np.flatnonzero(offset >= 0)
+        kept = np.flatnonzero(index >= 0)
         sizes[kept] = _class_sizes([types[j] for j in kept], n)
-        rank = offset[inverse]
+        rank = np.where(index >= 0, self.offsets[index], -1)[inverse]
         member = rank >= 0
         rank[member] += _walk_ranks(xs[member], counts[member], sizes[inverse[member]])
         return rank
 
-    @cached_property
-    def member_idx(self) -> np.ndarray:
-        """Sequence index of each member, in rank order (what decode reads).
-
-        One walk over every rank: each member type repeats by its class
-        size, and a rank's place in its class is the rank less its type's
-        offset.
-        """
-        n = self.plan.n
-        _check_enum(
-            self.member_count, f"a list of {self.member_count} members",
-            "Codebook.ranks ranks members without a table",
-        )
+    def members(self, ranks) -> np.ndarray:
+        """The member sequence at each rank, one row each: the inverse of
+        `ranks`.  One `searchsorted` over `offsets` finds each rank's type,
+        and the class walk run backwards places the rest of the rank in the
+        class.  Ranks outside [0, member_count), or past `offsets`, raise
+        ValueError."""
+        end = int(self.offsets[-1])
+        try:
+            rank = np.asarray(ranks, dtype=np.int64).reshape(-1)
+            inside = not rank.size or (rank.min() >= 0 and rank.max() < end)
+        except OverflowError:  # a Python int past int64
+            inside = False
+        if not inside:
+            raise ValueError(f"member ranks must lie in [0, {end}), those that fit int64")
+        which = self.offsets.searchsorted(rank, side="right") - 1
         types = np.array([P.counts for P in self.member_types], dtype=np.int64)
-        sizes = _class_sizes(types.tolist(), n)
-        which = np.repeat(np.arange(len(sizes)), sizes)
-        local = np.arange(self.member_count) - (np.cumsum(sizes) - sizes)[which]
-        seqs = _walk_members(local, types[which], sizes[which])
-        return _frozen(vectors_to_indices(seqs, self.spec))
-
-    @cached_property
-    def decode_table(self) -> np.ndarray:
-        """Sequence index decoded from each word value 0..member_count:
-        the default sequence for x0, member i-1 for value i."""
-        default = index_encode(self.default_decode, self.spec)
-        return _frozen(np.concatenate(([default], self.member_idx)))
+        sizes = np.zeros(len(types), dtype=np.int64)
+        touched = np.flatnonzero(np.bincount(which, minlength=len(types)))
+        sizes[touched] = _class_sizes(types[touched].tolist(), self.plan.n)
+        seqs = _walk_members(rank - self.offsets[which], types[which], sizes[which])
+        return seqs.reshape(-1, self.plan.n)  # no ranks walk to a (0, 0) array
 
     def __repr__(self) -> str:
         p = self.plan
@@ -259,11 +250,6 @@ class Codebook:
             f"Codebook(n={p.n}, R={p.R}, q={p.q}, m={p.m}, "
             f"members={self.member_count})"
         )
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
 
 
 def build_codebook(plan: RatePlan) -> Codebook:
@@ -285,9 +271,17 @@ def decode(cb: Codebook, w) -> tuple[int, ...]:
 def decode_indices(cb: Codebook, words) -> np.ndarray:
     """Array form of decode: the sequence index decoded from each word row."""
     value = vectors_to_indices(np.asarray(words), cb.spec)
-    # word values past the members (out of the image) decode as x0 does
-    table = cb.decode_table
-    return table[np.where(value < table.size, value, 0)]
+    # x0 and the values past the members (out of the image) decode to the default
+    image = (value > 0) & (value <= cb.member_count)
+    out = np.full(value.shape, index_encode(cb.default_decode, cb.spec), dtype=np.int64)
+    out[image] = vectors_to_indices(cb.members(value[image] - 1), cb.spec)
+    return out
+
+
+def _member_list(cb: Codebook) -> np.ndarray:
+    """Every member in rank order, one row each, refused past MAX_ENUM."""
+    _check_enum(cb.member_count, f"a list of {cb.member_count} members", "decode needs none")
+    return cb.members(np.arange(cb.member_count))
 
 
 def exact_error_prob(cb: Codebook, p_X: Distribution) -> float:
@@ -309,8 +303,7 @@ def codebook_to_json(cb: Codebook, include_members: bool = False) -> dict:
         "default_decode": vector_to_text(cb.default_decode, cb.spec),
     }
     if include_members:
-        members = indices_to_vectors(cb.member_idx, plan.n, cb.spec).tolist()
-        out["members"] = [vector_to_text(x, cb.spec) for x in members]
+        out["members"] = [vector_to_text(x, cb.spec) for x in _member_list(cb).tolist()]
     return out
 
 

@@ -14,18 +14,21 @@ recursive `compositions` that of the type order, which the package lists by
 stars and bars.  The codebook
 oracle is the tuple codebook the package used to keep (`members`,
 `member_rank`), listed here by the recursive generator, so the law oracles
-that work tuple by tuple are independent of the codebook's rank arithmetic,
-of its index arrays and of the transform.  `rank_of`, the inverse of the
-member table over every sequence, and `codeword_weights`, the plaintext
-mass of each codeword summed sequence by sequence, are the q**n forms that
-the package's exact path read before it weighed codewords by type.  The
+that work tuple by tuple are independent of the codebook's rank arithmetic
+and of the transform.  `member_idx`, the members' sequence indices in rank
+order read off those tuples, is the decode table the package kept before it
+decoded by unranking.  `rank_of`, the inverse of that table over every
+sequence, and `codeword_weights`, the plaintext mass of each codeword
+summed sequence by sequence, are the q**n forms that the package's exact
+path read before it weighed codewords by type.  The
 exact-rational pad and image laws (`pad_law_fraction`, `omega_counts`, `omega_dist`,
 `class_prob_fraction`), the image divergence that counts every word
 (`omega_divergence`) and the scalar affine map `vec_affine` are here
 because only tests use them, as is the digit-array form of the sequence
 law (`sequence_probs`) that the outer product replaced.  The decryption
-oracle runs the shipped `encrypt` and `decrypt` steps once per (key,
-plaintext) pair, from one pad per key and one codeword per plaintext.  The tilted exponent solver is the scalar one that the stacked
+oracle runs the shipped `encrypt` and `decrypt` steps on every (key,
+plaintext) pair, from one pad per key and one codeword per plaintext, one
+call per key.  The tilted exponent solver is the scalar one that the stacked
 bisection replaced: one bisection per rate, per face and per branch, each
 on its own 1-D arrays, summed left to right as the stacked solver sums each
 column.  `stacked_bisect` is the stacked bisection as it ran before a
@@ -83,12 +86,19 @@ def member_rank(cb):
     return {x: i for i, x in enumerate(members(cb))}
 
 
+@cache
+def member_idx(cb):
+    """Sequence index of each member in rank order, read off `members`: the
+    decode table the package kept before it decoded by unranking."""
+    return vectors_to_indices(np.array(members(cb)).reshape(-1, cb.plan.n), cb.spec)
+
+
 def rank_of(cb):
     """Member rank of every sequence index, -1 for non-members: the inverse
-    of `cb.member_idx` over all q**n sequences (the table the package's
-    exact paths read before they weighed codewords by type)."""
+    of `member_idx` over all q**n sequences (the table the package's exact
+    paths read before they weighed codewords by type)."""
     ranks = np.full(cb.spec.q**cb.plan.n, -1, dtype=np.int64)
-    ranks[cb.member_idx] = np.arange(cb.member_count)
+    ranks[member_idx(cb)] = np.arange(cb.member_count)
     return ranks
 
 
@@ -347,21 +357,21 @@ def dense_mixture(laws, mix):
 
 
 def check_decryption_condition(sys_: CipherSystem) -> bool:
-    """decrypt(k, encrypt(k, x)) == decode(encode(x)) pair by pair: the
-    steps of the shipped `encrypt` and `decrypt`, with each key's pad
-    (`_pad`) and each plaintext's codeword built once, and every (key,
-    plaintext) pair sent through `_encrypt_words` then `_decrypt_words`."""
+    """decrypt(k, encrypt(k, x)) == decode(encode(x)) for every (key,
+    plaintext) pair: the steps of the shipped `encrypt` and `decrypt`, with
+    each plaintext's codeword built once, and each key's pad (`_pad`) sent
+    with every codeword through `_encrypt_words` then `_decrypt_words` in
+    one call, each row compared with its own plaintext's expected index."""
     spec = sys_.spec
     keys = [tuple(int(v) for v in row) for row in all_vectors(sys_.plan.n, spec)]
     cb = sys_.codebook
-    words = [np.asarray(encode(cb, x), dtype=spec.digit_dtype) for x in keys]
+    words = np.array([encode(cb, x) for x in keys], dtype=spec.digit_dtype)
     expected = [index_encode(decode(cb, encode(cb, x)), spec) for x in keys]
     for k in keys:
         pad = cipher._pad(sys_, k)
-        for word, want in zip(words, expected):
-            got = cipher._decrypt_words(sys_, pad, cipher._encrypt_words(sys_, pad, word))
-            if int(got) != want:
-                return False
+        got = cipher._decrypt_words(sys_, pad, cipher._encrypt_words(sys_, pad, words))
+        if got.tolist() != expected:
+            return False
     return True
 
 

@@ -14,7 +14,7 @@ import pytest
 
 from typecipher.cipher import CipherSystem, derandomize
 from typecipher.cli import _FLAGS, main
-from typecipher.code import build_codebook, explicit_m_plan, make_rate_plan
+from typecipher.code import Codebook, build_codebook, explicit_m_plan, make_rate_plan
 from typecipher.fields import MAX_ENUM, FieldSpec
 from typecipher.leakage import _log2_sequence_prob, exact_laws, exact_mutual_info, exact_refusal
 from typecipher.simplex import Distribution, entropy, uniform
@@ -500,24 +500,16 @@ def test_sweep_never_lists_members(tmp_path, monkeypatch):
     # binary n=20 has 120,920 members; the sweep encodes its samples by rank
     # arithmetic and must not list one of them
     def refuse(*args):
-        raise AssertionError("_walk_members called on the sweep path")
+        raise AssertionError("a member was unranked on the sweep path")
 
     for module in ("typeclasses", "code"):
         monkeypatch.setattr(f"typecipher.{module}._walk_members", refuse)
-    built = []
-
-    def recording_build(plan):
-        built.append(build_codebook(plan))
-        return built[-1]
-
-    monkeypatch.setattr("typecipher.cli.build_codebook", recording_build)
+    monkeypatch.setattr(Codebook, "members", refuse)
     out = tmp_path / "sweep.csv"
     argv = ["sweep", "--q", "2", "--n", "20", "--rate", "0.9", "--px", "0.82,0.18",
             "--pk", "0.62,0.38", "--samples", "1000", "--seed", "5", "--out", str(out)]
     assert main(argv) == 0
     assert _read_csv(str(out))[0]["mi_flag"] == "estimate"
-    (cb,) = built
-    assert "member_idx" not in vars(cb)
 
 
 @pytest.mark.parametrize(
@@ -532,7 +524,8 @@ def test_sweep_never_lists_members(tmp_path, monkeypatch):
 )
 def test_only_exact_mi_draws_bootstrap_replicates(tmp_path, monkeypatch, argv):
     # a sweep row prints the point estimate alone; exact-mi's Monte Carlo
-    # fallback prints its standard error too
+    # fallback prints its standard error too.  Neither sampled path unranks
+    # a member
     from typecipher.leakage import monte_carlo_mi
 
     calls = []
@@ -541,7 +534,11 @@ def test_only_exact_mi_draws_bootstrap_replicates(tmp_path, monkeypatch, argv):
         calls.append((kwargs, monte_carlo_mi(*args, **kwargs)))
         return calls[-1][1]
 
+    def refuse(*args):
+        raise AssertionError("a member was unranked on a sampled path")
+
     monkeypatch.setattr("typecipher.cli.monte_carlo_mi", spy)
+    monkeypatch.setattr(Codebook, "members", refuse)
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out)]) == 0
     ((kwargs, est),) = calls
@@ -632,7 +629,6 @@ def test_plaintext_side_builds_no_sequence_law(monkeypatch, command):
     # sequences a report builds is the key law of the pad
     import importlib
 
-    from typecipher.code import Codebook
     from typecipher.typeclasses import sequence_probs
 
     calls = []
@@ -655,12 +651,19 @@ def test_plaintext_side_builds_no_sequence_law(monkeypatch, command):
 def test_sweep_at_a_large_alphabet_refuses_its_word_index(capsys):
     # (n+1)^(4q) no longer converts to a float at q=257, so the bounds come
     # from their log2; the canonical word then leaves int64 (before any
-    # two-byte digit row is built), and the message names sweep's own knobs,
-    # not the --m that only verify and exact-mi read, which does fit there
+    # two-byte digit row is built).  From q=59 on the slack gamma_n alone
+    # puts even n=1 at the least rate past int64, so the message names the
+    # --m that only verify and exact-mi read, which does fit there; at q=53
+    # n=1 fits
     assert main(["sweep", "--q", "257", "--n", "1", "--rate", "4"]) == 2
     assert capsys.readouterr().err == (
-        "error: index range 257^33 exceeds int64; give a lower --rate or a smaller --n\n"
+        "error: index range 257^33 exceeds int64; sweep fits no --rate or --n at q=257; "
+        "verify and exact-mi: give an explicit --m whose word space q^m fits\n"
     )
+    assert main(["sweep", "--q", "59", "--n", "1", "--rate", "0.1"]) == 2
+    assert "59^11 exceeds int64; sweep fits no --rate or --n" in capsys.readouterr().err
+    assert main(["sweep", "--q", "53", "--n", "1", "--rate", "0.1"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith("1,")
     assert main(["verify", "--q", "257", "--n", "1", "--m", "2"]) == 0
     assert json.loads(capsys.readouterr().out)["passed"]
 
@@ -867,6 +870,12 @@ _INT64 = "exceeds int64"
         (["sweep", "--rate", "1e6"], f"index range 2^4000006 {_INT64}"),
         (["sweep", "--q", "2", "--rate", "16"],
          f"index range 2^70 {_INT64}; give a lower --rate or a smaller --n\n"),
+        (["sweep", "--q", "59", "--rate", "0.1"],
+         f"index range 59^24 {_INT64}; sweep fits no --rate or --n at q=59; verify and "
+         "exact-mi: give an explicit --m whose word space q^m fits\n"),
+        (["sweep", "--q", "257", "--rate", "4"],
+         f"index range 257^77 {_INT64}; sweep fits no --rate or --n at q=257; verify and "
+         "exact-mi: give an explicit --m whose word space q^m fits\n"),
         (["verify", "--m", "70"],
          f"index range 2^70 {_INT64}; give an explicit --m whose word space q^m fits\n"),
         (["exponents", "--px", "0.5,nan"], "probabilities must be finite, got [0.5, nan]"),
@@ -893,7 +902,7 @@ _INT64 = "exceeds int64"
     ids=["verify-inf", "sweep-inf", "codebook-inf", "verify-1e308", "sweep-1e308",
          "codebook-1e308", "verify-1e300", "verify-1e300-pk", "verify-m", "exact-mi-m", "verify-m64-pk",
          "exact-mi-m64-pk-samples0", "exact-mi-m-10^400",
-         "sweep-1e6", "sweep-rate-16", "verify-m70", "exponents-nan", "exponents-nan-nan", "verify-gamma-nan", "verify-gamma-inf",
+         "sweep-1e6", "sweep-rate-16", "sweep-q59", "sweep-q257", "verify-m70", "exponents-nan", "exponents-nan-nan", "verify-gamma-nan", "verify-gamma-inf",
          "verify-gamma-300", "verify-gamma-1e308", "probe-rate-minus-inf", "probe-rate-minus-1",
          "probe-rate-nan",
          "search-encoder-1e12", "search-encoder-m",

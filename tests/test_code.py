@@ -1,5 +1,6 @@
 """Rate plans and the type-class universal codebook."""
 
+import bisect
 import csv
 import io
 import itertools
@@ -8,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+from typecipher.cipher import CipherSystem, decrypt, draw_encoder, encrypt, injective_on_members
 from typecipher.cli import main
 from typecipher.code import (
     build_codebook,
@@ -27,18 +29,12 @@ from typecipher.fields import (
     all_vectors,
     index_decode,
     index_encode,
-    indices_to_vectors,
     vectors_to_indices,
 )
 from typecipher.simplex import Distribution, uniform
 from typecipher.typeclasses import class_size, type_counts, type_entropy, type_of
 
 import oracles
-
-
-def _members(cb):
-    """The codebook's members in rank order, as tuples read off member_idx."""
-    return [tuple(x) for x in indices_to_vectors(cb.member_idx, cb.plan.n, cb.spec).tolist()]
 
 
 def test_rate_plan_worked_example():
@@ -105,7 +101,7 @@ def test_codebook_members_low_entropy_types_only():
         assert type_entropy(P) < plan.R
     for P in cb.error_types:
         assert type_entropy(P) >= plan.R
-    for x in _members(cb):
+    for x in oracles.members(cb):
         assert type_entropy(type_of(x, spec)) < plan.R
 
 
@@ -115,7 +111,7 @@ def test_codebook_worked_example_n2():
     plan = make_rate_plan(2, 0.5, spec)
     cb = build_codebook(plan)
     assert plan.m == 6
-    assert _members(cb) == [(1, 1), (0, 0)]
+    assert oracles.members(cb) == ((1, 1), (0, 0))
     assert exact_error_prob(cb, uniform(2)) == pytest.approx(0.5)
 
 
@@ -133,7 +129,7 @@ def test_encode_decode_roundtrip_members():
     for n, R in ((3, 0.4), (5, 0.8), (6, 1.1)):
         cb = build_codebook(make_rate_plan(n, R, spec))
         seen = set()
-        for x in _members(cb):
+        for x in oracles.members(cb):
             w = encode(cb, x)
             assert len(w) == cb.plan.m
             assert decode(cb, w) == x
@@ -186,7 +182,7 @@ def test_default_decode_when_everything_is_a_member():
     spec = FieldSpec(2)
     plan = explicit_m_plan(2, 4, spec, R=1.5)  # all 4 types below R=1.5
     cb = build_codebook(plan)
-    assert cb.member_count == cb.member_idx.size == 4
+    assert cb.member_count == len(oracles.members(cb)) == 4
     assert cb.default_decode == (0, 0)
 
 
@@ -247,23 +243,22 @@ def test_member_count_below_word_budget_randomized():
         n = int(rng.integers(1, 9))
         R = float(rng.uniform(0.1, 1.5))
         cb = build_codebook(make_rate_plan(n, R, spec))
-        assert cb.member_idx.size <= q**cb.plan.m - 1
+        assert oracles.member_idx(cb).size == cb.member_count <= q**cb.plan.m - 1
 
 
 def test_index_arrays_mirror_members_and_ranks():
     for q, n, R in ((2, 6, 0.8), (3, 4, 1.2)):
         spec = FieldSpec(q)
         cb = build_codebook(make_rate_plan(n, R, spec))
-        # built on first use only: sampling paths never pay for them
-        assert "member_idx" not in vars(cb)
-        want = vectors_to_indices(np.array(oracles.members(cb)).reshape(-1, n), spec)
-        assert cb.member_idx.tolist() == want.tolist()
+        # the decode table is an oracle now: unranking every rank lists it
+        want = oracles.member_idx(cb)
+        got = vectors_to_indices(cb.members(np.arange(cb.member_count)), spec)
+        assert got.tolist() == want.tolist()
         rank_of = oracles.rank_of(cb)
         assert rank_of.shape == (q**n,)
         for i in range(q**n):
             rank = oracles.member_rank(cb).get(index_decode(i, n, spec), -1)
             assert rank_of[i] == rank
-        assert not cb.member_idx.flags.writeable
 
 
 def test_ranks_match_member_rank_on_every_sequence():
@@ -276,8 +271,6 @@ def test_ranks_match_member_rank_on_every_sequence():
                 cb = build_codebook(make_rate_plan(n, R, spec))
                 xs = all_vectors(n, spec)
                 got = cb.ranks(xs)
-                # ranked by arithmetic: no index array built yet
-                assert "member_idx" not in vars(cb)
                 rank = oracles.member_rank(cb)
                 want = [rank.get(x, -1) for x in map(tuple, xs.tolist())]
                 assert got.tolist() == want, (q, n, R)
@@ -324,26 +317,91 @@ def test_codebook_lists_members_on_demand():
     assert codebook_size_margins(cb)["holds"]
     assert codebook_to_json(cb)["member_count"] == cb.member_count
     assert type_entropy(type_of(cb.default_decode, spec)) >= cb.plan.R
-    assert "member_idx" not in vars(cb)
-    assert cb.member_idx.size == cb.member_count
-    head = indices_to_vectors(cb.member_idx[:50], 20, spec)
-    assert cb.ranks(head).tolist() == list(range(50))
+    ends = np.arange(cb.member_count - 50, cb.member_count)
+    for ranks in (np.arange(50), ends):
+        assert cb.ranks(cb.members(ranks)).tolist() == ranks.tolist()
 
 
-def test_member_list_cap_sits_on_the_lazy_forms():
-    # the lazy index arrays hold one entry per member (one more in the
-    # decode table), so a codebook over 2^23 sequences lists its two
-    # members; each refuses past MAX_ENUM entries and names the cap, while
-    # the codebook and its rank arithmetic work
+def test_member_list_cap_sits_on_the_lists():
+    # listing every member (the injectivity check, the codebook JSON) holds
+    # one row per member, so a codebook over 2^23 sequences lists its two
+    # members, and one past MAX_ENUM members refuses and names the cap; the
+    # codebook, its rank arithmetic and decode work at both
     small = build_codebook(make_rate_plan(23, 0.1, FieldSpec(2)))  # 2 members
-    assert small.member_idx.tolist() == [2**23 - 1, 0]
-    assert small.decode_table.size == 3
+    assert small.members(np.arange(2)).tolist() == [[1] * 23, [0] * 23]
+    assert injective_on_members(CipherSystem(small, draw_encoder(small.plan, 0)))
     large = build_codebook(make_rate_plan(30, 0.9, FieldSpec(2)))
     assert large.member_count > MAX_ENUM
-    assert large.ranks(np.zeros((1, 30), dtype=np.int64))[0] >= 0  # a member
-    for form in ("member_idx", "decode_table"):
-        with pytest.raises(FieldError, match="MAX_ENUM"):
-            getattr(large, form)
+    zero = (0,) * 30  # a member
+    assert large.ranks(np.zeros((1, 30), dtype=np.int64))[0] >= 0
+    assert decode(large, encode(large, zero)) == zero
+    with pytest.raises(FieldError, match="MAX_ENUM"):
+        injective_on_members(CipherSystem(large, draw_encoder(large.plan, 0)))
+    with pytest.raises(FieldError, match="MAX_ENUM"):
+        codebook_to_json(large, include_members=True)
+
+
+@pytest.mark.parametrize("q, n, R", [(2, 30, 0.9), (2, 45, 0.9), (2, 60, 0.9), (3, 30, 1.2)])
+def test_members_inverts_ranks_past_the_member_list(q, n, R):
+    # random ranks, first and last included, at sizes that no member list
+    # reaches: each comes back through ranks, as a row of its own type (the
+    # type whose offset, summed here in Python ints, precedes it)
+    spec = FieldSpec(q)
+    cb = build_codebook(make_rate_plan(n, R, spec))
+    assert cb.member_count > MAX_ENUM
+    starts = list(itertools.accumulate((class_size(P) for P in cb.member_types), initial=0))
+    rng = np.random.default_rng(n)
+    ranks = np.concatenate(([0, cb.member_count - 1], rng.integers(cb.member_count, size=300)))
+    rows = cb.members(ranks)
+    assert rows.shape == (len(ranks), n)
+    assert cb.ranks(rows).tolist() == ranks.tolist()
+    want = [cb.member_types[bisect.bisect_right(starts, int(r)) - 1].counts for r in ranks]
+    assert [tuple(c) for c in type_counts(rows, q).tolist()] == want
+
+
+def test_scalar_round_trips_past_the_member_list_cap():
+    # binary n=30 at R=0.9 has more members than MAX_ENUM, so no member list
+    # exists; scalar decode and decrypt unrank the one word they read
+    spec = FieldSpec(2)
+    plan = make_rate_plan(30, 0.9, spec)
+    cb = build_codebook(plan)
+    assert cb.member_count > MAX_ENUM
+    sys_ = CipherSystem(cb, draw_encoder(plan, 4))
+    rng = np.random.default_rng(30)
+    for _ in range(12):
+        # a random arrangement of a random member type
+        counts = cb.member_types[rng.integers(len(cb.member_types))].counts
+        x = tuple(int(a) for a in rng.permutation(np.repeat(np.arange(2), counts)))
+        k = tuple(int(a) for a in rng.integers(0, 2, size=30))
+        assert decode(cb, encode(cb, x)) == x
+        assert decrypt(sys_, k, encrypt(sys_, k, x)) == x
+
+
+def test_ranks_and_members_refuse_int64_overflow():
+    # q=5 n=30 at R=2.2 has 68-bit member count: the types whose ranks fit
+    # int64 rank and unrank, the later ones raise ValueError naming int64
+    spec = FieldSpec(5)
+    cb = build_codebook(make_rate_plan(30, 2.2, spec))
+    assert cb.member_count.bit_length() == 68
+    end = int(cb.offsets[-1])
+    assert cb.offsets.dtype == np.int64 and end < cb.member_count
+    early = (4,) * 29 + (3,)  # type (0, 0, 0, 1, 29), the second member type
+    assert encode(cb, early) == index_decode(2 + 29, cb.plan.m, spec)
+    assert cb.members(cb.ranks(early)).tolist() == [list(early)]
+    assert encode(cb, (0, 1, 2, 3, 4) * 6) == cb.x0  # a non-member
+    late = (0,) * 10 + (1,) * 10 + (2,) * 10  # offset past int64
+    with pytest.raises(ValueError, match="int64"):
+        encode(cb, late)
+    with pytest.raises(ValueError, match="int64"):
+        cb.ranks(np.array([early, late]))
+    assert cb.ranks(cb.members([end - 1]))[0] == end - 1
+    for ranks in ([end], [2**63 - 1], [2**64], [cb.member_count]):
+        with pytest.raises(ValueError, match="int64"):
+            cb.members(ranks)
+    small = build_codebook(make_rate_plan(4, 0.9, FieldSpec(2)))
+    for ranks in ([-1], [small.member_count], [0, small.member_count + 5]):
+        with pytest.raises(ValueError, match=f"\\[0, {small.member_count}\\)"):
+            small.members(ranks)
 
 
 def test_decode_indices_matches_scalar_decode():
@@ -362,21 +420,3 @@ def test_decode_indices_matches_scalar_decode():
         assert decode_indices(cb, words).tolist() == want
         assert int(decode_indices(cb, words[5])) == want[5]
         assert [index_encode(decode(cb, w), spec) for w in words] == want
-
-
-def test_decode_table_is_built_once(monkeypatch):
-    # the decryption check decodes block after block: the table (the
-    # default sequence's index, then member_idx) is built on the first call
-    cb = build_codebook(make_rate_plan(6, 0.9, FieldSpec(2)))
-    words = all_vectors(cb.plan.m, cb.spec)[:: 7]
-    first = decode_indices(cb, words)
-    table = cb.decode_table
-    assert not table.flags.writeable
-    assert table.tolist() == [index_encode(cb.default_decode, cb.spec), *cb.member_idx.tolist()]
-
-    def refuse(*args):
-        raise AssertionError("the decode table was rebuilt")
-
-    monkeypatch.setattr("typecipher.code.index_encode", refuse)
-    assert decode_indices(cb, words).tolist() == first.tolist()
-    assert cb.decode_table is table

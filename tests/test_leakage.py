@@ -20,7 +20,13 @@ from typecipher.cipher import (
     n_types,
     pad_law,
 )
-from typecipher.code import build_codebook, encode, explicit_m_plan, make_rate_plan
+from typecipher.code import (
+    build_codebook,
+    codebook_to_json,
+    encode,
+    explicit_m_plan,
+    make_rate_plan,
+)
 from typecipher.fields import FieldError, FieldSpec, all_vectors, index_encode
 from typecipher.leakage import (
     _digit_transform,
@@ -120,7 +126,7 @@ def test_every_size_refusal_moves_with_max_enum(monkeypatch):
     builds = [
         lambda: key_image_indices(enc, spec),  # 2^13 keys
         lambda: pad_law(enc, skewed, spec),  # 2^13 words
-        lambda: build_codebook(plan13).member_idx,  # 2186 members
+        lambda: codebook_to_json(build_codebook(plan13), include_members=True),  # 2186 members
         lambda: enumerate_types(2, FieldSpec(257)),  # 257^2 vectors, more typed
         lambda: all_vectors(13, spec),
     ]
