@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .code import Codebook, RatePlan, _member_list, decode_indices, encode
+from .code import Codebook, RatePlan, _member_list, decode_rows, encode
 from .fields import (
     FieldError,
     FieldSpec,
@@ -44,7 +44,6 @@ from .fields import (
     field_matrix,
     field_row,
     field_vector,
-    index_decode,
     vector_to_text,
     vectors_to_indices,
 )
@@ -399,10 +398,9 @@ def _recover_words(sys: CipherSystem, pads: np.ndarray, cipher: np.ndarray) -> n
 
 
 def _decrypt_words(sys: CipherSystem, pads: np.ndarray, cipher: np.ndarray) -> np.ndarray:
-    """Sequence index that decryption returns for each ciphertext row of
-    residues: the recovered codeword (`_recover_words`), decoded through the
-    codebook."""
-    return decode_indices(sys.codebook, _recover_words(sys, pads, cipher))
+    """The sequence (a digit row) that decryption returns for each ciphertext
+    row of residues: the recovered codeword (`_recover_words`), decoded."""
+    return decode_rows(sys.codebook, _recover_words(sys, pads, cipher))
 
 
 def _pad(sys: CipherSystem, k: Sequence[int]) -> np.ndarray:
@@ -417,8 +415,7 @@ def encrypt(sys: CipherSystem, k: Sequence[int], x: Sequence[int]) -> tuple[int,
 
 def decrypt(sys: CipherSystem, k: Sequence[int], c: Sequence[int]) -> tuple[int, ...]:
     cipher = field_row(c, sys.plan.m, sys.spec, "ciphertext").astype(sys.spec.digit_dtype)
-    idx = _decrypt_words(sys, _pad(sys, k), cipher)
-    return index_decode(int(idx), sys.plan.n, sys.spec)
+    return tuple(_decrypt_words(sys, _pad(sys, k), cipher).tolist())
 
 
 def check_decryption_condition(sys: CipherSystem) -> bool:
@@ -431,7 +428,7 @@ def check_decryption_condition(sys: CipherSystem) -> bool:
     - every pad digit is a residue, as `_pad_table` folds every row of
       every pad;
     - every codeword digit is a residue;
-    - decrypt reads `decode_indices` of the recovered codeword, which is
+    - decrypt reads `decode_rows` of the recovered codeword, which is
       decode(encode(x)) by definition once that codeword is encode(x).
 
     So the table of all q**2 residue pairs, pushed through the shipped

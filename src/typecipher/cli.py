@@ -149,18 +149,18 @@ _EXPLICIT_M = "give an explicit --m whose word space q^m fits"
 
 def _system(plan, p_x: Distribution, p_k: Distribution, seed: int, sampled: bool, way_out: str):
     """The cipher system of `plan` and its `ExactLaws`, None past the exact
-    path's caps: the one gate of `verify`, `sweep` and `exact-mi`.  First
-    the q**m words must have an int64 index, which both paths need whatever
-    the key law (else the command's `way_out` ends the refusal); then
-    `exact_refusal`'s refusal is raised unless `sampled`; nothing is built
-    before either.  Within the caps the encoder is the one `derandomize`
-    finds from `seed`; past them it is drawn at `seed`.
+    path's caps: the one gate of `verify`, `sweep` and `exact-mi`.  The q**m
+    words must first have an int64 index, which both paths need (else the
+    command's `way_out` ends the refusal); then `exact_refusal` reads the
+    codebook, built from the types alone, and is raised unless `sampled`.
+    Within the caps the encoder is the one `derandomize` finds from `seed`;
+    past them it is drawn at `seed`.
     """
     _check_index_range(plan.m, plan.spec, way_out)
-    refusal = exact_refusal(plan, p_k)
+    cb = build_codebook(plan)
+    refusal = exact_refusal(cb, p_k)
     if refusal is not None and not sampled:
         raise refusal
-    cb = build_codebook(plan)
     if refusal is not None:
         return CipherSystem(codebook=cb, key_encoder=draw_encoder(plan, seed)), None
     search = derandomize(plan, base_seed=seed)

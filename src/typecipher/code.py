@@ -66,7 +66,7 @@ __all__ = [
     "build_codebook",
     "encode",
     "decode",
-    "decode_indices",
+    "decode_rows",
     "exact_error_prob",
     "codebook_to_json",
     "codebook_size_margins",
@@ -190,13 +190,11 @@ class Codebook:
 
     def _smallest_non_member(self) -> tuple[int, ...]:
         # Sequence indices run in lexicographic order, and the smallest
-        # sequence of a type is its sorted one.
+        # sequence of a type is its sorted one: the most 0s, then 1s, ...
         if not self.error_types:
             return (0,) * self.plan.n
-        return min(
-            tuple(s for s, c in enumerate(P.counts) for _ in range(c))
-            for P in self.error_types
-        )
+        counts = max(P.counts for P in self.error_types)
+        return tuple(s for s, c in enumerate(counts) for _ in range(c))
 
     def ranks(self, xs) -> np.ndarray:
         """Member rank of each sequence row of xs, -1 for non-members.
@@ -264,17 +262,26 @@ def encode(cb: Codebook, x) -> tuple[int, ...]:
 
 def decode(cb: Codebook, w) -> tuple[int, ...]:
     """Inverse of encode on its image; default elsewhere (including x0)."""
-    word = field_row(w, cb.plan.m, cb.spec, "word")
-    return index_decode(int(decode_indices(cb, word)), cb.plan.n, cb.spec)
+    return tuple(decode_rows(cb, field_row(w, cb.plan.m, cb.spec, "word")).tolist())
 
 
-def decode_indices(cb: Codebook, words) -> np.ndarray:
-    """Array form of decode: the sequence index decoded from each word row."""
-    value = vectors_to_indices(np.asarray(words), cb.spec)
+def decode_rows(cb: Codebook, words) -> np.ndarray:
+    """Array form of decode: the sequence decoded from each word row, one
+    digit row each.  Only the low digits an int64 index holds (q**low <=
+    2**63) are read as one: a word with a higher digit set lies past the
+    members, or, if there are q**low of them, may be one, then refused."""
+    words = np.asarray(words)
+    m, spec = cb.plan.m, cb.spec
+    low = min(m, int(63 / math.log2(spec.q)))
+    value = vectors_to_indices(words[..., m - low :], spec)
+    high = words[..., : m - low].any(axis=-1)
+    if high.any() and cb.member_count >= spec.q**low:
+        if min(index_encode(w, spec) for w in words[high].tolist()) <= cb.member_count:
+            raise ValueError(f"member ranks pass int64 ({cb.member_count} members)")
     # x0 and the values past the members (out of the image) decode to the default
-    image = (value > 0) & (value <= cb.member_count)
-    out = np.full(value.shape, index_encode(cb.default_decode, cb.spec), dtype=np.int64)
-    out[image] = vectors_to_indices(cb.members(value[image] - 1), cb.spec)
+    image = ~high & (value > 0) & (value <= min(cb.member_count, _INT64_MAX))
+    out = np.full(value.shape + (cb.plan.n,), cb.default_decode, dtype=spec.digit_dtype)
+    out[image] = cb.members(value[image] - 1)
     return out
 
 

@@ -40,9 +40,8 @@ __all__ = [
 # on a desk machine anyway.
 MAX_Q = 257
 
-# The one size cap (`_check_enum`): the most q**n keys, q**m words (under a
-# key law that is not uniform), decryption pairs, members or types that the
-# exact path builds or lists.  all_vectors at binary length 22 takes 92 MB.
+# The one size cap (`_check_enum`): the most keys, words, codewords in use,
+# members or types that the exact path builds or lists (`exact_refusal`).
 MAX_ENUM = 1 << 22
 
 

@@ -20,9 +20,9 @@ otherwise), and a coset holding a single codeword is the pad itself, scaled
 and moved, with no transform.  No array over the q**m words is built.
 Under a uniform key the pad is uniform on its coset, so every ciphertext
 coset law is uniform and I(C;X) = H(J), the entropy of the coset masses:
-each occupied coset is one such single, and neither a key pass nor a
-transform runs.  Beyond the exact path's caps the leakage is estimated by
-sampling.
+each occupied coset is one such single, and no key pass, transform or pad
+array is built (the pad's entropy r log2 q and peak q**-r are closed
+forms).  Beyond the exact path's caps the leakage is estimated by sampling.
 
 Every exact figure is a function of one system, the two source laws and,
 for an encoder found by `derandomize`, its search result.  `exact_laws`
@@ -30,12 +30,10 @@ gathers them into one `ExactLaws` handle, after checking that the search
 belongs to the system's encoder; `exact_mutual_info`,
 `security_certificate`, `check_birkhoff` and `converse_diagnostics` take
 only that handle, so each law is computed once per report however many
-figures read it.  One cap, `fields.MAX_ENUM`, bounds the exact path: the
-q**n keys and, for a key law that is not uniform, the q**m words must be
-within it, and `exact_refusal` reads both sizes from the plan and the key
-law before anything is built.  The command line's one exact-or-sampled
-gate, `cli._system`, first checks that the words have an int64 index,
-which both paths need whatever the key law, then asks `exact_refusal`.
+figures read it.  One cap, `fields.MAX_ENUM`, bounds what each engine
+builds (`exact_refusal`).  The command line's one exact-or-sampled gate,
+`cli._system`, first checks that the words have an int64 index, which both
+paths need, then builds the codebook (types only) and asks `exact_refusal`.
 
 On top of the exact value sit the certified upper bounds, checked as a
 chain with explicit margins:
@@ -80,7 +78,7 @@ from .cipher import (
     pad_law,
     theta_n,
 )
-from .code import RatePlan, _check_rate, exact_error_prob, make_rate_plan
+from .code import Codebook, RatePlan, _check_rate, exact_error_prob, make_rate_plan
 from .exponents import exponent_F
 from .fields import (
     FieldError,
@@ -171,25 +169,28 @@ def _is_uniform(p: Distribution) -> bool:
     return len(set(p)) == 1
 
 
-def exact_refusal(plan: RatePlan, p_K: Distribution) -> FieldError | None:
-    """None where `plan` and the key law p_K are within the exact path's
-    cap, otherwise the FieldError naming the space past it, the cap and the
-    way out (sampling), the words checked first.  Reads the sizes only;
-    builds nothing.
+def exact_refusal(cb: Codebook, p_K: Distribution) -> FieldError | None:
+    """None where the codebook `cb` and the key law p_K are within the
+    exact path's cap, otherwise the FieldError naming the space past it,
+    the cap and the way out (sampling).  Reads sizes only; builds nothing.
 
-    Every key law needs q**n keys within `fields.MAX_ENUM`: the pad over
-    Z_q^r (r <= n) and a rank-deficient `derandomize` draw's key pass are
-    that large at most.  A non-uniform p_K also needs its q**m words within
-    the same cap, which bounds the coset rows of `ExactLaws.mixture`; a
-    uniform p_K builds no coset row and reads no word cap.  That the words
-    have an int64 index, which the sampled path needs as well, is checked
-    before this gate (`cli._system`), not by it.
+    `fields.MAX_ENUM` caps what each engine builds: under a uniform p_K the
+    member_count + 1 codewords in use (`ExactLaws.cells`), otherwise the
+    q**m words, checked first, which bound the pad, its key pass and the
+    coset rows.  The q**n keys are capped only where m < n, where no draw
+    has rank n and `derandomize` counts key images; where m >= n it passes
+    over a rank-deficient draw past the cap.  The int64 word index, which
+    sampling needs too, is checked before this gate, by `cli._system`.
     """
+    plan, used = cb.plan, cb.member_count + 1
     q, sampled = plan.q, "past it `exact-mi --samples N` and `sweep` estimate the leakage"
     try:
-        if not _is_uniform(p_K):
+        if _is_uniform(p_K):
+            _check_enum(used, f"{used} codewords in use", sampled)
+        else:
             _check_enum(_power(q, plan.m), f"word space {q}^{plan.m}", sampled)
-        _check_enum(_power(q, plan.n), f"{q}^{plan.n} keys", sampled)
+        if plan.m < plan.n:
+            _check_enum(_power(q, plan.n), f"{q}^{plan.n} keys", sampled)
     except FieldError as exc:
         return exc
     return None
@@ -205,24 +206,18 @@ class CosetMixture:
     codeword w is the pad scaled by w's weight and moved by w's coordinate:
     it is kept as (`single_labels`, `single_coords`, `single_weights`), with
     no transform; so is every occupied coset under a uniform pad, at
-    coordinate 0 with its total weight.  Every other word has mass 0, so
-    `max` and `entropy` read the rows and the singles only.
+    coordinate 0 with its total weight.  `max` and `entropy` read these and
+    the pad's largest mass and entropy only.
     """
 
-    def __init__(
-        self,
-        laws: np.ndarray,
-        labels: np.ndarray,
-        singles: tuple[np.ndarray, np.ndarray, np.ndarray],
-        pad: np.ndarray,
-        h_pad: float,
-    ):
-        self.laws, self.labels, self.pad, self.h_pad = laws, labels, pad, h_pad
+    def __init__(self, laws: np.ndarray, labels: np.ndarray, singles: tuple, pad_peak: float,
+                 h_pad: float):
+        self.laws, self.labels, self.pad_peak, self.h_pad = laws, labels, pad_peak, h_pad
         self.single_labels, self.single_coords, self.single_weights = singles
 
     @property
     def max(self) -> float:
-        singles = float(self.single_weights.max(initial=0.0)) * float(self.pad.max())
+        singles = float(self.single_weights.max(initial=0.0)) * self.pad_peak
         return max(float(self.laws.max(initial=0.0)), singles)
 
     @property
@@ -238,21 +233,19 @@ class ExactLaws(Record):
     Holds the system, p_X, p_K and, when the system's encoder came from
     `derandomize`, that search result.  A is row-reduced once, by the search
     if any (`reduced`: the basis B of V = rowspace(A), pivot columns P and
-    r = rank A); `pad` is the law of the pad's coordinate over Z_q^r, one
-    key pass over the columns P, and its transform is computed once.
-    `mixture` convolves it with weights over the codewords in use (word
-    values 0..member_count), coset by coset (`cells` holds each codeword's
-    label and coordinate), so the ciphertext law, the row sums and the
-    conditioned ciphertext law all reuse the one pad transform.  The
-    plaintext side is read from the types (`codeword_weights`), so only the
-    pad visits the q**n sequences, as keys.
+    r = rank A).  `mixture` sums the pad moved by each codeword in use (word
+    values 0..member_count; `cells` holds their labels and coordinates),
+    coset by coset, with weights read from the types (`codeword_weights`):
+    the ciphertext law, row sums and conditioned law share it.
 
     A uniform p_K (`uniform_key`) makes the cipher a one-time pad on each
     coset: k -> k A[:, P] maps the uniform keys onto Z_q^r, so the pad is
-    the constant q**-r with no key pass, and a uniform pad moved by any
-    coordinate is itself, so each occupied coset of a mixture is the pad
-    scaled by the coset's mass, with no transform; I(C;X) is then H(J),
-    the entropy of the ciphertext's coset.
+    uniform there (entropy r log2 q, peak q**-r) and each occupied coset of
+    a mixture is the pad scaled by the coset's mass, with no pad array, key
+    pass or transform; I(C;X) is H(J), the entropy of the ciphertext's
+    coset.  Any other p_K goes through `pad`, the law of the pad's
+    coordinate over Z_q^r (one key pass over the columns P), and its
+    transform `pad_hat`, each computed once.
 
     Build it with `exact_laws` and pass it to `exact_mutual_info`,
     `security_certificate`, `check_birkhoff` and `converse_diagnostics`.
@@ -296,9 +289,6 @@ class ExactLaws(Record):
     @cached_property
     def pad(self) -> np.ndarray:
         """Law of the pad's coordinate k A[:, P] + b[P] over Z_q^r."""
-        if self.uniform_key:
-            size = self.spec.q**self.rank
-            return np.full(size, 1.0 / size)
         enc, pivots = self.sys.key_encoder, list(self.reduced[1])
         coordinate = AffineEncoder(A=enc.A[:, pivots], b=tuple(enc.b[c] for c in pivots))
         return pad_law(coordinate, self.p_K, self.spec)
@@ -313,10 +303,12 @@ class ExactLaws(Record):
         basis, pivots = self.reduced
         spec = self.spec
         free = [c for c in range(self.plan.m) if c not in pivots]
-        words = np.arange(self.sys.codebook.member_count + 1)
-        words = indices_to_vectors(words, self.plan.m, spec)
+        words = indices_to_vectors(np.arange(self.sys.codebook.member_count + 1), self.plan.m, spec)
         coords = words[:, list(pivots)]
-        labels = (words[:, free] - coords @ basis[:, free]) % spec.q
+        # einsum casts digit rows through its buffer; `@` would copy each to int64
+        labels = np.einsum("ij,jk->ik", coords, basis[:, free], dtype=np.int64)
+        np.subtract(words[:, free], labels, out=labels)
+        labels %= spec.q
         return vectors_to_indices(labels, spec), vectors_to_indices(coords, spec)
 
     @cached_property
@@ -356,10 +348,9 @@ class ExactLaws(Record):
         if self.uniform_key:
             order, starts, labels = self.cosets
             mass = np.add.reduceat(weights[order], starts)
-            held = mass > 0
-            labels = labels[held]
-            singles = labels, np.zeros(len(labels), dtype=np.int64), mass[held]
-            return CosetMixture(np.empty((0, q**r)), labels[:0], singles, self.pad, self.h_pad)
+            held = (mass > 0).nonzero()[0]
+            singles = labels[held], np.zeros(len(held), dtype=np.int64), mass[held]
+            return CosetMixture(np.empty((0, q**r)), labels[:0], singles, 1.0 / q**r, self.h_pad)
         keep = weights > 0
         labels, coords = (a[keep] for a in self.cells)
         weights = weights[keep]
@@ -378,7 +369,7 @@ class ExactLaws(Record):
             hat *= self.pad_hat
             grid = np.maximum(_digit_transform(hat, q, r, inverse=True).real, 0.0)
         singles = labels[single], coords[single], weights[single]
-        return CosetMixture(grid, np.flatnonzero(shared), singles, self.pad, self.h_pad)
+        return CosetMixture(grid, np.flatnonzero(shared), singles, float(self.pad.max()), self.h_pad)
 
     @cached_property
     def p_e(self) -> float:
@@ -405,6 +396,9 @@ class ExactLaws(Record):
 
     @cached_property
     def h_pad(self) -> float:
+        """H(pad): r log2 q under a uniform key."""
+        if self.uniform_key:
+            return self.rank * math.log2(self.spec.q)
         return entropy(self.pad)
 
     @cached_property
@@ -729,10 +723,11 @@ def security_certificate(laws: ExactLaws) -> SecurityCertificate:
     plan = laws.plan
     derandomized = laws.search is not None
     report = exact_mutual_info(laws)
-    pad = laws.pad
-    direct_divergence = plan.m * math.log2(plan.q) + float(
-        np.sum(pad[pad > 0] * np.log2(pad[pad > 0]))
-    )
+    if laws.uniform_key:
+        direct_divergence = (plan.m - laws.rank) * math.log2(plan.q)
+    else:
+        pad = laws.pad[laws.pad > 0]
+        direct_divergence = plan.m * math.log2(plan.q) + float(np.sum(pad * np.log2(pad)))
 
     checks: list[BoundCheck] = [
         _le("mi_nonnegative", 0.0, report.mi_exact),

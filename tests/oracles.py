@@ -338,8 +338,11 @@ def dense_pad(laws):
 def dense_mixture(laws, mix):
     """A `CosetMixture` of `laws` over all q**m word indices: each row on
     the coset of its codewords' label plus b's, each single codeword as the
-    pad scaled by its weight and moved by its coordinate."""
+    pad scaled by its weight and moved by its coordinate.  The pad is
+    `laws.pad`, or under a uniform key (where `laws` builds none) the
+    uniform law on Z_q^r."""
     spec, q, r = laws.spec, laws.spec.q, laws.rank
+    pad = np.full(q**r, 1.0 / q**r) if laws.uniform_key else laws.pad
     free = laws.plan.m - r
     shift = _label(laws, laws.sys.key_encoder.b)
 
@@ -352,7 +355,7 @@ def dense_mixture(laws, mix):
     out[rows] = mix.laws
     for label, coord, weight in zip(mix.single_labels, mix.single_coords, mix.single_weights):
         cells = vectors_to_indices((coords + indices_to_vectors(coord, r, spec)) % q, spec)
-        out[coset_words(laws, moved(label), cells)] += weight * mix.pad
+        out[coset_words(laws, moved(label), cells)] += weight * pad
     return out
 
 
@@ -361,12 +364,12 @@ def check_decryption_condition(sys_: CipherSystem) -> bool:
     plaintext) pair: the steps of the shipped `encrypt` and `decrypt`, with
     each plaintext's codeword built once, and each key's pad (`_pad`) sent
     with every codeword through `_encrypt_words` then `_decrypt_words` in
-    one call, each row compared with its own plaintext's expected index."""
+    one call, each row compared with its own plaintext's expected sequence."""
     spec = sys_.spec
     keys = [tuple(int(v) for v in row) for row in all_vectors(sys_.plan.n, spec)]
     cb = sys_.codebook
     words = np.array([encode(cb, x) for x in keys], dtype=spec.digit_dtype)
-    expected = [index_encode(decode(cb, encode(cb, x)), spec) for x in keys]
+    expected = [list(decode(cb, encode(cb, x))) for x in keys]
     for k in keys:
         pad = cipher._pad(sys_, k)
         got = cipher._decrypt_words(sys_, pad, cipher._encrypt_words(sys_, pad, words))

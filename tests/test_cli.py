@@ -7,12 +7,14 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from typecipher.cipher import CipherSystem, derandomize
+from typecipher.cipher import CipherSystem, derandomize, pad_law
 from typecipher.cli import _FLAGS, main
 from typecipher.code import Codebook, build_codebook, explicit_m_plan, make_rate_plan
 from typecipher.fields import MAX_ENUM, FieldSpec
@@ -20,6 +22,7 @@ from typecipher.leakage import _log2_sequence_prob, exact_laws, exact_mutual_inf
 from typecipher.simplex import Distribution, entropy, uniform
 from typecipher.typeclasses import enumerate_types
 
+import oracles
 from oracles import class_prob_fraction, numpy_sub_seed
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -779,15 +782,16 @@ def test_exact_caps_cover_what_derandomize_checks(monkeypatch, capsys):
     # exact path builds past the gate (the key pass, the pad and coset rows,
     # the member list) fits the one cap, and the decryption check reads no
     # cap.  The cap is lowered to 2^10 so that every plan is small; a
-    # uniform key reads no word cap
+    # uniform key reads no word cap, and keys only where m < n
     monkeypatch.setattr("typecipher.fields.MAX_ENUM", 1 << 10)
     spec = FieldSpec(2)
     seen = []
     for pk in (None, "0.62,0.38"):
         p_k = uniform(2) if pk is None else Distribution.from_text(pk)
         law = [] if pk is None else ["--pk", pk]
-        for n, m in ((6, 8), (6, 10), (6, 11), (10, 10), (10, 12), (11, 5)):
-            refused = exact_refusal(explicit_m_plan(n, m, spec, R=0.9), p_k) is not None
+        for n, m in ((6, 8), (6, 10), (6, 11), (10, 10), (10, 12), (11, 9)):
+            cb = build_codebook(explicit_m_plan(n, m, spec, R=0.9))
+            refused = exact_refusal(cb, p_k) is not None
             argv = ["verify", "--q", "2", "--n", str(n), "--m", str(m), "--rate", "0.9", *law]
             assert (main(argv) == 2) is refused, (pk, n, m)
             assert ("cap MAX_ENUM = 2^10" in capsys.readouterr().err) is refused
@@ -1038,18 +1042,36 @@ def test_each_command_past_the_sequence_cap(tmp_path, capsys):
     ids=["words", "sequences"],
 )
 def test_verify_past_either_cap_exits_2_before_building(capsys, monkeypatch, plan, cap):
+    # the gate reads the codebook, built from the types alone; no encoder is
+    # searched or drawn
     calls = []
-    for name in ("build_codebook", "derandomize", "draw_encoder"):
+    for name in ("derandomize", "draw_encoder"):
         monkeypatch.setattr(f"typecipher.cli.{name}", lambda *a, name=name, **k: calls.append(name))
+    monkeypatch.setattr("typecipher.cli.build_codebook",
+                        lambda plan: calls.append("build_codebook") or build_codebook(plan))
     assert main(["verify", "--q", "2", *plan]) == 2
     assert cap in capsys.readouterr().err
-    assert calls == []
+    assert calls == ["build_codebook"]
 
 
-@pytest.mark.parametrize("q, rate, n_list", [(2, 0.9, "16,20"), (3, 1.2, "9")])
+def test_verify_with_few_words_for_many_keys_refuses_within_seconds(capsys):
+    # binary n=20000 with m=8: the gate reads the codebook, whose 20,001
+    # types are listed once; the default decode takes the error type with
+    # the most 0s, where comparing each error type's sorted sequence took
+    # about 25 s
+    start = time.perf_counter()
+    assert main(["verify", "--q", "2", "--n", "20000", "--m", "8"]) == 2
+    assert "refusing to materialize 2^20000 keys" in capsys.readouterr().err
+    cb = build_codebook(explicit_m_plan(20000, 8, FieldSpec(2)))
+    assert cb.default_decode == (0,) * 19999 + (1,)
+    assert time.perf_counter() - start < 5.0
+
+
+@pytest.mark.parametrize("q, rate, n_list", [(2, 0.9, "16,20"), (2, 0.9, "23"), (3, 1.2, "9")])
 def test_uniform_key_sweep_is_exact_past_the_word_space_cap(tmp_path, q, rate, n_list):
     # q^m words past MAX_ENUM, but a uniform key builds no coset row, so
-    # each row is H(J), under its ceiling (m - rank A) log2 q
+    # each row is H(J), under its ceiling (m - rank A) log2 q; at binary
+    # n=23 the 2^23 keys pass the cap too, and the 781,313 codewords do not
     out = tmp_path / "sweep.csv"
     argv = ["sweep", "--q", str(q), "--n", n_list, "--rate", str(rate), "--seed", "3"]
     assert main(argv + ["--out", str(out)]) == 0
@@ -1083,12 +1105,73 @@ def test_uniform_key_reports_take_no_key_pass_and_no_transform(monkeypatch, comm
 
     for name in ("pad_law", "_digit_transform"):
         monkeypatch.setattr(f"typecipher.leakage.{name}", refuse)
+    monkeypatch.setattr("typecipher.leakage.ExactLaws.pad", property(refuse))
     argv = [command, "--q", "2", "--n", "7", "--rate", "0.9", "--px", "0.82,0.18",
             "--out", os.devnull]
     assert main(argv) == 0
     # the spies are live: a key law that is not uniform reaches them
     with pytest.raises(AssertionError, match="uniform key"):
         main(argv + ["--pk", "0.62,0.38"])
+
+
+def test_uniform_key_at_a_small_cap_is_exact_past_its_keys(monkeypatch, tmp_path, capsys):
+    # at a cap of 2^10, uniform binary n=12 (R=0.9) has 4,096 keys past it
+    # and 599 codewords in use within it: `verify`, `exact-mi` and `sweep`
+    # are exact, and every mixture of the report matches the dense oracle.
+    # The keys still refuse where m < n, and so do the codewords in use of
+    # a uniform plan past the cap (binary n=13: 2,187)
+    spec, p_x = FieldSpec(2), Distribution([0.82, 0.18])
+    plan = make_rate_plan(12, 0.9, spec)
+    cb = build_codebook(plan)
+    assert cb.member_count + 1 == 599 and plan.m > plan.n
+    monkeypatch.setattr("typecipher.fields.MAX_ENUM", 1 << 10)
+    law = ["--q", "2", "--px", "0.82,0.18", "--seed", "3"]
+    out = tmp_path / "out"
+    exact = {
+        "verify": lambda: _read_json(out)["certificate"]["report"]["provenance"],
+        "exact-mi": lambda: _read_json(out)["provenance"],
+        "sweep": lambda: _read_csv(out)[0]["mi_flag"],
+    }
+    for command, provenance in exact.items():
+        assert main([command, "--n", "12", "--rate", "0.9", *law, "--out", str(out)]) == 0
+        assert provenance() == "exact", command
+    for argv, cap in ((["--n", "12", "--m", "8"], "2^12 keys"),
+                      (["--n", "13", "--rate", "0.9"], "2187 codewords in use")):
+        assert main(["verify", *argv, *law]) == 2
+        assert f"refusing to materialize {cap} (cap MAX_ENUM = 2^10)" in capsys.readouterr().err
+    search = derandomize(plan, base_seed=numpy_sub_seed(3, 1))
+    sys_ = CipherSystem(cb, search.encoder)
+    laws = exact_laws(sys_, p_x, uniform(2), search)
+    floor = entropy(p_x) - 0.1 - 1e-12
+    typical = {P for P in enumerate_types(12, spec) if -_log2_sequence_prob(P, p_x) / 12 >= floor}
+    members = np.ones(cb.member_count + 1)
+    members[0] = 0.0
+    conditioned = laws.codeword_weights(typical)
+    mixtures = laws.ciphertext, laws.mixture(members), laws.mixture(conditioned)
+    # the oracles list the 2^12 keys and sequences, past the lowered cap
+    monkeypatch.setattr("typecipher.fields.MAX_ENUM", 1 << 22)
+    pad = pad_law(search.encoder, uniform(2), spec)
+    for mix, weights in zip(mixtures, (oracles.codeword_weights(sys_, p_x), members, conditioned)):
+        dense = np.zeros(2**plan.m)
+        dense[: len(weights)] = weights
+        want = oracles.transform_mixture(pad, dense, 2, plan.m)
+        assert np.max(np.abs(oracles.dense_mixture(laws, mix) - want)) <= 1e-12
+        assert abs(mix.max - want.max()) <= 1e-12
+        assert abs(mix.entropy - entropy(want)) <= 1e-10 * max(1.0, entropy(want))
+
+
+def test_uniform_key_sweep_row_at_binary_n22_stays_small():
+    # no pad array over the 2^22 coordinates and no int64 copy of the
+    # codeword digits: with both, this row's traced peak was 138.8 MB
+    argv = ["sweep", "--q", "2", "--n", "22", "--rate", "0.9", "--px", "0.9,0.1",
+            "--seed", "3", "--out", os.devnull]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 80e6, peak
 
 
 def test_sweep_reaches_word_length_63(tmp_path, capsys):
@@ -1183,13 +1266,15 @@ def test_rate_at_entropy_probe_exits_2(capsys):
 
 
 def test_sweep_past_the_member_list_cap(tmp_path, capsys):
-    # the sweep ranks members by arithmetic, so q^n past MAX_ENUM runs;
-    # binary n=64 still stops cleanly where word indices leave int64
+    # the sweep ranks members by arithmetic, so its 5,067,975 codewords in
+    # use past MAX_ENUM run sampled under a uniform key; binary n=64 still
+    # stops cleanly where word indices leave int64
     out = tmp_path / "sweep.csv"
     argv = ["sweep", "--q", "2", "--rate", "0.9", "--samples", "1000", "--seed", "1"]
-    assert main(argv + ["--n", "23", "--out", str(out)]) == 0
+    assert build_codebook(make_rate_plan(26, 0.9, FieldSpec(2))).member_count + 1 > MAX_ENUM
+    assert main(argv + ["--n", "26", "--out", str(out)]) == 0
     rows = _read_csv(str(out))
-    assert [r["n"] for r in rows] == ["23"] and rows[0]["mi_flag"] == "estimate"
+    assert [r["n"] for r in rows] == ["26"] and rows[0]["mi_flag"] == "estimate"
     assert main(argv + ["--n", "64"]) == 2
     assert "int64" in capsys.readouterr().err
 

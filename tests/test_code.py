@@ -16,7 +16,7 @@ from typecipher.code import (
     codebook_size_margins,
     codebook_to_json,
     decode,
-    decode_indices,
+    decode_rows,
     encode,
     exact_error_prob,
     explicit_m_plan,
@@ -377,6 +377,36 @@ def test_scalar_round_trips_past_the_member_list_cap():
         assert decrypt(sys_, k, encrypt(sys_, k, x)) == x
 
 
+def test_round_trips_past_int64_words():
+    # q=5 n=30 at R=2.2 has m=40: its 5^40 words pass int64, while this
+    # member's rank, 30, does not; decode reads only the low digits that an
+    # int64 index holds, and a higher digit set puts a word past the members
+    spec = FieldSpec(5)
+    plan = make_rate_plan(30, 2.2, spec)
+    cb = build_codebook(plan)
+    assert plan.m == 40 and 5**40 > 2**63
+    x = (4,) * 29 + (3,)
+    assert int(cb.ranks([x])[0]) == 30
+    assert decode(cb, encode(cb, x)) == x
+    sys_ = CipherSystem(cb, draw_encoder(plan, 0))
+    k = tuple(range(5)) * 6
+    assert decrypt(sys_, k, encrypt(sys_, k, x)) == x
+    # 5^39 is past the 68-bit member count; 5^27 is a member's value, past
+    # the 27 digits an int64 index holds, and refused
+    assert decode(cb, (1,) + (0,) * 39) == cb.default_decode
+    with pytest.raises(ValueError, match="member ranks pass int64"):
+        decode(cb, (0,) * 12 + (1,) + (0,) * 27)
+    # binary n=56 at R=0.9 has m=64 and fewer than 2^63 members: every word
+    # with its top digit set decodes to the default, in one array call
+    cb = build_codebook(make_rate_plan(56, 0.9, FieldSpec(2)))
+    assert cb.plan.m == 64
+    words = np.zeros((3, 64), dtype=np.uint8)
+    words[0, 0] = words[1, -1] = words[2, 0] = words[2, -1] = 1
+    assert decode_rows(cb, words).tolist() == [
+        list(cb.default_decode), list(decode(cb, words[1])), list(cb.default_decode)]
+    assert decode(cb, words[1]) == tuple(cb.members([0])[0].tolist())
+
+
 def test_ranks_and_members_refuse_int64_overflow():
     # q=5 n=30 at R=2.2 has 68-bit member count: the types whose ranks fit
     # int64 rank and unrank, the later ones raise ValueError naming int64
@@ -404,7 +434,7 @@ def test_ranks_and_members_refuse_int64_overflow():
             small.members(ranks)
 
 
-def test_decode_indices_matches_scalar_decode():
+def test_decode_rows_matches_scalar_decode():
     for q, n, R in ((2, 4, 0.9), (3, 3, 1.0)):
         spec = FieldSpec(q)
         cb = build_codebook(make_rate_plan(n, R, spec))
@@ -416,7 +446,7 @@ def test_decode_indices_matches_scalar_decode():
             for v in (index_encode(w, spec) for w in words)
         ]
         # the reference is the oracle member list, since scalar decode is a
-        # one-row call of decode_indices
-        assert decode_indices(cb, words).tolist() == want
-        assert int(decode_indices(cb, words[5])) == want[5]
+        # one-row call of decode_rows
+        assert vectors_to_indices(decode_rows(cb, words), spec).tolist() == want
+        assert index_encode(decode_rows(cb, words[5]), spec) == want[5]
         assert [index_encode(decode(cb, w), spec) for w in words] == want

@@ -53,6 +53,11 @@ import oracles
 from oracles import numpy_bootstrap_indices, numpy_choice_draw, pad_law_fraction
 
 
+def _refusal(n, m, p_k, q=2, R=0.9):
+    """`exact_refusal` of the codebook of an explicit-m plan at rate R."""
+    return exact_refusal(build_codebook(explicit_m_plan(n, m, FieldSpec(q), R=R)), p_k)
+
+
 def test_exact_refusal_reads_both_caps_from_the_plan(monkeypatch):
     # the gate builds nothing: it runs with every array builder broken
     def refuse(*args, **kwargs):
@@ -60,30 +65,31 @@ def test_exact_refusal_reads_both_caps_from_the_plan(monkeypatch):
 
     monkeypatch.setattr("typecipher.fields.all_vectors", refuse)
     monkeypatch.setattr("typecipher.cipher._key_blocks", refuse)
-    spec = FieldSpec(2)
     p_k = Distribution([0.62, 0.38])
-    # one cap, 2^22, for the keys and the words alike; each refusal names
-    # its space, the cap and the way out
-    assert exact_refusal(explicit_m_plan(22, 22, spec), p_k) is None
-    words = exact_refusal(explicit_m_plan(4, 23, spec), p_k)
+    # one cap, 2^22, for the words and, where m < n, the keys; each refusal
+    # names its space, the cap and the way out
+    assert _refusal(22, 22, p_k) is None
+    words = _refusal(4, 23, p_k)
     assert isinstance(words, FieldError)
     assert str(words) == (
         "refusing to materialize word space 2^23 (cap MAX_ENUM = 2^22); past it "
         "`exact-mi --samples N` and `sweep` estimate the leakage"
     )
-    sequences = exact_refusal(explicit_m_plan(23, 5, spec), p_k)
+    sequences = _refusal(23, 5, p_k, R=0.2)
     assert isinstance(sequences, FieldError)
     assert str(sequences).startswith("refusing to materialize 2^23 keys (cap MAX_ENUM = 2^22)")
     assert "exact-mi --samples N" in str(sequences)
-    # past both, the word space is named first
-    assert "word space 2^23" in str(exact_refusal(explicit_m_plan(23, 23, spec), p_k))
+    # past both, the word space is named first; where m >= n it bounds the keys
+    assert "word space 2^23" in str(_refusal(23, 23, p_k))
+    assert "word space 2^24" in str(_refusal(23, 24, p_k))
 
 
 def test_exact_refusal_under_a_uniform_key_reads_no_word_cap(monkeypatch):
-    # a uniform key builds no coset row: its words read no cap, while the
-    # keys keep theirs; the int64 word index, which the sampled path needs
-    # too, is checked by the command line's gate before it, for every key
-    # law.  Again nothing is built, nor an encoder searched or drawn
+    # a uniform key builds one row per codeword in use and no coset row:
+    # its words read no cap, its keys only where m < n; the int64 word
+    # index, which the sampled path needs too, is checked by the command
+    # line's gate before it, for every key law.  Again nothing is built,
+    # nor an encoder searched or drawn
     def refuse(*args, **kwargs):
         raise AssertionError("the gate built an array")
 
@@ -93,13 +99,16 @@ def test_exact_refusal_under_a_uniform_key_reads_no_word_cap(monkeypatch):
         monkeypatch.setattr(f"typecipher.cli.{name}", refuse)
     spec = FieldSpec(2)
     for p_k in (uniform(2), Distribution([0.5, 0.5])):
-        assert exact_refusal(explicit_m_plan(4, 23, spec), p_k) is None
-        assert exact_refusal(explicit_m_plan(22, 63, spec), p_k) is None
-        assert exact_refusal(explicit_m_plan(4, 64, spec), p_k) is None
-        sequences = exact_refusal(explicit_m_plan(23, 21, spec), p_k)
+        assert _refusal(4, 23, p_k) is None
+        assert _refusal(22, 63, p_k) is None
+        assert _refusal(4, 64, p_k) is None
+        # 2^23 keys and 2^31 words, 781,313 codewords in use
+        assert _refusal(23, 31, p_k) is None
+        sequences = _refusal(23, 21, p_k, R=0.5)
         assert "refusing to materialize 2^23 keys" in str(sequences)
-        assert "refusing to materialize 2^23 keys" in str(
-            exact_refusal(explicit_m_plan(23, 64, spec), p_k))
+        # every sequence a member: 2^23 + 1 codewords in use
+        assert str(_refusal(23, 64, p_k, R=3.0)).startswith(
+            "refusing to materialize 8388609 codewords in use (cap MAX_ENUM = 2^22)")
     # the gate refuses m=64 under both key laws, exact or sampled, and names
     # the word index before the caps
     for p_k in (uniform(2), Distribution([0.62, 0.38])):
@@ -108,15 +117,15 @@ def test_exact_refusal_under_a_uniform_key_reads_no_word_cap(monkeypatch):
             with pytest.raises(FieldError, match="2\\^64 exceeds int64; give an explicit --m"):
                 cli._system(plan, uniform(2), p_k, 0, sampled, cli._EXPLICIT_M)
     # equal entries at q=3 are uniform too; a law off by one rounding is not
-    spec3 = FieldSpec(3)
-    assert exact_refusal(explicit_m_plan(4, 14, spec3), uniform(3)) is None
+    assert _refusal(4, 14, uniform(3), q=3) is None
     near = Distribution([0.3333333333333333, 0.3333333333333333, 0.3333333333333334])
-    assert "word space 3^14" in str(exact_refusal(explicit_m_plan(4, 14, spec3), near))
+    assert "word space 3^14" in str(_refusal(4, 14, near, q=3))
 
 
 def test_every_size_refusal_moves_with_max_enum(monkeypatch):
     # one setting, `fields.MAX_ENUM`, moves the refusals over keys, words,
-    # member lists and type lists alike; the decryption check reads no cap
+    # codewords in use, member lists and type lists alike; the decryption
+    # check reads no cap
     from typecipher.cipher import check_decryption_condition, key_image_indices
 
     spec, skewed = FieldSpec(2), Distribution([0.62, 0.38])
@@ -139,9 +148,10 @@ def test_every_size_refusal_moves_with_max_enum(monkeypatch):
             else:
                 build()
         assert check_decryption_condition(sys_) is True
+        # 2^13 keys (m < n), 2^13 words, 2187 codewords in use
         for plan, p_k in ((explicit_m_plan(13, 5, spec), uniform(2)),
-                          (explicit_m_plan(5, 13, spec), skewed)):
-            assert (exact_refusal(plan, p_k) is not None) is refused
+                          (explicit_m_plan(5, 13, spec), skewed), (plan13, uniform(2))):
+            assert (exact_refusal(build_codebook(plan), p_k) is not None) is refused
 
 
 def _mi_oracle(sys_, p_X, p_K):

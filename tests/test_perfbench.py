@@ -21,6 +21,7 @@ import pytest
 
 from typecipher import fields
 from typecipher.cli import _dist_or_uniform, _plan, build_parser, main
+from typecipher.code import build_codebook
 from typecipher.leakage import exact_refusal
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -91,7 +92,8 @@ def test_every_param_set_stays_on_its_side_of_the_cap(workload):
             p_k = _dist_or_uniform(args.pk, args.q, "--pk")
             output = refs[str(param_set)][job.id]["output"]
             (provenance,) = set(checker.figures(job.kind, output))
-            assert (exact_refusal(plan, p_k) is None) == (provenance == "exact"), job.id
+            refusal = exact_refusal(build_codebook(plan), p_k)
+            assert (refusal is None) == (provenance == "exact"), job.id
             if job.kind == "verify":
                 assert output["decryption_condition"]["checked"] == "exhaustive"
 
