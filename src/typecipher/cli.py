@@ -45,6 +45,7 @@ from .leakage import (
     exact_laws,
     exact_mutual_info,
     exact_refusal,
+    key_refusal,
     monte_carlo_mi,
     scaled_power,
     security_bound,
@@ -151,12 +152,16 @@ def _system(plan, p_x: Distribution, p_k: Distribution, seed: int, sampled: bool
     """The cipher system of `plan` and its `ExactLaws`, None past the exact
     path's caps: the one gate of `verify`, `sweep` and `exact-mi`.  The q**m
     words must first have an int64 index, which both paths need (else the
-    command's `way_out` ends the refusal); then `exact_refusal` reads the
-    codebook, built from the types alone, and is raised unless `sampled`.
-    Within the caps the encoder is the one `derandomize` finds from `seed`;
-    past them it is drawn at `seed`.
+    command's `way_out` ends the refusal).  Unless `sampled`, the keys are
+    refused from the plan alone (`key_refusal`), before the codebook is
+    built; then `exact_refusal` reads the codebook, built from the types
+    alone, and is raised unless `sampled`.  Within the caps the encoder is
+    the one `derandomize` finds from `seed`; past them it is drawn at
+    `seed`.
     """
     _check_index_range(plan.m, plan.spec, way_out)
+    if not sampled and (keys := key_refusal(plan)) is not None:
+        raise keys
     cb = build_codebook(plan)
     refusal = exact_refusal(cb, p_k)
     if refusal is not None and not sampled:

@@ -24,16 +24,26 @@ each occupied coset is one such single, and no key pass, transform or pad
 array is built (the pad's entropy r log2 q and peak q**-r are closed
 forms).  Beyond the exact path's caps the leakage is estimated by sampling.
 
+The two routes are two engines, subclasses of `ExactLaws`: a uniform p_K
+(all entries equal) goes to the one-time-pad engine (`_UniformKeyLaws`:
+coset masses, I = H(J)), any other p_K to the transform engine
+(`_TransformLaws`: the pad law and its transform, I = H(C) - H(pad)).
+The choice is made in one place, `_engine`, which `exact_laws`,
+`exact_refusal` and `ExactLaws._replace` ask; nothing else reads whether
+p_K is uniform.
+
 Every exact figure is a function of one system, the two source laws and,
 for an encoder found by `derandomize`, its search result.  `exact_laws`
-gathers them into one `ExactLaws` handle, after checking that the search
-belongs to the system's encoder; `exact_mutual_info`,
-`security_certificate`, `check_birkhoff` and `converse_diagnostics` take
-only that handle, so each law is computed once per report however many
-figures read it.  One cap, `fields.MAX_ENUM`, bounds what each engine
-builds (`exact_refusal`).  The command line's one exact-or-sampled gate,
-`cli._system`, first checks that the words have an int64 index, which both
-paths need, then builds the codebook (types only) and asks `exact_refusal`.
+gathers them into one `ExactLaws` handle on the engine of p_K, after
+checking that the search belongs to the system's encoder;
+`exact_mutual_info`, `security_certificate`, `check_birkhoff` and
+`converse_diagnostics` take only that handle, so each law is computed once
+per report however many figures read it.  One cap, `fields.MAX_ENUM`,
+bounds the keys where m < n (`key_refusal`) and what each engine builds,
+its `size` (`exact_refusal`).  The command line's one exact-or-sampled
+gate, `cli._system`, first checks that the words have an int64 index,
+which both paths need, then, on the exact-only path, the keys from the plan
+alone; then it builds the codebook (types only) and asks `exact_refusal`.
 
 On top of the exact value sit the certified upper bounds, checked as a
 chain with explicit margins:
@@ -98,6 +108,7 @@ from .typeclasses import (
 )
 
 __all__ = [
+    "key_refusal",
     "exact_refusal",
     "CosetMixture",
     "ExactLaws",
@@ -164,9 +175,22 @@ def _digit_transform(
     return out.reshape(shape)
 
 
-def _is_uniform(p: Distribution) -> bool:
-    """Whether every entry of p is the same number."""
-    return len(set(p)) == 1
+def _refusal(total: int, space: str) -> FieldError | None:
+    """The FieldError naming `space`, of `total` points, past
+    `fields.MAX_ENUM` and the way out (sampling); None within the cap."""
+    try:
+        _check_enum(total, space, "past it `exact-mi --samples N` and `sweep` estimate the leakage")
+    except FieldError as exc:
+        return exc
+    return None
+
+
+def key_refusal(plan: RatePlan) -> FieldError | None:
+    """The refusal of the q**n keys, capped only where m < n: there no draw
+    has rank n and `derandomize` counts key images; where m >= n it passes
+    over a rank-deficient draw past the cap.  Reads the plan alone, so the
+    command line's gate asks it before building the codebook."""
+    return _refusal(_power(plan.q, plan.n), f"{plan.q}^{plan.n} keys") if plan.m < plan.n else None
 
 
 def exact_refusal(cb: Codebook, p_K: Distribution) -> FieldError | None:
@@ -174,26 +198,14 @@ def exact_refusal(cb: Codebook, p_K: Distribution) -> FieldError | None:
     exact path's cap, otherwise the FieldError naming the space past it,
     the cap and the way out (sampling).  Reads sizes only; builds nothing.
 
-    `fields.MAX_ENUM` caps what each engine builds: under a uniform p_K the
-    member_count + 1 codewords in use (`ExactLaws.cells`), otherwise the
-    q**m words, checked first, which bound the pad, its key pass and the
-    coset rows.  The q**n keys are capped only where m < n, where no draw
-    has rank n and `derandomize` counts key images; where m >= n it passes
-    over a rank-deficient draw past the cap.  The int64 word index, which
-    sampling needs too, is checked before this gate, by `cli._system`.
+    `fields.MAX_ENUM` caps the keys first (`key_refusal`), then the `size`
+    of the engine that `exact_laws` picks for p_K, what that engine builds:
+    the member_count + 1 codewords in use under a uniform key, otherwise the
+    q**m words, which bound the pad, its key pass and the coset rows.  The int64 word
+    index, which sampling needs too, is checked before this gate, by
+    `cli._system`.
     """
-    plan, used = cb.plan, cb.member_count + 1
-    q, sampled = plan.q, "past it `exact-mi --samples N` and `sweep` estimate the leakage"
-    try:
-        if _is_uniform(p_K):
-            _check_enum(used, f"{used} codewords in use", sampled)
-        else:
-            _check_enum(_power(q, plan.m), f"word space {q}^{plan.m}", sampled)
-        if plan.m < plan.n:
-            _check_enum(_power(q, plan.n), f"{q}^{plan.n} keys", sampled)
-    except FieldError as exc:
-        return exc
-    return None
+    return key_refusal(cb.plan) or _refusal(*_engine(p_K).size(cb))
 
 
 class CosetMixture:
@@ -233,19 +245,18 @@ class ExactLaws(Record):
     Holds the system, p_X, p_K and, when the system's encoder came from
     `derandomize`, that search result.  A is row-reduced once, by the search
     if any (`reduced`: the basis B of V = rowspace(A), pivot columns P and
-    r = rank A).  `mixture` sums the pad moved by each codeword in use (word
-    values 0..member_count; `cells` holds their labels and coordinates),
-    coset by coset, with weights read from the types (`codeword_weights`):
-    the ciphertext law, row sums and conditioned law share it.
+    r = rank A).  Each codeword in use (word values 0..member_count) has a
+    label and a coordinate (`cells`) and a weight read from the types
+    (`codeword_weights`).
 
-    A uniform p_K (`uniform_key`) makes the cipher a one-time pad on each
-    coset: k -> k A[:, P] maps the uniform keys onto Z_q^r, so the pad is
-    uniform there (entropy r log2 q, peak q**-r) and each occupied coset of
-    a mixture is the pad scaled by the coset's mass, with no pad array, key
-    pass or transform; I(C;X) is H(J), the entropy of the ciphertext's
-    coset.  Any other p_K goes through `pad`, the law of the pad's
-    coordinate over Z_q^r (one key pass over the columns P), and its
-    transform `pad_hat`, each computed once.
+    `exact_laws` picks the engine from p_K, once; each is a subclass that
+    holds what its key law needs: `size`, what it builds (capped by
+    `exact_refusal`); `mixture`, the pad moved by each codeword in use and
+    summed coset by coset, which the ciphertext law, row sums and
+    conditioned law share; `h_pad`, `mi` and `direct_divergence`, the pad's
+    divergence from uniform computed without `h_pad`.  A uniform p_K goes
+    to the one-time-pad engine (`_UniformKeyLaws`), any other to the
+    transform engine (`_TransformLaws`).
 
     Build it with `exact_laws` and pass it to `exact_mutual_info`,
     `security_certificate`, `check_birkhoff` and `converse_diagnostics`.
@@ -259,6 +270,11 @@ class ExactLaws(Record):
     # equal only to itself: a handle on the figures it caches
     __eq__ = object.__eq__
     __hash__ = object.__hash__
+
+    def _replace(self, **changes):
+        """A copy with `changes`, on the engine of its (new) p_K."""
+        values = {f: getattr(self, f) for f in self._fields} | changes
+        return _engine(values["p_K"])(**values)
 
     @property
     def plan(self) -> RatePlan:
@@ -282,22 +298,6 @@ class ExactLaws(Record):
         return len(self.reduced[1])
 
     @cached_property
-    def uniform_key(self) -> bool:
-        """Whether p_K is exactly uniform (all entries equal)."""
-        return _is_uniform(self.p_K)
-
-    @cached_property
-    def pad(self) -> np.ndarray:
-        """Law of the pad's coordinate k A[:, P] + b[P] over Z_q^r."""
-        enc, pivots = self.sys.key_encoder, list(self.reduced[1])
-        coordinate = AffineEncoder(A=enc.A[:, pivots], b=tuple(enc.b[c] for c in pivots))
-        return pad_law(coordinate, self.p_K, self.spec)
-
-    @cached_property
-    def pad_hat(self) -> np.ndarray:
-        return _digit_transform(self.pad, self.spec.q, self.rank)
-
-    @cached_property
     def cells(self) -> tuple[np.ndarray, np.ndarray]:
         """(label, coordinate) indices of each codeword in use, by word value."""
         basis, pivots = self.reduced
@@ -317,59 +317,6 @@ class ExactLaws(Record):
         if self.search is not None:
             return self.search.divergences
         return omega_divergences(self.sys.key_encoder, self.plan)
-
-    @cached_property
-    def cosets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The codewords in use grouped by label: their order in a stable
-        sort of the labels, where each label's run starts in that order,
-        and the run's label.  Sorted, not counted: the q**(m - r) labels
-        need not fit an array under a uniform key, and a cold `np.unique`
-        costs about twice the sort."""
-        labels = self.cells[0]
-        order = labels.argsort(kind="stable")
-        labels = labels[order]
-        first = np.empty(len(labels), dtype=bool)
-        first[:1] = True
-        np.not_equal(labels[1:], labels[:-1], out=first[1:])
-        starts = first.nonzero()[0]
-        return order, starts, labels[starts]
-
-    def mixture(self, weights: np.ndarray) -> CosetMixture:
-        """sum_w weights[w] pad((. - w) mod q) over the codewords w in use.
-
-        The codewords with positive weight are grouped by label; each coset
-        holding two or more is a row of their weights over the coordinates,
-        and all rows go through one batched transform over Z_q^r, times the
-        pad's.  Negative round-off of the inverse transform is clipped to 0.
-        Under a uniform key every occupied coset is a single instead: its
-        label, coordinate 0 and its total weight (`cosets`).
-        """
-        q, r = self.spec.q, self.rank
-        if self.uniform_key:
-            order, starts, labels = self.cosets
-            mass = np.add.reduceat(weights[order], starts)
-            held = (mass > 0).nonzero()[0]
-            singles = labels[held], np.zeros(len(held), dtype=np.int64), mass[held]
-            return CosetMixture(np.empty((0, q**r)), labels[:0], singles, 1.0 / q**r, self.h_pad)
-        keep = weights > 0
-        labels, coords = (a[keep] for a in self.cells)
-        weights = weights[keep]
-        size = np.bincount(labels)
-        single = size[labels] == 1
-        shared = size > 1
-        # the row of each coset holding two or more codewords, in label order
-        row = np.cumsum(shared) - 1
-        grid = np.bincount(
-            row[labels[~single]] * q**r + coords[~single],
-            weights=weights[~single],
-            minlength=int(shared.sum()) * q**r,
-        ).reshape(-1, q**r)
-        if len(grid):
-            hat = _digit_transform(grid, q, r)
-            hat *= self.pad_hat
-            grid = np.maximum(_digit_transform(hat, q, r, inverse=True).real, 0.0)
-        singles = labels[single], coords[single], weights[single]
-        return CosetMixture(grid, np.flatnonzero(shared), singles, float(self.pad.max()), self.h_pad)
 
     @cached_property
     def p_e(self) -> float:
@@ -395,25 +342,139 @@ class ExactLaws(Record):
         return self.mixture(self.codeword_weights())
 
     @cached_property
-    def h_pad(self) -> float:
-        """H(pad): r log2 q under a uniform key."""
-        if self.uniform_key:
-            return self.rank * math.log2(self.spec.q)
-        return entropy(self.pad)
-
-    @cached_property
     def h_ciphertext(self) -> float:
         return self.ciphertext.entropy
 
+
+class _UniformKeyLaws(ExactLaws):
+    """The engine of a uniform p_K, which makes the cipher a one-time pad on
+    each coset: k -> k A[:, P] maps the uniform keys onto Z_q^r, so the pad
+    is uniform there (entropy r log2 q, peak q**-r) and each occupied coset
+    of a mixture is the pad scaled by the coset's mass, with no pad array,
+    key pass or transform; I(C;X) is H(J), the entropy of the ciphertext's
+    coset."""
+
+    @staticmethod
+    def size(cb: Codebook) -> tuple[int, str]:
+        """The codewords in use, each labelled (`cells`), and their name."""
+        return cb.member_count + 1, f"{cb.member_count + 1} codewords in use"
+
+    @cached_property
+    def cosets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The codewords in use grouped by label: their order in a stable
+        sort of the labels, where each label's run starts in that order,
+        and the run's label.  Sorted, not counted: the q**(m - r) labels
+        need not fit an array, and a cold `np.unique` costs about twice the
+        sort."""
+        labels = self.cells[0]
+        order = labels.argsort(kind="stable")
+        labels = labels[order]
+        first = np.empty(len(labels), dtype=bool)
+        first[:1] = True
+        np.not_equal(labels[1:], labels[:-1], out=first[1:])
+        starts = first.nonzero()[0]
+        return order, starts, labels[starts]
+
+    def mixture(self, weights: np.ndarray) -> CosetMixture:
+        """sum_w weights[w] pad((. - w) mod q) over the codewords w in use:
+        every occupied coset is a single, its label, coordinate 0 and its
+        total weight (`cosets`)."""
+        q, r = self.spec.q, self.rank
+        order, starts, labels = self.cosets
+        mass = np.add.reduceat(weights[order], starts)
+        held = (mass > 0).nonzero()[0]
+        singles = labels[held], np.zeros(len(held), dtype=np.int64), mass[held]
+        return CosetMixture(np.empty((0, q**r)), labels[:0], singles, 1.0 / q**r, self.h_pad)
+
+    @cached_property
+    def h_pad(self) -> float:
+        """H(pad) = r log2 q."""
+        return self.rank * math.log2(self.spec.q)
+
     @cached_property
     def mi(self) -> float:
-        """I(C; X) = H(C) - H(pad), clipped at 0 against round-off.  Under a
-        uniform key it is H(J), the entropy of the ciphertext's coset masses
+        """I(C; X) = H(J), the entropy of the ciphertext's coset masses
         (normalized, so a single coset reads exactly 0)."""
-        if self.uniform_key:
-            mass = self.ciphertext.single_weights
-            return entropy(mass / mass.sum())
+        mass = self.ciphertext.single_weights
+        return entropy(mass / mass.sum())
+
+    @property
+    def direct_divergence(self) -> float:
+        """D(pad || uniform on Z_q^m) = (m - r) log2 q."""
+        return (self.plan.m - self.rank) * math.log2(self.plan.q)
+
+
+class _TransformLaws(ExactLaws):
+    """The engine of any other p_K: `pad`, the law of the pad's coordinate
+    over Z_q^r (one key pass over the columns P), and its transform
+    `pad_hat`, each computed once; I(C;X) = H(C) - H(pad)."""
+
+    @staticmethod
+    def size(cb: Codebook) -> tuple[int, str]:
+        """The q**m words, which bound the pad and the coset rows, and their name."""
+        return _power(cb.plan.q, cb.plan.m), f"word space {cb.plan.q}^{cb.plan.m}"
+
+    @cached_property
+    def pad(self) -> np.ndarray:
+        """Law of the pad's coordinate k A[:, P] + b[P] over Z_q^r."""
+        enc, pivots = self.sys.key_encoder, list(self.reduced[1])
+        coordinate = AffineEncoder(A=enc.A[:, pivots], b=tuple(enc.b[c] for c in pivots))
+        return pad_law(coordinate, self.p_K, self.spec)
+
+    @cached_property
+    def pad_hat(self) -> np.ndarray:
+        return _digit_transform(self.pad, self.spec.q, self.rank)
+
+    def mixture(self, weights: np.ndarray) -> CosetMixture:
+        """sum_w weights[w] pad((. - w) mod q) over the codewords w in use.
+
+        The codewords with positive weight are grouped by label; each coset
+        holding two or more is a row of their weights over the coordinates,
+        and all rows go through one batched transform over Z_q^r, times the
+        pad's.  Negative round-off of the inverse transform is clipped to 0.
+        """
+        q, r = self.spec.q, self.rank
+        keep = weights > 0
+        labels, coords = (a[keep] for a in self.cells)
+        weights = weights[keep]
+        size = np.bincount(labels)
+        single = size[labels] == 1
+        shared = size > 1
+        # the row of each coset holding two or more codewords, in label order
+        row = np.cumsum(shared) - 1
+        grid = np.bincount(
+            row[labels[~single]] * q**r + coords[~single],
+            weights=weights[~single],
+            minlength=int(shared.sum()) * q**r,
+        ).reshape(-1, q**r)
+        if len(grid):
+            hat = _digit_transform(grid, q, r)
+            hat *= self.pad_hat
+            grid = np.maximum(_digit_transform(hat, q, r, inverse=True).real, 0.0)
+        singles = labels[single], coords[single], weights[single]
+        return CosetMixture(grid, np.flatnonzero(shared), singles, float(self.pad.max()), self.h_pad)
+
+    @cached_property
+    def h_pad(self) -> float:
+        return entropy(self.pad)
+
+    @cached_property
+    def mi(self) -> float:
+        """I(C; X) = H(C) - H(pad), clipped at 0 against round-off."""
         return max(0.0, self.h_ciphertext - self.h_pad)
+
+    @property
+    def direct_divergence(self) -> float:
+        """D(pad || uniform on Z_q^m) = m log2 q + sum pad log2 pad."""
+        pad = self.pad[self.pad > 0]
+        return self.plan.m * math.log2(self.plan.q) + float(np.sum(pad * np.log2(pad)))
+
+
+def _engine(p_K: Distribution) -> type[ExactLaws]:
+    """The exact engine of key law p_K, the one place that reads whether
+    p_K is uniform: `_UniformKeyLaws` when every entry is the same number,
+    otherwise `_TransformLaws`."""
+    return _UniformKeyLaws if len(set(p_K)) == 1 else _TransformLaws
 
 
 def exact_laws(
@@ -422,7 +483,8 @@ def exact_laws(
     p_K: Distribution,
     search: SearchResult | None = None,
 ) -> ExactLaws:
-    """The handle of every exact figure of `sys` under p_X and p_K.
+    """The handle of every exact figure of `sys` under p_X and p_K, on the
+    engine p_K selects (`_engine`).
 
     `search` is the `derandomize` result that produced the system's encoder;
     given, the typewise bound reuses its divergences and the certificate
@@ -430,7 +492,7 @@ def exact_laws(
     """
     if search is not None and search.encoder is not sys.key_encoder:
         raise ValueError("divergences were computed for another encoder")
-    return ExactLaws(sys=sys, p_X=p_X, p_K=p_K, search=search)
+    return _engine(p_K)(sys=sys, p_X=p_X, p_K=p_K, search=search)
 
 
 def _fields_json(report, **extra) -> dict:
@@ -527,11 +589,8 @@ def _mi_from_counts(
     n_samples: int,
     corrected: bool,
 ) -> float:
-    def h(counts: np.ndarray) -> float:
-        p = counts / n_samples
-        return float(-np.sum(p * np.log2(p)))
-
-    mi = h(x_counts) + h(c_counts) - h(joint_counts)
+    h_x, h_c, h_joint = (entropy(t / n_samples) for t in (x_counts, c_counts, joint_counts))
+    mi = h_x + h_c - h_joint
     if corrected:
         # Miller-Madow: each plug-in entropy is low by ~(cells-1)/(2N ln 2),
         # so the net MI bias is (K_x + K_c - K_joint - 1)/(2N ln 2) with
@@ -548,7 +607,6 @@ def monte_carlo_mi(
     p_K: Distribution,
     samples: int,
     seed: int,
-    corrected: bool = True,
     bootstrap: int = 200,
 ) -> MonteCarloMI:
     """Plug-in estimate of I(C; X) from sampled pairs, with a bootstrap SE.
@@ -575,9 +633,9 @@ def monte_carlo_mi(
     installed, and no draw imports numpy's random module.
 
     The plug-in estimator is biased upward by roughly (cells - 1)/(2N ln 2);
-    the default first-order correction removes most of it, which matters
-    when testing near-zero leakage.  The uncorrected value is kept in
-    `raw_plugin`.
+    a first-order (Miller-Madow) correction, always applied, removes most of
+    it, which matters when testing near-zero leakage.  The uncorrected value
+    is kept in `raw_plugin`.
     """
     if samples < 1000:
         raise ValueError(f"need at least 1000 samples, got {samples}")
@@ -608,18 +666,17 @@ def monte_carlo_mi(
         return [t[t > 0] for t in tallies]
 
     full = counts(None)
-    point = _mi_from_counts(*full, samples, corrected)
-    raw = point if not corrected else _mi_from_counts(*full, samples, False)
+    point = _mi_from_counts(*full, samples, True)
     reps = np.empty(bootstrap)
     for b in range(bootstrap):
         idx = _bounded(rng.uint32s, samples, samples)
-        reps[b] = _mi_from_counts(*counts(idx), samples, corrected)
+        reps[b] = _mi_from_counts(*counts(idx), samples, True)
     return MonteCarloMI(
         estimate=point,
         std_error=float(np.std(reps, ddof=1)) if bootstrap else None,
         samples=samples,
-        raw_plugin=raw,
-        corrected=corrected,
+        raw_plugin=_mi_from_counts(*full, samples, False),
+        corrected=True,
     )
 
 
@@ -723,16 +780,11 @@ def security_certificate(laws: ExactLaws) -> SecurityCertificate:
     plan = laws.plan
     derandomized = laws.search is not None
     report = exact_mutual_info(laws)
-    if laws.uniform_key:
-        direct_divergence = (plan.m - laws.rank) * math.log2(plan.q)
-    else:
-        pad = laws.pad[laws.pad > 0]
-        direct_divergence = plan.m * math.log2(plan.q) + float(np.sum(pad * np.log2(pad)))
 
     checks: list[BoundCheck] = [
         _le("mi_nonnegative", 0.0, report.mi_exact),
         _le("mi_vs_pad_divergence", report.mi_exact, report.pad_divergence),
-        _eq("pad_divergence_identity", report.pad_divergence, direct_divergence),
+        _eq("pad_divergence_identity", report.pad_divergence, laws.direct_divergence),
         _le(
             "pad_divergence_vs_typewise",
             report.pad_divergence,

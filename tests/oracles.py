@@ -52,7 +52,7 @@ from itertools import combinations
 import numpy as np
 
 import typecipher.cipher as cipher
-from typecipher.cipher import CipherSystem, pad_law
+from typecipher.cipher import AffineEncoder, CipherSystem, pad_law
 from typecipher.code import decode, encode
 from typecipher.exponents import TOLERANCE, ExponentResult
 from typecipher.fields import (
@@ -338,11 +338,12 @@ def dense_pad(laws):
 def dense_mixture(laws, mix):
     """A `CosetMixture` of `laws` over all q**m word indices: each row on
     the coset of its codewords' label plus b's, each single codeword as the
-    pad scaled by its weight and moved by its coordinate.  The pad is
-    `laws.pad`, or under a uniform key (where `laws` builds none) the
-    uniform law on Z_q^r."""
+    pad scaled by its weight and moved by its coordinate.  The pad is the
+    law of the coordinate k A[:, P] + b[P] over Z_q^r, key by key (`pad_law`
+    of A and b cut to the pivot columns P), whichever engine `laws` is."""
     spec, q, r = laws.spec, laws.spec.q, laws.rank
-    pad = np.full(q**r, 1.0 / q**r) if laws.uniform_key else laws.pad
+    enc, pivots = laws.sys.key_encoder, list(laws.reduced[1])
+    pad = pad_law(AffineEncoder(A=enc.A[:, pivots], b=tuple(enc.b[c] for c in pivots)), laws.p_K, spec)
     free = laws.plan.m - r
     shift = _label(laws, laws.sys.key_encoder.b)
 

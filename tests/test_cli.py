@@ -1036,14 +1036,15 @@ def test_each_command_past_the_sequence_cap(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "plan, cap",
-    [(["--n", "15", "--rate", "0.9", "--pk", "0.62,0.38"], "word space 2^23"),
-     (["--n", "23", "--m", "5"], "refusing to materialize 2^23 keys")],
+    "plan, cap, built",
+    [(["--n", "15", "--rate", "0.9", "--pk", "0.62,0.38"], "word space 2^23", ["build_codebook"]),
+     (["--n", "23", "--m", "5"], "refusing to materialize 2^23 keys", [])],
     ids=["words", "sequences"],
 )
-def test_verify_past_either_cap_exits_2_before_building(capsys, monkeypatch, plan, cap):
-    # the gate reads the codebook, built from the types alone; no encoder is
-    # searched or drawn
+def test_verify_past_either_cap_exits_2_before_building(capsys, monkeypatch, plan, cap, built):
+    # the keys are refused from the plan alone; the rest of the gate reads
+    # the codebook, built from the types alone.  No encoder is searched or
+    # drawn
     calls = []
     for name in ("derandomize", "draw_encoder"):
         monkeypatch.setattr(f"typecipher.cli.{name}", lambda *a, name=name, **k: calls.append(name))
@@ -1051,7 +1052,25 @@ def test_verify_past_either_cap_exits_2_before_building(capsys, monkeypatch, pla
                         lambda plan: calls.append("build_codebook") or build_codebook(plan))
     assert main(["verify", "--q", "2", *plan]) == 2
     assert cap in capsys.readouterr().err
-    assert calls == ["build_codebook"]
+    assert calls == built
+
+
+def test_keys_past_the_cap_refuse_before_the_codebook(capsys, monkeypatch):
+    # where m < n the q^n keys are refused from the plan: binary n = 10^6
+    # with m = 8 exits at once, where listing its types first took 40 s.
+    # A sampled run needs the codebook at any n, so it still builds it
+    def refuse(plan):
+        raise AssertionError("built the codebook")
+
+    monkeypatch.setattr("typecipher.cli.build_codebook", refuse)
+    for command in (["verify"], ["exact-mi", "--samples", "0"]):
+        start = time.perf_counter()
+        assert main([*command, "--q", "2", "--n", "1000000", "--m", "8"]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert "refusing to materialize 2^1000000 keys (cap MAX_ENUM = 2^22)" in err
+    with pytest.raises(AssertionError, match="built the codebook"):
+        main(["exact-mi", "--q", "2", "--n", "23", "--m", "5", "--samples", "1000"])
 
 
 def test_verify_with_few_words_for_many_keys_refuses_within_seconds(capsys):
@@ -1105,7 +1124,7 @@ def test_uniform_key_reports_take_no_key_pass_and_no_transform(monkeypatch, comm
 
     for name in ("pad_law", "_digit_transform"):
         monkeypatch.setattr(f"typecipher.leakage.{name}", refuse)
-    monkeypatch.setattr("typecipher.leakage.ExactLaws.pad", property(refuse))
+    monkeypatch.setattr("typecipher.leakage._TransformLaws.pad", property(refuse))
     argv = [command, "--q", "2", "--n", "7", "--rate", "0.9", "--px", "0.82,0.18",
             "--out", os.devnull]
     assert main(argv) == 0

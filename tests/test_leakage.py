@@ -32,6 +32,8 @@ from typecipher.leakage import (
     _digit_transform,
     _log2_sequence_prob,
     _row_reduce,
+    _TransformLaws,
+    _UniformKeyLaws,
     check_birkhoff,
     converse_diagnostics,
     exact_laws,
@@ -56,6 +58,10 @@ from oracles import numpy_bootstrap_indices, numpy_choice_draw, pad_law_fraction
 def _refusal(n, m, p_k, q=2, R=0.9):
     """`exact_refusal` of the codebook of an explicit-m plan at rate R."""
     return exact_refusal(build_codebook(explicit_m_plan(n, m, FieldSpec(q), R=R)), p_k)
+
+
+# equal entries but one, off by one rounding: not a uniform key
+_NEAR = Distribution([0.3333333333333333, 0.3333333333333333, 0.3333333333333334])
 
 
 def test_exact_refusal_reads_both_caps_from_the_plan(monkeypatch):
@@ -118,8 +124,39 @@ def test_exact_refusal_under_a_uniform_key_reads_no_word_cap(monkeypatch):
                 cli._system(plan, uniform(2), p_k, 0, sampled, cli._EXPLICIT_M)
     # equal entries at q=3 are uniform too; a law off by one rounding is not
     assert _refusal(4, 14, uniform(3), q=3) is None
-    near = Distribution([0.3333333333333333, 0.3333333333333333, 0.3333333333333334])
-    assert "word space 3^14" in str(_refusal(4, 14, near, q=3))
+    assert "word space 3^14" in str(_refusal(4, 14, _NEAR, q=3))
+
+
+@pytest.mark.parametrize(
+    "q, p_k, engine",
+    [(2, uniform(2), _UniformKeyLaws),
+     (3, Distribution([1 / 3] * 3), _UniformKeyLaws),
+     (3, _NEAR, _TransformLaws),
+     (3, Distribution([0.5, 0.0, 0.5]), _TransformLaws)],
+    ids=["uniform-q2", "equal-entries-q3", "near", "zero-mass"],
+)
+def test_exact_refusal_names_the_space_of_the_engine_exact_laws_picks(monkeypatch, q, p_k, engine):
+    # the key law is read in one place: `exact_laws` picks the engine, and
+    # `exact_refusal` caps that engine's own `size`, so the refusal one
+    # point below it names that engine's space (canonical plans with m > n,
+    # so no key cap applies)
+    plan = make_rate_plan({2: 8, 3: 5}[q], 0.9 * math.log2(q), FieldSpec(q))
+    assert plan.m > plan.n
+    cb = build_codebook(plan)
+    p_x = Distribution([0.7] + [0.3 / (q - 1)] * (q - 1))
+    laws = exact_laws(CipherSystem(cb, draw_encoder(plan, 0)), p_x, p_k)
+    assert type(laws) is engine
+    size, space = engine.size(cb)
+    if engine is _UniformKeyLaws:
+        assert (size, space) == (cb.member_count + 1, f"{size} codewords in use")
+        assert len(laws.cells[0]) == size and not hasattr(laws, "pad")
+    else:
+        assert (size, space) == (q**plan.m, f"word space {q}^{plan.m}")
+        assert laws.pad.size == q**laws.rank <= size
+    monkeypatch.setattr("typecipher.fields.MAX_ENUM", size)
+    assert exact_refusal(cb, p_k) is None
+    monkeypatch.setattr("typecipher.fields.MAX_ENUM", size - 1)
+    assert str(exact_refusal(cb, p_k)).startswith(f"refusing to materialize {space} (cap MAX_ENUM = ")
 
 
 def test_every_size_refusal_moves_with_max_enum(monkeypatch):
@@ -411,7 +448,7 @@ def test_uniform_key_laws_are_coset_masses(case):
         enc = make_encoder(A, rng.integers(0, q, m), spec)
     sys_ = CipherSystem(codebook=cb, key_encoder=enc)
     laws = exact_laws(sys_, p_x, uniform(q), search)
-    assert laws.uniform_key
+    assert type(laws) is _UniformKeyLaws and not hasattr(laws, "pad")
     if case["encoder"] == "rank-deficient":
         assert laws.rank <= case["inner"]
     pad = pad_law(enc, uniform(q), spec)
@@ -790,7 +827,6 @@ def _mc_cases(draw):
         encoder_seed=draw(st.integers(0, 1 << 30)),
         samples=draw(st.integers(1000, 1500)),
         seed=draw(st.integers(0, 1 << 30)),
-        corrected=draw(st.booleans()),
         bootstrap=draw(st.one_of(st.just(0), st.integers(2, 12))),
     )
 
@@ -801,24 +837,27 @@ _BINARY_N6 = dict(q=2, n=6, R=0.9, p_x=(0.82, 0.18), p_k=(0.62, 0.38), encoder_s
 
 @settings(max_examples=25, deadline=None)
 @given(_mc_cases())
-@example(dict(_BINARY_N6, corrected=True))
-@example(dict(_BINARY_N6, corrected=False))
+@example(_BINARY_N6)
 @example(dict(q=3, n=4, R=1.2, p_x=(0.65, 0.2, 0.15), p_k=(1.0, 0.0, 0.0), encoder_seed=1,
-              samples=2000, seed=2, corrected=False, bootstrap=3))
+              samples=2000, seed=2, bootstrap=3))
 @example(dict(q=5, n=3, R=1.5, p_x=(0.38, 0.24, 0.15, 0.12, 0.11), p_k=(0, 0, 1.0, 0, 0),
-              encoder_seed=3, samples=1000, seed=4, corrected=True, bootstrap=2))
-@example(dict(_BINARY_N6, corrected=True, bootstrap=0))
+              encoder_seed=3, samples=1000, seed=4, bootstrap=2))
+@example(dict(_BINARY_N6, bootstrap=0))
 def test_monte_carlo_matches_sorting_oracle(case):
     # same seed, same bytes: counted cells must reproduce every bit of the
     # row-sorting estimator, zero-probability symbols and point-mass keys
-    # included
+    # included; the uncorrected plug-in, kept in `raw_plugin`, is the
+    # oracle's uncorrected estimate
     plan = make_rate_plan(case["n"], case["R"], FieldSpec(case["q"]))
     enc = draw_encoder(plan, case["encoder_seed"])
     sys_ = CipherSystem(codebook=build_codebook(plan), key_encoder=enc)
     p_x, p_k = Distribution(case["p_x"]), Distribution(case["p_k"])
-    kwargs = {k: case[k] for k in ("samples", "seed", "corrected", "bootstrap")}
+    kwargs = {k: case[k] for k in ("samples", "seed", "bootstrap")}
     got = monte_carlo_mi(sys_, p_x, p_k, **kwargs)
     assert got == oracles.monte_carlo_mi(sys_, p_x, p_k, **kwargs)
+    raw = oracles.monte_carlo_mi(sys_, p_x, p_k, case["samples"], case["seed"], corrected=False,
+                                 bootstrap=0)
+    assert got.raw_plugin == raw.estimate and got.corrected and not raw.corrected
 
 
 @pytest.mark.parametrize(

@@ -13,6 +13,8 @@ from typecipher.leakage import (
     LeakageReport,
     MonteCarloMI,
     SecurityCertificate,
+    _TransformLaws,
+    _UniformKeyLaws,
     converse_diagnostics,
     exact_laws,
     exact_mutual_info,
@@ -55,12 +57,19 @@ RECORDS = _records()
 BY_IDENTITY = {"AffineEncoder", "ExactLaws"}
 
 
+def _public(record) -> type:
+    """The public record class of `record`: ExactLaws for either of its
+    private engines, the record's own class otherwise."""
+    return next(c for c in type(record).__mro__ if not c.__name__.startswith("_"))
+
+
 def test_every_record_class_is_covered():
     classes = {FieldSpec, TypeComposition, RatePlan, AffineEncoder, CipherSystem,
                SearchResult, ExponentResult, ExactLaws, LeakageReport, MonteCarloMI,
                BoundCheck, SecurityCertificate, ConverseDiagnostics}
-    assert {type(r) for r in RECORDS.values()} == classes
-    assert all(type(r).__name__ == name for name, r in RECORDS.items())
+    assert {_public(r) for r in RECORDS.values()} == classes
+    assert all(_public(r).__name__ == name for name, r in RECORDS.items())
+    assert type(RECORDS["ExactLaws"]) is not ExactLaws  # an engine, chosen from p_K
 
 
 @pytest.mark.parametrize("name", sorted(RECORDS))
@@ -198,6 +207,17 @@ def test_exact_laws_cache_their_figures_on_the_instance():
     assert vars(laws)["mi"] == mi and laws.mi is mi
     fresh = laws._replace()
     assert "mi" not in vars(fresh) and fresh.mi == mi
+
+
+def test_exact_laws_replace_takes_the_engine_of_its_key_law():
+    # a copy with another key law is built on that law's engine, as
+    # `exact_laws` would build it
+    laws = RECORDS["ExactLaws"]
+    p_k = Distribution([0.5, 0.5])
+    flat = laws._replace(p_K=p_k)
+    assert type(flat) is _UniformKeyLaws
+    assert flat.mi == exact_laws(laws.sys, laws.p_X, p_k, laws.search).mi
+    assert type(flat._replace(p_K=laws.p_K)) is type(laws) is _TransformLaws
 
 
 def test_report_json_lists_every_field():
